@@ -7,8 +7,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test test-unit test-campaign bench bench-smoke bench-analysis \
 	bench-pipeline bench-load bench-loops bench-wire bench-serve \
-	bench-trace fuzz-smoke serve-smoke lint-corpus tables examples \
-	all clean
+	bench-trace perfbench-smoke fuzz-smoke serve-smoke lint-corpus \
+	tables examples all clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -73,6 +73,20 @@ bench-serve:
 # untraced (geomean) or abort overhead escapes the blacklist bound.
 bench-trace:
 	$(PYTHON) -m repro.bench.runner trace --smoke
+
+# End-to-end benchmark smoke: three seconds of each perfbench workload
+# at seed 1, untraced.  perfbench/run.py exits 0 even when an output
+# check failed, so this fails unless each run's last stdout line (the
+# result object) says "correct": true.
+perfbench-smoke:
+	@set -e; for workload in request execute serve; do \
+		echo "== perfbench $$workload"; \
+		result=$$($(PYTHON) perfbench/run.py --workload $$workload \
+			--seed 1 --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$result"; \
+		echo "$$result" | $(PYTHON) -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "perfbench $$workload: outputs incorrect" >&2; exit 1; }; \
+	done
 
 # Deterministic fuzzing smoke: differential oracle over generated
 # programs + wire-stream mutation under a fixed seed (~30 s); writes

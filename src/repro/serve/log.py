@@ -121,7 +121,10 @@ class PublishLog:
     JSON-lines file (one ``fsync``-free append per publish -- the log
     is evidence, the store is truth), and an existing file is replayed
     (and audited) on construction, so a restarted server continues the
-    same chain.
+    same chain.  A final segment without its newline is an append torn
+    by a crash: replay truncates the file back to the last newline and
+    drops that entry.  A complete line that is not a JSON object is
+    damage, not a torn append, and raises ``SERVE-CHAIN``.
     """
 
     def __init__(self, key: bytes, *,
@@ -135,9 +138,26 @@ class PublishLog:
         self.entries: list[dict] = []
         self.head = GENESIS
         if self._path is not None and self._path.is_file():
-            for line in self._path.read_text().splitlines():
-                self.entries.append(json.loads(line))
+            self._replay()
             self.head = audit_chain(self.entries, key=self._key)
+
+    def _replay(self) -> None:
+        data = self._path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            with self._path.open("r+b") as handle:
+                handle.truncate(complete)
+        for number, line in enumerate(
+                data[:complete].split(b"\n")[:-1], start=1):
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                raise ServeError(
+                    f"publish log line {number} is not a JSON object",
+                    "SERVE-CHAIN", {"line": number})
+            self.entries.append(entry)
 
     def __len__(self) -> int:
         return len(self.entries)

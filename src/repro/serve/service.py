@@ -18,9 +18,18 @@ canonical pass spec + SSA flags -- the same key
 :class:`~repro.driver.session.CompilationSession` uses), the first
 request starts the compile, every concurrent duplicate awaits the same
 future, and all of them receive bit-identical wire bytes.  Settled
-compiles hit the :class:`~repro.cache.CompilationCache`; repeat
-verify/run of the same bytes hit the shared
-:class:`~repro.cache.VerifiedModuleCache` warm path.
+compiles hit the :class:`~repro.cache.CompilationCache`.
+
+Verified modules are memoized in process: a bounded LRU maps the
+SHA-256 of the delivered bytes to the decoded, verified
+:class:`~repro.ssa.ir.Module`, so a repeat verify/run of the same bytes
+skips the decode entirely.  The trust rule: the memo lives only in this
+process, is never persisted, and is filled only after a full cold fused
+verify of exactly those bytes succeeded -- a miss runs the cold path,
+and a rejection is never remembered.  SafeTSA's guarantees are
+properties of the bytes, so a second decode of the same bytes could
+learn nothing new.  Sharing one module between requests is sound
+because all execution state lives on the per-request interpreter.
 
 Endpoints (all JSON; errors are ``{"error": {code, message, detail?}}``
 with the ``SERVE-*`` status mapping from :mod:`repro.serve.errors`)::
@@ -46,27 +55,28 @@ import asyncio
 import base64
 import json
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.cache import (
-    CompilationCache,
-    DictionaryStore,
-    TraceCache,
-    VerifiedModuleCache,
-)
+from repro.cache import CompilationCache, DictionaryStore, TraceCache
 from repro.serve.errors import ServeError
 from repro.serve.log import PublishLog
 from repro.serve.quota import QuotaManager, TenantLimits
 from repro.serve.store import ModuleStore, is_digest, wire_digest
+from repro.ssa.ir import Module
 
 #: tenant assumed when a request does not name one
 DEFAULT_TENANT = "public"
 
 #: server-side ceiling on interpreter steps per /v1/run
 MAX_RUN_STEPS = 50_000_000
+
+#: verified modules kept in process; a decoded corpus module is about
+#: 350 KB, so a full memo holds about 23 MB
+MODULE_MEMO_CAPACITY = 64
 
 
 def _b64decode(text: str, field: str) -> bytes:
@@ -75,6 +85,51 @@ def _b64decode(text: str, field: str) -> bytes:
     except Exception:
         raise ServeError(f"{field} is not valid base64",
                          "SERVE-BAD-REQUEST") from None
+
+
+class ModuleMemo:
+    """Bounded LRU: SHA-256 hex of delivered bytes -> the decoded,
+    verified module.
+
+    Only :meth:`ServeService._load_checked` fills it, and only after a
+    cold fused verify of exactly those bytes succeeded; nothing is ever
+    persisted.  Callers share the returned module and must not mutate
+    it.  ``stats()`` has the ``{hits, misses, hit_rate, entries}`` shape
+    ``/v1/stats`` reports under ``module_cache``.
+    """
+
+    def __init__(self):
+        self._modules: OrderedDict[str, Module] = OrderedDict()
+        # the event loop and synchronous handle() callers may both reach
+        # the memo; get and put are check-then-act on the order
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, digest: str) -> Optional[Module]:
+        with self._lock:
+            module = self._modules.get(digest)
+            if module is None:
+                self.misses += 1
+                return None
+            self._modules.move_to_end(digest)
+            self.hits += 1
+            return module
+
+    def put(self, digest: str, module: Module) -> None:
+        with self._lock:
+            self._modules[digest] = module
+            self._modules.move_to_end(digest)
+            while len(self._modules) > MODULE_MEMO_CAPACITY:
+                self._modules.popitem(last=False)
+
+    def stats(self) -> dict:
+        with self._lock:
+            total = self.hits + self.misses
+            return {"hits": self.hits, "misses": self.misses,
+                    "hit_rate": round(self.hits / total, 4)
+                    if total else 0.0,
+                    "entries": len(self._modules)}
 
 
 class ServeService:
@@ -89,7 +144,7 @@ class ServeService:
         self.store = ModuleStore(store_dir)
         self.dicts = DictionaryStore(
             f"{store_dir}/dicts" if store_dir else None)
-        self.module_cache = VerifiedModuleCache()
+        self.module_cache = ModuleMemo()
         self.compile_cache = CompilationCache()
         # compiled hot-loop traces, shared across /v1/run requests:
         # keyed on wire digest, so a warm re-run of the same unit skips
@@ -376,23 +431,29 @@ class ServeService:
 
     # -- verify / run ---------------------------------------------------
 
-    async def _load_checked(self, wire: bytes):
-        """Fused verifying load (warm via the shared module cache);
-        rejection surfaces as ``SERVE-REJECTED`` carrying the stable
-        ``DEC-*`` code in ``detail``."""
+    async def _load_checked(self, wire: bytes) -> Module:
+        """The verified module for ``wire``: a memo hit, or a cold fused
+        verifying load whose success is memoized.  Rejection surfaces as
+        ``SERVE-REJECTED`` carrying the stable ``DEC-*`` code in
+        ``detail`` and is never memoized."""
+        digest = wire_digest(wire)
+        module = self.module_cache.get(digest)
+        if module is not None:
+            return module
         from repro.encode.deserializer import DecodeError
 
         def load():
             from repro.loader import load_module
-            return load_module(wire, store=self.dicts,
-                               cache=self.module_cache)
+            return load_module(wire, store=self.dicts, cache=False)
         try:
-            return await self._offload(load)
+            module = await self._offload(load)
         except DecodeError as error:
             raise ServeError(
                 f"module rejected: {error}", "SERVE-REJECTED",
                 {"code": error.code,
                  "location": error.location()}) from None
+        self.module_cache.put(digest, module)
+        return module
 
     async def _wire_from(self, payload: dict) -> bytes:
         digest = payload.get("digest")
@@ -414,22 +475,27 @@ class ServeService:
         self.counters["verifies"] += 1
         wire = await self._wire_from(payload)
         module = await self._load_checked(wire)
-        return {"ok": True, "digest": wire_digest(wire),
+        return {"ok": True, "digest": module.wire_digest,
                 "classes": len(module.classes),
                 "instructions": module.instruction_count()}
 
     async def _run_endpoint(self, payload: dict) -> dict:
         self.counters["runs"] += 1
-        wire = await self._wire_from(payload)
-        module = await self._load_checked(wire)
-        max_steps = min(int(payload.get("max_steps",
-                                        self.max_run_steps)),
-                        self.max_run_steps)
+        max_steps = payload.get("max_steps", self.max_run_steps)
+        if not isinstance(max_steps, int) or isinstance(max_steps, bool):
+            raise ServeError("'max_steps' must be an integer",
+                             "SERVE-BAD-REQUEST")
+        max_steps = min(max_steps, self.max_run_steps)
         main_class = payload.get("class")
+        if main_class is not None and not isinstance(main_class, str):
+            raise ServeError("'class' must be a class name string",
+                             "SERVE-BAD-REQUEST")
         trace = payload.get("trace")
         if trace is not None and not isinstance(trace, (bool, int)):
             raise ServeError("'trace' must be a bool or an int "
                              "threshold", "SERVE-BAD-REQUEST")
+        wire = await self._wire_from(payload)
+        module = await self._load_checked(wire)
 
         def execute():
             from repro.interp.interpreter import Interpreter

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import re
 import subprocess
 import sys
@@ -177,6 +178,46 @@ class TestPublishLog:
         # caught by its signature before the next entry's prev link
         assert caught.value.code in ("SERVE-SIG", "SERVE-CHAIN")
 
+    def _persisted(self, path, count: int) -> PublishLog:
+        log = PublishLog(SERVE_TEST_KEY, clock=ManualClock(),
+                         path=str(path))
+        for index in range(count):
+            log.append(name=f"m{index}", tenant="t", digest="cd" * 32,
+                       format_version="stsa1", size=5)
+        return log
+
+    def test_torn_tail_is_truncated_and_the_chain_continues(
+            self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = self._persisted(path, 2)
+        first = log.entries[0]
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])  # a crash mid-append
+        resumed = PublishLog(SERVE_TEST_KEY, clock=ManualClock(),
+                             path=str(path))
+        assert resumed.entries == [first]
+        assert resumed.head == entry_hash(first)
+        assert path.read_bytes() == data[:data.index(b"\n") + 1]
+        entry = resumed.append(name="next", tenant="t",
+                               digest="cd" * 32, format_version="stsa1",
+                               size=5)
+        assert entry["seq"] == 1 and entry["prev"] == entry_hash(first)
+        again = PublishLog(SERVE_TEST_KEY, clock=ManualClock(),
+                           path=str(path))
+        assert len(again) == 2 and again.head == resumed.head
+
+    def test_corrupt_complete_line_is_a_chain_break(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        self._persisted(path, 3)
+        lines = path.read_bytes().split(b"\n")
+        for damage in (lines[1][:-7], b"[1, 2]"):
+            path.write_bytes(b"\n".join([lines[0], damage, *lines[2:]]))
+            with pytest.raises(ServeError) as caught:
+                PublishLog(SERVE_TEST_KEY, clock=ManualClock(),
+                           path=str(path))
+            assert caught.value.code == "SERVE-CHAIN"
+            assert caught.value.detail == {"line": 2}
+
 
 # ======================================================================
 # unit: quotas under a manual clock
@@ -265,6 +306,19 @@ class TestEndpoints:
         assert caught.value.code == "SERVE-REJECTED"
         assert caught.value.detail["code"] in STABLE_CODES
 
+    @pytest.mark.parametrize("argument", [
+        {"max_steps": "abc"}, {"max_steps": [1]}, {"class": 5}])
+    def test_bad_run_arguments_are_bad_requests(self, serve_client,
+                                                argument):
+        digest = serve_client.publish("answer", source=SOURCE)["digest"]
+        with pytest.raises(ServeError) as caught:
+            serve_client.request("POST", "/v1/run",
+                                 {"digest": digest, **argument})
+        assert caught.value.code == "SERVE-BAD-REQUEST"
+        # named by the field, not a 500 "internal error" wrapping a
+        # raw Python exception
+        assert f"'{next(iter(argument))}'" in caught.value.message
+
     def test_unknown_digest_and_endpoint(self, serve_client):
         with pytest.raises(ServeError) as caught:
             serve_client.fetch("ab" * 32)
@@ -318,6 +372,191 @@ class TestCoalescing:
         performed = service.counters["compiles_performed"]
         serve_client.compile(SOURCE)
         assert service.counters["compiles_performed"] == performed
+
+
+def _b64(wire: bytes) -> str:
+    return base64.b64encode(wire).decode("ascii")
+
+
+class TestVerifiedModuleMemo:
+    """The in-process memo of verified modules: keyed on the exact
+    delivered bytes, filled only by a successful cold verify."""
+
+    def test_rejection_is_never_memoized(self, serve_client):
+        honest = _wire(SOURCE_PRINT)
+        serve_client.verify(wire=honest)
+        hostile = bytearray(honest)
+        hostile[-2] ^= 0xFF  # one byte away from a memoized unit
+        before = serve_client.stats()["module_cache"]
+        codes = []
+        for _ in range(2):
+            with pytest.raises(ServeError) as caught:
+                serve_client.verify(wire=bytes(hostile))
+            assert caught.value.code == "SERVE-REJECTED"
+            codes.append(caught.value.detail["code"])
+        assert codes[0].startswith("DEC-") and codes[0] == codes[1]
+        after = serve_client.stats()["module_cache"]
+        assert after["entries"] == before["entries"]
+        assert after["misses"] == before["misses"] + 2
+        assert after["hits"] == before["hits"]
+
+    def test_wire_and_digest_share_one_entry(self, serve_client):
+        wire = _wire(SOURCE_PRINT)
+        digest = serve_client.publish("p", source=SOURCE_PRINT)["digest"]
+        assert digest == wire_digest(wire)
+        by_digest = serve_client.verify(digest=digest)
+        by_wire = serve_client.verify(wire=wire)
+        assert by_wire == by_digest
+        assert serve_client.run(wire=wire)["stdout"] == "hi\n"
+        stats = serve_client.stats()["module_cache"]
+        assert set(stats) == {"hits", "misses", "hit_rate", "entries"}
+        assert (stats["entries"], stats["misses"], stats["hits"]) \
+            == (1, 1, 2)
+
+    def test_least_recently_used_unit_is_evicted(self):
+        from repro.serve.service import MODULE_MEMO_CAPACITY
+        service = ServeService(signing_key=SERVE_TEST_KEY)
+        wires = [_wire(SOURCE.replace("6 * 7", str(index)))
+                 for index in range(MODULE_MEMO_CAPACITY + 1)]
+
+        def verify(index: int) -> dict:
+            return service.handle("POST", "/v1/verify",
+                                  {"wire_b64": _b64(wires[index])})
+        try:
+            first = [verify(index)
+                     for index in range(MODULE_MEMO_CAPACITY)]
+            verify(0)  # a hit refreshes unit 0; unit 1 is now oldest
+            verify(MODULE_MEMO_CAPACITY)
+            stats = service.module_cache.stats()
+            assert stats["entries"] == MODULE_MEMO_CAPACITY
+            assert verify(0) == first[0]
+            assert service.module_cache.stats()["misses"] \
+                == stats["misses"]
+            assert verify(1) == first[1]  # evicted: a cold re-verify
+            assert service.module_cache.stats()["misses"] \
+                == stats["misses"] + 1
+        finally:
+            service.close()
+
+
+# hot loops for the trace tier; Trap leaves its trace through a failing
+# idxcheck guard, and Loop's static counter would print more than 1 if
+# one run saw another's statics through the shared module
+STRESS_SOURCES = {
+    "Loop": """
+class Loop {
+    static int runs;
+    static int main() {
+        runs = runs + 1;
+        int sum = 0;
+        for (int i = 0; i < 300; i++) {
+            sum = sum + i * 3;
+            if (i % 100 == 0) System.out.println(sum);
+        }
+        System.out.println(runs);
+        return sum;
+    }
+}""",
+    "Trap": """
+class Trap {
+    static int main() {
+        int[] cells = new int[60];
+        int sum = 0;
+        for (int i = 0; i <= 60; i++) {
+            cells[i] = i;
+            sum = sum + cells[i];
+        }
+        return sum;
+    }
+}""",
+}
+
+
+class TestSharedModuleStress:
+    """Many client threads run and verify the same digests at once, so
+    every request shares one memoized module; each response must equal
+    the serial one."""
+
+    ROUNDS = 10
+
+    @staticmethod
+    def _observed(route: str, response: dict) -> tuple:
+        if route == "verify":
+            return response["classes"], response["instructions"]
+        return (response["value"], response["stdout"], response["steps"],
+                response["exception"])
+
+    def _serial(self, wires: dict) -> dict:
+        service = ServeService(signing_key=SERVE_TEST_KEY)
+        expected = {}
+        try:
+            for name, wire in wires.items():
+                for route, trace in (("verify", None), ("run", None),
+                                     ("run", True)):
+                    payload = {"wire_b64": _b64(wire)}
+                    if trace:
+                        payload["trace"] = trace
+                    expected[name, route, trace] = self._observed(
+                        route, service.handle("POST", f"/v1/{route}",
+                                              payload))
+        finally:
+            service.close()
+        return expected
+
+    def test_concurrent_requests_match_the_serial_results(
+            self, serve_stack):
+        service, server, _clock = serve_stack
+        wires = {name: _wire(source)
+                 for name, source in STRESS_SOURCES.items()}
+        expected = self._serial(wires)
+        assert expected["Trap", "run", None][3] is not None
+        with ServeClient("127.0.0.1", server.port) as client:
+            digests = {name: client.publish(name, source=source)["digest"]
+                       for name, source in STRESS_SOURCES.items()}
+        ops = list(expected)
+        threads_count = max(8, (os.cpu_count() or 1) + 2)
+        barrier = threading.Barrier(threads_count, timeout=30)
+        mismatches: list = []
+        completed: list = []
+
+        def client_thread(index: int) -> None:
+            with ServeClient("127.0.0.1", server.port,
+                             tenant="stress") as client:
+                barrier.wait()
+                for step in range(self.ROUNDS * len(ops)):
+                    name, route, trace = ops[(index + step) % len(ops)]
+                    try:
+                        if route == "verify":
+                            response = client.verify(digest=digests[name])
+                        else:
+                            response = client.run(digest=digests[name],
+                                                  trace=trace)
+                        observed = self._observed(route, response)
+                    except Exception as error:  # recorded, not lost
+                        observed = repr(error)
+                    if observed != expected[name, route, trace]:
+                        mismatches.append((name, route, trace, observed))
+            completed.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client_thread, args=(n,),
+                                        name=f"stress-{n}")
+                       for n in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(completed) == list(range(threads_count))
+        assert mismatches == []
+        stats = service.module_cache.stats()
+        assert stats["entries"] == len(wires)
+        assert stats["hits"] + stats["misses"] \
+            == threads_count * self.ROUNDS * len(ops)
 
 
 # ======================================================================
