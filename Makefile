@@ -110,8 +110,12 @@ lint-corpus:
 tables:
 	$(PYTHON) -m repro.bench.runner all
 
+# Run every example script (the public API's usage); the first failing
+# example fails the target.
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex; done
+	@set -e; for ex in examples/*.py; do \
+		echo "== $$ex"; $(PYTHON) $$ex; \
+	done
 
 all: test bench tables
 

@@ -23,7 +23,7 @@ The package is organised as a complete producer/consumer toolchain:
   ill-formed references are unrepresentable.
 - :mod:`repro.loader` -- the fused verifying loader: one decode pass
   plus a residual rule sweep, lazy body decoding, and a verified-module
-  cache for warm/parallel loads.
+  cache for warm loads.
 - :mod:`repro.interp` -- a reference interpreter for SafeTSA modules (the
   stand-in for the paper's dynamic code generator).
 - :mod:`repro.jvm` -- the Java-bytecode baseline: stack codegen, class-file

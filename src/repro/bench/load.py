@@ -11,8 +11,6 @@ benchmark times:
   plus the residual rule sweep
 * **fused warm**  the wire digest hits the verified-module cache: no
   sweeps, boundary-indexed body decode
-* **warm jobs=N** the same warm load with body decoding fanned out
-  across N threads
 * **lazy first**  a warm lazy load touching a single function body --
   the "start one entry point out of a big distribution unit" cost
 
@@ -69,19 +67,17 @@ def _check_identical(wire: bytes, module, label: str) -> None:
                              "differently -- benchmark invalid")
 
 
-def load_report(programs=None, repeats=None, jobs=None) -> dict:
+def load_report(programs=None, repeats=None) -> dict:
     """All the numbers behind ``BENCH_load.json``."""
     if repeats is None:
         repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
     programs = list(programs or CORPUS_PROGRAMS)
-    if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
     artifacts = _artifacts(programs)
     cache = VerifiedModuleCache()  # memory-only: no disk I/O in timings
 
     rows = []
     totals = {"two_pass": 0.0, "fused_cold": 0.0, "fused_warm": 0.0,
-              "warm_jobs": 0.0, "lazy_first_touch": 0.0}
+              "lazy_first_touch": 0.0}
     for name, optimize, wire in artifacts:
         label = f"{name}{'+opt' if optimize else ''}"
 
@@ -102,11 +98,6 @@ def load_report(programs=None, repeats=None, jobs=None) -> dict:
             # the point of the warm path: digest hit, sweeps skipped
             assert loader.cache_hit and not loader.verified
 
-        def warm_jobs():
-            loader = ModuleLoader(wire, cache=cache, jobs=jobs)
-            loader.load()
-            assert loader.cache_hit and not loader.verified
-
         def lazy_first_touch():
             module = load_module(wire, lazy=True, cache=cache)
             for method in module.functions:
@@ -121,7 +112,6 @@ def load_report(programs=None, repeats=None, jobs=None) -> dict:
             "two_pass_ms": _best_of(two_pass, repeats) * 1000,
             "fused_cold_ms": _best_of(fused_cold, repeats) * 1000,
             "fused_warm_ms": _best_of(fused_warm, repeats) * 1000,
-            "warm_jobs_ms": _best_of(warm_jobs, repeats) * 1000,
             "lazy_first_touch_ms":
                 _best_of(lazy_first_touch, repeats) * 1000,
         }
@@ -137,7 +127,6 @@ def load_report(programs=None, repeats=None, jobs=None) -> dict:
         "programs": programs,
         "artifacts": len(artifacts),
         "repeats": repeats,
-        "jobs": jobs,
         "rows": rows,
         "totals_ms": {key: round(value, 3)
                       for key, value in totals.items()},
@@ -146,8 +135,6 @@ def load_report(programs=None, repeats=None, jobs=None) -> dict:
                 ratio(totals["two_pass"], totals["fused_cold"]),
             "fused_warm_vs_cold":
                 ratio(totals["fused_cold"], totals["fused_warm"]),
-            "warm_jobs_vs_warm_serial":
-                ratio(totals["fused_warm"], totals["warm_jobs"]),
             "lazy_first_touch_vs_cold":
                 ratio(totals["fused_cold"],
                       totals["lazy_first_touch"]),
@@ -169,22 +156,21 @@ def load_table(report: dict) -> str:
     """Fixed-width rendering of a :func:`load_report` (RESULTS.txt)."""
     lines = [
         f"{'Artifact':20} {'bytes':>7} {'2pass':>8} {'cold':>8} "
-        f"{'warm':>8} {'jobs=' + str(report['jobs']):>8} {'lazy1':>8}",
-        "-" * 72,
+        f"{'warm':>8} {'lazy1':>8}",
+        "-" * 64,
     ]
     for row in report["rows"]:
         label = row["program"] + ("+opt" if row["optimized"] else "")
         lines.append(
             f"{label:20} {row['wire_bytes']:>7} "
             f"{row['two_pass_ms']:>8.2f} {row['fused_cold_ms']:>8.2f} "
-            f"{row['fused_warm_ms']:>8.2f} {row['warm_jobs_ms']:>8.2f} "
+            f"{row['fused_warm_ms']:>8.2f} "
             f"{row['lazy_first_touch_ms']:>8.2f}")
     totals = report["totals_ms"]
-    lines.append("-" * 72)
+    lines.append("-" * 64)
     lines.append(
         f"{'TOTAL (ms)':20} {'':>7} {totals['two_pass']:>8.2f} "
         f"{totals['fused_cold']:>8.2f} {totals['fused_warm']:>8.2f} "
-        f"{totals['warm_jobs']:>8.2f} "
         f"{totals['lazy_first_touch']:>8.2f}")
     speedups = report["speedups"]
     lines.append("")

@@ -13,6 +13,7 @@ SafeTSA -- and collects, per class:
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import os
 from typing import Optional
 
@@ -151,51 +152,49 @@ def measure_program(program: str, source: Optional[str] = None, *,
     return rows
 
 
-def _compile_wire_job(job) -> bytes:
+def compile_wire_job(job) -> bytes:
     """Worker: one cold compile, returned as picklable wire bytes."""
     source, flags = job
     return encode_module(compile_to_module(source, cache=False, **flags))
 
 
-def warm_cache(cache, jobs, max_workers: Optional[int] = None) -> int:
-    """Fill ``cache`` by compiling ``jobs`` (source, flags) pairs
-    concurrently.  Already-cached jobs are skipped; returns how many
-    compiles actually ran.
+def pool_map(fn, items) -> tuple[list, int]:
+    """``[fn(item) for item in items]`` across a process pool with one
+    worker per CPU (at most one per item).
 
-    Compilation is pure CPU, so a process pool is the right executor;
-    the wire bytes are the natural picklable result.  Falls back to a
-    thread pool where subprocesses are unavailable (restricted
-    sandboxes), which still overlaps the small I/O fraction.
+    Compilation is pure CPU, so processes, not threads, are the
+    executor.  Workers are spawned, not forked -- the calling process
+    may have threads -- so ``fn`` must be importable, the items must
+    pickle, and each worker runs under its own hash seed.  Results come
+    back in item order.  Returns ``(results, workers)``, where
+    ``workers`` is the pool size that actually ran: 1 means the plain
+    serial loop did -- on a single CPU, for a single item, or where a
+    process pool cannot start or breaks (restricted sandboxes).
     """
+    items = list(items)
+    workers = min(os.cpu_count() or 1, len(items))
+    if workers > 1:
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context(
+                        "spawn")) as pool:
+                return list(pool.map(fn, items)), workers
+        except (OSError, NotImplementedError,
+                concurrent.futures.process.BrokenProcessPool):
+            pass
+    return [fn(item) for item in items], 1
+
+
+def warm_cache(cache, jobs) -> int:
+    """Fill ``cache`` by compiling ``jobs`` (source, flags) pairs across
+    :func:`pool_map`, wire bytes being the picklable result.
+    Already-cached jobs are skipped; returns how many compiles ran."""
     pending = [(source, flags) for source, flags in jobs
                if cache.get(pipeline_cache_key(cache, source, **flags))
                is None]
-    if not pending:
-        return 0
-    if max_workers == 1 or (max_workers is None
-                            and (os.cpu_count() or 1) == 1):
-        # no parallelism to exploit: skip the worker-process overhead
-        for source, flags in pending:
-            cache.put(pipeline_cache_key(cache, source, **flags),
-                      _compile_wire_job((source, flags)))
-        return len(pending)
-    try:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers)
-    except (OSError, PermissionError, NotImplementedError):
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers)
-    try:
-        with executor:
-            for (source, flags), wire in zip(
-                    pending, executor.map(_compile_wire_job, pending)):
-                cache.put(pipeline_cache_key(cache, source, **flags),
-                          wire)
-    except concurrent.futures.process.BrokenProcessPool:
-        # e.g. fork blocked after executor creation: degrade to threads
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            for (source, flags), wire in zip(
-                    pending, pool.map(_compile_wire_job, pending)):
-                cache.put(pipeline_cache_key(cache, source, **flags),
-                          wire)
+    wires, _ = pool_map(compile_wire_job, pending)
+    for (source, flags), wire in zip(pending, wires):
+        cache.put(pipeline_cache_key(cache, source, **flags), wire)
     return len(pending)
 
 
@@ -206,17 +205,16 @@ def corpus_compile_jobs(programs=None) -> list:
             for flags in TRANSMITTED_FLAGS]
 
 
-def measure_corpus(programs=None, *, cache=None,
-                   max_workers: Optional[int] = None) -> list[ClassMetrics]:
+def measure_corpus(programs=None, *, cache=None) -> list[ClassMetrics]:
     """Measure every corpus program (the full Figure 5 / 6 data set).
 
     With a ``cache``, the corpus's SafeTSA compiles are first warmed
-    concurrently, so the serial measurement loop below runs on cache
-    hits (decode-only).
+    across a process pool, so the serial measurement loop below runs on
+    cache hits (decode-only).
     """
     programs = programs or CORPUS_PROGRAMS
     if cache:
-        warm_cache(cache, corpus_compile_jobs(programs), max_workers)
+        warm_cache(cache, corpus_compile_jobs(programs))
     rows: list[ClassMetrics] = []
     for program in programs:
         rows.extend(measure_program(program, cache=cache))

@@ -19,31 +19,26 @@ Figure 5 comparison needs):
    front end.
 
 2. **What does the fan-out buy?**  ``parallel`` distributes the
-   session workload across a process pool at artifact granularity
-   (the ``warm_cache`` pattern: compilation is pure CPU, wire bytes are
-   the picklable result).  On a single-CPU host the pool is skipped and
-   ``workers`` honestly reports 1 -- the speedup there is all analysis
-   sharing; on multi-core CI both effects compound.
+   session workload across :func:`~repro.bench.metrics.pool_map`'s
+   process pool at artifact granularity.  ``workers`` records the pool
+   size that actually ran; on a single-CPU host it is 1 (the serial
+   loop), and the speedup there is all analysis sharing.
 
-3. **Is the fan-out safe?**  For every corpus artifact the parallel
-   session must produce bit-identical encoded bytes and equal per-pass
-   statistics to the serial session (also enforced as a tier-1 test in
-   ``tests/test_driver.py``).
+3. **Is it deterministic?**  For every corpus artifact the pooled
+   sessions -- fresh sessions in spawned workers, on other heaps and
+   under other hash seeds -- must produce bit-identical encoded bytes
+   and equal per-pass statistics to the timed sessions (also enforced
+   as tier-1 tests in ``tests/test_driver.py``).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
-from typing import Optional
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.bench.metrics import TRANSMITTED_FLAGS
+from repro.bench.metrics import TRANSMITTED_FLAGS, pool_map
 from repro.driver import CompilationSession
-
-#: thread fan-out width used for the determinism comparison
-_DETERMINISM_JOBS = 4
 
 
 def _artifacts(programs) -> list[tuple[str, str, dict]]:
@@ -57,11 +52,7 @@ def _artifacts(programs) -> list[tuple[str, str, dict]]:
     return out
 
 
-def _session_for(flags: dict, jobs=None) -> CompilationSession:
-    return CompilationSession(cache=False, jobs=jobs, **flags)
-
-
-def _run_session_workload(label_source_flags, jobs=None):
+def _run_session_workload(label_source_flags):
     """Worker: one artifact's full producer workload through a session:
     build, verify, optimise, re-verify, encode -- plus, for the
     optimised form, the bytecode baseline Figure 5 compares against
@@ -73,7 +64,7 @@ def _run_session_workload(label_source_flags, jobs=None):
     pool too.
     """
     label, source, flags = label_source_flags
-    session = _session_for(flags, jobs=jobs)
+    session = CompilationSession(cache=False, **flags)
     module = session.build_module(source)
     session.verify(module)  # admission check on the built module
     session.optimize(module)
@@ -107,40 +98,24 @@ def _run_legacy_workload(label_source_flags):
     return label, wire
 
 
-def _pool_map(fn, items, max_workers):
-    """Map through a process pool, degrading exactly like
-    ``repro.bench.metrics.warm_cache``."""
-    try:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers)
-    except (OSError, PermissionError, NotImplementedError):
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers)
-    try:
-        with executor:
-            return list(executor.map(fn, items))
-    except concurrent.futures.process.BrokenProcessPool:
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            return list(pool.map(fn, items))
-
-
-def pipeline_report(programs=None, repeats=None,
-                    max_workers: Optional[int] = None) -> dict:
+def pipeline_report(programs=None, repeats=None) -> dict:
     """All the numbers behind ``BENCH_pipeline.json``."""
     if repeats is None:
         repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
     programs = list(programs or CORPUS_PROGRAMS)
     artifacts = _artifacts(programs)
-    cpus = os.cpu_count() or 1
-    workers = max_workers if max_workers is not None else min(cpus, 4)
 
     report: dict = {"programs": programs,
                     "artifacts": len(artifacts),
                     "repeats": repeats,
-                    "cpus": cpus}
+                    "cpus": os.cpu_count() or 1}
 
-    # 1+2. serial baseline (pre-driver path, per-consumer analyses) vs
-    # the session path (shared AnalysisManager).  The rounds interleave
-    # so slow clock drift (thermal, noisy neighbours) hits both sides
-    # equally; each side keeps its best round.
+    # 1-3. serial baseline (pre-driver path, per-consumer analyses) vs
+    # the session path (shared AnalysisManager) vs the session workload
+    # fanned across a process pool at artifact granularity (the serial
+    # loop where no pool can run).  The rounds interleave so slow clock
+    # drift (thermal, noisy neighbours) hits every side equally; each
+    # side keeps its best round.
     def serial_round() -> None:
         for item in artifacts:
             _run_legacy_workload(item)
@@ -148,45 +123,29 @@ def pipeline_report(programs=None, repeats=None,
     def session_round() -> list:
         return [_run_session_workload(item) for item in artifacts]
 
+    def timed(fn):
+        start = time.perf_counter()
+        result = fn()
+        return result, time.perf_counter() - start
+
     serial_round()  # warmup
-    session_runs = session_round()
-    serial_s = session_s = float("inf")
+    session_round()
+    serial_s = session_s = parallel_s = float("inf")
     for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        serial_round()
-        serial_s = min(serial_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        session_runs = session_round()
-        session_s = min(session_s, time.perf_counter() - start)
+        _, seconds = timed(serial_round)
+        serial_s = min(serial_s, seconds)
+        session_runs, seconds = timed(session_round)
+        session_s = min(session_s, seconds)
+        (parallel_runs, workers), seconds = timed(
+            lambda: pool_map(_run_session_workload, artifacts))
+        parallel_s = min(parallel_s, seconds)
 
-    # 3. parallel: the session workload fanned across a process pool at
-    # artifact granularity (a single CPU has nothing to fan out to, so
-    # the pool is skipped and the honest worker count is 1)
-    if workers <= 1 or cpus == 1:
-        pool_workers = 1
-        parallel_s = session_s
-        parallel_runs = session_runs
-    else:
-        pool_workers = workers
-        start = time.perf_counter()
-        parallel_runs = _pool_map(_run_session_workload, artifacts,
-                                  workers)
-        parallel_s = time.perf_counter() - start
-
-    # 4. determinism: thread fan-out vs serial, bytes + reports
-    mismatched = []
-    for item, (label, serial_wire, serial_reports, _) \
-            in zip(artifacts, session_runs):
-        p_label, parallel_wire, parallel_reports, _ = \
-            _run_session_workload(item, jobs=_DETERMINISM_JOBS)
-        assert p_label == label
-        if parallel_wire != serial_wire \
-                or parallel_reports != serial_reports:
-            mismatched.append(label)
-    pool_bytes_equal = all(
-        pool_wire == serial_wire
-        for (_, serial_wire, _, _), (_, pool_wire, _, _)
-        in zip(session_runs, parallel_runs))
+    # 4. determinism: the pooled sessions rebuilt every artifact from
+    # scratch; bytes and reports must match the timed sessions'
+    mismatched = [label for (label, wire, reports, _),
+                  (_, pool_wire, pool_reports, _)
+                  in zip(session_runs, parallel_runs)
+                  if pool_wire != wire or pool_reports != reports]
 
     # 5. analysis-cache accounting + per-pass seconds, aggregated over
     # the corpus (one timed run's worth of sessions)
@@ -215,23 +174,23 @@ def pipeline_report(programs=None, repeats=None,
     report["session"] = {
         "seconds": round(session_s, 4),
         "mode": "CompilationSession: shared AnalysisManager and "
-                "front end, jobs=1",
+                "front end",
     }
     report["parallel"] = {
         "seconds": round(parallel_s, 4),
-        "workers": pool_workers,
+        "workers": workers,
         "mode": "session workload across a process pool per artifact",
     }
     report["parallel_speedup_vs_serial"] = \
         round(serial_s / parallel_s, 3) if parallel_s else None
     report["session_speedup_vs_serial"] = \
         round(serial_s / session_s, 3) if session_s else None
+    report["parallel_speedup_vs_session"] = \
+        round(session_s / parallel_s, 3) if parallel_s else None
     report["determinism"] = {
         "artifacts": len(artifacts),
-        "thread_jobs": _DETERMINISM_JOBS,
         "identical_bytes": not mismatched,
         "identical_reports": not mismatched,
-        "pool_identical_bytes": pool_bytes_equal,
         "mismatched": mismatched,
     }
     report["analysis_cache"] = {

@@ -23,12 +23,12 @@ Usage::
 numbers to ``BENCH_codec.json``; ``analysis`` times verification and
 the lint driver per corpus artifact and writes ``BENCH_analysis.json``;
 ``pipeline`` measures the pass pipeline (analysis-cache reuse, per-pass
-seconds, parallel fan-out determinism) and writes
+seconds, process-pool fan-out and rebuild determinism) and writes
 ``BENCH_pipeline.json``; ``fuzz`` runs a deterministic differential +
 wire-mutation campaign and writes throughput plus the rejection
 taxonomy to ``BENCH_fuzz.json`` (and exits nonzero on any finding);
 ``load`` (E10) times the legacy two-pass consumer against the fused
-verifying loader's cold/warm/parallel/lazy paths per corpus artifact,
+verifying loader's cold/warm/lazy paths per corpus artifact,
 writes ``BENCH_load.json``, and exits nonzero if the fused cold path
 stops beating two-pass; ``loops`` compares the loop tier (preheaders,
 LICM, check hoisting) against no optimisation and the default pipeline
@@ -68,9 +68,10 @@ import time
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.bench.metrics import (
+    compile_wire_job,
     corpus_compile_jobs,
     measure_corpus,
-    warm_cache,
+    pool_map,
 )
 from repro.bench.tables import (
     ablation_table,
@@ -250,7 +251,6 @@ def codec_report(programs=None, repeats=None) -> dict:
     # 2. the module path: full encode/decode plus per-stage compile time
     stage_seconds: dict = {}
     modules = []
-    start = time.perf_counter()
     for name in programs:
         source = corpus_source(name)
         modules.append(compile_to_module(
@@ -259,7 +259,6 @@ def codec_report(programs=None, repeats=None) -> dict:
         modules.append(compile_to_module(
             source, optimize=True, cache=False,
             stage_seconds=stage_seconds))
-    compile_s = time.perf_counter() - start
     wires = [encode_module(module) for module in modules]
     stage_seconds["encode"] = best_of(
         lambda: [encode_module(module) for module in modules],
@@ -282,12 +281,24 @@ def codec_report(programs=None, repeats=None) -> dict:
                           for stage, seconds in stage_seconds.items()},
     }
 
-    # 3. the compilation cache: cold concurrent warm vs warm rerun
-    cache = CompilationCache()
+    # 3. the compilation cache.  Cold: the corpus's compile+encode work,
+    # serially and across pool_map's process pool -- the same work both
+    # ways, best of ``repeats`` each.  Warm: the same compiles through
+    # a cache that best_of's warmup round fills.
     jobs = corpus_compile_jobs(programs)
-    start = time.perf_counter()
-    compiled = warm_cache(cache, jobs)
-    cold_s = time.perf_counter() - start
+    serial: list = []
+    pooled: list = []
+    cold_serial_s = best_of(
+        lambda: serial.append([compile_wire_job(job) for job in jobs]),
+        repeats=repeats, warmup=0)
+    cold_pool_s = best_of(
+        lambda: pooled.append(pool_map(compile_wire_job, jobs)),
+        repeats=repeats, warmup=0)
+    pool_wires, workers = pooled[-1]
+    if pool_wires != serial[-1]:
+        raise AssertionError("pooled compiles differ from serial ones "
+                             "-- benchmark invalid")
+    cache = CompilationCache()
 
     def rerun() -> None:
         for name in programs:
@@ -297,15 +308,18 @@ def codec_report(programs=None, repeats=None) -> dict:
 
     warm_s = best_of(rerun, repeats=repeats)
     report["cache"] = {
-        "corpus_compiles": compiled,
-        "cold_concurrent_seconds": round(cold_s, 4),
-        "cold_serial_seconds": round(compile_s, 4),
+        "corpus_compiles": len(jobs),
+        "cold_serial_seconds": round(cold_serial_s, 4),
+        "cold_concurrent_seconds": round(cold_pool_s, 4),
+        "workers": workers,
+        "concurrent_speedup": round(cold_serial_s / cold_pool_s, 2)
+        if cold_pool_s else None,
         "warm_seconds": round(warm_s, 4),
-        "warm_speedup": round(compile_s / warm_s, 2) if warm_s else None,
+        "warm_speedup": round(cold_serial_s / warm_s, 2)
+        if warm_s else None,
         "hit_rate": round(cache.hit_rate, 4),
         **{key: value for key, value in cache.stats().items()
            if key != "hit_rate"},
-        "workers": os.cpu_count(),
     }
     return report
 
@@ -335,7 +349,9 @@ def run_codec(argv=()) -> str:
         f"  combined speedup vs reference: "
         f"{codec['speedup_vs_reference']}x",
         f"  corpus compile {cache['cold_serial_seconds']:.2f}s cold, "
-        f"{cache['cold_concurrent_seconds']:.2f}s concurrent, "
+        f"{cache['cold_concurrent_seconds']:.2f}s concurrent "
+        f"({cache['workers']} worker(s), "
+        f"{cache['concurrent_speedup']}x), "
         f"{cache['warm_seconds']:.2f}s from cache "
         f"(hit rate {cache['hit_rate']:.0%})",
     ])
@@ -366,7 +382,7 @@ def run_pipeline(argv=()) -> str:
         f"{report['session']['seconds']:8.3f} s",
         f"  parallel ({report['parallel']['workers']} worker(s))        "
         f"{report['parallel']['seconds']:8.3f} s  "
-        f"({report['parallel_speedup_vs_serial']}x vs serial)",
+        f"({report['parallel_speedup_vs_session']}x vs session)",
         f"  analysis cache: {cache['consumers_per_computed']} consumers "
         f"per computed result (hit rate {cache['hit_rate']:.0%})",
         f"  determinism: identical bytes for "

@@ -125,9 +125,8 @@ class VerifiedModuleCache:
     records that those bytes decoded and verified cleanly once, plus the
     per-function ``(start_bit, end_bit)`` body boundaries the sequential
     decode observed.  A warm load then skips the residual verification
-    sweeps and can seek straight to individual bodies (lazy random
-    access, parallel ``--jobs N`` decode) -- seeks the format itself
-    cannot offer, having no length prefixes.
+    sweeps and a lazy load can seek straight to individual bodies --
+    seeks the format itself cannot offer, having no length prefixes.
 
     Entries are advisory, never load-bearing for soundness: the decode
     itself still runs with every safety-by-construction check, so a

@@ -3,9 +3,9 @@
 Subcommands::
 
     repro-cc compile FILE.java -o FILE.stsa [--optimize] [--passes SPEC]
-                     [--jobs N] [--no-prune] [--report] [--wire-v2]
+                     [--no-prune] [--report] [--wire-v2]
     repro-cc run     FILE.java|FILE.stsa|- [--class NAME] [--optimize]
-                     [--stream] [--trace[=N]]
+                     [--lazy] [--stream] [--trace[=N]]
     repro-cc disasm  FILE.java|FILE.stsa [--optimize]
     repro-cc verify  FILE.stsa
     repro-cc lint    FILE.java|FILE.stsa [--json] [--optimize]
@@ -38,17 +38,17 @@ from pathlib import Path
 
 
 def _load_module(path: str, optimize: bool, prune: bool = True,
-                 passes=None, jobs=None, lazy: bool = False):
+                 passes=None, lazy: bool = False):
     from repro.loader import load_module
     from repro.pipeline import compile_to_module
     data = Path(path).read_bytes()
     if path.endswith((".stsa", ".bin")):
         # the fused verifying loader: one decode pass plus the residual
         # sweep, warm loads via the verified-module cache
-        return load_module(data, lazy=lazy, jobs=jobs)
+        return load_module(data, lazy=lazy)
     return compile_to_module(data.decode("utf-8"), optimize=optimize,
                              prune_phis=prune, filename=path,
-                             passes=passes, jobs=jobs)
+                             passes=passes)
 
 
 def cmd_compile(args) -> int:
@@ -61,7 +61,7 @@ def cmd_compile(args) -> int:
         session = CompilationSession(
             optimize=args.optimize, passes=args.passes,
             prune_phis=not args.no_prune, filename=args.file,
-            cache=False, jobs=args.jobs)
+            cache=False)
     except ValueError as error:
         print(f"--passes: {error}", file=sys.stderr)
         return 2
@@ -116,8 +116,7 @@ def cmd_run(args) -> int:
             print(f"REJECTED: {error}", file=sys.stderr)
             return 1
     else:
-        module = _load_module(args.file, args.optimize, jobs=args.jobs,
-                              lazy=args.lazy)
+        module = _load_module(args.file, args.optimize, lazy=args.lazy)
     trace = getattr(args, "trace", None)
     if trace is not None:
         from repro.interp.trace import (TRACE_DEFAULT_THRESHOLD,
@@ -317,10 +316,6 @@ def main(argv=None) -> int:
                    help="explicit pipeline spec, e.g. "
                         "'constprop,cse_fields,dce' ('' disables all "
                         "passes); overrides --optimize")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="optimize functions across N threads "
-                        "(0 = one per CPU); output is identical to a "
-                        "serial compile")
     p.add_argument("--no-prune", action="store_true",
                    help="keep eagerly inserted phis")
     p.add_argument("--report", action="store_true",
@@ -338,10 +333,6 @@ def main(argv=None) -> int:
     p.add_argument("--max-steps", type=int, default=200_000_000)
     p.add_argument("--lazy", action="store_true",
                    help="decode .stsa function bodies on first touch")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="decode .stsa bodies across N threads on warm "
-                        "loads (0 = one per CPU); for .java inputs, "
-                        "optimize across N threads")
     p.add_argument("--stream", action="store_true",
                    help="read the wire from stdin in chunks through "
                         "the incremental streaming loader (FILE must "

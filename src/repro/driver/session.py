@@ -20,19 +20,15 @@ duplicated between ``compile_to_module`` and ``compile_to_classfiles``:
   cache hit -- the fused-loader consumer path) and collected
   diagnostics.
 
-Per-function optimisation can fan out across a thread pool
-(``jobs=``): functions are independent, the analysis cache is
-per-function, and reports are collected in module order, so parallel
-and serial sessions produce instruction-identical modules and
-identical reports (``tests/test_driver.py`` enforces this over the
-whole corpus).  Process-level corpus fan-out lives in
-:mod:`repro.bench.pipeline`, reusing the fork-pool pattern of
-:func:`repro.bench.metrics.warm_cache`.
+Per-function optimisation runs serially, in module order; two fresh
+sessions produce identical bytes and identical reports
+(``tests/test_driver.py`` enforces this over the whole corpus).  The
+only fan-out is the bench harness's process pool over whole artifacts
+(:func:`repro.bench.metrics.pool_map`).
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Optional
 
@@ -48,14 +44,12 @@ class CompilationSession:
     def __init__(self, *, optimize: bool = False, passes: PassSpec = None,
                  prune_phis: bool = True, eager_phis: bool = True,
                  filename: str = "<source>", cache=None,
-                 check_after_each_pass: bool = False,
-                 jobs: Optional[int] = None):
+                 check_after_each_pass: bool = False):
         #: resolved pass tuple; ``passes`` wins over ``optimize``
         self.passes: tuple[str, ...] = effective_passes(optimize, passes)
         self.prune_phis = prune_phis
         self.eager_phis = eager_phis
         self.filename = filename
-        self.jobs = jobs
         self.pass_manager = PassManager(
             self.passes, check_after_each_pass=check_after_each_pass)
         self.analyses = AnalysisManager()
@@ -146,42 +140,17 @@ class CompilationSession:
         return module
 
     def optimize(self, module) -> list[PassReport]:
-        """Run the session's pipeline on every function.
-
-        With ``jobs`` > 1 the per-function work fans out across a
-        thread pool; reports always come back in module order, and the
-        result is instruction-identical to a serial run.
-        """
+        """Run the session's pipeline on every function, in module
+        order; returns one report per function."""
         if not self.passes:
             return []
-        functions = list(module.functions.values())
         start = perf_counter()
-        workers = self._worker_count(len(functions))
-        if workers <= 1:
-            reports = [self._optimize_one(module, function)
-                       for function in functions]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(self._optimize_one, module,
-                                       function)
-                           for function in functions]
-                reports = [future.result() for future in futures]
+        reports = [self.pass_manager.run_function(function, module=module,
+                                                  analyses=self.analyses)
+                   for function in module.functions.values()]
         self._credit("opt", start)
         self.reports.extend(reports)
         return reports
-
-    def _optimize_one(self, module, function) -> PassReport:
-        return self.pass_manager.run_function(function, module=module,
-                                              analyses=self.analyses)
-
-    def _worker_count(self, function_count: int) -> int:
-        jobs = self.jobs
-        if jobs is None or jobs == 1:
-            return 1
-        if jobs <= 0:  # 0: size the pool to the machine
-            jobs = os.cpu_count() or 1
-        return max(1, min(jobs, function_count))
 
     def compile(self, source: str):
         """Full producer pipeline with compilation caching.
@@ -207,14 +176,12 @@ class CompilationSession:
     def load(self, wire: bytes, *, lazy: bool = False):
         """Fused verifying load of encoded module bytes.
 
-        The session's ``jobs`` setting fans warm-load body decoding out
-        across threads exactly as it does per-function optimisation;
         ``lazy=True`` defers each body to first touch.  Sessions with
         caching disabled load without the verified-module cache too.
         """
         from repro.loader import load_module
         start = perf_counter()
-        module = load_module(wire, lazy=lazy, jobs=self.jobs,
+        module = load_module(wire, lazy=lazy,
                              cache=None if self._cache is not None
                              else False)
         self._credit("load", start)

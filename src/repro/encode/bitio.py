@@ -135,7 +135,7 @@ class BitReader:
 
     ``start_bit`` positions the reader mid-stream; the module loader
     uses it to jump straight to a function body whose bit boundaries a
-    previous sequential decode recorded (lazy and parallel loading).
+    previous sequential decode recorded (lazy and streaming loading).
     It is a read-side affordance only -- the wire format itself has no
     length prefixes and is unchanged.
     """

@@ -87,9 +87,11 @@ class DecodeError(Exception):
     Mid-function rejections additionally carry a ``(function, block,
     instr)`` location the way :class:`repro.tsa.verifier.VerifyError`
     does -- ``function`` is the method's qualified name, ``block`` the
-    SafeTSA block id, and ``instr`` the *index* of the instruction
-    within its block (value ids are not stable mid-decode), so fuzz
-    minimization and the fused loader report comparable locations.
+    block's *position* in the function's decode order, and ``instr`` the
+    *index* of the instruction within its block.  Block and value ids
+    come from process-global counters, so they are not used: the same
+    bytes rejected twice, in any process, report the same location, and
+    fuzz minimization and the fused loader report comparable ones.
     """
 
     def __init__(self, message: str, code: str = "DEC-MALFORMED", *,
@@ -289,8 +291,8 @@ class _ModuleDecoder:
 class _FunctionDecoder:
     def __init__(self, parent: _ModuleDecoder, method: MethodInfo,
                  reader: Optional[BitReader] = None):
-        # a private reader lets the loader decode bodies off worker
-        # threads, each seeking to its own recorded boundary
+        # a private reader lets the lazy and streaming loaders seek
+        # each body to its own recorded boundary
         self.reader = parent.reader if reader is None else reader
         self.world = parent.world
         self.table = parent.table
@@ -312,7 +314,7 @@ class _FunctionDecoder:
         self._entry_counts: dict[Plane, int] = {}
         self._current_block: Optional[Block] = None
         # error-location context (mirrors VerifyError's location)
-        self._ctx_block: Optional[int] = None
+        self._ctx_block: Optional[Block] = None
         self._ctx_instr: Optional[int] = None
 
     # ==================================================================
@@ -322,13 +324,20 @@ class _FunctionDecoder:
             return self._decode()
         except DecodeError as error:
             error.attach(function=self.function.name,
-                         block=self._ctx_block, instr=self._ctx_instr)
+                         block=self._ctx_position(), instr=self._ctx_instr)
             raise
         except BitIOError as error:
             raise DecodeError(str(error), "DEC-IO",
                               function=self.function.name,
-                              block=self._ctx_block,
+                              block=self._ctx_position(),
                               instr=self._ctx_instr) from None
+
+    def _ctx_position(self) -> Optional[int]:
+        """The context block's position in decode order (its ``Block.id``
+        differs from load to load)."""
+        if self._ctx_block is None:
+            return None
+        return self.function.blocks.index(self._ctx_block)
 
     def _decode(self) -> Function:
         try:
@@ -354,7 +363,7 @@ class _FunctionDecoder:
             self._decode_block(block)
         self._current_block = None
         for block in self.domtree.preorder:
-            self._ctx_block, self._ctx_instr = block.id, None
+            self._ctx_block, self._ctx_instr = block, None
             self._decode_phi_operands(block)
         self._ctx_block = self._ctx_instr = None
         return self.function
@@ -536,7 +545,7 @@ class _FunctionDecoder:
         self.planes[block.id] = {}
         self._defined = {}
         self._current_block = block
-        self._ctx_block, self._ctx_instr = block.id, None
+        self._ctx_block, self._ctx_instr = block, None
         parent = self.domtree.idom.get(block)
         if parent is None:
             inherited_chain: dict[Plane, tuple] = {}

@@ -9,7 +9,7 @@ here mechanically and at scale:
 * :mod:`repro.fuzz.oracle` -- a differential oracle running every
   generated program through each pipeline pair the repo claims agree
   (interpreter vs JIT vs bytecode baseline, plain vs each pass spec,
-  serial vs parallel, encode/decode/re-encode bit identity);
+  first build vs fresh rebuild, encode/decode/re-encode bit identity);
 * :mod:`repro.fuzz.mutate` -- a wire-stream mutation fuzzer whose
   invariant is *reject-or-equivalent*: every mutated stream either
   raises :class:`~repro.encode.deserializer.DecodeError` /

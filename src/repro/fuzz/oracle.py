@@ -13,8 +13,8 @@ pipeline            what it checks
                     bit-identity (``encode(decode(w)) == w``)
 ``wire-v2``         v2 envelope and delta resolve to the identical v1
                     bytes, decode, verify, and execute identically
-``jobs``            serial vs parallel per-function optimisation
-                    produce bit-identical wire bytes
+``rebuild``         a second fresh optimising session emits
+                    bit-identical wire bytes
 ``jit``             consumer code generation on the decoded module
 ``trace``           speculative trace tier vs untraced interpreter:
                     same output, trap identity, steps, check counts
@@ -87,7 +87,6 @@ def _observed(result) -> tuple[str, Optional[str]]:
 
 def check_program(source: str, main_class: Optional[str] = None, *,
                   pass_specs=DEFAULT_PASS_SPECS,
-                  jobs: int = 2,
                   max_steps: int = _MAX_STEPS) -> OracleResult:
     """Run ``source`` through the whole agreement matrix."""
     from repro.driver import CompilationSession
@@ -214,17 +213,17 @@ def check_program(source: str, main_class: Optional[str] = None, *,
     if not compare("wire-v2", run_wire_v2):
         return result
 
-    # serial vs parallel optimisation: bit-identical artifacts
-    def run_jobs():
-        parallel = CompilationSession(optimize=True, cache=False, jobs=jobs)
-        parallel_module = parallel.build_module(source)
-        parallel.optimize(parallel_module)
-        parallel_wire = parallel.encode(parallel_module)
-        if parallel_wire != wire:
-            return (f"jobs={jobs} produced different bytes", None)
+    # a second fresh session on a different heap: bit-identical bytes
+    # (compiler determinism must not hang on object addresses)
+    def run_rebuild():
+        rebuild = CompilationSession(optimize=True, cache=False)
+        rebuild_module = rebuild.build_module(source)
+        rebuild.optimize(rebuild_module)
+        if rebuild.encode(rebuild_module) != wire:
+            return ("rebuild produced different bytes", None)
         return reference
 
-    if not compare("jobs", run_jobs):
+    if not compare("rebuild", run_rebuild):
         return result
 
     # consumer code generation over the decoded module

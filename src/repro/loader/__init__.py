@@ -16,8 +16,7 @@ On top of the fused pass sit two consumer conveniences:
   touch;
 * a **verified-module cache** (:class:`repro.cache.VerifiedModuleCache`)
   keyed on the wire-bytes digest: repeat loads skip the residual
-  verification sweeps and gain random access to individual bodies --
-  which also enables ``jobs=N`` parallel body decoding;
+  verification sweeps and gain random access to individual bodies;
 * **streaming decode** (:mod:`repro.loader.stream`): a chunk-feedable
   front that verifies each body the moment its bits have arrived, so
   ``main`` can execute while later bodies are still in flight.

@@ -55,8 +55,7 @@ def compile_to_module(source: str, *, optimize: bool = False,
                       passes=None, prune_phis: bool = True,
                       eager_phis: bool = True,
                       filename: str = "<source>",
-                      cache=None, stage_seconds=None,
-                      jobs=None) -> Module:
+                      cache=None, stage_seconds=None) -> Module:
     """Full producer pipeline: parse, check, lower, build SSA, optimise.
 
     ``passes`` is an optional pipeline spec (a comma-separated string or
@@ -73,15 +72,10 @@ def compile_to_module(source: str, *, optimize: bool = False,
     for the ``parse``, ``ssa`` and ``opt`` stages (and ``load`` on a
     cache hit -- the fused-loader consumer path) are accumulated into
     it.
-
-    ``jobs`` fans per-function optimisation out across a thread pool
-    (None/1 serial, 0 one worker per CPU); the result is
-    instruction-identical to a serial compile.
     """
     session = CompilationSession(
         optimize=optimize, passes=passes, prune_phis=prune_phis,
-        eager_phis=eager_phis, filename=filename, cache=cache,
-        jobs=jobs)
+        eager_phis=eager_phis, filename=filename, cache=cache)
     module = session.compile(source)
     if stage_seconds is not None:
         for stage, seconds in session.stage_seconds.items():

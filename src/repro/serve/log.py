@@ -65,7 +65,11 @@ def sign_manifest(key: bytes, manifest: dict) -> str:
                     hashlib.sha256).hexdigest()
 
 
-def manifest_signed(key: bytes, manifest: dict, signature: str) -> bool:
+def manifest_signed(key: bytes, manifest: dict, signature) -> bool:
+    """Whether ``signature`` is the publisher's; anything but an ASCII
+    string (what ``hmac.compare_digest`` accepts) is simply not."""
+    if not isinstance(signature, str) or not signature.isascii():
+        return False
     return hmac.compare_digest(sign_manifest(key, manifest), signature)
 
 
@@ -73,17 +77,23 @@ def audit_chain(entries: list[dict], *, key: Optional[bytes] = None,
                 head: Optional[str] = None) -> str:
     """Verify a publish log; returns its head hash.
 
-    Checks, in order per entry: the manifest shape (exact key set), the
-    dense ``seq``, the ``prev`` link to the previous entry's recomputed
-    hash, and -- when the publisher ``key`` is supplied -- the manifest
-    signature.  ``head``, when given, must match the final hash (the
-    client's pinned expectation).  Any violation raises
-    :class:`ServeError` with ``SERVE-CHAIN`` (``SERVE-SIG`` for a bad
-    signature); an empty log audits to :data:`GENESIS`.
+    Checks, in order per entry: the entry and manifest shapes (JSON
+    objects with the exact key sets), the dense ``seq``, the ``prev``
+    link to the previous entry's recomputed hash, and -- when the
+    publisher ``key`` is supplied -- the manifest signature.  ``head``,
+    when given, must match the final hash (the client's pinned
+    expectation).  Any violation raises :class:`ServeError` with
+    ``SERVE-CHAIN`` (``SERVE-SIG`` for a bad signature); an empty log
+    audits to :data:`GENESIS`.  The entries may come from a hostile
+    server or a damaged file, so no shape raises anything else.
     """
+    if not isinstance(entries, list):
+        raise ServeError("publish log is not a list of entries",
+                         "SERVE-CHAIN", {"seq": 0})
     prev = GENESIS
     for index, entry in enumerate(entries):
-        if set(entry) != {"seq", "prev", "manifest", "signature"}:
+        if not isinstance(entry, dict) \
+                or set(entry) != {"seq", "prev", "manifest", "signature"}:
             raise ServeError(f"log entry {index} has a foreign shape",
                              "SERVE-CHAIN", {"seq": index})
         manifest = entry["manifest"]

@@ -1,6 +1,8 @@
 """Tests for the measurement harness itself (tables, metrics, runner)."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.bench.metrics import (
     corpus_compile_jobs,
     measure_corpus,
     measure_program,
+    pool_map,
     warm_cache,
 )
 from repro.bench.tables import (
@@ -85,6 +88,20 @@ class TestCachedMeasurement:
         assert [row.as_dict() for row in warm] \
             == [row.as_dict() for row in cold]
         assert cache.hits > 0
+
+    def test_pool_map_keeps_order_and_reports_its_pool(self):
+        results, workers = pool_map(abs, [-3, 2, -1])
+        assert results == [3, 2, 1]
+        assert workers == min(os.cpu_count() or 1, 3)
+
+    def test_pool_map_falls_back_to_the_serial_loop(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise OSError("no subprocesses here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            unavailable)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert pool_map(abs, [-3, 2, -1]) == ([3, 2, 1], 1)
 
 
 class TestRunnerCommands:

@@ -1,6 +1,11 @@
 """The unified compile path: CompilationSession, PassManager,
 AnalysisManager, pipeline-spec grammar, cache-key coverage, and the
-parallel-vs-serial determinism guarantee."""
+rebuild determinism guarantee."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -264,45 +269,75 @@ class TestCompilationSession:
         assert module.instruction_count() == full.instruction_count()
 
 
-def _session_artifacts(source, jobs):
-    """(encoded bytes, deterministic report dicts) for one compile."""
-    session = CompilationSession(optimize=True, cache=False, jobs=jobs)
+def _session_artifacts(source):
+    """(encoded bytes, deterministic report dicts) for one compile in a
+    fresh session."""
+    session = CompilationSession(optimize=True, cache=False)
     module = session.build_module(source)
     session.optimize(module)
     wire = session.encode(module)
     return wire, [r.as_dict(seconds=False) for r in session.reports]
 
 
-class TestParallelDeterminism:
+#: Builds every corpus program in both transmitted forms, a fresh
+#: session per artifact, and leaves the SHA-256 over all the wire bytes
+#: in ``digest``.  Runs in-process and as a subprocess script.
+_CORPUS_DIGEST = """
+import hashlib
+from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.bench.metrics import TRANSMITTED_FLAGS
+from repro.driver import CompilationSession
+digest = hashlib.sha256()
+for name in CORPUS_PROGRAMS:
+    for flags in TRANSMITTED_FLAGS:
+        session = CompilationSession(cache=False, **flags)
+        digest.update(session.encode(session.compile(corpus_source(name))))
+digest = digest.hexdigest()
+"""
+
+
+class TestRebuildDeterminism:
+    def test_corpus_wire_digest_ignores_hash_seed(self):
+        # set and dict-of-str iteration order follows PYTHONHASHSEED;
+        # the wire bytes must not, so fresh interpreters under fixed
+        # seeds reproduce this process's (randomly seeded) digest
+        namespace: dict = {}
+        exec(_CORPUS_DIGEST, namespace)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            built = subprocess.run(
+                [sys.executable, "-c", _CORPUS_DIGEST + "print(digest)"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert built.returncode == 0, built.stderr
+            assert built.stdout.strip() == namespace["digest"], \
+                f"PYTHONHASHSEED={seed}"
+
     @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
-    def test_corpus_parallel_equals_serial(self, name):
+    def test_corpus_rebuild_equals_first_build(self, name):
         source = corpus_source(name)
-        serial_wire, serial_reports = _session_artifacts(source, jobs=1)
-        parallel_wire, parallel_reports = _session_artifacts(source,
-                                                             jobs=4)
-        assert parallel_wire == serial_wire
-        assert parallel_reports == serial_reports
+        first_wire, first_reports = _session_artifacts(source)
+        rebuild_wire, rebuild_reports = _session_artifacts(source)
+        assert rebuild_wire == first_wire
+        assert rebuild_reports == first_reports
 
     @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
     def test_corpus_plain_form_stable_too(self, name):
-        # the transmitted unoptimized form has no passes to fan out,
-        # but must still be byte-stable across session configurations
+        # the transmitted unoptimized form runs no passes, but must
+        # still be byte-stable across fresh sessions
         source = corpus_source(name)
-        serial = CompilationSession(prune_phis=False, cache=False,
-                                    jobs=1)
-        parallel = CompilationSession(prune_phis=False, cache=False,
-                                      jobs=4)
-        assert serial.encode(serial.compile(source)) \
-            == parallel.encode(parallel.compile(source))
+        first = CompilationSession(prune_phis=False, cache=False)
+        rebuild = CompilationSession(prune_phis=False, cache=False)
+        assert first.encode(first.compile(source)) \
+            == rebuild.encode(rebuild.compile(source))
 
     @settings(max_examples=15, deadline=None)
     @given(source=program())
-    def test_random_programs_parallel_equals_serial(self, source):
-        serial_wire, serial_reports = _session_artifacts(source, jobs=1)
-        parallel_wire, parallel_reports = _session_artifacts(source,
-                                                             jobs=3)
-        assert parallel_wire == serial_wire
-        assert parallel_reports == serial_reports
+    def test_random_programs_rebuild_equals_first_build(self, source):
+        first_wire, first_reports = _session_artifacts(source)
+        rebuild_wire, rebuild_reports = _session_artifacts(source)
+        assert rebuild_wire == first_wire
+        assert rebuild_reports == first_reports
 
     def test_rebuild_is_bit_identical_under_heap_churn(self):
         # Regression: SSA construction memoized assigned-variable sets
@@ -321,9 +356,8 @@ class TestParallelDeterminism:
 
         source = 'class Shape {\n    int tag;\n    int weigh(int x) { return ((tag <= tag) ? x : x); }\n}\nclass Ring extends Shape {\n    int weigh(int x) { return (tag % (x | 1)); }\n}\nclass Main {\n    static int h(int x) {\n        int a = x; int b = x - 1; int c = 7;\n        return ((-20 - a) | a);\n    }\n    static void main() {\n        int a = -96;\n        int b = 82;\n        int c = 78;\n        int[] arr = new int[8];\n        for (int f0 = 0; f0 < 8; f0++) {\n            arr[f0] = f0 * 5 + 3;\n        }\n        Shape s = new Shape();\n        s.tag = -12;\n        switch (a & 3) { case 0: a = 1; case 1: a = 2; break; case 2: arr[(1 & 7)] = -57; break; default: a = 15; }\n        { int d1 = 2; do { d1 = d1 - 1; for (int lo2 = 0; lo2 < 4; lo2++) { for (int ln3 = 0; ln3 < arr.length; ln3++) { c = c + arr[lo2 & 7]; } arr[lo2 & 7] = c; } } while (d1 > 0); }\n        c = (-83 % ((a * ((c > 0) ? b : a)) | 1));\n        for (int lo4 = 0; lo4 < 3; lo4++) { for (int ln5 = 0; ln5 < arr.length; ln5++) { b = b + arr[lo4 & 7]; } arr[lo4 & 7] = b; }\n        int sum = 0;\n        for (int f1 = 0; f1 < 8; f1++) { sum += arr[f1]; }\n        System.out.println(a + " " + b + " " + c + " " + sum\n                           + " " + s.weigh(a) + " " + s.tag);\n    }\n}\n'
 
-        def build(jobs=None):
-            session = CompilationSession(optimize=True, cache=False,
-                                         jobs=jobs)
+        def build():
+            session = CompilationSession(optimize=True, cache=False)
             module = session.build_module(source)
             session.optimize(module)
             return session.encode(module)
@@ -342,7 +376,7 @@ class TestParallelDeterminism:
             if trial % 5 == 4:
                 junk.clear()
                 gc.collect()
-            assert build(jobs=2 if trial % 2 else None) == reference, \
+            assert build() == reference, \
                 f"rebuild diverged at trial {trial}"
 
 

@@ -114,7 +114,7 @@ def test_generated_programs_agree_across_pipelines(generated):
     assert not result.invalid, "generator produced an uncompilable program"
     assert result.ok, str(result.divergence)
     # the full matrix ran: reference + optimised + pass specs + wire +
-    # jobs + jit + bytecode
+    # rebuild + jit + bytecode
     assert result.pipelines >= 7
 
 

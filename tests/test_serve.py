@@ -157,6 +157,46 @@ class TestPublishLog:
             audit_chain(log.entries, key=SERVE_TEST_KEY)
         assert caught.value.code == "SERVE-SIG"
 
+    @pytest.mark.parametrize("entry", [5, None])
+    def test_non_object_entry_is_a_chain_break(self, entry):
+        entries = _log_with(2).entries
+        entries[1] = entry
+        with pytest.raises(ServeError) as caught:
+            audit_chain(entries)
+        assert caught.value.code == "SERVE-CHAIN"
+        assert caught.value.detail == {"seq": 1}
+
+    @pytest.mark.parametrize("entries", [5, None, {"seq": 0}])
+    def test_non_list_log_is_a_chain_break(self, entries):
+        with pytest.raises(ServeError) as caught:
+            audit_chain(entries)
+        assert caught.value.code == "SERVE-CHAIN"
+        assert caught.value.detail == {"seq": 0}
+
+    @pytest.mark.parametrize("signature", [5, "\u00e9" * 64],
+                             ids=["int", "non-ascii"])
+    def test_unusable_signature_fails_to_verify(self, signature):
+        log = _log_with(2)
+        log.entries[1]["signature"] = signature
+        with pytest.raises(ServeError) as caught:
+            audit_chain(log.entries, key=SERVE_TEST_KEY)
+        assert caught.value.code == "SERVE-SIG"
+        assert caught.value.detail == {"seq": 1}
+
+    def test_replayed_int_signature_is_rejected_at_restart(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        self._persisted(path, 2)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["signature"] = 7
+        lines[1] = json.dumps(entry, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ServeError) as caught:
+            PublishLog(SERVE_TEST_KEY, clock=ManualClock(),
+                       path=str(path))
+        assert caught.value.code == "SERVE-SIG"
+        assert caught.value.detail == {"seq": 1}
+
     def test_jsonl_persistence_replays_the_chain(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = PublishLog(SERVE_TEST_KEY, clock=ManualClock(),
@@ -305,6 +345,19 @@ class TestEndpoints:
             serve_client.verify(wire=b"\x00" * 40)
         assert caught.value.code == "SERVE-REJECTED"
         assert caught.value.detail["code"] in STABLE_CODES
+
+    def test_rejection_location_is_stable(self, serve_client):
+        # a mid-body rejection names its block by decode position, so
+        # the same hostile bytes verified twice report the same place
+        hostile = (ATTACKS_DIR / "24657d6f98b724c5.bin").read_bytes()
+        details = []
+        for _ in range(2):
+            with pytest.raises(ServeError) as caught:
+                serve_client.verify(wire=hostile)
+            assert caught.value.code == "SERVE-REJECTED"
+            details.append(caught.value.detail)
+        assert ":B" in details[0]["location"]
+        assert details[0] == details[1]
 
     @pytest.mark.parametrize("argument", [
         {"max_steps": "abc"}, {"max_steps": [1]}, {"class": 5}])
