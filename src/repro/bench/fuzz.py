@@ -7,6 +7,8 @@ Runs one deterministic :func:`repro.fuzz.run_campaign` and reports
 * the rejection taxonomy: how many mutants each stable ``DEC-*`` /
   ``STSA-*`` code rejected, how many were accepted as equivalent, and
   the per-mutator hit counts,
+* the sources lane: spliced sources compiled or diagnosed, and every
+  other exception counted by type (``violation_types``),
 * every finding (there should be none -- a finding fails the run).
 
 The report is a superset of ``CampaignResult.report()``: it adds the

@@ -423,8 +423,8 @@ def run_fuzz(argv=()) -> str:
     argv = [arg for arg in argv if arg != "--smoke"]
     if "--output" in argv:
         output = argv[argv.index("--output") + 1]
-    # smoke: ~150 oracle programs + 1500 stream mutants (~30 s);
-    # full: ~1000 programs + 10000 mutants
+    # smoke: ~150 oracle programs + 2250 stream mutants + 150 source
+    # splices (~30 s); full: ~1000 programs + 15000 mutants + 1000 splices
     budget = 1500 if smoke else 10_000
     report, result = fuzz_report(seed=0, budget=budget, mode="all")
     with open(output, "w") as handle:

@@ -12,7 +12,8 @@ Subcommands::
     repro-cc stats   FILE.java
     repro-cc bench   figure5|figure6|pruning|ablation|verifycost|codec|
                      analysis|pipeline|fuzz|load|wire|serve|all
-    repro-cc fuzz    [--seed S] [--budget N] [--mode programs|streams|all]
+    repro-cc fuzz    [--seed S] [--budget N]
+                     [--mode programs|streams|streams-v2|sources|all]
                      [--fixtures DIR] [--json PATH] [--no-minimize] [-q]
     repro-cc serve   [--host H] [--port P] [--store DIR] [--key HEX]
     repro-cc publish FILE.java|FILE.stsa --name N --url URL [--optimize]
@@ -385,9 +386,11 @@ def main(argv=None) -> int:
     p.add_argument("--budget", type=int, default=1000,
                    help="iterations: programs generated / mutants tried")
     p.add_argument("--mode", default="all",
-                   choices=["programs", "streams", "streams-v2", "all"],
+                   choices=["programs", "streams", "streams-v2", "sources",
+                            "all"],
                    help="differential oracle over generated programs, "
                         "wire-stream mutation (v1 or v2 envelope lane), "
+                        "compile-or-diagnose over spliced sources, "
                         "or everything")
     p.add_argument("--fixtures", default=None, metavar="DIR",
                    help="persist shrunken findings as regression "
@@ -442,7 +445,15 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_fetch)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    from repro.frontend.errors import CompileError
+    try:
+        return args.fn(args)
+    except CompileError as error:
+        # a source error is a diagnosis, not a crash: one line, exit 1
+        where = f":{error.pos}" if error.pos else ""
+        print(f"{getattr(args, 'file', '<source>')}{where}: "
+              f"{error.message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,14 +9,13 @@ Tree the SSA generator consumes.
 """
 
 from repro.frontend.errors import CompileError, SourcePosition
-from repro.frontend.lexer import Lexer, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import Parser, parse_compilation_unit
 from repro.frontend.semantics import SemanticAnalyzer, analyze
 
 __all__ = [
     "CompileError",
     "SourcePosition",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_compilation_unit",

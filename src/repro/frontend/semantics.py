@@ -134,12 +134,32 @@ class SemanticAnalyzer:
 
     def declare(self, unit: ast.CompilationUnit) -> None:
         for decl in unit.classes:
+            if decl.name in self.world.classes:
+                raise CompileError(f"duplicate class {decl.name}", decl.pos)
             info = ClassInfo(decl.name, decl.super_name or "java.lang.Object",
                              is_abstract=decl.is_abstract)
             decl.info = self.world.define_class(info)
         for decl in unit.classes:
+            self._check_superclasses(decl)
+        for decl in unit.classes:
             self._declare_members(decl)
         self.world.link()
+
+    def _check_superclasses(self, decl: ast.ClassDecl) -> None:
+        """The superclass chain must resolve and must not loop, so that
+        linking the world cannot fail."""
+        seen = {decl.name}
+        info: ClassInfo = decl.info
+        while info.super_name is not None:
+            parent = self.world.lookup(info.super_name)
+            if parent is None:
+                raise CompileError(
+                    f"unknown superclass {info.super_name!r}", decl.pos)
+            if parent.name in seen:
+                raise CompileError(
+                    f"cyclic inheritance involving {decl.name}", decl.pos)
+            seen.add(parent.name)
+            info = parent
 
     def _declare_members(self, decl: ast.ClassDecl) -> None:
         info: ClassInfo = decl.info

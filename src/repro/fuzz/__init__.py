@@ -15,6 +15,9 @@ here mechanically and at scale:
   raises :class:`~repro.encode.deserializer.DecodeError` /
   :class:`~repro.tsa.verifier.VerifyError` or decodes to a module that
   verifies and executes identically across re-encoding;
+* :mod:`repro.fuzz.sources` -- a source-splice fuzzer whose invariant
+  is *compile or diagnose*: every spliced source compiles or raises
+  :class:`~repro.frontend.errors.CompileError`, nothing else;
 * :mod:`repro.fuzz.minimize` -- delta-debugging shrinkers persisting
   findings as regression fixtures under ``tests/golden/attacks/``;
 * :mod:`repro.fuzz.campaign` -- the budgeted driver behind
@@ -25,17 +28,21 @@ from repro.fuzz.campaign import CampaignResult, run_campaign
 from repro.fuzz.gen import GeneratedProgram, generate_seeded, program_strategy
 from repro.fuzz.mutate import StreamOutcome, check_stream, mutate_stream
 from repro.fuzz.oracle import Divergence, OracleResult, check_program
+from repro.fuzz.sources import SourceOutcome, check_source, splice_source
 
 __all__ = [
     "CampaignResult",
     "Divergence",
     "GeneratedProgram",
     "OracleResult",
+    "SourceOutcome",
     "StreamOutcome",
     "check_program",
+    "check_source",
     "check_stream",
     "generate_seeded",
     "mutate_stream",
     "program_strategy",
     "run_campaign",
+    "splice_source",
 ]

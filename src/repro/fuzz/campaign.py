@@ -1,6 +1,6 @@
 """Budgeted fuzzing campaigns (the engine behind ``repro-cc fuzz``).
 
-Two campaign modes, both deterministic under a fixed seed:
+Four campaign modes, all deterministic under a fixed seed:
 
 * **programs** -- generate seeded programs and run each through the
   differential oracle (:mod:`repro.fuzz.oracle`); a divergence is
@@ -12,15 +12,20 @@ Two campaign modes, both deterministic under a fixed seed:
   regression fixture;
 * **streams-v2** -- the same invariant over wire-format v2
   distribution units (shared-dictionary envelopes and deltas), with
-  envelope-targeted mutators and the campaign's own dictionary store.
+  envelope-targeted mutators and the campaign's own dictionary store;
+* **sources** -- compile seeded splices of corpus and generated
+  sources (:mod:`repro.fuzz.sources`); each must compile or raise
+  ``CompileError``, and any other exception is a finding, shrunk with
+  :func:`repro.fuzz.minimize.minimize_lines`.
 
 ``mode="all"`` runs a program campaign at a tenth of the budget plus a
 v1 stream campaign at the full budget plus a v2 stream campaign at
-half budget.
+half budget plus a sources campaign at a tenth of the budget.
 
 Determinism contract: iteration ``i`` of a program campaign uses
-generator seed ``seed * 1_000_003 + i``; a stream campaign draws every
-decision from one ``random.Random`` derived from the seed.  Two runs
+generator seed ``seed * 1_000_003 + i``; a stream or sources campaign
+draws every decision from its own ``random.Random`` derived from the
+seed, so adding a lane changes no other lane's draws.  Two runs
 with the same seed and budget therefore see the same programs, the
 same mutants, the same findings, and byte-identical fixtures.
 """
@@ -28,6 +33,7 @@ same mutants, the same findings, and byte-identical fixtures.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,6 +41,7 @@ from repro.fuzz.gen import RandomSource, generate_seeded
 from repro.fuzz.minimize import minimize_bytes, minimize_lines, save_fixture
 from repro.fuzz.mutate import check_stream, mutate_stream, mutate_stream_v2
 from repro.fuzz.oracle import check_program
+from repro.fuzz.sources import check_source, source_bases, splice_source
 
 #: deterministic seed programs whose encodings are the mutation bases;
 #: they deliberately span the encoding's feature set (type table,
@@ -109,6 +116,18 @@ class StreamFinding:
     minimized: bytes
 
 
+@dataclass(frozen=True)
+class SourceFinding:
+    """One source that raised something other than ``CompileError``."""
+
+    base: str
+    operators: str
+    code: str
+    detail: str
+    source: str
+    minimized: str
+
+
 @dataclass
 class CampaignResult:
     mode: str
@@ -125,11 +144,17 @@ class CampaignResult:
     taxonomy: dict = field(default_factory=dict)
     mutator_counts: dict = field(default_factory=dict)
     stream_findings: list = field(default_factory=list)
+    #: sources campaign
+    sources: int = 0
+    compiled: int = 0
+    diagnosed: int = 0
+    source_findings: list = field(default_factory=list)
     seconds: dict = field(default_factory=dict)
 
     @property
     def findings(self) -> list:
-        return list(self.program_findings) + list(self.stream_findings)
+        return (list(self.program_findings) + list(self.stream_findings)
+                + list(self.source_findings))
 
     @property
     def ok(self) -> bool:
@@ -158,6 +183,14 @@ class CampaignResult:
                          key=lambda item: (-item[1], item[0]))[:8]
             for code, count in top:
                 lines.append(f"    {code:<24} {count}")
+        if self.sources:
+            seconds = self.seconds.get("sources", 0.0)
+            rate = self.sources / seconds if seconds else 0.0
+            lines.append(
+                f"  sources   {self.sources} splices: "
+                f"{self.compiled} compiled, {self.diagnosed} diagnosed, "
+                f"{len(self.source_findings)} violation(s)  "
+                f"[{seconds:.1f}s, {rate:.0f}/s]")
         for finding in self.program_findings:
             lines.append(f"  DIVERGENCE [{finding.pipeline}] "
                          f"seed={finding.seed}: {finding.detail}")
@@ -166,12 +199,17 @@ class CampaignResult:
                          f"on {finding.base} "
                          f"({len(finding.minimized)} bytes minimized): "
                          f"{finding.detail}")
+        for finding in self.source_findings:
+            lines.append(f"  VIOLATION [{finding.code}] via "
+                         f"{finding.operators} on {finding.base}: "
+                         f"{finding.detail}")
         return "\n".join(lines)
 
     def report(self) -> dict:
         """JSON-able campaign report (consumed by ``BENCH_fuzz.json``)."""
         program_seconds = self.seconds.get("programs", 0.0)
         stream_seconds = self.seconds.get("streams", 0.0)
+        source_seconds = self.seconds.get("sources", 0.0)
         return {
             "mode": self.mode,
             "seed": self.seed,
@@ -195,6 +233,17 @@ class CampaignResult:
                 "taxonomy": dict(sorted(self.taxonomy.items())),
                 "mutators": dict(sorted(self.mutator_counts.items())),
             },
+            "sources": {
+                "count": self.sources,
+                "compiled": self.compiled,
+                "diagnosed": self.diagnosed,
+                "violations": len(self.source_findings),
+                "violation_types": dict(sorted(Counter(
+                    f.code for f in self.source_findings).items())),
+                "seconds": round(source_seconds, 3),
+                "per_second": round(self.sources / source_seconds, 1)
+                if source_seconds else None,
+            },
             "findings": [
                 {"kind": "program", "pipeline": f.pipeline, "seed": f.seed,
                  "detail": f.detail}
@@ -204,6 +253,10 @@ class CampaignResult:
                  "base": f.base, "bytes": f.minimized.hex(),
                  "detail": f.detail}
                 for f in self.stream_findings
+            ] + [
+                {"kind": "source", "code": f.code, "operators": f.operators,
+                 "base": f.base, "source": f.minimized, "detail": f.detail}
+                for f in self.source_findings
             ],
         }
 
@@ -246,7 +299,7 @@ def stream_bases_v2(store) -> list[tuple[str, bytes]]:
 
 
 # ======================================================================
-# the two campaign bodies
+# the campaign bodies
 
 def _run_programs(result: CampaignResult, seed: int, budget: int,
                   minimize: bool,
@@ -387,13 +440,48 @@ def _run_streams_v2(result: CampaignResult, seed: int, budget: int,
         result.seconds.get("streams", 0.0) + time.perf_counter() - start
 
 
+def _run_sources(result: CampaignResult, seed: int, budget: int,
+                 minimize: bool, on_progress: Optional[Callable]) -> None:
+    """The sources lane: every seeded splice must compile or raise
+    ``CompileError``.  Its own draw stream leaves the other lanes'
+    draws unchanged."""
+    bases = source_bases(seed)
+    rng = RandomSource(seed * 2_147_483_659 + 41)
+    start = time.perf_counter()
+    for index in range(budget):
+        base_name, operators, source = splice_source(bases, rng)
+        outcome = check_source(source)
+        result.sources += 1
+        if outcome.kind == "compiled":
+            result.compiled += 1
+        elif outcome.kind == "rejected":
+            result.diagnosed += 1
+        else:
+            minimized = source
+            if minimize:
+                code = outcome.code
+
+                def same_violation(candidate: str) -> bool:
+                    return check_source(candidate).code == code
+
+                minimized = minimize_lines(source, same_violation)
+            result.source_findings.append(SourceFinding(
+                base=base_name, operators=operators, code=outcome.code,
+                detail=outcome.detail, source=source, minimized=minimized))
+        if on_progress and (index + 1) % 100 == 0:
+            on_progress(f"sources {index + 1}/{budget}, "
+                        f"{len(result.source_findings)} violation(s)")
+    result.seconds["sources"] = time.perf_counter() - start
+
+
 def run_campaign(seed: int = 0, budget: int = 1000, mode: str = "all", *,
                  minimize: bool = True, fixtures_dir=None,
                  on_progress: Optional[Callable] = None) -> CampaignResult:
     """Run one deterministic campaign; see the module docstring for the
     budget/seed semantics.  ``mode="all"`` adds the v2 envelope lane at
-    half budget on top of the program and v1 stream lanes."""
-    if mode not in ("programs", "streams", "streams-v2", "all"):
+    half budget and the sources lane at a tenth of the budget on top of
+    the program and v1 stream lanes."""
+    if mode not in ("programs", "streams", "streams-v2", "sources", "all"):
         raise ValueError(f"unknown fuzz mode {mode!r}")
     result = CampaignResult(mode=mode, seed=seed, budget=budget)
     if mode in ("programs", "all"):
@@ -408,4 +496,8 @@ def run_campaign(seed: int = 0, budget: int = 1000, mode: str = "all", *,
             else max(1, budget // 2)
         _run_streams_v2(result, seed, v2_budget, minimize, fixtures_dir,
                         on_progress)
+    if mode in ("sources", "all"):
+        sources_budget = budget if mode == "sources" \
+            else max(1, budget // 10)
+        _run_sources(result, seed, sources_budget, minimize, on_progress)
     return result

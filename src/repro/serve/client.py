@@ -265,7 +265,11 @@ class ServeClient:
         already-seen history raises ``SERVE-CHAIN``.
         """
         result = self.log_entries(0)
-        head = audit_chain(result["entries"], key=key)
+        if not isinstance(result, dict):
+            result = {}
+        # a missing or non-list log is a chain break (SERVE-CHAIN)
+        entries = result.get("entries")
+        head = audit_chain(entries, key=key)
         if head != result.get("head", GENESIS):
             raise ServeError(
                 "server-claimed head does not match the entries it "
@@ -275,8 +279,7 @@ class ServeClient:
             # a pinned head must still be *reachable*: some prefix of
             # the served (already chain-valid) entries must hash to it
             from repro.serve.log import entry_hash
-            prefix_heads = [entry_hash(entry)
-                            for entry in result["entries"]]
+            prefix_heads = [entry_hash(entry) for entry in entries]
             if expect_head not in prefix_heads:
                 raise ServeError(
                     "pinned head is not on the served chain -- "

@@ -1,8 +1,11 @@
 """Core type objects for the MiniJava++ language and the SafeTSA model.
 
-Types are interned value objects: two structurally equal types compare and
-hash equal, so they can key register planes, CSE tables and type-table
-indices directly.
+Types are value objects: two structurally equal types compare and hash
+equal, so they can key register planes, CSE tables and type-table indices
+directly.  Only the primitive types and the null type are interned (one
+object per type, compared by identity); a :class:`ClassType` or
+:class:`ArrayType` is a fresh object each time and compares by name or
+element type.
 """
 
 from __future__ import annotations

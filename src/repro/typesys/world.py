@@ -2,9 +2,17 @@
 
 The paper (Section 4) stresses that the parts of the type table describing
 primitive types and *types imported from the host environment's libraries*
-are always generated implicitly and are thereby tamper-proof.  The
-:class:`World` is exactly that implicit part: it is constructed identically
-on the producer and the consumer, never transmitted.
+are always generated implicitly and are thereby tamper-proof.  The host
+library is exactly that implicit part: it is constructed identically on
+the producer and the consumer and never transmitted.
+
+It is built once per process, when this module is imported, and shared:
+:class:`World` copies only the two name maps, so each world adds its own
+user classes (and short-name shadowing) on top of the same builtin
+:class:`ClassInfo`, :class:`MethodInfo` and :class:`FieldInfo` objects.
+Those objects must never be modified.  Nothing a unit carries can reach
+them: the decoder rejects ``java.*`` class names and adds members only to
+the classes it declares itself.
 """
 
 from __future__ import annotations
@@ -179,10 +187,10 @@ class World:
     """Registry of all classes known to a compilation: builtins + user code."""
 
     def __init__(self) -> None:
-        self.classes: dict[str, ClassInfo] = {}
-        self._short_names: dict[str, str] = {}
-        _install_builtins(self)
-        self.link()
+        # insertion order starts with the host library, so type-table
+        # indices (and wire bytes) do not depend on how it was built
+        self.classes: dict[str, ClassInfo] = dict(_HOST_CLASSES)
+        self._short_names: dict[str, str] = dict(_HOST_SHORT_NAMES)
 
     # ------------------------------------------------------------------
     # registration and lookup
@@ -453,3 +461,17 @@ def _install_builtins(world: World) -> None:
                     "java.lang.RuntimeException")
     exception_class("java.lang.IllegalStateException",
                     "java.lang.RuntimeException")
+
+
+def _host_library() -> tuple[dict[str, ClassInfo], dict[str, str]]:
+    """Build and link the host library into a bare world's name maps."""
+    host = World.__new__(World)
+    host.classes, host._short_names = {}, {}
+    _install_builtins(host)
+    host.link()
+    return host.classes, host._short_names
+
+
+#: the host library, built once at import (so serve's executor threads
+#: never race to build it) and shared read-only by every :class:`World`
+_HOST_CLASSES, _HOST_SHORT_NAMES = _host_library()

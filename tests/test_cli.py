@@ -70,3 +70,20 @@ def test_stats(java_file, capsys):
     assert main(["stats", java_file]) == 0
     out = capsys.readouterr().out
     assert "file size" in out and "Null-Checks" in out
+
+
+@pytest.mark.parametrize("command", ["compile", "run", "disasm", "stats"])
+@pytest.mark.parametrize("body, where", [
+    ("int x = ;", ":3:17: unexpected token"),
+    ("int x = 0x;", ":3:17: hex literal without digits"),
+])
+def test_source_error_is_one_line_not_a_traceback(tmp_path, capsys,
+                                                  command, body, where):
+    path = tmp_path / "Broken.java"
+    path.write_text(f"class Broken {{\n    static void main() {{\n"
+                    f"        {body}\n    }}\n}}\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"{path}{where}")

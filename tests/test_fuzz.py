@@ -382,4 +382,60 @@ class TestCliAndReport:
         # mode="all" runs the v1 stream lane at full budget plus the
         # v2 envelope lane at half budget
         assert report["streams"]["mutations"] == 5 + max(1, 5 // 2)
+        # ...and the sources lane at a tenth of the budget
+        assert report["sources"]["count"] == 1
+        assert report["sources"]["violations"] == 0
         json.dumps(report)  # must be JSON-able as-is
+
+
+# ======================================================================
+# the sources lane: compile or CompileError, nothing else
+
+class TestSourcesLane:
+    def test_splices_are_deterministic(self):
+        from repro.fuzz.sources import source_bases, splice_source
+        bases = source_bases(3)
+        first = [splice_source(bases, RandomSource(11)) for _ in range(5)]
+        again = [splice_source(bases, RandomSource(11)) for _ in range(5)]
+        assert first == again
+
+    @pytest.mark.parametrize("body", ["int x = 0x;", "int y = 1\u00b2;",
+                                      "double d = .\u00b2;"])
+    def test_malformed_literal_is_diagnosed(self, body):
+        from repro.fuzz.sources import check_source
+        outcome = check_source(
+            "class T { static void main() { " + body + " } }")
+        assert (outcome.kind, outcome.code) == ("rejected", "CompileError")
+
+    @pytest.mark.parametrize("source", [
+        "class A extends Missing {}",
+        "class A {} class A {}",
+        "class A extends B {} class B extends A {}",
+        "class A extends A {}",
+    ])
+    def test_bad_hierarchy_is_diagnosed(self, source):
+        from repro.fuzz.sources import check_source
+        assert check_source(source).kind == "rejected"
+
+    def test_campaign_holds_the_invariant(self):
+        result = run_campaign(seed=0, budget=80, mode="sources")
+        assert result.sources == 80
+        assert result.compiled + result.diagnosed == 80
+        assert result.compiled, "some splices must still compile"
+        assert result.ok, result.summary()
+
+    def test_violation_is_recorded_with_its_type(self, monkeypatch):
+        from repro.driver import CompilationSession
+
+        def crash(self, source):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(CompilationSession, "compile", crash)
+        result = run_campaign(seed=0, budget=3, mode="sources",
+                              minimize=False)
+        assert not result.ok
+        report = result.report()
+        assert report["sources"]["violations"] == 3
+        assert report["sources"]["violation_types"] == {"KeyError": 3}
+        assert {f["kind"] for f in report["findings"]} == {"source"}
+        assert "VIOLATION [KeyError]" in result.summary()

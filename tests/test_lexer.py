@@ -1,6 +1,9 @@
 """Unit tests for the MiniJava++ lexer."""
 
+import random
+
 import pytest
+from lexer_reference import reference_tokenize
 
 from repro.frontend.errors import CompileError
 from repro.frontend.lexer import tokenize
@@ -125,3 +128,125 @@ class TestOperators:
     def test_unexpected_character(self):
         with pytest.raises(CompileError):
             tokenize("a ` b")
+
+
+class TestMalformedNumbers:
+    """Literals ``int()``/``float()`` cannot convert are diagnosed at the
+    literal's start instead of escaping as a raw ``ValueError``."""
+
+    @pytest.mark.parametrize("source, column", [
+        ("0x", 1), ("0X", 1), ("0xL", 1), ("x = 0x;", 5), ("0x.5", 1),
+        ("\u00b2", 1), ("1\u00b2", 1), (".\u00b2", 1), ("1.\u00b2", 1),
+        ("1e\u00b2", 1), ("1e+\u00b2", 1), ("2.5\u00b2f", 1),
+        ("a = 12\u2460;", 5), ("0x1\u00b2", 4),
+    ])
+    def test_compile_error_at_literal_start(self, source, column):
+        with pytest.raises(CompileError) as caught:
+            tokenize(source)
+        assert (caught.value.pos.line, caught.value.pos.column) == \
+            (1, column)
+
+    def test_nondecimal_digit_inside_identifier_is_fine(self):
+        assert [t.text for t in tokenize("a\u00b2 b1")][:-1] == \
+            ["a\u00b2", "b1"]
+
+    def test_unicode_decimal_digits_convert(self):
+        assert values("\u0663\u0662") == [32]
+
+
+# ----------------------------------------------------------------------
+# differential agreement with the original character-at-a-time lexer
+
+#: characters and fragments that reach every token kind and every
+#: error path: hex/long/float/char/string literals and escapes,
+#: unterminated literals and comments, non-ASCII letters, decimal
+#: digits (Arabic-Indic, fullwidth), non-decimal digits (superscript,
+#: circled), other numerics (one half, Roman twelve), a combining mark
+#: and a no-break space
+ALPHABET = tuple("0123456789abcdefxXlLfFdDeEuU.+-*/\\\"' \n\t\r_$;(){}[]"
+                 "<>=!&|^%~?:,@#`") + (
+    "\u00e9", "\u00aa", "\u00df", "\u4e2d", "\u0663", "\uff10",
+    "\u00b2", "\u2460", "\u00bd", "\u216b", "\u0301", "\u00a0", "\x00",
+    "\f", "0x", "/*", "*/", "//", "\\u", "\\u0041", "e+", "e-", ".5",
+    "1e", "2147483648", "9223372036854775808L", "0xFFFFFFFFF",
+    "0x100000000",
+)
+
+#: one source per error path of the reference lexer
+ERROR_PATHS = {
+    "unterminated block comment": "a /* b\n c",
+    "unterminated string literal": 'x = "ab\ncd";',
+    "unterminated char literal": "c = 'ab';",
+    "unknown escape sequence": 's = "\\q";',
+    "bad unicode escape": "c = '\\u12g4';",
+    "int literal too large": "x = 2147483649;",
+    "long literal too large": "y = 9223372036854775808L;",
+    "unexpected character": "a # b",
+}
+
+
+def outcome(tokenizer, source):
+    """Token tuples, or ``("error", message, line, column)``; a raw
+    ``ValueError`` (reference only) reads as ``("ValueError",)``."""
+    try:
+        return [(t.kind, t.text, t.value, t.pos.line, t.pos.column)
+                for t in tokenizer(source)]
+    except CompileError as error:
+        return ("error", error.message, error.pos.line, error.pos.column)
+    except ValueError:
+        return ("ValueError",)
+
+
+def assert_agrees(source):
+    expected = outcome(reference_tokenize, source)
+    actual = outcome(tokenize, source)
+    if expected == ("ValueError",):
+        assert actual[0] == "error", (source, actual)
+    else:
+        assert actual == expected, source
+    return expected
+
+
+def draw_sources(seed, count):
+    from repro.fuzz.gen import generate_seeded
+    return [generate_seeded(seed * 1_000_003 + index).source
+            for index in range(count)]
+
+
+class TestReferenceAgreement:
+    def test_corpus(self):
+        from repro.bench.corpus import corpus_sources
+        for source in corpus_sources().values():
+            assert isinstance(assert_agrees(source), list)
+
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_perfbench_draws(self, seed):
+        for source in draw_sources(seed, 32):
+            assert isinstance(assert_agrees(source), list)
+
+    @pytest.mark.parametrize("message", sorted(ERROR_PATHS))
+    def test_every_error_path(self, message):
+        source = ERROR_PATHS[message]
+        result = assert_agrees(source)
+        assert result[0] == "error" and result[1].startswith(message)
+        assert_agrees(source + " ok")
+        assert assert_agrees("\n\n  " + source)[2] == result[2] + 2
+
+    def test_seeded_random_strings(self):
+        rng = random.Random(20240117)
+        kinds = set()
+        for _ in range(10_000):
+            source = "".join(rng.choice(ALPHABET)
+                             for _ in range(rng.randint(0, 14)))
+            result = assert_agrees(source)
+            kinds.add(result[0] if not isinstance(result, list)
+                      else "tokens")
+        assert kinds == {"tokens", "error", "ValueError"}
+
+    def test_spliced_sources(self):
+        from repro.fuzz.gen import RandomSource
+        from repro.fuzz.sources import source_bases, splice_source
+        bases = source_bases(1)
+        rng = RandomSource(77)
+        for _ in range(120):
+            assert_agrees(splice_source(bases, rng)[2])

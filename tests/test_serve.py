@@ -666,6 +666,18 @@ class TestTamperDetection:
             serve_client.audit(expect_head=pinned)  # ...until pinned
         assert caught.value.code == "SERVE-CHAIN"
 
+    @pytest.mark.parametrize("served", [
+        {"head": "0" * 64}, {"entries": None}, [], "log", None,
+    ], ids=["no-entries", "null-entries", "list", "str", "null"])
+    def test_log_without_entries_is_a_chain_break(self, monkeypatch,
+                                                  served):
+        # a hostile server's /v1/log answer, no connection needed
+        client = ServeClient("127.0.0.1", 1)
+        monkeypatch.setattr(client, "log_entries", lambda since=0: served)
+        with pytest.raises(ServeError) as caught:
+            client.audit()
+        assert caught.value.code == "SERVE-CHAIN"
+
     def test_store_serving_wrong_bytes_is_refused(self, serve_stack,
                                                   serve_client):
         service, _server, _clock = serve_stack

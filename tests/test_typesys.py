@@ -1,5 +1,11 @@
 """Unit tests for the type system, the world, and the type table."""
 
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
 
 from repro.typesys.ops import OPS_BY_TYPE, lookup_op, op_by_index
@@ -170,6 +176,131 @@ class TestWorld:
         from repro.typesys.world import WorldError
         with pytest.raises(WorldError):
             world.define_class(ClassInfo("Dup", "java.lang.Object"))
+
+
+def host_fingerprint():
+    """Everything observable about the shared host library: names,
+    hierarchy, member signatures, vtable and field slots, constants."""
+    world = World()
+    classes = []
+    for name, info in world.classes.items():
+        classes.append((
+            name, info.super_name,
+            info.superclass.name if info.superclass else None,
+            info.is_builtin, info.is_abstract, info._linked,
+            tuple((f.name, str(f.type), f.is_static, f.is_final,
+                   f.const_value, f.slot, f.declaring.name)
+                  for f in info.fields),
+            tuple((m.name, tuple(str(t) for t in m.param_types),
+                   str(m.return_type), m.is_static, m.is_native,
+                   m.is_abstract, m.vtable_slot, m.declaring.name,
+                   m.ast_body is None, m.uast_body is None,
+                   tuple(m.param_names), tuple(m.throws))
+                  for m in info.methods),
+            tuple(m.qualified_name for m in info.vtable),
+            tuple(f.qualified_name for f in info.all_instance_fields)))
+    return tuple(classes), tuple(world._short_names.items())
+
+
+def stress_source(variant: int) -> str:
+    """A program whose class names every variant shares but whose
+    members and output differ."""
+    return f"""
+class Shape {{
+    int v{variant};
+    int area() {{ return {variant}; }}
+}}
+class Circle extends Shape {{
+    int area() {{ v{variant} = {variant} * 3; return v{variant} + 1; }}
+}}
+class Main {{
+    static void main() {{
+        Shape s = new Circle();
+        StringBuilder out = new StringBuilder();
+        out.append(s.area()).append(":").append(Integer.MAX_VALUE);
+        System.out.println(out.toString());
+    }}
+}}
+"""
+
+
+def compile_and_load(source: str):
+    """Compile, encode, load and run: (wire bytes, stdout)."""
+    from repro.driver import CompilationSession
+    from repro.interp.interpreter import Interpreter
+    from repro.loader import load_module
+    session = CompilationSession(optimize=True, cache=False)
+    wire = session.encode(session.compile(source))
+    result = Interpreter(load_module(wire, cache=False)).run_main()
+    return wire, result.stdout
+
+
+class TestHostLibrary:
+    """The host library is built once per process and shared by every
+    world; no compile, load or hostile unit may modify it."""
+
+    def test_worlds_share_builtins_but_not_user_classes(self):
+        first, second = World(), World()
+        for name, info in first.classes.items():
+            assert second.classes[name] is info
+        first.define_class(ClassInfo("Shape", "java.lang.Object"))
+        first.define_class(ClassInfo("app.String", "java.lang.Object"))
+        first.link()
+        assert first.lookup("String").name == "app.String"
+        assert second.lookup("Shape") is None
+        assert second.lookup("String").name == "java.lang.String"
+        assert World().lookup("String").name == "java.lang.String"
+
+    def test_world_constructs_no_class_info(self, monkeypatch):
+        from repro.typesys import world as world_module
+        built = []
+        original = world_module.ClassInfo.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(world_module.ClassInfo, "__init__", counting)
+        World()
+        assert built == []
+
+    def test_untouched_by_compiling_loading_and_mutating(self):
+        from repro.bench.corpus import corpus_sources
+        from repro.fuzz.campaign import run_campaign
+        from repro.fuzz.minimize import load_fixtures
+        from repro.fuzz.mutate import check_stream
+        before = host_fingerprint()
+        for source in corpus_sources().values():
+            compile_and_load(source)
+        attacks = Path(__file__).parent / "golden" / "attacks"
+        for _name, data, _meta in load_fixtures(attacks):
+            assert check_stream(data).kind == "rejected"
+        result = run_campaign(seed=7, budget=150, mode="streams",
+                              minimize=False)
+        assert result.ok and result.accepted
+        assert host_fingerprint() == before
+
+    def test_threads_with_colliding_class_names(self):
+        before = host_fingerprint()
+        variants = list(range(12))
+        serial = [compile_and_load(stress_source(v)) for v in variants]
+        assert len({stdout for _wire, stdout in serial}) == len(variants)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 2.0
+            workers = max(8, (os.cpu_count() or 1) + 2)  # > cores
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                while True:
+                    parallel = list(pool.map(
+                        lambda v: compile_and_load(stress_source(v)),
+                        variants))
+                    assert parallel == serial
+                    if time.monotonic() > deadline:
+                        break
+        finally:
+            sys.setswitchinterval(interval)
+        assert host_fingerprint() == before
 
 
 class TestTypeTable:
