@@ -68,9 +68,9 @@ bench-serve:
 
 # Trace-tier benchmark: speculative trace execution vs the untraced
 # interpreter on the loop-heavy corpus (warm trace cache), plus the
-# guard-abort/blacklist path and the dispatch micro-opt baseline;
-# writes BENCH_trace.json and fails if traced execution stops beating
-# untraced (geomean) or abort overhead escapes the blacklist bound.
+# guard-abort/blacklist path; writes BENCH_trace.json and fails if
+# traced execution stops beating untraced (geomean) or abort overhead
+# escapes the blacklist bound.
 bench-trace:
 	$(PYTHON) -m repro.bench.runner trace --smoke
 

@@ -18,6 +18,8 @@ import time
 import pytest
 
 from repro.bench.corpus import corpus_source
+from repro.encode.deserializer import decode_module
+from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
 from repro.interp.jit import JitCompiler
 from repro.pipeline import compile_to_module
@@ -42,7 +44,8 @@ def test_jit_speedup_table():
         interp_time = _time(lambda: Interpreter(
             module, max_steps=200_000_000).run_main(name), repeat=1)
         jit = JitCompiler(module)
-        jit.run_main(name)  # warm (compile) once
+        jit.run_main(name)  # warm: builds the module's code once
+        # each fresh compiler below links that code: run time only
         jit_time = _time(lambda: JitCompiler(module).run_main(name))
         total_interp += interp_time
         total_jit += jit_time
@@ -83,13 +86,20 @@ def test_check_elimination_speeds_execution():
 
 
 def test_jit_compile_benchmark(benchmark):
-    module = compile_to_module(corpus_source("BigInt"), optimize=True)
+    """Translation cost: each round gets a freshly decoded module, whose
+    functions carry no generated code yet."""
+    wire = encode_module(compile_to_module(corpus_source("BigInt"),
+                                           optimize=True))
 
-    def compile_all():
+    def fresh_module():
+        return (decode_module(wire),), {}
+
+    def compile_all(module):
         jit = JitCompiler(module)
         return [jit.get(f) for f in module.functions.values()]
 
-    compiled = benchmark(compile_all)
+    compiled = benchmark.pedantic(compile_all, setup=fresh_module,
+                                  rounds=20)
     assert all(callable(f) for f in compiled)
 
 

@@ -10,16 +10,13 @@ traced run must match the untraced run on stdout, exception identity,
 ``steps``, *and* dynamic check counts (bit-identical fallback is an
 assertion here, not a statistic).
 
-Three further measurements keep the headline honest:
+Two further measurements keep the headline honest:
 
 * **abort path**: an adversarial program whose hot loop branches on a
   linear-congruential bit -- no short block cycle exists, so recorded
   traces guard-abort until the header blacklists.  The report measures
   the all-overhead-no-benefit ratio and asserts the blacklist bound
   keeps it small.
-* **dispatch micro-opt**: the block-plan interpreter against a legacy
-  per-instruction ``getattr``-dispatch loop, so the trace speedup is
-  measured against the *faster* baseline, not a strawman.
 * **per-program stats**: compiled/preloaded/blacklisted trace counts,
   entries and committed trips, so a speedup (or its absence -- MiniVM's
   opcode cycle exceeds the trace length budget and correctly
@@ -39,12 +36,7 @@ from typing import Optional
 from repro.bench.corpus import corpus_source
 from repro.bench.loops import LOOP_PROGRAMS
 from repro.cache import TraceCache
-from repro.interp.interpreter import (
-    Interpreter,
-    InterpreterError,
-    JavaError,
-    StepLimitExceeded,
-)
+from repro.interp.interpreter import Interpreter
 from repro.interp.trace import TracingInterpreter
 from repro.loader import load_module
 from repro.pipeline import compile_to_module
@@ -80,84 +72,6 @@ class AbortStorm {
     }
 }
 """
-
-
-class _LegacyInterpreter(Interpreter):
-    """The pre-block-plan execution loop: per-instruction ``getattr``
-    dispatch, per-transfer successor list comprehensions.  Kept only as
-    the micro-opt baseline so BENCH_trace.json records what prebound
-    block plans are worth on their own."""
-
-    def call(self, function, args: list):
-        from repro.ssa import ir
-        frame: dict[int, object] = {}
-        for param in function.params:
-            frame[param.id] = args[param.index]
-        block = function.entry
-        came_from = None
-        exception = None
-        while True:
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise StepLimitExceeded(
-                    f"exceeded {self.max_steps} steps in {function.name}")
-            if block.phis:
-                edge = self._edge_index(block, came_from)
-                values = [frame[phi.operands[edge].id]
-                          for phi in block.phis]
-                for phi, value in zip(block.phis, values):
-                    frame[phi.id] = value
-            trapped = False
-            for instr in block.instrs:
-                if isinstance(instr, ir.CaughtExc):
-                    frame[instr.id] = exception
-                    continue
-                try:
-                    result = self._execute(instr, frame)
-                except JavaError as error:
-                    target = self._exc_edge_target(block)
-                    if target is None:
-                        raise
-                    exception = error.value
-                    came_from = (block, "exc")
-                    block = target
-                    trapped = True
-                    break
-                if instr.plane is not None:
-                    frame[instr.id] = result
-            if trapped:
-                continue
-            term = block.term
-            if term is None:
-                raise InterpreterError(
-                    f"block B{block.id} has no terminator")
-            if term.kind == "return":
-                return frame[term.value.id] \
-                    if term.value is not None else None
-            if term.kind == "throw":
-                target = self._exc_edge_target(block)
-                if target is None:
-                    raise JavaError(frame[term.value.id])
-                exception = frame[term.value.id]
-                came_from = (block, "exc")
-                block = target
-                continue
-            if term.kind == "unreachable":
-                raise InterpreterError(
-                    f"reached unreachable terminator in {function.name}")
-            if term.kind == "branch":
-                taken = bool(frame[term.value.id])
-                normal = [s for s, kind in block.succs if kind == "norm"]
-                next_block = normal[0] if taken else normal[1]
-            else:  # fall / break / continue
-                normal = [s for s, kind in block.succs if kind == "norm"]
-                if len(normal) != 1:
-                    raise InterpreterError(
-                        f"B{block.id} ({term.kind}) has {len(normal)} "
-                        "normal successors")
-                next_block = normal[0]
-            came_from = (block, "norm")
-            block = next_block
 
 
 def _observe(interp, name: Optional[str]):
@@ -204,28 +118,7 @@ def _measure_pair(module, name: Optional[str], reps: int,
     return untraced_s, traced_s, cold_stats, traced.trace_stats()
 
 
-def _measure_dispatch(module, name: Optional[str], reps: int):
-    """(legacy seconds, plan seconds): the interpreter micro-opt's own
-    contribution, measured on the same module and rep count."""
-    started = time.perf_counter()
-    for _ in range(reps):
-        legacy = _LegacyInterpreter(module, max_steps=_MAX_STEPS)
-        expected = _observe(legacy, name)
-    legacy_s = time.perf_counter() - started
-    started = time.perf_counter()
-    for _ in range(reps):
-        plan = Interpreter(module, max_steps=_MAX_STEPS)
-        observed = _observe(plan, name)
-        assert observed == expected, \
-            f"block-plan dispatch diverged from legacy loop on {name}"
-    plan_s = time.perf_counter() - started
-    return legacy_s, plan_s
-
-
-def trace_report(programs=None, *, reps=None,
-                 dispatch_program: str = "MiniVM",
-                 dispatch_reps: int = 10,
-                 abort_reps: int = 3) -> dict:
+def trace_report(programs=None, *, reps=None, abort_reps: int = 3) -> dict:
     programs = tuple(programs) if programs is not None else LOOP_PROGRAMS
     per_program: dict[str, dict] = {}
     speedups = []
@@ -255,12 +148,6 @@ def trace_report(programs=None, *, reps=None,
     abort_overhead = (abort_traced / abort_untraced
                       if abort_untraced else 0.0)
 
-    # the interpreter micro-opt note: legacy getattr dispatch vs plans
-    dispatch_module = _digest_module(corpus_source(dispatch_program))
-    legacy_s, plan_s = _measure_dispatch(dispatch_module,
-                                         dispatch_program,
-                                         dispatch_reps)
-
     return {
         "max_steps": _MAX_STEPS,
         "programs": per_program,
@@ -273,13 +160,6 @@ def trace_report(programs=None, *, reps=None,
             "overhead": round(abort_overhead, 4),
             "cold_stats": abort_stats,
             "warm_stats": abort_warm,
-        },
-        "dispatch_microopt": {
-            "program": dispatch_program,
-            "reps": dispatch_reps,
-            "legacy_getattr_s": round(legacy_s, 4),
-            "block_plan_s": round(plan_s, 4),
-            "speedup": round(legacy_s / plan_s, 4) if plan_s else 0.0,
         },
         "guard": {
             # the acceptance bar for the full corpus; smoke asks only
@@ -314,10 +194,4 @@ def trace_table(report: dict) -> str:
         f"{abort['traced_s']:>9.3f}s {abort['overhead']:>7.2f}x  "
         f"overhead (blacklisted={abort['cold_stats']['blacklisted']}, "
         f"entries={abort['cold_stats']['entries']})")
-    micro = report["dispatch_microopt"]
-    lines.append(
-        f"dispatch     {micro['reps']:>4} "
-        f"{micro['legacy_getattr_s']:>9.3f}s "
-        f"{micro['block_plan_s']:>9.3f}s {micro['speedup']:>7.2f}x  "
-        f"legacy getattr loop vs block plans ({micro['program']})")
     return "\n".join(lines)

@@ -374,10 +374,14 @@ class TraceCache:
             entries: dict[tuple[str, int], tuple[int, ...]] = {}
             for line in lines[1:]:
                 name, header, joined = line.split("\t")
+                header_index = int(header)
                 # an empty path is a persisted blacklist: "this header
                 # never traces profitably, skip the count/record cycle"
-                entries[(name, int(header))] = tuple(
-                    int(i) for i in joined.split(",")) if joined else ()
+                indices = tuple(int(i) for i in joined.split(",")) \
+                    if joined else ()
+                if header_index < 0 or any(i < 0 for i in indices):
+                    return None  # would wrap onto a real block: damage
+                entries[(name, header_index)] = indices
             return entries
         except ValueError:
             return None  # damaged entry: miss, traces re-record

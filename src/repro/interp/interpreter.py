@@ -226,33 +226,8 @@ class Interpreter:
         return InterpreterError(
             f"edge B{came_block.id}->B{block.id} not in pred list")
 
-    @staticmethod
-    def _edge_index(block: Block, came_from) -> int:
-        if came_from is None:
-            raise InterpreterError(f"phis in entry block B{block.id}")
-        source, kind = came_from
-        for index, (pred, pred_kind) in enumerate(block.preds):
-            if pred is source and pred_kind == kind:
-                return index
-        raise InterpreterError(
-            f"edge B{source.id}->B{block.id} not in pred list")
-
-    @staticmethod
-    def _exc_edge_target(block: Block) -> Optional[Block]:
-        for succ, kind in block.succs:
-            if kind == "exc":
-                return succ
-        return None
-
     # ==================================================================
     # instruction execution
-
-    def _execute(self, instr: ir.Instr, frame: dict):
-        method = getattr(self, "_exec_" + type(instr).__name__.lower(), None)
-        if method is None:
-            raise InterpreterError(
-                f"cannot execute {type(instr).__name__}")
-        return method(instr, frame)
 
     def _exec_const(self, instr: ir.Const, frame):
         if isinstance(instr.value, str):
@@ -434,7 +409,7 @@ class _BlockPlan:
             moves: dict = {}
             for index, (pred, kind) in enumerate(block.preds):
                 # setdefault: a duplicated edge keeps its first index,
-                # matching the old linear _edge_index scan
+                # the first match in pred order
                 moves.setdefault(
                     (pred.id, kind),
                     (phi_ids,

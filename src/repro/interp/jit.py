@@ -21,11 +21,20 @@ Semantically the JIT is bit-for-bit equivalent to
 :class:`repro.interp.interpreter.Interpreter` (tested differentially);
 operationally it is several times faster, which stands in for the
 paper's "competitive runtime system" claim.
+
+Translation depends only on the function, so it happens once per
+loaded function: the source is emitted and compiled on first use and
+kept on the ``Function`` (:func:`function_code`, which the trace tier
+shares).  Each :class:`JitCompiler` links that code
+(:meth:`GeneratedCode.link`) to its own runtime, call-site dispatch
+tables and throwing helpers, so a fresh compiler over an already-run
+module pays no translation.  This is sound only under the invariant
+stated on :class:`repro.ssa.ir.Function`.
 """
 
 from __future__ import annotations
 
-import itertools
+from types import FunctionType
 from typing import Callable, Optional
 
 from repro import jmath
@@ -63,7 +72,8 @@ class _Emitter:
 
 
 class JitCompiler:
-    """Translates a module's functions to Python callables on demand."""
+    """Runs a module's functions as generated Python callables, linking
+    each function's shared code to this compiler's runtime on demand."""
 
     def __init__(self, module: Module):
         self.module = module
@@ -71,7 +81,6 @@ class JitCompiler:
         self.runtime = Runtime(module.world)
         self.runtime.invoke_virtual = self._invoke_virtual_for_runtime
         self._compiled: dict[int, Callable] = {}
-        self._names = itertools.count(1)
         self._initialized = False
 
     # ------------------------------------------------------------------
@@ -123,11 +132,14 @@ class JitCompiler:
     # compilation
 
     def get(self, function: Function) -> Callable:
-        cached = self._compiled.get(id(function))
-        if cached is None:
-            cached = self._translate(function)
-            self._compiled[id(function)] = cached
-        return cached
+        linked = self._compiled.get(id(function))
+        if linked is None:
+            code = function_code(function)
+            generated = code.jit
+            if generated is None:
+                generated = code.jit = _translate(function)
+            linked = self._compiled[id(function)] = generated.link(self)
+        return linked
 
     def _invoker(self, call: ir.Call) -> Callable:
         """A call-site closure: static binding resolves once, virtual
@@ -187,36 +199,107 @@ class JitCompiler:
         resolved = self._resolve_virtual(receiver, method)
         return self._static_invoker(resolved)(receiver)
 
-    # ------------------------------------------------------------------
-    # translation
 
-    def _translate(self, function: Function) -> Callable:
-        env: dict = {"_JavaError": JavaError}
-        emitter = _Emitter()
-        name = f"_jit_{next(self._names)}"
-        translator = _FunctionTranslator(self, function, env, emitter)
-        translator.translate(name)
-        code = emitter.source()
-        try:
-            exec(compile(code, f"<jit:{function.name}>", "exec"), env)
-        except SyntaxError as error:  # pragma: no cover - translator bug
-            raise JitError(f"generated bad code for {function.name}: "
-                           f"{error}\n{code}") from None
-        return env[name]
+# ----------------------------------------------------------------------
+# translation: once per function, shared by every runner
+
+class GeneratedCode:
+    """One generated Python function: compiled once, linked per runner.
+
+    ``constants`` are the globals every runner shares (interned
+    strings, fold functions, field and class infos); ``slots`` are
+    ``(name, make, arg)`` triples that :meth:`link` binds to
+    ``make(runner, arg)``, so anything holding runner state is created
+    for each runner.  Raises ``SyntaxError`` on bad source.
+    """
+
+    __slots__ = ("code", "constants", "slots")
+
+    def __init__(self, source: str, filename: str, name: str,
+                 constants: dict, slots: tuple):
+        env = dict(constants)
+        exec(compile(source, filename, "exec"), env)
+        self.code = env.pop(name).__code__
+        self.constants = env  # exec added __builtins__
+        self.slots = slots
+
+    def link(self, runner) -> Callable:
+        env = dict(self.constants)
+        for name, make, arg in self.slots:
+            env[name] = make(runner, arg)
+        return FunctionType(self.code, env)
+
+
+class FunctionCode:
+    """What is derived once per loaded function and shared by its
+    runners: the ``reachable_blocks()`` order and its index, the loop
+    headers (set by the trace tier), the JIT build and the trace builds
+    keyed on reachable-block indices (``None`` marks a path that does
+    not compile).  A build is complete before the one store that
+    publishes it and the trace table is replaced, never updated, so
+    threads racing on a function may waste a build but never see half
+    of one."""
+
+    __slots__ = ("blocks", "index_of", "loops", "jit", "traces")
+
+    def __init__(self, function: Function):
+        self.blocks = tuple(function.reachable_blocks())
+        self.index_of = {block.id: i for i, block in enumerate(self.blocks)}
+        self.loops = None
+        self.jit = None
+        self.traces: dict = {}
+
+
+def function_code(function: Function) -> FunctionCode:
+    """The function's memo, created on first use.  It lives on the
+    function, so it is freed with the module."""
+    code = getattr(function, "_generated", None)
+    if code is None:
+        code = function._generated = FunctionCode(function)
+    return code
+
+
+def _translate(function: Function) -> GeneratedCode:
+    env: dict = {"_JavaError": JavaError}
+    emitter = _Emitter()
+    translator = _FunctionTranslator(function, env, emitter)
+    translator.translate("_jit")
+    source = emitter.source()
+    try:
+        return GeneratedCode(source, f"<jit:{function.name}>", "_jit", env,
+                             tuple(translator.slots))
+    except SyntaxError as error:  # pragma: no cover - translator bug
+        raise JitError(f"generated bad code for {function.name}: "
+                       f"{error}\n{source}") from None
 
 
 class _FunctionTranslator:
-    def __init__(self, jit: JitCompiler, function: Function, env: dict,
-                 emitter: _Emitter):
-        self.jit = jit
+    """Emits one function's code.  Values every runner shares become
+    constants (:meth:`bind`); values that hold runner state become
+    link slots (:meth:`link`), bound by :meth:`GeneratedCode.link`."""
+
+    def __init__(self, function: Function, env: dict, emitter: _Emitter):
         self.function = function
         self.env = env
         self.out = emitter
-        self._binding_counter = itertools.count(1)
+        self.slots: list[tuple] = []
+        self._names: dict = {}
 
     def bind(self, value) -> str:
-        name = f"_g{next(self._binding_counter)}"
-        self.env[name] = value
+        """A global shared by every runner, holding ``value``."""
+        name = self._names.get(id(value))
+        if name is None:
+            name = self._names[id(value)] = f"_g{len(self._names) + 1}"
+            self.env[name] = value
+        return name
+
+    def link(self, make: Callable, arg=None) -> str:
+        """A global each runner binds to ``make(runner, arg)``."""
+        key = (make, id(arg))
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"_r{len(self._names) + 1}"
+            self.slots.append((name, make, arg))
         return name
 
     # -- helpers bound once per function -----------------------------------
@@ -228,7 +311,7 @@ class _FunctionTranslator:
         params = ", ".join(f"a{i}" for i in range(arity))
         self.out.emit(f"def {name}({params}):")
         self.out.indent += 1
-        reachable = [b for b in function.reachable_blocks()]
+        reachable = function_code(function).blocks
         if not reachable:
             self.out.emit("return None")
             self.out.indent -= 1
@@ -357,7 +440,7 @@ class _FunctionTranslator:
         operation = instr.operation
         args = ", ".join(f"v{op.id}" for op in instr.operands)
         if operation.traps:
-            wrapper = self.bind(_trapping(operation.fold, self.jit.runtime))
+            wrapper = self.link(_trapping, operation.fold)
             self.out.emit(f"v{instr.id} = {wrapper}({args})")
         else:
             fold = self.bind(operation.fold)
@@ -369,19 +452,19 @@ class _FunctionTranslator:
                       f"v{instr.operands[1].id}")
 
     def _i_nullcheck(self, instr: ir.NullCheck) -> None:
-        helper = self.bind(self.jit.runtime)
+        helper = self.link(_runtime)
         value = f"v{instr.operands[0].id}"
         self.out.emit(f"if {value} is None: "
                       f"{helper}.throw('java.lang.NullPointerException')")
         self.out.emit(f"v{instr.id} = {value}")
 
     def _i_idxcheck(self, instr: ir.IdxCheck) -> None:
-        helper = self.bind(_idxcheck_helper(self.jit.runtime))
+        helper = self.link(_idxcheck_helper)
         self.out.emit(f"v{instr.id} = {helper}(v{instr.array.id}, "
                       f"v{instr.index.id})")
 
     def _i_upcast(self, instr: ir.Upcast) -> None:
-        helper = self.bind(_upcast_helper(self.jit, instr.target_type))
+        helper = self.link(_upcast_helper, instr.target_type)
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
     def _i_downcast(self, instr: ir.Downcast) -> None:
@@ -396,12 +479,12 @@ class _FunctionTranslator:
                       f" = v{instr.operands[1].id}")
 
     def _i_getstatic(self, instr: ir.GetStatic) -> None:
-        runtime = self.bind(self.jit.runtime)
+        runtime = self.link(_runtime)
         field = self.bind(instr.field)
         self.out.emit(f"v{instr.id} = {runtime}.get_static({field})")
 
     def _i_setstatic(self, instr: ir.SetStatic) -> None:
-        runtime = self.bind(self.jit.runtime)
+        runtime = self.link(_runtime)
         field = self.bind(instr.field)
         self.out.emit(f"{runtime}.set_static({field}, "
                       f"v{instr.operands[0].id})")
@@ -412,7 +495,7 @@ class _FunctionTranslator:
 
     def _i_setelt(self, instr: ir.SetElt) -> None:
         if instr.array_type.element.is_reference():
-            helper = self.bind(_storecheck_helper(self.jit))
+            helper = self.link(_storecheck_helper)
             self.out.emit(f"{helper}(v{instr.operands[0].id}, "
                           f"v{instr.operands[2].id})")
         self.out.emit(f"v{instr.operands[0].id}"
@@ -429,17 +512,15 @@ class _FunctionTranslator:
         self.out.emit(f"v{instr.id} = {ctor}({cls})")
 
     def _i_newarray(self, instr: ir.NewArray) -> None:
-        helper = self.bind(_newarray_helper(self.jit.runtime,
-                                            instr.array_type))
+        helper = self.link(_newarray_helper, instr.array_type)
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
     def _i_instanceof(self, instr: ir.InstanceOf) -> None:
-        helper = self.bind(_instanceof_helper(self.jit,
-                                              instr.target_type))
+        helper = self.link(_instanceof_helper, instr.target_type)
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
     def _i_call(self, instr: ir.Call) -> None:
-        invoker = self.bind(self.jit._invoker(instr))
+        invoker = self.link(_call_site, instr)
         args = ", ".join(f"v{op.id}" for op in instr.operands)
         target = f"v{instr.id} = " if instr.plane is not None else ""
         self.out.emit(f"{target}{invoker}({args})")
@@ -449,9 +530,21 @@ class _FunctionTranslator:
 
 
 # ----------------------------------------------------------------------
-# bound helpers
+# link-time helpers: each is called as make(runner, arg) once per runner,
+# where the runner is a JitCompiler or the trace tier's adapter (both
+# expose runtime, world and _invoker)
 
-def _trapping(fold, runtime):
+def _runtime(runner, _arg):
+    return runner.runtime
+
+
+def _call_site(runner, call: ir.Call):
+    return runner._invoker(call)
+
+
+def _trapping(runner, fold):
+    runtime = runner.runtime
+
     def apply(*args):
         try:
             return fold(*args)
@@ -460,7 +553,9 @@ def _trapping(fold, runtime):
     return apply
 
 
-def _idxcheck_helper(runtime):
+def _idxcheck_helper(runner, _arg):
+    runtime = runner.runtime
+
     def idxcheck(array, index):
         if 0 <= index < len(array.elements):
             return index
@@ -471,9 +566,9 @@ def _idxcheck_helper(runtime):
     return idxcheck
 
 
-def _upcast_helper(jit, target_type):
-    world = jit.world
-    runtime = jit.runtime
+def _upcast_helper(runner, target_type):
+    world = runner.world
+    runtime = runner.runtime
 
     def upcast(value):
         if value is None:
@@ -484,15 +579,17 @@ def _upcast_helper(jit, target_type):
     return upcast
 
 
-def _instanceof_helper(jit, target_type):
-    world = jit.world
+def _instanceof_helper(runner, target_type):
+    world = runner.world
 
     def check(value):
         return value_instanceof(world, value, target_type)
     return check
 
 
-def _newarray_helper(runtime, array_type):
+def _newarray_helper(runner, array_type):
+    runtime = runner.runtime
+
     def newarray(length):
         if length < 0:
             runtime.throw("java.lang.NegativeArraySizeException",
@@ -501,9 +598,9 @@ def _newarray_helper(runtime, array_type):
     return newarray
 
 
-def _storecheck_helper(jit):
-    world = jit.world
-    runtime = jit.runtime
+def _storecheck_helper(runner, _arg):
+    world = runner.world
+    runtime = runner.runtime
 
     def storecheck(array, value):
         element = array.array_type.element

@@ -32,6 +32,17 @@ Compiled paths are remembered in :class:`repro.cache.TraceCache` keyed
 on ``(wire_digest, qualified function name, header index)`` using
 reachable-block indices (block *ids* are not stable across decodes), so
 a warm serve process re-creates traces without re-recording.
+
+What depends only on the function is built once per loaded function
+and kept on it, in the JIT's :func:`~repro.interp.jit.function_code`
+memo: the ``reachable_blocks()`` order and its index, the loop headers,
+and each recorded path's generated code and exit sites, keyed on its
+block indices.  Each :class:`TracingInterpreter` links that code to its
+own adapter (call sites, runtime helpers, the allocation cap) and keeps
+its own header states, trace counters and step budget; a call-flavour
+trace formats its step-limit message from the running interpreter's
+``max_steps``.  This is sound only under the invariant stated on
+:class:`repro.ssa.ir.Function`.
 """
 
 from __future__ import annotations
@@ -40,14 +51,19 @@ from typing import Optional
 
 from repro.analysis.loops import find_loops
 from repro.cache import TraceCache, default_trace_cache
-from repro.interp.heap import JavaError, ObjectRef
+from repro.interp.heap import ArrayRef, JavaError, ObjectRef
 from repro.interp.interpreter import (
     AllocationLimitExceeded,
     Interpreter,
     InterpreterError,
     StepLimitExceeded,
 )
-from repro.interp.jit import _Emitter, _FunctionTranslator
+from repro.interp.jit import (
+    GeneratedCode,
+    _Emitter,
+    _FunctionTranslator,
+    function_code,
+)
 from repro.ssa import ir
 from repro.ssa.ir import Block, Function, Module
 
@@ -95,22 +111,33 @@ class _Site:
         self.checks_prefix = checks_prefix
 
 
-class CompiledTrace:
-    """A compiled fast path plus the metadata its exits need."""
+class _TraceCode:
+    """One recorded path's generated code and exit metadata: built once
+    per (function, path), shared by every runner that links it."""
 
-    __slots__ = ("fn", "sites", "path_len", "per_trip_checks", "has_calls",
-                 "entry_latch", "entry_latch_id", "path_indices", "aborts",
-                 "entries", "trips")
+    __slots__ = ("generated", "sites", "path_len", "per_trip_checks",
+                 "has_calls", "entry_latch_id")
 
-    def __init__(self, fn, sites, path_len, per_trip_checks, has_calls,
-                 entry_latch: Block, path_indices):
-        self.fn = fn
+    def __init__(self, generated: GeneratedCode, sites, path_len,
+                 per_trip_checks, has_calls, entry_latch: Block):
+        self.generated = generated
         self.sites = sites
         self.path_len = path_len
         self.per_trip_checks = per_trip_checks
         self.has_calls = has_calls
-        self.entry_latch = entry_latch
         self.entry_latch_id = entry_latch.id
+
+
+class CompiledTrace:
+    """One runner's link of a shared trace: its own callable and
+    counters over the shared :class:`_TraceCode`."""
+
+    __slots__ = ("fn", "code", "path_indices", "aborts", "entries", "trips")
+
+    def __init__(self, code: _TraceCode, adapter: "_InterpAdapter",
+                 path_indices: tuple[int, ...]):
+        self.fn = code.generated.link(adapter)
+        self.code = code
         self.path_indices = path_indices
         self.aborts = 0
         self.entries = 0
@@ -134,36 +161,43 @@ class _HeaderState:
 
 
 class _FunctionState:
-    """Per-function tracing state: loop headers and block indexing."""
+    """One runner's tracing state of a function: a header state per
+    loop, over the block index and loop headers in the function's
+    shared :class:`~repro.interp.jit.FunctionCode`."""
 
-    __slots__ = ("function", "name", "blocks", "index_of", "headers",
-                 "live")
+    __slots__ = ("function", "code", "name", "headers", "live")
 
     def __init__(self, manager: "TraceManager", function: Function):
+        code = function_code(function)
         self.function = function
+        self.code = code
         self.name = function.method.qualified_name
-        self.blocks = list(function.reachable_blocks())
-        self.index_of = {b.id: i for i, b in enumerate(self.blocks)}
         self.headers: dict[int, _HeaderState] = {}
+        loops = code.loops
+        if loops is None:
+            # derived once per function: re-deriving dominators per
+            # interpreter would dwarf short runs (the warm serve path
+            # spins up a fresh TracingInterpreter per request)
+            loops = code.loops = _loop_headers(function)
+        for header, loop_blocks in loops:
+            hs = _HeaderState(header, loop_blocks)
+            self.headers[header.id] = hs
+            manager.header_states[header.id] = hs
         #: headers not yet blacklisted; at zero the per-block hook
         #: disables itself for this function entirely
-        self.live = 0
-        try:
-            # memoized on the function: the CFG is immutable at run
-            # time, and re-deriving dominators per interpreter would
-            # dwarf short runs (the warm serve path spins up a fresh
-            # TracingInterpreter per request)
-            forest = getattr(function, "_loop_forest", None)
-            if forest is None:
-                forest = function._loop_forest = find_loops(function)
-        except Exception:
-            return  # malformed CFG: never trace this function
-        for header_id, loop in forest.by_header.items():
-            hs = _HeaderState(loop.header, frozenset(loop.blocks))
-            self.headers[header_id] = hs
-            manager.header_states[header_id] = hs
         self.live = len(self.headers)
         manager._preload(self)
+
+
+def _loop_headers(function: Function) -> tuple:
+    """``(header, loop block ids)`` per natural loop; none for a
+    malformed CFG, which is then never traced."""
+    try:
+        forest = find_loops(function)
+    except Exception:
+        return ()
+    return tuple((loop.header, frozenset(loop.blocks))
+                 for loop in forest.by_header.values())
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +205,8 @@ class _FunctionState:
 # interpreter so nested frames keep counting steps and checks
 
 class _InterpAdapter:
-    """Duck-types the slice of :class:`JitCompiler` the shared
-    ``_FunctionTranslator`` instruction handlers touch."""
+    """The runner a trace links to: duck-types the slice of
+    :class:`JitCompiler` the JIT's link-time helpers touch."""
 
     def __init__(self, interp: Interpreter):
         self.interp = interp
@@ -203,10 +237,10 @@ class _InterpAdapter:
         return invoke_virtual
 
 
-def _trace_newarray_helper(interp: Interpreter, array_type):
+def _trace_newarray_helper(adapter: _InterpAdapter, array_type):
     """Unlike the JIT's helper this honours ``max_array_length`` so a
     traced run keeps the interpreter's fuzzing allocation guard."""
-    from repro.interp.heap import ArrayRef
+    interp = adapter.interp
     runtime = interp.runtime
 
     def newarray(length):
@@ -225,14 +259,8 @@ class _TraceOps(_FunctionTranslator):
     """Instruction emission for traces: the JIT handlers, minus the
     shapes a linear trace cannot contain."""
 
-    def __init__(self, adapter, function, env, emitter,
-                 interp: Interpreter):
-        super().__init__(adapter, function, env, emitter)
-        self.interp = interp
-
     def _i_newarray(self, instr: ir.NewArray) -> None:
-        helper = self.bind(_trace_newarray_helper(self.interp,
-                                                  instr.array_type))
+        helper = self.link(_trace_newarray_helper, instr.array_type)
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
     def _i_caughtexc(self, instr: ir.CaughtExc) -> None:
@@ -240,6 +268,13 @@ class _TraceOps(_FunctionTranslator):
 
 
 _CHECK_KIND = {ir.NullCheck: 0, ir.IdxCheck: 1, ir.Upcast: 2}
+
+
+def _step_limit(interp: Interpreter, name: str) -> StepLimitExceeded:
+    """The untraced interpreter's step-limit error, worded from the
+    running interpreter's own budget."""
+    return StepLimitExceeded(
+        f"exceeded {interp.max_steps} steps in {name}")
 
 
 class _TraceCompiler:
@@ -273,19 +308,18 @@ class _TraceCompiler:
     Traces containing calls cannot precompute a trip budget (nested
     frames consume steps too); they commit ``interp.steps`` per block
     top and raise the step limit inline instead, which keeps ``steps``
-    exact in both flavours.
+    exact in both flavours.  Nothing in the code depends on the
+    interpreter that records the path: ``interp`` is an argument and
+    the rest is linked per runner.
     """
 
-    def __init__(self, interp: Interpreter, function: Function,
-                 path: list[Block]):
-        self.interp = interp
+    def __init__(self, function: Function, path: list[Block]):
         self.function = function
         self.path = path
         self.env: dict = {"_JavaError": JavaError, "_X": _TraceExit,
-                          "_M": _MISSING, "_SLE": StepLimitExceeded}
+                          "_M": _MISSING, "_SLE": _step_limit}
         self.out = _Emitter()
-        self.ops = _TraceOps(_InterpAdapter(interp), function, self.env,
-                             self.out, interp)
+        self.ops = _TraceOps(function, self.env, self.out)
         self.sites: list[_Site] = []
         self.checks = [0, 0, 0]  # nullcheck, idxcheck, upcast per trip
 
@@ -348,8 +382,7 @@ class _TraceCompiler:
 
     # -- emission ------------------------------------------------------
 
-    def compile(self) -> CompiledTrace:
-        interp = self.interp
+    def compile(self) -> _TraceCode:
         function = self.function
         path = self.path
         regs, writes, has_calls = self._collect()
@@ -360,10 +393,7 @@ class _TraceCompiler:
         out.emit("_pc = -1")
         for reg in regs:
             out.emit(f"v{reg} = frame.get({reg}, _M)")
-        if has_calls:
-            step_msg = self.ops.bind(
-                f"exceeded {interp.max_steps} steps in {function.name}")
-        else:
+        if not has_calls:
             out.emit(f"_maxtrips = (interp.max_steps - interp.steps) "
                      f"// {len(path)}")
         out.emit("try:")
@@ -380,7 +410,7 @@ class _TraceCompiler:
             if has_calls:
                 out.emit("interp.steps += 1")
                 out.emit(f"if interp.steps > interp.max_steps: "
-                         f"raise _SLE({step_msg})")
+                         f"raise _SLE(interp, {function.name!r})")
             self._emit_block(k, block)
         out.emit("_trips += 1")
         out.indent -= 2
@@ -405,17 +435,17 @@ class _TraceCompiler:
         out.emit("return _trips, _site, _err")
         out.indent -= 1
         self.env["_W"] = tuple((reg, f"v{reg}") for reg in writes)
-        code = out.source()
+        source = out.source()
         try:
-            exec(compile(code, f"<trace:{function.name}>", "exec"),
-                 self.env)
+            generated = GeneratedCode(source, f"<trace:{function.name}>",
+                                      "_trace", self.env,
+                                      tuple(self.ops.slots))
         except SyntaxError as error:  # pragma: no cover - emitter bug
             raise _TraceCompileError(
                 f"generated bad trace for {function.name}: {error}\n"
-                f"{code}") from None
-        return CompiledTrace(self.env["_trace"], tuple(self.sites),
-                             len(path), tuple(self.checks), has_calls,
-                             path[-1], None)
+                f"{source}") from None
+        return _TraceCode(generated, tuple(self.sites), len(path),
+                          tuple(self.checks), has_calls, path[-1])
 
     def _emit_move(self, targets: list[int], sources: list[int]) -> None:
         if not targets:
@@ -495,6 +525,8 @@ class TraceManager:
         self.threshold = max(1, int(threshold))
         self.cache = cache if cache is not None else default_trace_cache()
         self.digest = getattr(interp.module, "wire_digest", None)
+        #: what this runner's traces link to
+        self.adapter = _InterpAdapter(interp)
         self._states: dict[int, _FunctionState] = {}
         #: block id -> header state, for annotating block plans (block
         #: ids are process-unique, so one flat map covers all functions)
@@ -503,7 +535,9 @@ class TraceManager:
         self.preloaded = 0
         self.recordings = 0
         self.recording_aborts = 0
+        #: verdicts made in this run; preloaded ones are counted apart
         self.blacklisted = 0
+        self.preloaded_blacklisted = 0
         self.entries = 0
         self.trips = 0
 
@@ -541,26 +575,32 @@ class TraceManager:
             # processes skip the whole count/record/abort cycle
             if self.cache and self.digest is not None:
                 self.cache.put(self.digest, fstate.name,
-                               fstate.index_of[hs.header_id], ())
+                               fstate.code.index_of[hs.header_id], ())
 
     def _compile(self, fstate: _FunctionState, hs: _HeaderState,
                  path: list[Block]) -> bool:
         if not path or path[0] is not hs.header:
             return False
-        try:
-            trace = _TraceCompiler(self.interp, fstate.function,
-                                   path).compile()
-        except _TraceCompileError:
+        code = fstate.code
+        # the key is derived from the blocks, so one path has one key
+        indices = tuple(code.index_of[b.id] for b in path)
+        traces = code.traces
+        if indices in traces:
+            built = traces[indices]
+        else:
+            try:
+                built = _TraceCompiler(fstate.function, path).compile()
+            except Exception:  # unsupported shape: fall back to interpreting
+                built = None
+            # copy on write: a published table is never mutated
+            code.traces = {**traces, indices: built}
+        if built is None:
             return False
-        except Exception:  # unsupported shape: fall back to interpreting
-            return False
-        trace.path_indices = tuple(fstate.index_of[b.id] for b in path)
-        hs.trace = trace
+        hs.trace = CompiledTrace(built, self.adapter, indices)
         self.compiled += 1
         if self.cache and self.digest is not None:
             self.cache.put(self.digest, fstate.name,
-                           fstate.index_of[hs.header_id],
-                           trace.path_indices)
+                           code.index_of[hs.header_id], indices)
         return True
 
     def _preload(self, fstate: _FunctionState) -> None:
@@ -570,22 +610,24 @@ class TraceManager:
         cached = self.cache.get(self.digest)
         if not cached:
             return
-        count = len(fstate.blocks)
+        blocks = fstate.code.blocks
+        count = len(blocks)
         for (name, header_index), indices in cached.items():
             if name != fstate.name:
                 continue
-            if any(i >= count for i in indices):
-                continue
-            hs = fstate.headers.get(fstate.blocks[header_index].id) \
-                if header_index < count else None
+            if not 0 <= header_index < count \
+                    or not all(0 <= i < count for i in indices):
+                continue  # damaged entry: a miss, the loop records cold
+            hs = fstate.headers.get(blocks[header_index].id)
             if hs is None or hs.trace is not None or hs.blacklisted:
                 continue
             if not indices:
                 # persisted blacklist: don't count, record, or retry
                 hs.blacklisted = True
                 fstate.live -= 1
+                self.preloaded_blacklisted += 1
                 continue
-            path = [fstate.blocks[i] for i in indices]
+            path = [blocks[i] for i in indices]
             if self._compile(fstate, hs, path):
                 self.preloaded += 1
 
@@ -603,6 +645,7 @@ class TraceManager:
             "recordings_finished": self.compiled - self.preloaded,
             "recording_aborts": self.recording_aborts,
             "blacklisted": self.blacklisted,
+            "preloaded_blacklisted": self.preloaded_blacklisted,
             "entries": self.entries,
             "trips": self.trips,
         }
@@ -707,15 +750,16 @@ class TracingInterpreter(Interpreter):
                         came_key[1] == "norm":
                     trace = hs.trace
                     if trace is not None:
+                        code = trace.code
                         if hs is skip_once:
                             skip_once = None
                         elif rec_path is None and \
-                                came_key[0] == trace.entry_latch_id:
+                                came_key[0] == code.entry_latch_id:
                             trips, site_index, err = trace.fn(self, frame)
-                            site = trace.sites[site_index]
+                            site = code.sites[site_index]
                             manager.entries += 1
                             manager.trips += trips
-                            per = trace.per_trip_checks
+                            per = code.per_trip_checks
                             prefix = site.checks_prefix
                             counts = self.check_counts
                             counts["nullcheck"] += \
@@ -723,8 +767,8 @@ class TracingInterpreter(Interpreter):
                             counts["idxcheck"] += \
                                 trips * per[1] + prefix[1]
                             counts["upcast"] += trips * per[2] + prefix[2]
-                            if not trace.has_calls:
-                                self.steps += trips * trace.path_len \
+                            if not code.has_calls:
+                                self.steps += trips * code.path_len \
                                     + site.steps_prefix
                             if trips == 0 and site.kind != "budget":
                                 trace.aborts += 1

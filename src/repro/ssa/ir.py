@@ -657,7 +657,17 @@ def trapping_tail_gate(def_block: Block, instr: Instr) -> Optional[Block]:
 
 
 class Function:
-    """A SafeTSA method body: entry block, block list, CST, parameters."""
+    """A SafeTSA method body: entry block, block list, CST, parameters.
+
+    The JIT and the trace tier keep the code they generate from a
+    function on it (``_generated``, made by
+    :func:`repro.interp.jit.function_code`) and share it between
+    runners, so **a function must not be changed once it has run**
+    under either of them.  In-repo producers keep this: every pass runs
+    before a module is first executed, and the loaders hand out only
+    fully decoded bodies.  Code that must change a function after it
+    ran has to ``del function._generated`` and use fresh runners.
+    """
 
     def __init__(self, method: MethodInfo, class_info: ClassInfo):
         self.method = method

@@ -1,0 +1,199 @@
+"""Generated code shared across runners.
+
+The JIT and the trace tier build a function's code once and keep it on
+the ``Function``; every ``JitCompiler`` and ``TracingInterpreter`` only
+links it.  These tests pin what must stay per runner (runtime, step
+budget, step-limit message), that concurrent runners building the same
+function at once still agree with the serial interpreter, and that the
+shared code is freed with its module.
+"""
+
+import gc
+import os
+import sys
+import threading
+import weakref
+
+import pytest
+
+from repro.cache import TraceCache
+from repro.encode.serializer import encode_module
+from repro.interp.interpreter import Interpreter, StepLimitExceeded
+from repro.interp.jit import JitCompiler
+from repro.interp.trace import TracingInterpreter
+from repro.loader.fused import load_module
+from repro.pipeline import compile_to_module
+
+THRESHOLD = 4
+
+
+def loaded(source):
+    """A freshly decoded module (with the wire digest traces key on)."""
+    return load_module(encode_module(compile_to_module(source)),
+                       cache=False)
+
+
+def live_traces(interp):
+    return [hs.trace for hs in interp.traces.header_states.values()
+            if hs.trace is not None]
+
+
+COUNTER_SOURCE = """
+class Counter { static int n; }
+class Main {
+    static void bump() { Counter.n = Counter.n + 1; }
+    static void main() {
+        bump();
+        System.out.println(Counter.n);
+    }
+}
+"""
+
+
+def test_jit_compilers_share_code_but_not_runtime():
+    module = loaded(COUNTER_SOURCE)
+    first, second = JitCompiler(module), JitCompiler(module)
+    # a shared runtime would carry the static (and stdout) across
+    assert first.run_main("Main").stdout == "1\n"
+    assert second.run_main("Main").stdout == "1\n"
+    assert first.runtime is not second.runtime
+    for function in module.functions.values():
+        mine, theirs = first.get(function), second.get(function)
+        assert mine is not theirs
+        assert mine.__code__ is theirs.__code__
+        assert mine.__globals__ is not theirs.__globals__
+
+
+CALL_LOOP_SOURCE = """
+class Main {
+    static int step(int i) { return i + 1; }
+    static void main() {
+        int s = 0;
+        for (int i = 0; i < 100000; i = i + 1) { s = s + Main.step(i); }
+        System.out.println(s);
+    }
+}
+"""
+
+
+def test_runners_keep_their_own_step_budget_on_a_shared_trace():
+    module = loaded(CALL_LOOP_SOURCE)
+    cache = TraceCache()
+    TracingInterpreter(module, threshold=THRESHOLD,
+                       trace_cache=cache).run_main("Main")
+    codes = set()
+    for budget in (3_001, 5_002):
+        untraced = Interpreter(module, max_steps=budget)
+        with pytest.raises(StepLimitExceeded) as expected:
+            untraced.run_main("Main")
+        traced = TracingInterpreter(module, max_steps=budget,
+                                    threshold=THRESHOLD, trace_cache=cache)
+        with pytest.raises(StepLimitExceeded) as observed:
+            traced.run_main("Main")
+        # both budgets run out at a block top of main, inside the trace
+        assert str(observed.value) == str(expected.value) \
+            == f"exceeded {budget} steps in Main.main()"
+        assert traced.steps == untraced.steps
+        assert traced.check_counts == untraced.check_counts
+        assert traced.trace_stats()["preloaded"] == 1
+        (trace,) = live_traces(traced)
+        assert trace.code.has_calls
+        codes.add(trace.fn.__code__)
+    assert len(codes) == 1, "each runner recompiled the cached trace"
+
+
+WORK_SOURCE = """
+class Work {
+    static int[] data;
+    static int sq(int x) { return x * x; }
+    static int fill(int n) {
+        data = new int[n];
+        for (int i = 0; i < n; i = i + 1) { data[i] = sq(i) % 97; }
+        return n;
+    }
+    static int sum() {
+        int s = 0;
+        for (int i = 0; i < data.length; i = i + 1) { s = s + data[i]; }
+        return s;
+    }
+    static void main() {
+        int total = 0;
+        for (int r = 0; r < 12; r = r + 1) {
+            fill(150 + r);
+            total = total + sum();
+        }
+        System.out.println("total=" + total);
+    }
+}
+"""
+
+
+def test_concurrent_runners_match_the_serial_interpreter():
+    module = loaded(WORK_SOURCE)
+    reference = Interpreter(module)
+    result = reference.run_main("Work")
+    expected = (result.stdout, reference.steps,
+                dict(reference.check_counts))
+    cache = TraceCache()
+    workers = max(4, 2 * (os.cpu_count() or 1))
+    barrier = threading.Barrier(workers)
+    observed, errors = [], []
+
+    def run(index):
+        try:
+            barrier.wait(timeout=30)
+            for rep in range(3):
+                if (index + rep) % 3 == 0:
+                    jit = JitCompiler(module).run_main("Work")
+                    observed.append(("jit", jit.stdout))
+                    continue
+                if (index + rep) % 3 == 1:
+                    interp = TracingInterpreter(
+                        module, threshold=THRESHOLD, trace_cache=cache)
+                else:
+                    interp = Interpreter(module)
+                stdout = interp.run_main("Work").stdout
+                observed.append(("interp", (stdout, interp.steps,
+                                            dict(interp.check_counts))))
+        except Exception as error:  # reported below, with its thread
+            errors.append((index, error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(observed) == 3 * workers
+    for kind, outcome in observed:
+        if kind == "jit":
+            assert outcome == expected[0]
+        else:
+            assert outcome == expected
+
+
+def test_generated_code_is_freed_with_its_module():
+    module = loaded(WORK_SOURCE)
+    jit = JitCompiler(module)
+    jit.run_main("Work")
+    traced = TracingInterpreter(module, threshold=THRESHOLD,
+                                trace_cache=TraceCache())
+    traced.run_main("Work")
+    refs = [weakref.ref(module)]
+    refs.extend(weakref.ref(function)
+                for function in module.functions.values())
+    refs.extend(weakref.ref(jit.get(function).__code__)
+                for function in module.functions.values())
+    refs.extend(weakref.ref(trace.fn.__code__)
+                for trace in live_traces(traced))
+    assert len(refs) > 1 + 2 * len(module.functions), "no trace was built"
+    del module, jit, traced
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []

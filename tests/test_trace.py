@@ -256,6 +256,13 @@ class TestTraceCache:
         # cycle: the warm process never records and never aborts
         assert warm_stats["recordings_finished"] == 0
         assert warm_stats["recording_aborts"] == 0
+        # ...and says so: a preloaded verdict is counted apart from
+        # the verdicts this run made, so it cannot read as a loop
+        # that was never reached
+        assert cold.trace_stats()["preloaded_blacklisted"] == 0
+        assert warm_stats["blacklisted"] == 0
+        assert warm_stats["preloaded_blacklisted"] \
+            == cold.trace_stats()["blacklisted"]
 
     def test_persisted_cache_round_trips_blacklist(self, tmp_path):
         wire = encode_module(compile_to_module(WARM_SOURCE))
@@ -269,6 +276,38 @@ class TestTraceCache:
                                   trace_cache=reopened)
         assert observe(warm, "Warm") == first
         assert warm.trace_stats()["preloaded"] > 0
+
+    @pytest.mark.parametrize("damage", ["header", "path"])
+    def test_negative_index_is_a_miss(self, tmp_path, damage):
+        """A negative index would wrap onto a real block; the damaged
+        entry must read as a miss, so the loop records as if cold."""
+        wire = encode_module(compile_to_module(WARM_SOURCE))
+        module = load_module(wire)
+        cold = TracingInterpreter(module, threshold=THRESHOLD,
+                                  trace_cache=TraceCache(str(tmp_path)))
+        first = observe(cold, "Warm")
+        main = next(function for function in module.functions.values()
+                    if function.method.name == "main")
+        count = len(main.reachable_blocks())
+        (saved,) = tmp_path.glob("*.trace")
+        version, line = saved.read_text().splitlines()
+        name, header, joined = line.split("\t")
+        if damage == "header":
+            # the real header, wrapped; the empty path claims a blacklist
+            line = f"{name}\t{int(header) - count}\t"
+        else:
+            head, *rest = joined.split(",")
+            line = f"{name}\t{header}\t" + ",".join(
+                [str(int(head) - count), *rest])
+        saved.write_text(f"{version}\n{line}\n")
+        warm = TracingInterpreter(load_module(wire), threshold=THRESHOLD,
+                                  trace_cache=TraceCache(str(tmp_path)))
+        assert observe(warm, "Warm") == first
+        stats = warm.trace_stats()
+        assert stats["preloaded"] == 0
+        assert stats["recordings_finished"] > 0
+        assert stats["entries"] > 0
+        assert stats["preloaded_blacklisted"] == 0
 
 
 # ======================================================================
