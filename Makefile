@@ -7,8 +7,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test test-unit test-campaign bench bench-smoke bench-analysis \
 	bench-pipeline bench-load bench-loops bench-wire bench-serve \
-	bench-trace perfbench-smoke fuzz-smoke serve-smoke lint-corpus \
-	tables examples all clean
+	bench-trace perfbench-smoke fuzz-smoke serve-smoke cache-smoke \
+	lint-corpus tables examples all clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -99,6 +99,42 @@ fuzz-smoke:
 # rejection, and rate-limit enforcement (~5 s).
 serve-smoke:
 	$(PYTHON) -m repro.serve.smoke
+
+# Persistent-cache smoke: under a fresh REPRO_CACHE_DIR, `run --trace`
+# on Linpack and MiniVM three times each (cold, then warm) must print
+# the same stdout every time and leave .stsa, .verified and .trace
+# files in two-hex shards; then every cache file is truncated to 40
+# bytes and each program must run twice more, exit 0, same stdout.
+CACHE_SMOKE_PROGRAMS := Linpack MiniVM
+cache-smoke:
+	@set -e; work=$$(mktemp -d); trap 'rm -rf "$$work"' EXIT; \
+	export REPRO_CACHE_DIR="$$work/cache"; \
+	check() { \
+		$(PYTHON) -m repro.cli run src/repro/bench/corpus/$$1.java \
+			--trace > "$$work/stdout"; \
+		cmp -s "$$work/stdout" "$$work/$$1.expected" \
+			|| { echo "cache-smoke: $$1 stdout changed ($$2)" >&2; exit 1; }; \
+	}; \
+	for program in $(CACHE_SMOKE_PROGRAMS); do \
+		echo "== $$program"; \
+		$(PYTHON) -m repro.cli run src/repro/bench/corpus/$$program.java \
+			--trace > "$$work/$$program.expected"; \
+		check $$program "warm run 2"; check $$program "warm run 3"; \
+	done; \
+	for suffix in stsa verified trace; do \
+		find "$$REPRO_CACHE_DIR" -type f -name "*.$$suffix" | grep -q . \
+			|| { echo "cache-smoke: no .$$suffix entry" >&2; exit 1; }; \
+	done; \
+	if find "$$REPRO_CACHE_DIR" -type f | grep -Ev \
+		'/([0-9a-f]{2})/\1[0-9a-f]{62}\.(stsa|verified|trace)$$'; then \
+		echo "cache-smoke: files outside two-hex shards" >&2; exit 1; \
+	fi; \
+	echo "== truncating every cache file to 40 bytes"; \
+	find "$$REPRO_CACHE_DIR" -type f -exec truncate -s 40 {} +; \
+	for program in $(CACHE_SMOKE_PROGRAMS); do \
+		echo "== $$program (damaged cache)"; \
+		check $$program "damaged run 1"; check $$program "damaged run 2"; \
+	done
 
 # Lint every corpus program with the structured-diagnostics driver;
 # a non-zero exit (any error-severity diagnostic) fails the build.

@@ -23,7 +23,8 @@ from repro.frontend.parser import parse_compilation_unit
 from repro.frontend.semantics import analyze
 from repro.jvm.classfile import class_file_bytes
 from repro.jvm.codegen import compile_unit
-from repro.pipeline import compile_to_module, pipeline_cache_key
+from repro.driver import CompilationSession
+from repro.pipeline import compile_to_module
 from repro.ssa.ir import Module
 from repro.uast.builder import UastBuilder
 
@@ -189,12 +190,12 @@ def warm_cache(cache, jobs) -> int:
     """Fill ``cache`` by compiling ``jobs`` (source, flags) pairs across
     :func:`pool_map`, wire bytes being the picklable result.
     Already-cached jobs are skipped; returns how many compiles ran."""
-    pending = [(source, flags) for source, flags in jobs
-               if cache.get(pipeline_cache_key(cache, source, **flags))
-               is None]
-    wires, _ = pool_map(compile_wire_job, pending)
-    for (source, flags), wire in zip(pending, wires):
-        cache.put(pipeline_cache_key(cache, source, **flags), wire)
+    keyed = [(CompilationSession(cache=cache, **flags).cache_key(source),
+              (source, flags)) for source, flags in jobs]
+    pending = [(key, job) for key, job in keyed if cache.get(key) is None]
+    wires, _ = pool_map(compile_wire_job, [job for _, job in pending])
+    for (key, _), wire in zip(pending, wires):
+        cache.put(key, wire)
     return len(pending)
 
 

@@ -1,28 +1,45 @@
-"""Content-addressed compilation cache: source + flags -> wire bytes.
+"""Caches and content stores, all built on one blob primitive.
 
-The producer side of the pipeline (parse, semantic analysis, SSA
-construction, optimisation) is the expensive half; the consumer side
-(decode + verify) is cheap by design -- the paper's asymmetry, and the
-reason mobile-code results are worth caching as *encoded modules* rather
-than in-memory objects.  A hit replays the consumer path only:
+Everything the system persists is advisory: a verifying consumer
+checks it again (decoding re-verifies every reference, the loader
+re-checks cached boundaries, the trace compiler re-derives guards), so
+a stale or damaged entry can cost time but never soundness.
+:class:`BlobStore` therefore owns the whole storage decision once:
 
-    key  = SHA-256 over (format version, pipeline flags, source text)
-    value = the encoded ``.stsa`` bytes for that exact compilation
+* **Layout.**  A blob is named by 64 lowercase hex and lives in memory
+  and, given a directory, at ``<dir>/<name[:2]>/<name><SUFFIX>`` -- the
+  two-hex fan-out keeps any one directory at ~1/256th of the entries.
+  A name that is not 64 lowercase hex never reaches a path.
+* **Write, then publish.**  The disk write is atomic (a temp file
+  renamed over the target: a concurrent reader sees the old blob, the
+  new blob or a miss, never a partial file), and the in-memory entry
+  is set only after it succeeded, so a failed write leaves no phantom
+  entry a retry would skip.  A published value is never changed in
+  place.
+* **Damage reads as absent.**  A disk read falls back into memory
+  through the class's parse: a content-addressed blob must re-hash to
+  its name, a typed payload must parse.  Anything else is a miss.
 
-Because the wire format is self-validating (decoding re-verifies every
-reference), a stale or corrupted cache entry can produce a
-``DecodeError`` but never an unsound module.
+The subclasses supply only a suffix, a key function and a payload
+format: ``.stsa`` compiled wire (:class:`CompilationCache`),
+``.verified`` body boundaries (:class:`VerifiedModuleCache`), ``.trace``
+hot-loop paths (:class:`TraceCache`), and two content-addressed
+stores (:class:`ContentStore`): ``.blob`` v2 sections
+(:class:`DictionaryStore`) and ``.stsa`` served modules
+(:class:`repro.serve.store.ModuleStore`).
 
-The cache is in-memory by default; pass ``cache_dir`` (or set the
-``REPRO_CACHE_DIR`` environment variable) to persist entries on disk,
-one file per key, written atomically.
+``REPRO_CACHE_DIR`` enables the process-wide caches (``""`` for
+memory-only) and persists them, and the dictionary store, under that
+directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -32,15 +49,144 @@ from repro.encode.common import wire_format_version
 #: changes meaning; old entries then miss instead of decoding garbage.
 FORMAT_VERSION = "stsa1"
 
+#: Version tag for persisted trace-cache entries; bumping it makes old
+#: entries miss instead of replaying paths over a changed recorder.
+TRACE_FORMAT_VERSION = "stsa-trace1"
 
-class CompilationCache:
-    """Maps compilation keys to encoded module bytes, counting hits."""
+_HEX = frozenset("0123456789abcdef")
+
+
+def is_digest(text: str) -> bool:
+    """Syntactic check for a blob name: 64 lowercase hex."""
+    return len(text) == 64 and _HEX.issuperset(text)
+
+
+class BlobStore:
+    """Maps 64-hex names to values, in memory and optionally on disk.
+
+    Subclasses set :attr:`SUFFIX` and override :meth:`_dump` /
+    :meth:`_parse` for a typed payload; the defaults store raw bytes.
+    """
+
+    SUFFIX = ".blob"
 
     def __init__(self, cache_dir: Optional[str] = None):
-        self._memory: dict[str, bytes] = {}
+        self._memory: dict = {}
         self._dir = Path(cache_dir) if cache_dir else None
         self.hits = 0
         self.misses = 0
+
+    # -- payload format (subclass hooks) --------------------------------
+
+    def _dump(self, value) -> bytes:
+        return value
+
+    def _parse(self, name: str, data: bytes):
+        """The value a disk file holds, or None when it is damaged."""
+        return data
+
+    # -- storage --------------------------------------------------------
+
+    def _path(self, name: str) -> Path:
+        return self._dir / name[:2] / f"{name}{self.SUFFIX}"
+
+    def _peek(self, name: str):
+        """Memory, then disk, without counting; None on a miss."""
+        value = self._memory.get(name)
+        if value is None and self._dir is not None and is_digest(name):
+            try:
+                data = self._path(name).read_bytes()
+            except OSError:
+                return None
+            value = self._parse(name, data)
+            if value is not None:
+                self._memory[name] = value
+        return value
+
+    def get(self, name: str):
+        value = self._peek(name)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, name: str, value) -> None:
+        if not is_digest(name):
+            raise ValueError(f"blob name {name!r} is not 64 lowercase hex")
+        if self._dir is not None:
+            path = self._path(name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(self._dump(value))
+                os.replace(temp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(temp)
+                raise
+        self._memory[name] = value
+
+    def __contains__(self, name: str) -> bool:
+        return self._peek(name) is not None
+
+    def clear(self) -> None:
+        self._memory.clear()
+        self.hits = 0
+        self.misses = 0
+        if self._dir is not None:
+            for path in self._dir.glob(f"??/*{self.SUFFIX}"):
+                path.unlink(missing_ok=True)
+
+    def __len__(self) -> int:
+        return len(self._memory)
+
+    def __bool__(self) -> bool:
+        # an *empty* store is still an enabled store: without this,
+        # ``if cache:`` at the call sites would fall through __len__
+        # and silently disable caching until the first entry lands
+        return True
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def stats(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses,
+                "hit_rate": round(self.hit_rate, 4), "entries": len(self)}
+
+
+class ContentStore(BlobStore):
+    """A blob's name is the SHA-256 hex of its bytes, so "present but
+    wrong" is impossible by construction: a disk blob that no longer
+    re-hashes to its name reads as absent, never served."""
+
+    def _parse(self, name: str, data: bytes) -> Optional[bytes]:
+        return data if hashlib.sha256(data).hexdigest() == name else None
+
+    def put(self, blob: bytes) -> str:
+        """Store ``blob``; returns its name.  Idempotent -- storing the
+        same bytes twice is one entry (and one disk write)."""
+        name = hashlib.sha256(blob).hexdigest()
+        if name not in self._memory:
+            super().put(name, bytes(blob))
+        return name
+
+
+class CompilationCache(BlobStore):
+    """Compilation key -> encoded ``.stsa`` bytes.
+
+    The producer side of the pipeline (parse, semantic analysis, SSA
+    construction, optimisation) is the expensive half; the consumer
+    side (decode + verify) is cheap by design -- the paper's asymmetry,
+    and the reason results are cached as *encoded modules*.  A hit
+    replays the consumer path only; a damaged entry fails that decode
+    and the session compiles cold and overwrites it.
+    """
+
+    SUFFIX = ".stsa"
 
     @staticmethod
     def key(source: str, format_version: str = FORMAT_VERSION,
@@ -59,66 +205,8 @@ class CompilationCache:
         hasher.update(source.encode("utf-8"))
         return hasher.hexdigest()
 
-    def get(self, key: str) -> Optional[bytes]:
-        wire = self._memory.get(key)
-        if wire is None and self._dir is not None:
-            path = self._dir / f"{key}.stsa"
-            if path.is_file():
-                wire = path.read_bytes()
-                self._memory[key] = wire
-        if wire is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return wire
 
-    def put(self, key: str, wire: bytes) -> None:
-        self._memory[key] = wire
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            # atomic publish: a concurrent reader sees the old entry,
-            # the new entry, or a miss -- never a partial file
-            fd, temp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(wire)
-                os.replace(temp, self._dir / f"{key}.stsa")
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
-
-    def clear(self) -> None:
-        self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-        if self._dir is not None and self._dir.is_dir():
-            for path in self._dir.glob("*.stsa"):
-                path.unlink(missing_ok=True)
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __bool__(self) -> bool:
-        # an *empty* cache is still an enabled cache: without this,
-        # ``if cache:`` at the call sites would fall through __len__
-        # and silently disable caching until the first entry lands
-        return True
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate": round(self.hit_rate, 4),
-                "entries": len(self._memory)}
-
-
-class VerifiedModuleCache:
+class VerifiedModuleCache(BlobStore):
     """Remembers which wire streams already passed verification.
 
     The fused loader keys on the SHA-256 of the exact wire bytes; a hit
@@ -127,20 +215,11 @@ class VerifiedModuleCache:
     decode observed.  A warm load then skips the residual verification
     sweeps and a lazy load can seek straight to individual bodies --
     seeks the format itself cannot offer, having no length prefixes.
-
-    Entries are advisory, never load-bearing for soundness: the decode
-    itself still runs with every safety-by-construction check, so a
-    stale or corrupted entry can produce a ``DecodeError`` but never an
-    unsound module (the same guarantee :class:`CompilationCache`
-    documents).  Boundaries are re-checked against the stream end on
-    use.
+    The decode itself still runs with every safety-by-construction
+    check, and boundaries are re-checked against the stream on use.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None):
-        self._memory: dict[str, list[tuple[int, int]]] = {}
-        self._dir = Path(cache_dir) if cache_dir else None
-        self.hits = 0
-        self.misses = 0
+    SUFFIX = ".verified"
 
     @staticmethod
     def key(wire: bytes) -> str:
@@ -156,224 +235,99 @@ class VerifiedModuleCache:
         hasher.update(wire)
         return hasher.hexdigest()
 
-    def get(self, key: str) -> Optional[list[tuple[int, int]]]:
-        boundaries = self._memory.get(key)
-        if boundaries is None and self._dir is not None:
-            path = self._dir / f"{key}.verified"
-            if path.is_file():
-                boundaries = self._parse(path.read_text())
-                if boundaries is not None:
-                    self._memory[key] = boundaries
-        if boundaries is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return boundaries
-
     def put(self, key: str, boundaries: list[tuple[int, int]]) -> None:
-        self._memory[key] = list(boundaries)
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            text = FORMAT_VERSION + "\n" + "".join(
-                f"{start} {end}\n" for start, end in boundaries)
-            fd, temp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                os.replace(temp, self._dir / f"{key}.verified")
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
+        super().put(key, list(boundaries))
 
-    @staticmethod
-    def _parse(text: str) -> Optional[list[tuple[int, int]]]:
-        lines = text.splitlines()
-        if not lines or lines[0] != FORMAT_VERSION:
-            return None  # other format version: treat as a miss
+    def _dump(self, boundaries: list[tuple[int, int]]) -> bytes:
+        return (FORMAT_VERSION + "\n" + "".join(
+            f"{start} {end}\n" for start, end in boundaries)).encode()
+
+    def _parse(self, name: str,
+               data: bytes) -> Optional[list[tuple[int, int]]]:
         try:
+            version, *lines = data.decode().splitlines()
+            if version != FORMAT_VERSION:
+                return None  # other format version: treat as a miss
             boundaries = []
-            for line in lines[1:]:
+            for line in lines:
                 start, end = line.split()
                 boundaries.append((int(start), int(end)))
             return boundaries
         except ValueError:
             return None  # damaged entry: miss, the cold path re-runs
 
-    def clear(self) -> None:
-        self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-        if self._dir is not None and self._dir.is_dir():
-            for path in self._dir.glob("*.verified"):
-                path.unlink(missing_ok=True)
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __bool__(self) -> bool:
-        return True  # an empty cache is still an enabled cache
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate": round(self.hit_rate, 4),
-                "entries": len(self._memory)}
-
-
-class DictionaryStore:
-    """Content-addressed blob store for wire-format v2 sections.
+class DictionaryStore(ContentStore):
+    """Content-addressed store for wire-format v2 sections.
 
     Shared dictionaries and delta bases are named by their raw SHA-256
-    digest -- the 32 bytes an envelope actually carries -- so "present
-    but wrong" is impossible by construction: a blob that does not hash
-    to its key is treated as absent (and the envelope's resolution then
-    rejects with a stable ``DEC-*`` code).  Like the caches above the
-    store is advisory for performance, never load-bearing for
-    soundness: whatever it returns is re-fed to the verifying decoder.
-
-    Memory-only by default; with ``cache_dir`` blobs persist as
-    ``<digest-hex>.blob`` files, written atomically.
+    digest -- the 32 bytes an envelope actually carries.  A damaged
+    blob reads as absent, and the envelope's resolution then rejects
+    with a stable ``DEC-*`` code; whatever the store returns is re-fed
+    to the verifying decoder.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None):
-        self._memory: dict[bytes, bytes] = {}
-        self._dir = Path(cache_dir) if cache_dir else None
+    SUFFIX = ".blob"
 
     def put(self, blob: bytes) -> bytes:
         """Publish ``blob``; returns its 32-byte content address."""
-        digest = hashlib.sha256(blob).digest()
-        if digest not in self._memory:
-            self._memory[digest] = bytes(blob)
-            if self._dir is not None:
-                self._dir.mkdir(parents=True, exist_ok=True)
-                fd, temp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(blob)
-                    os.replace(temp, self._dir / f"{digest.hex()}.blob")
-                except BaseException:
-                    try:
-                        os.unlink(temp)
-                    except OSError:
-                        pass
-                    raise
-        return digest
+        return bytes.fromhex(super().put(blob))
 
     def get(self, digest: bytes) -> Optional[bytes]:
-        blob = self._memory.get(digest)
-        if blob is None and self._dir is not None:
-            path = self._dir / f"{digest.hex()}.blob"
-            if path.is_file():
-                blob = path.read_bytes()
-                if hashlib.sha256(blob).digest() != digest:
-                    return None  # damaged blob: absent, not wrong
-                self._memory[digest] = blob
-        return blob
+        return super().get(digest.hex())
 
     def __contains__(self, digest: bytes) -> bool:
-        return self.get(digest) is not None
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __bool__(self) -> bool:
-        return True  # an empty store is still an enabled store
-
-    def clear(self) -> None:
-        self._memory.clear()
-        if self._dir is not None and self._dir.is_dir():
-            for path in self._dir.glob("*.blob"):
-                path.unlink(missing_ok=True)
+        return super().__contains__(digest.hex())
 
 
-#: Version tag for persisted trace-cache entries; bumping it makes old
-#: entries miss instead of replaying paths over a changed recorder.
-TRACE_FORMAT_VERSION = "stsa-trace1"
-
-
-class TraceCache:
+class TraceCache(BlobStore):
     """Remembers which hot paths a module's loops compiled to traces.
 
-    Keyed on ``(wire digest, qualified function name, header index)``
-    with the recorded path stored as *reachable-block indices* -- block
+    One blob per wire digest maps ``(qualified function name, header
+    index)`` to the recorded path as *reachable-block indices* -- block
     ids are process-local serials and do not survive a re-decode, but
     the deterministic ``reachable_blocks()`` order does.  A warm
     process (the serve path re-running a cached module) re-creates the
     compiled traces straight from the cache and skips the whole
-    count/record cycle.
-
-    Entries are advisory, never load-bearing: the trace compiler
-    re-derives guards and phi moves from the decoded SSA, so a stale
-    path at worst fails to compile (cold behaviour), never produces a
-    wrong trace.
-
-    Memory-only by default; with ``cache_dir`` each digest persists as
-    a ``<digest>.trace`` file, written atomically.
+    count/record cycle.  The trace compiler re-derives guards and phi
+    moves from the decoded SSA, so a stale path at worst fails to
+    compile (cold behaviour), never produces a wrong trace.
     """
 
+    SUFFIX = ".trace"
+
     def __init__(self, cache_dir: Optional[str] = None):
-        self._memory: dict[str, dict[tuple[str, int], tuple[int, ...]]] = {}
-        self._dir = Path(cache_dir) if cache_dir else None
-        self.hits = 0
-        self.misses = 0
+        super().__init__(cache_dir)
+        # serve's run threads share one cache: a put merges into the
+        # digest's published map, and two merges must not lose one
+        self._merge = threading.Lock()
 
     def get(self, digest: str) -> dict[tuple[str, int], tuple[int, ...]]:
-        entries = self._memory.get(digest)
-        if entries is None and self._dir is not None:
-            path = self._dir / f"{digest}.trace"
-            if path.is_file():
-                entries = self._parse(path.read_text())
-                if entries is not None:
-                    self._memory[digest] = entries
-        if not entries:
-            self.misses += 1
-            return {}
-        self.hits += 1
-        return dict(entries)
+        return dict(super().get(digest) or {})
 
     def put(self, digest: str, name: str, header_index: int,
             path_indices: tuple[int, ...]) -> None:
-        entries = self._memory.setdefault(digest, {})
-        key = (name, int(header_index))
-        if entries.get(key) == tuple(path_indices):
-            return
-        entries[key] = tuple(path_indices)
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            lines = [TRACE_FORMAT_VERSION]
-            for (entry_name, header), indices in sorted(entries.items()):
-                joined = ",".join(str(i) for i in indices)
-                lines.append(f"{entry_name}\t{header}\t{joined}")
-            fd, temp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write("\n".join(lines) + "\n")
-                os.replace(temp, self._dir / f"{digest}.trace")
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
+        key, path = (name, int(header_index)), tuple(path_indices)
+        with self._merge:
+            entries = self._peek(digest) or {}
+            if entries.get(key) != path:
+                # copy on write: a published map is never mutated
+                super().put(digest, {**entries, key: path})
 
-    @staticmethod
-    def _parse(
-            text: str
-    ) -> Optional[dict[tuple[str, int], tuple[int, ...]]]:
-        lines = text.splitlines()
-        if not lines or lines[0] != TRACE_FORMAT_VERSION:
-            return None  # other format version: treat as a miss
+    def _dump(self, entries: dict) -> bytes:
+        lines = [TRACE_FORMAT_VERSION] + [
+            f"{name}\t{header}\t{','.join(str(i) for i in indices)}"
+            for (name, header), indices in sorted(entries.items())]
+        return ("\n".join(lines) + "\n").encode()
+
+    def _parse(self, name: str, data: bytes) -> Optional[dict]:
         try:
-            entries: dict[tuple[str, int], tuple[int, ...]] = {}
-            for line in lines[1:]:
-                name, header, joined = line.split("\t")
+            version, *lines = data.decode().splitlines()
+            if version != TRACE_FORMAT_VERSION:
+                return None  # other format version: treat as a miss
+            entries = {}
+            for line in lines:
+                function, header, joined = line.split("\t")
                 header_index = int(header)
                 # an empty path is a persisted blacklist: "this header
                 # never traces profitably, skip the count/record cycle"
@@ -381,92 +335,42 @@ class TraceCache:
                     if joined else ()
                 if header_index < 0 or any(i < 0 for i in indices):
                     return None  # would wrap onto a real block: damage
-                entries[(name, header_index)] = indices
-            return entries
+                entries[(function, header_index)] = indices
+            return entries or None
         except ValueError:
             return None  # damaged entry: miss, traces re-record
-
-    def clear(self) -> None:
-        self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-        if self._dir is not None and self._dir.is_dir():
-            for path in self._dir.glob("*.trace"):
-                path.unlink(missing_ok=True)
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._memory.values())
 
-    def __bool__(self) -> bool:
-        return True  # an empty cache is still an enabled cache
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate": round(self.hit_rate, 4),
-                "entries": len(self)}
+# ``REPRO_CACHE_DIR``, read once: unset leaves the process-wide caches
+# off (the dictionary store is always present), "" makes them
+# memory-only, a path persists them there.
+_CONFIGURED = os.environ.get("REPRO_CACHE_DIR")
+_ENABLED = _CONFIGURED is not None
+_DEFAULT = CompilationCache(_CONFIGURED) if _ENABLED else None
+_DEFAULT_MODULES = VerifiedModuleCache(_CONFIGURED) if _ENABLED else None
+_DEFAULT_TRACES = TraceCache(_CONFIGURED) if _ENABLED else None
+_DEFAULT_DICTS = DictionaryStore(_CONFIGURED)
 
 
-def default_dictionary_store() -> DictionaryStore:
-    """The process-wide dictionary store.  Always present (an empty
-    store deterministically rejects every digest reference), persisted
-    under ``REPRO_CACHE_DIR`` when that is set."""
-    return _DEFAULT_DICTS
+def default_cache() -> Optional[CompilationCache]:
+    """The process-wide compilation cache, or None."""
+    return _DEFAULT
 
 
 def default_module_cache() -> Optional[VerifiedModuleCache]:
-    """The process-wide verified-module cache, enabled alongside the
-    compilation cache by ``REPRO_CACHE_DIR`` ("" for memory-only)."""
+    """The process-wide verified-module cache, or None."""
     return _DEFAULT_MODULES
 
 
 def default_trace_cache() -> Optional[TraceCache]:
-    """The process-wide trace cache, enabled alongside the other caches
-    by ``REPRO_CACHE_DIR`` ("" for memory-only)."""
+    """The process-wide trace cache, or None."""
     return _DEFAULT_TRACES
 
 
-def default_cache() -> Optional[CompilationCache]:
-    """The process-wide cache, enabled by ``REPRO_CACHE_DIR`` ("" for
-    memory-only) or by :func:`enable_default_cache`."""
-    return _DEFAULT
-
-
-def enable_default_cache(
-        cache_dir: Optional[str] = None) -> CompilationCache:
-    global _DEFAULT
-    if _DEFAULT is None or (cache_dir and _DEFAULT._dir is None):
-        _DEFAULT = CompilationCache(cache_dir or None)
-    return _DEFAULT
-
-
-def _from_environment() -> Optional[CompilationCache]:
-    configured = os.environ.get("REPRO_CACHE_DIR")
-    if configured is None:
-        return None
-    return CompilationCache(configured or None)
-
-
-def _modules_from_environment() -> Optional[VerifiedModuleCache]:
-    configured = os.environ.get("REPRO_CACHE_DIR")
-    if configured is None:
-        return None
-    return VerifiedModuleCache(configured or None)
-
-
-def _traces_from_environment() -> Optional[TraceCache]:
-    configured = os.environ.get("REPRO_CACHE_DIR")
-    if configured is None:
-        return None
-    return TraceCache(configured or None)
-
-
-_DEFAULT: Optional[CompilationCache] = _from_environment()
-_DEFAULT_MODULES: Optional[VerifiedModuleCache] = _modules_from_environment()
-_DEFAULT_TRACES: Optional[TraceCache] = _traces_from_environment()
-_DEFAULT_DICTS: DictionaryStore = DictionaryStore(
-    os.environ.get("REPRO_CACHE_DIR") or None)
+def default_dictionary_store() -> DictionaryStore:
+    """The process-wide dictionary store.  Always present: an empty
+    store deterministically rejects every digest reference."""
+    return _DEFAULT_DICTS

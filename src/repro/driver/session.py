@@ -158,13 +158,20 @@ class CompilationSession:
         On a hit the producer half is skipped entirely and the cached
         wire bytes are decoded -- the cheap, self-validating consumer
         path.  Misses compile, optimise, and publish the encoded bytes
-        under a key covering the pass spec.
+        under a key covering the pass spec.  A damaged entry (one the
+        verifying load rejects) is a miss: the cold compile overwrites
+        it.
         """
         key = self.cache_key(source)
         if key is not None:
             wire = self._cache.get(key)
             if wire is not None:
-                return self.load(wire)
+                from repro.encode.deserializer import DecodeError
+                from repro.tsa.verifier import VerifyError
+                try:
+                    return self.load(wire)
+                except (DecodeError, VerifyError):
+                    pass
         module = self.build_module(source)
         self.optimize(module)
         if key is not None:

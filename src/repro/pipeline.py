@@ -19,37 +19,6 @@ from repro.driver.session import (
 )
 from repro.ssa.ir import Module
 
-#: Producer-pipeline flag defaults; the compilation-cache key covers
-#: exactly these, so cache writers and readers must agree on them.
-#: ``optimize``/``passes`` jointly resolve to a canonical pipeline-spec
-#: string (see :func:`repro.driver.passes.effective_passes`), which is
-#: what the key actually hashes.
-PIPELINE_FLAG_DEFAULTS = {
-    "optimize": False, "passes": None,
-    "prune_phis": True, "eager_phis": True}
-
-
-def pipeline_cache_key(cache, source: str, **flags) -> str:
-    """The cache key :func:`compile_to_module` uses for this compile.
-
-    Unknown flag names raise ``TypeError``: a misspelled flag
-    (``optimise=True``) would otherwise silently hash into a key no
-    compile ever writes, turning every lookup into a miss.
-    """
-    unknown = sorted(set(flags) - set(PIPELINE_FLAG_DEFAULTS))
-    if unknown:
-        raise TypeError(
-            f"unknown pipeline flag(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(PIPELINE_FLAG_DEFAULTS))}")
-    from repro.driver.passes import effective_passes, spec_string
-    merged = dict(PIPELINE_FLAG_DEFAULTS)
-    merged.update(flags)
-    spec = spec_string(effective_passes(merged["optimize"],
-                                        merged["passes"]))
-    return cache.key(source, passes=spec,
-                     prune_phis=merged["prune_phis"],
-                     eager_phis=merged["eager_phis"])
-
 
 def compile_to_module(source: str, *, optimize: bool = False,
                       passes=None, prune_phis: bool = True,

@@ -1,31 +1,23 @@
-"""Sharded content-addressed module store: the serving-side twin of
+"""Content-addressed module store: the serving-side twin of
 :class:`repro.cache.DictionaryStore`.
 
 Modules are keyed by the SHA-256 hex of their exact distribution bytes
 -- a v1 stream and a v2 envelope of the same compilation are distinct
 units, each fetchable under its own digest (the envelope's dictionary
 blobs resolve separately through the
-:class:`~repro.cache.DictionaryStore`).  Content addressing means
-"present but wrong" is impossible by construction: a disk blob that no
-longer hashes to its name is treated as absent, never served.
-
-On disk the store shards by the first two hex characters
-(``<root>/ab/<digest>.stsa``), the standard fan-out that keeps any one
-directory's entry count ~1/256th of the population -- directory scans
-stay cheap at millions of modules.  Writes are atomic (temp file +
-``os.replace``), so a concurrent reader sees the old blob, the new
-blob, or a miss -- never a partial file.
+:class:`~repro.cache.DictionaryStore`).  Layout, atomic writes and the
+damage rule are :class:`repro.cache.BlobStore`'s: shards at
+``<root>/ab/<digest>.stsa``, and a shard that no longer hashes to its
+name is absent, never served.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
-from pathlib import Path
-from typing import Optional
 
-_DIGEST_HEX = 64
+from repro.cache import ContentStore, is_digest
+
+__all__ = ["ModuleStore", "is_digest", "wire_digest"]
 
 
 def wire_digest(wire: bytes) -> str:
@@ -34,75 +26,7 @@ def wire_digest(wire: bytes) -> str:
     return hashlib.sha256(wire).hexdigest()
 
 
-def is_digest(text: str) -> bool:
-    """Syntactic check for a full module digest (64 lowercase hex)."""
-    return (len(text) == _DIGEST_HEX
-            and all(c in "0123456789abcdef" for c in text))
-
-
-class ModuleStore:
+class ModuleStore(ContentStore):
     """Maps wire digests to distribution bytes, sharded on disk."""
 
-    def __init__(self, root: Optional[str] = None):
-        self._memory: dict[str, bytes] = {}
-        self._root = Path(root) if root else None
-        self.puts = 0
-        self.gets = 0
-
-    def _shard_path(self, digest: str) -> Path:
-        assert self._root is not None
-        return self._root / digest[:2] / f"{digest}.stsa"
-
-    def put(self, wire: bytes) -> str:
-        """Store ``wire``; returns its digest.  Idempotent -- storing
-        the same bytes twice is one entry (and one disk write)."""
-        digest = wire_digest(wire)
-        if digest in self._memory:
-            return digest
-        self._memory[digest] = bytes(wire)
-        self.puts += 1
-        if self._root is not None:
-            path = self._shard_path(digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(wire)
-                os.replace(temp, path)
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
-        return digest
-
-    def get(self, digest: str) -> Optional[bytes]:
-        self.gets += 1
-        wire = self._memory.get(digest)
-        if wire is None and self._root is not None and is_digest(digest):
-            path = self._shard_path(digest)
-            if path.is_file():
-                wire = path.read_bytes()
-                if wire_digest(wire) != digest:
-                    return None  # damaged shard: absent, never wrong
-                self._memory[digest] = wire
-        return wire
-
-    def __contains__(self, digest: str) -> bool:
-        return self.get(digest) is not None
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __bool__(self) -> bool:
-        return True  # an empty store is still an enabled store
-
-    def total_bytes(self) -> int:
-        """Bytes held in memory (the serving working set)."""
-        return sum(len(wire) for wire in self._memory.values())
-
-    def stats(self) -> dict:
-        return {"entries": len(self._memory),
-                "bytes": self.total_bytes(),
-                "puts": self.puts, "gets": self.gets}
+    SUFFIX = ".stsa"

@@ -24,7 +24,8 @@ from repro.encode._bitio_reference import (
 from repro.encode.bitio import BitIOError, BitReader, BitWriter
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
-from repro.pipeline import compile_to_module, pipeline_cache_key
+from repro.driver import CompilationSession
+from repro.pipeline import compile_to_module
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "wire"
 MANIFEST = json.loads((GOLDEN_DIR / "MANIFEST.json").read_text())
@@ -288,12 +289,16 @@ class TestBoundaryRoundTrips:
         assert BitReader(writer.getvalue()).read_gamma() == 2**64 - 2
 
 
+def cache_key(cache, source, **flags):
+    return CompilationSession(cache=cache, **flags).cache_key(source)
+
+
 class TestCompilationCache:
     SOURCE = "class C { static int f() { return 41 + 1; } }"
 
     def test_miss_then_hit(self):
         cache = CompilationCache()
-        key = pipeline_cache_key(cache, self.SOURCE)
+        key = cache_key(cache, self.SOURCE)
         assert cache.get(key) is None
         module = compile_to_module(self.SOURCE, cache=cache)
         assert cache.get(key) == encode_module(module)
@@ -310,22 +315,22 @@ class TestCompilationCache:
     def test_flags_partition_the_key_space(self):
         cache = CompilationCache()
         keys = {
-            pipeline_cache_key(cache, self.SOURCE),
-            pipeline_cache_key(cache, self.SOURCE, optimize=True),
-            pipeline_cache_key(cache, self.SOURCE, prune_phis=False),
-            pipeline_cache_key(cache, self.SOURCE + " "),
+            cache_key(cache, self.SOURCE),
+            cache_key(cache, self.SOURCE, optimize=True),
+            cache_key(cache, self.SOURCE, prune_phis=False),
+            cache_key(cache, self.SOURCE + " "),
         }
         assert len(keys) == 4
         # explicit defaults hash identically to omitted flags
-        assert pipeline_cache_key(cache, self.SOURCE) == \
-            pipeline_cache_key(cache, self.SOURCE, optimize=False)
+        assert cache_key(cache, self.SOURCE) == \
+            cache_key(cache, self.SOURCE, optimize=False)
 
     def test_disk_persistence(self, tmp_path):
         first = CompilationCache(str(tmp_path))
         compile_to_module(self.SOURCE, cache=first)
-        assert list(tmp_path.glob("*.stsa"))
+        assert list(tmp_path.glob("??/*.stsa"))
         second = CompilationCache(str(tmp_path))
-        key = pipeline_cache_key(second, self.SOURCE)
+        key = cache_key(second, self.SOURCE)
         assert second.get(key) is not None
         assert second.hits == 1
         module = compile_to_module(self.SOURCE, cache=second)
@@ -336,15 +341,20 @@ class TestCompilationCache:
         compile_to_module(self.SOURCE, cache=cache)
         cache.clear()
         assert len(cache) == 0
-        assert not list(tmp_path.glob("*.stsa"))
-        assert cache.get(pipeline_cache_key(cache, self.SOURCE)) is None
+        assert not list(tmp_path.glob("??/*.stsa"))
+        assert cache.get(cache_key(cache, self.SOURCE)) is None
 
-    def test_corrupt_entry_fails_safely(self):
-        cache = CompilationCache()
-        key = pipeline_cache_key(cache, self.SOURCE)
+    def test_corrupt_entry_fails_safely(self, tmp_path):
+        """A damaged entry behaves as if absent: the compile runs cold
+        and overwrites it with the bytes a cache-less compile emits."""
+        cache = CompilationCache(str(tmp_path))
+        key = cache_key(cache, self.SOURCE)
         cache.put(key, b"\x00garbage")
-        with pytest.raises(DecodeError):
-            compile_to_module(self.SOURCE, cache=cache)
+        module = compile_to_module(self.SOURCE, cache=cache)
+        cold = encode_module(compile_to_module(self.SOURCE, cache=False))
+        assert encode_module(module) == cold
+        assert cache.get(key) == cold
+        assert CompilationCache(str(tmp_path)).get(key) == cold
 
     def test_stage_seconds_recorded(self):
         cache = CompilationCache()

@@ -26,11 +26,7 @@ from repro.driver import (
     spec_string,
 )
 from repro.driver.passes import effective_passes
-from repro.pipeline import (
-    PIPELINE_FLAG_DEFAULTS,
-    compile_to_module,
-    pipeline_cache_key,
-)
+from repro.pipeline import compile_to_module
 from repro.fuzz.gen import program_strategy
 
 
@@ -130,41 +126,47 @@ class TestMergeStats:
         assert fast != other
 
 
+def cache_key(cache, source, **flags):
+    return CompilationSession(cache=cache, **flags).cache_key(source)
+
+
 class TestCacheKeyCoverage:
     def test_unknown_flag_raises_type_error(self):
         # regression: a misspelled flag used to mint a key that never
         # hits, silently disabling the cache for that caller
         cache = CompilationCache()
         with pytest.raises(TypeError, match="optimise"):
-            pipeline_cache_key(cache, SOURCE, optimise=True)
+            cache_key(cache, SOURCE, optimise=True)
 
     def test_known_flags_accepted(self):
         cache = CompilationCache()
-        for flag, default in PIPELINE_FLAG_DEFAULTS.items():
-            assert pipeline_cache_key(cache, SOURCE, **{flag: default}) \
-                == pipeline_cache_key(cache, SOURCE)
+        defaults = {"optimize": False, "passes": None,
+                    "prune_phis": True, "eager_phis": True}
+        for flag, default in defaults.items():
+            assert cache_key(cache, SOURCE, **{flag: default}) \
+                == cache_key(cache, SOURCE)
 
     def test_distinct_pass_specs_distinct_keys(self):
         cache = CompilationCache()
         keys = {
-            pipeline_cache_key(cache, SOURCE),
-            pipeline_cache_key(cache, SOURCE, optimize=True),
-            pipeline_cache_key(cache, SOURCE, passes="constprop"),
-            pipeline_cache_key(cache, SOURCE, passes="constprop,dce"),
-            pipeline_cache_key(cache, SOURCE, passes="cse_fields"),
+            cache_key(cache, SOURCE),
+            cache_key(cache, SOURCE, optimize=True),
+            cache_key(cache, SOURCE, passes="constprop"),
+            cache_key(cache, SOURCE, passes="constprop,dce"),
+            cache_key(cache, SOURCE, passes="cse_fields"),
         }
         assert len(keys) == 5
 
     def test_spec_aliases_share_a_key(self):
         cache = CompilationCache()
         # optimize=True IS the canonical spec; order does not matter
-        assert pipeline_cache_key(cache, SOURCE, optimize=True) \
-            == pipeline_cache_key(cache, SOURCE, passes=CANONICAL_SPEC)
-        assert pipeline_cache_key(cache, SOURCE, passes="dce,constprop") \
-            == pipeline_cache_key(cache, SOURCE, passes="constprop,dce")
+        assert cache_key(cache, SOURCE, optimize=True) \
+            == cache_key(cache, SOURCE, passes=CANONICAL_SPEC)
+        assert cache_key(cache, SOURCE, passes="dce,constprop") \
+            == cache_key(cache, SOURCE, passes="constprop,dce")
         # explicit no-op pipeline == the unoptimized default
-        assert pipeline_cache_key(cache, SOURCE, passes="") \
-            == pipeline_cache_key(cache, SOURCE)
+        assert cache_key(cache, SOURCE, passes="") \
+            == cache_key(cache, SOURCE)
 
     def test_unoptimized_entry_never_served_for_optimized_compile(self):
         cache = CompilationCache()

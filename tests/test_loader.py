@@ -332,28 +332,6 @@ class TestVerifiedModuleCache:
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
-    def test_persists_across_instances(self, tmp_path):
-        key = VerifiedModuleCache.key(b"wire")
-        VerifiedModuleCache(str(tmp_path)).put(key, [(8, 9)])
-        assert VerifiedModuleCache(str(tmp_path)).get(key) == [(8, 9)]
-
-    def test_damaged_entry_is_a_miss(self, tmp_path):
-        cache = VerifiedModuleCache(str(tmp_path))
-        key = VerifiedModuleCache.key(b"wire")
-        cache.put(key, [(8, 9)])
-        path = next(Path(str(tmp_path)).glob("*.verified"))
-        path.write_text("stsa1\n8 not-a-number\n")
-        assert VerifiedModuleCache(str(tmp_path)).get(key) is None
-        path.write_text("other-version\n8 9\n")
-        assert VerifiedModuleCache(str(tmp_path)).get(key) is None
-
-    def test_clear(self, tmp_path):
-        cache = VerifiedModuleCache(str(tmp_path))
-        key = VerifiedModuleCache.key(b"wire")
-        cache.put(key, [(8, 9)])
-        cache.clear()
-        assert cache.get(key) is None
-
 
 class TestCacheCorruptionSafety:
     """A stale or tampered cache entry may cost time, never soundness."""

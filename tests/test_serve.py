@@ -27,6 +27,7 @@ keeps the unit/protocol lanes fast.
 from __future__ import annotations
 
 import base64
+import errno
 import json
 import os
 import re
@@ -103,6 +104,43 @@ class TestModuleStore:
         shard.write_bytes(b"rotted" + shard.read_bytes())
         fresh = ModuleStore(str(tmp_path))
         assert fresh.get(digest) is None  # absent, not wrong
+
+
+class TestFailedStoreWrite:
+    def test_publish_retry_is_served_after_a_restart(self, tmp_path,
+                                                     monkeypatch):
+        """A publish whose store write failed leaves no entry behind,
+        so its retry writes the module and every digest the replayed
+        log names is still served by a restarted service."""
+        real_replace = os.replace
+        failed = []
+
+        def replace_failing_once(source, target):
+            if not failed:
+                failed.append(target)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_failing_once)
+        service = ServeService(store_dir=str(tmp_path),
+                               signing_key=SERVE_TEST_KEY)
+        request = {"name": "m", "source": SOURCE, "tenant": "t"}
+        with pytest.raises(OSError):
+            service.handle("POST", "/v1/publish", request)
+        assert failed
+        published = service.handle("POST", "/v1/publish", request)
+        assert published["seq"] == 0
+        service.close()
+
+        restarted = ServeService(store_dir=str(tmp_path),
+                                 signing_key=SERVE_TEST_KEY)
+        digests = [entry["manifest"]["digest"] for entry
+                   in restarted.handle("GET", "/v1/log")["entries"]]
+        assert digests == [published["digest"]]
+        for digest in digests:
+            fetched = restarted.handle("GET", f"/v1/fetch/{digest}")
+            assert wire_digest(base64.b64decode(fetched["wire_b64"])) \
+                == digest
 
 
 # ======================================================================

@@ -289,7 +289,7 @@ class TestTraceCache:
         main = next(function for function in module.functions.values()
                     if function.method.name == "main")
         count = len(main.reachable_blocks())
-        (saved,) = tmp_path.glob("*.trace")
+        (saved,) = tmp_path.glob("??/*.trace")
         version, line = saved.read_text().splitlines()
         name, header, joined = line.split("\t")
         if damage == "header":

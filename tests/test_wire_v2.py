@@ -252,7 +252,7 @@ class TestEnvelopeRejection:
         wire = _encode(SMALL_SOURCE)
         store = DictionaryStore(str(tmp_path))
         envelope = encode_v2(wire, (wire[:20],), store=store)
-        blob_path = next(tmp_path.glob("*.blob"))
+        blob_path = next(tmp_path.glob("??/*.blob"))
         blob_path.write_bytes(b"\x00" * 20)
         fresh = DictionaryStore(str(tmp_path))
         with pytest.raises(DecodeError) as info:
