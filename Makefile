@@ -5,10 +5,10 @@ PYTHON ?= python3
 # Targets work from a bare checkout too (no editable install needed).
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-unit test-campaign bench bench-smoke bench-analysis \
-	bench-pipeline bench-load bench-loops bench-wire bench-serve \
-	bench-trace perfbench-smoke fuzz-smoke serve-smoke cache-smoke \
-	lint-corpus tables examples all clean
+.PHONY: test test-unit test-campaign bench bench-check bench-smoke \
+	bench-analysis bench-pipeline bench-load bench-loops bench-wire \
+	bench-serve bench-trace perfbench-smoke fuzz-smoke serve-smoke \
+	cache-smoke lint-corpus tables examples all clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -25,6 +25,12 @@ test-campaign:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+# The benchmarks/ suite as plain tests: every table-shape assertion
+# runs once, timings off (testpaths covers tests/ only, so nothing
+# else imports these files).
+bench-check:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 # Small codec + cache throughput run; writes BENCH_codec.json (CI runs
 # this after the test suite).

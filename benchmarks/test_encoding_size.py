@@ -14,13 +14,13 @@ import zlib
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode.serializer import encode_module
 from repro.frontend.parser import parse_compilation_unit
 from repro.frontend.semantics import analyze
 from repro.jvm.classfile import class_file_bytes
 from repro.jvm.codegen import compile_unit
-from repro.pipeline import compile_to_module
 from repro.uast.builder import UastBuilder
 
 
@@ -29,7 +29,7 @@ def measurements():
     rows = []
     for name in CORPUS_PROGRAMS:
         source = corpus_source(name)
-        module = compile_to_module(source, optimize=True)
+        module = compile_source(source, optimize=True)
         report: dict = {}
         wire = encode_module(module, size_report=report)
         phases = report.pop("_phases")
@@ -104,6 +104,6 @@ def test_wire_always_smaller_than_classfiles(measurements):
 
 
 def test_encode_throughput_benchmark(benchmark):
-    module = compile_to_module(corpus_source("BigInt"), optimize=True)
+    module = compile_source(corpus_source("BigInt"), optimize=True)
     wire = benchmark(lambda: encode_module(module))
     assert len(wire) > 100

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.opt.pipeline import optimize_module
-from repro.pipeline import compile_to_module
+from repro.driver import PassManager
 from repro.tsa.verifier import verify_module
 
 BASE = ["constprop", "cse", "dce"]
@@ -24,8 +24,8 @@ WITH_FIELDS = ["constprop", "safephi", "cse_fields", "dce"]
 def _measure(passes):
     out = {}
     for name in CORPUS_PROGRAMS:
-        module = compile_to_module(corpus_source(name))
-        optimize_module(module, passes)
+        module = compile_source(corpus_source(name))
+        PassManager(passes).run_module(module)
         verify_module(module)
         out[name] = {
             "instructions": module.instruction_count(),
@@ -78,10 +78,10 @@ def test_extended_pipeline_preserves_semantics():
     from repro.interp.interpreter import Interpreter
     for name in ("BigInt", "BinaryCode"):
         source = corpus_source(name)
-        expected = Interpreter(compile_to_module(source),
+        expected = Interpreter(compile_source(source),
                                max_steps=80_000_000).run_main(name)
-        module = compile_to_module(source)
-        optimize_module(module, WITH_FIELDS)
+        module = compile_source(source)
+        PassManager(WITH_FIELDS).run_module(module)
         actual = Interpreter(module, max_steps=80_000_000).run_main(name)
         assert actual.stdout == expected.stdout, name
 
@@ -91,7 +91,7 @@ def test_safephi_pass_benchmark(benchmark):
     source = corpus_source("Environment")
 
     def run():
-        module = compile_to_module(source)
+        module = compile_source(source)
         return sum(run_safe_phi_propagation(f)
                    for f in module.functions.values())
 
@@ -101,7 +101,7 @@ def test_safephi_pass_benchmark(benchmark):
 def test_partitioned_memdep_benchmark(benchmark):
     from repro.opt.memdep import MemDep
     source = corpus_source("BigInt")
-    module = compile_to_module(source)
+    module = compile_source(source)
 
     def run():
         return [MemDep(f, partitioned=True)

@@ -15,9 +15,9 @@ the paper reports:
 from __future__ import annotations
 
 from benchmarks.conftest import totals
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.bench.tables import figure5_table
-from repro.pipeline import compile_to_module
 
 
 def test_figure5_shape(corpus_rows):
@@ -53,5 +53,5 @@ def test_figure5_optimized_never_larger(corpus_rows):
 def test_compile_throughput_benchmark(benchmark):
     """Timing: full producer pipeline on the largest corpus program."""
     source = corpus_source("Linpack")
-    module = benchmark(lambda: compile_to_module(source, optimize=True))
+    module = benchmark(lambda: compile_source(source, optimize=True))
     assert module.instruction_count() > 0

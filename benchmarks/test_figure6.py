@@ -11,10 +11,10 @@ The paper reports, from producer-side optimisation alone:
 from __future__ import annotations
 
 from benchmarks.conftest import totals
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.bench.tables import figure6_table
-from repro.opt.pipeline import optimize_module
-from repro.pipeline import compile_to_module
+from repro.driver import PassManager
 
 
 def test_figure6_shape(corpus_rows):
@@ -59,8 +59,8 @@ def test_optimizer_throughput_benchmark(benchmark):
     source = corpus_source("BigInt")
 
     def run():
-        module = compile_to_module(source)
-        optimize_module(module)
+        module = compile_source(source)
+        PassManager().run_module(module)
         return module
 
     module = benchmark(run)

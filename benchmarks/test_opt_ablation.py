@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.bench.tables import ablation_table
-from repro.opt.pipeline import optimize_module
-from repro.pipeline import compile_to_module
+from repro.driver import PassManager
 
 CONFIGS = {
     "none": [],
@@ -26,9 +26,9 @@ CONFIGS = {
 def _counts_for(source: str) -> dict[str, int]:
     counts = {}
     for label, passes in CONFIGS.items():
-        module = compile_to_module(source, prune_phis=False)
+        module = compile_source(source, prune_phis=False)
         if passes:
-            optimize_module(module, passes)
+            PassManager(passes).run_module(module)
         counts[label] = module.instruction_count()
     return counts
 
@@ -76,12 +76,12 @@ def test_constprop_small_but_nonzero(ablation):
 def test_each_config_preserves_semantics():
     from repro.interp.interpreter import Interpreter
     source = corpus_source("BigInt")
-    expected = Interpreter(compile_to_module(source),
+    expected = Interpreter(compile_source(source),
                            max_steps=50_000_000).run_main("BigInt").stdout
     for label, passes in CONFIGS.items():
-        module = compile_to_module(source)
+        module = compile_source(source)
         if passes:
-            optimize_module(module, passes)
+            PassManager(passes).run_module(module)
         result = Interpreter(module, max_steps=50_000_000).run_main("BigInt")
         assert result.stdout == expected, f"{label} changed behaviour"
 
@@ -91,7 +91,7 @@ def test_cse_pass_benchmark(benchmark):
     source = corpus_source("Linpack")
 
     def run():
-        module = compile_to_module(source)
+        module = compile_source(source)
         return sum(run_cse(f).eliminated
                    for f in module.functions.values())
 

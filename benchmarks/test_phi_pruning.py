@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.bench.tables import phi_pruning_table
-from repro.pipeline import compile_to_module
 from repro.ssa.phi_pruning import prune_dead_phis
 
 
 def _phi_counts(name: str) -> tuple[int, int]:
     source = corpus_source(name)
-    unpruned = compile_to_module(source, prune_phis=False)
-    pruned = compile_to_module(source, prune_phis=True)
+    unpruned = compile_source(source, prune_phis=False)
+    pruned = compile_source(source, prune_phis=True)
     return unpruned.count_opcodes("phi"), pruned.count_opcodes("phi")
 
 
@@ -58,8 +58,8 @@ def test_pruning_strong_on_exception_heavy_code():
         }
     }
     """
-    unpruned = compile_to_module(source, prune_phis=False)
-    pruned = compile_to_module(source, prune_phis=True)
+    unpruned = compile_source(source, prune_phis=False)
+    pruned = compile_source(source, prune_phis=True)
     before = unpruned.count_opcodes("phi")
     after = pruned.count_opcodes("phi")
     reduction = 1 - after / before
@@ -70,19 +70,19 @@ def test_pruning_preserves_semantics():
     from repro.interp.interpreter import Interpreter
     for name in ("BitSieve", "Linpack"):
         source = corpus_source(name)
-        unpruned = Interpreter(compile_to_module(source, prune_phis=False),
+        unpruned = Interpreter(compile_source(source, prune_phis=False),
                                max_steps=50_000_000).run_main(name)
-        pruned = Interpreter(compile_to_module(source, prune_phis=True),
+        pruned = Interpreter(compile_source(source, prune_phis=True),
                              max_steps=50_000_000).run_main(name)
         assert unpruned.stdout == pruned.stdout
 
 
 def test_pruning_throughput_benchmark(benchmark):
     source = corpus_source("Linpack")
-    module = compile_to_module(source, prune_phis=False)
+    module = compile_source(source, prune_phis=False)
 
     def run():
-        fresh = compile_to_module(source, prune_phis=False)
+        fresh = compile_source(source, prune_phis=False)
         return sum(prune_dead_phis(f) for f in fresh.functions.values())
 
     removed = benchmark(run)

@@ -17,12 +17,12 @@ import time
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
 from repro.interp.jit import JitCompiler
-from repro.pipeline import compile_to_module
 
 
 def _time(callable_, repeat=3):
@@ -40,7 +40,7 @@ def test_jit_speedup_table():
     total_interp = total_jit = 0.0
     for name in ("BitSieve", "Linpack", "BigInt", "MiniVM"):
         source = corpus_source(name)
-        module = compile_to_module(source, optimize=True)
+        module = compile_source(source, optimize=True)
         interp_time = _time(lambda: Interpreter(
             module, max_steps=200_000_000).run_main(name), repeat=1)
         jit = JitCompiler(module)
@@ -61,8 +61,8 @@ def test_check_elimination_speeds_execution():
     """Optimized modules execute fewer dynamic checks; under the JIT the
     removed checks are genuinely absent from the generated code."""
     source = corpus_source("Linpack")
-    plain = compile_to_module(source)
-    optimized = compile_to_module(source, optimize=True)
+    plain = compile_source(source)
+    optimized = compile_source(source, optimize=True)
     # dynamic check counts from the (instrumented) interpreter
     interp_plain = Interpreter(plain, max_steps=200_000_000)
     interp_plain.run_main("Linpack")
@@ -88,8 +88,8 @@ def test_check_elimination_speeds_execution():
 def test_jit_compile_benchmark(benchmark):
     """Translation cost: each round gets a freshly decoded module, whose
     functions carry no generated code yet."""
-    wire = encode_module(compile_to_module(corpus_source("BigInt"),
-                                           optimize=True))
+    wire = encode_module(compile_source(corpus_source("BigInt"),
+                                        optimize=True))
 
     def fresh_module():
         return (decode_module(wire),), {}
@@ -104,7 +104,7 @@ def test_jit_compile_benchmark(benchmark):
 
 
 def test_jit_execute_benchmark(benchmark):
-    module = compile_to_module(corpus_source("BitSieve"), optimize=True)
+    module = compile_source(corpus_source("BitSieve"), optimize=True)
 
     def run():
         return JitCompiler(module).run_main("BitSieve")

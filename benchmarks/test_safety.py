@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import VerifyError, verify_module
 
 
@@ -38,7 +38,7 @@ class XorShift:
 
 @pytest.fixture(scope="module")
 def wire():
-    module = compile_to_module(corpus_source("Parser"), optimize=True)
+    module = compile_source(corpus_source("Parser"), optimize=True)
     return encode_module(module)
 
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
@@ -22,7 +23,6 @@ from repro.frontend.parser import parse_compilation_unit
 from repro.frontend.semantics import analyze
 from repro.jvm.codegen import compile_unit
 from repro.jvm.verifier import verify_class
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 from repro.uast.builder import UastBuilder
 
@@ -40,7 +40,7 @@ def prepared():
     out = {}
     for name in CORPUS_PROGRAMS:
         source = corpus_source(name)
-        module = compile_to_module(source)
+        module = compile_source(source)
         world, classes = _bytecode_classes(source)
         out[name] = (module, world, classes)
     return out
@@ -97,7 +97,7 @@ def test_jvm_verify_benchmark(benchmark, prepared):
 def test_decode_enforcement_benchmark(benchmark):
     """Decoding *is* the SafeTSA safety check: everything the verifier
     would reject is unrepresentable in the wire format."""
-    module = compile_to_module(corpus_source("BigInt"))
+    module = compile_source(corpus_source("BigInt"))
     wire = encode_module(module)
     decoded = benchmark(lambda: decode_module(wire))
     assert decoded.instruction_count() == module.instruction_count()

@@ -14,14 +14,14 @@ array-check showcase.
 Run with:  python examples/check_elimination.py
 """
 
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.interp.interpreter import Interpreter
-from repro.pipeline import compile_to_module
 
 
 def measure(label: str, optimize: bool) -> None:
     source = corpus_source("Linpack")
-    module = compile_to_module(source, optimize=optimize)
+    module = compile_source(source, optimize=optimize)
     interp = Interpreter(module, max_steps=50_000_000)
     result = interp.run_main("Linpack")
     assert result.exception is None
@@ -38,7 +38,7 @@ def inspect_daxpy() -> None:
     optimisation, two before."""
     source = corpus_source("Linpack")
     for optimize in (False, True):
-        module = compile_to_module(source, optimize=optimize)
+        module = compile_source(source, optimize=optimize)
         daxpy = module.function_named("Linpack", "daxpy")
         nullchecks = sum(1 for b in daxpy.reachable_blocks()
                          for i in b.instrs if i.opcode == "nullcheck")

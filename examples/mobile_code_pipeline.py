@@ -12,6 +12,7 @@ the size comparison from the paper's Figure 5.
 Run with:  python examples/mobile_code_pipeline.py
 """
 
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
@@ -21,14 +22,13 @@ from repro.interp.interpreter import Interpreter
 from repro.interp.jit import JitCompiler
 from repro.jvm.classfile import class_file_bytes
 from repro.jvm.codegen import compile_unit
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 from repro.uast.builder import UastBuilder
 
 
 def producer(source: str) -> bytes:
     """Compile, optimise, and externalise."""
-    module = compile_to_module(source, optimize=True)
+    module = compile_source(source, optimize=True)
     print(f"[producer] compiled: {module.instruction_count()} instructions "
           f"({module.count_opcodes('nullcheck')} null checks, "
           f"{module.count_opcodes('idxcheck')} bounds checks "

@@ -12,8 +12,8 @@ Appendix B and shows the stages:
 Run with:  python examples/paper_walkthrough.py
 """
 
+from repro.api import compile_source
 from repro.encode.serializer import encode_module
-from repro.pipeline import compile_to_module
 from repro.ssa.printer import format_function
 from repro.tsa.disasm import format_function_lr
 from repro.tsa.layout import FunctionLayout, LayoutError
@@ -36,7 +36,7 @@ class Fragment {
 
 
 def main() -> None:
-    module = compile_to_module(SOURCE)
+    module = compile_source(SOURCE)
     function = module.function_named("Fragment", "compute")
 
     print("=== SSA form (global value numbering, like Figure 1) ===")

@@ -231,6 +231,9 @@ STABLE_CODES: dict[str, tuple[str, str, str]] = {
     "SERVE-SIG": (LAYER_SERVE, Severity.ERROR,
                   "manifest signature does not verify against the "
                   "publisher key"),
+    "SERVE-INTERNAL": (LAYER_SERVE, Severity.ERROR,
+                       "server-side fault, such as a failed store or "
+                       "log write (detail.errno carries the OS error)"),
 }
 
 #: Derived verifier/lint view consumed by the diagnostic machinery:

@@ -23,17 +23,24 @@ def compile_source(source: str, *, optimize: bool = False,
     (see :func:`repro.driver.passes.parse_pass_spec`).  ``prune_phis``
     applies Briggs-style dead-phi pruning during SSA construction
     (Section 7 reports ~31% fewer phis).
+
+    This is a one-shot :class:`~repro.driver.session.CompilationSession`
+    on the process-wide compilation cache (``REPRO_CACHE_DIR``); hold a
+    session yourself to choose the cache or read stage times and pass
+    reports.
     """
-    from repro.pipeline import compile_to_module
-    return compile_to_module(source, optimize=optimize, passes=passes,
-                             prune_phis=prune_phis, filename=filename)
+    from repro.driver.session import CompilationSession
+    session = CompilationSession(optimize=optimize, passes=passes,
+                                 prune_phis=prune_phis, filename=filename)
+    return session.compile(source)
 
 
 def compile_to_bytecode(source: str, *, filename: str = "<source>"):
     """Compile MiniJava++ source to the Java-bytecode baseline
     (:class:`~repro.jvm.classfile.ClassFileSet`)."""
-    from repro.pipeline import compile_to_classfiles
-    return compile_to_classfiles(source, filename=filename)
+    from repro.driver.session import CompilationSession
+    session = CompilationSession(filename=filename, cache=False)
+    return session.compile_to_classfiles(source)
 
 
 def encode_module(module, *, format_version: str = "stsa1",

@@ -17,7 +17,7 @@ import os
 from repro.analysis.diagnostics import count_by_severity
 from repro.analysis.lint import lint_module
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.pipeline import compile_to_module
+from repro.driver import CompilationSession
 from repro.tsa.verifier import verify_module
 
 
@@ -56,8 +56,8 @@ def analysis_report(programs=None, repeats=None, cache=None) -> dict:
     for name in programs:
         source = corpus_source(name)
         for variant, optimize in (("plain", False), ("optimized", True)):
-            module = compile_to_module(source, optimize=optimize,
-                                       cache=cache)
+            module = CompilationSession(optimize=optimize,
+                                        cache=cache).compile(source)
             artifacts.append(_artifact_report(name, variant, module,
                                               repeats, best_of))
     totals = {

@@ -25,7 +25,7 @@ from repro.encode._bitio_reference import (
     ReferenceBitWriter,
 )
 from repro.encode.bitio import BitReader, BitWriter
-from repro.pipeline import compile_to_module
+from repro.driver import CompilationSession
 
 #: (writer method, reader method) per trace-op tag.
 _OPS = {
@@ -76,12 +76,12 @@ def capture_corpus_trace(programs=None):
 
     ops: list = []
     modules = []
+    unpruned = CompilationSession(prune_phis=False, cache=False)
+    optimizing = CompilationSession(optimize=True, cache=False)
     for name in (programs or CORPUS_PROGRAMS):
         source = corpus_source(name)
-        modules.append(compile_to_module(source, prune_phis=False,
-                                         cache=False))
-        modules.append(compile_to_module(source, optimize=True,
-                                         cache=False))
+        modules.append(unpruned.compile(source))
+        modules.append(optimizing.compile(source))
     tracer = _tracing_writer(ops)
     original = serializer.BitWriter
     serializer.BitWriter = tracer

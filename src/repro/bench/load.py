@@ -27,10 +27,10 @@ import time
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.cache import VerifiedModuleCache
+from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.loader import ModuleLoader, load_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
@@ -55,8 +55,8 @@ def _artifacts(programs) -> list[tuple[str, bool, bytes]]:
     for name in programs:
         source = corpus_source(name)
         for optimize in (False, True):
-            module = compile_to_module(source, optimize=optimize,
-                                       cache=False)
+            module = CompilationSession(optimize=optimize,
+                                        cache=False).compile(source)
             artifacts.append((name, optimize, encode_module(module)))
     return artifacts
 

@@ -36,9 +36,10 @@ import time
 from typing import Optional
 
 from repro.bench.corpus import corpus_source
-from repro.driver import ALL_PASSES, CANONICAL_SPEC, spec_string
+from repro.api import compile_source
+from repro.driver import ALL_PASSES, CANONICAL_SPEC, PassManager, \
+    spec_string
 from repro.interp.interpreter import Interpreter
-from repro.pipeline import compile_to_module
 
 #: the loop-heavy subset of the corpus (array kernels + a dispatch loop)
 LOOP_PROGRAMS = ("Linpack", "BitSieve", "MiniVM")
@@ -65,14 +66,13 @@ _BLAME_KEYS = ("licm_hoisted", "checks_hoisted_null",
 
 
 def _measure(source: str, name: str, spec: Optional[str]) -> dict:
-    from repro.opt.pipeline import optimize_module
-    module = compile_to_module(source)
+    module = compile_source(source)
     stats: dict = {}
     started = time.perf_counter()
     if spec is not None:
-        for flat in optimize_module(module, passes=spec,
-                                    check_after_each_pass=True):
-            for key, value in flat.items():
+        manager = PassManager(spec, check_after_each_pass=True)
+        for report in manager.run_module(module):
+            for key, value in report.stats.items():
                 if isinstance(value, (int, float)) \
                         and not isinstance(value, bool):
                     stats[key] = stats.get(key, 0) + value

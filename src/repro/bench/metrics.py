@@ -24,7 +24,6 @@ from repro.frontend.semantics import analyze
 from repro.jvm.classfile import class_file_bytes
 from repro.jvm.codegen import compile_unit
 from repro.driver import CompilationSession
-from repro.pipeline import compile_to_module
 from repro.ssa.ir import Module
 from repro.uast.builder import UastBuilder
 
@@ -125,8 +124,10 @@ def measure_program(program: str, source: Optional[str] = None, *,
 
     # the unoptimised transmitted form keeps the eager (B&M) phis;
     # pruning is part of the producer-side optimisation (Figure 6)
-    plain = compile_to_module(source, prune_phis=False, cache=cache)
-    optimized = compile_to_module(source, optimize=True, cache=cache)
+    plain = CompilationSession(prune_phis=False,
+                               cache=cache).compile(source)
+    optimized = CompilationSession(optimize=True,
+                                   cache=cache).compile(source)
     plain_sizes = _tsa_sizes(plain)
     opt_sizes = _tsa_sizes(optimized)
 
@@ -156,7 +157,8 @@ def measure_program(program: str, source: Optional[str] = None, *,
 def compile_wire_job(job) -> bytes:
     """Worker: one cold compile, returned as picklable wire bytes."""
     source, flags = job
-    return encode_module(compile_to_module(source, cache=False, **flags))
+    return encode_module(CompilationSession(cache=False, **flags)
+                         .compile(source))
 
 
 def pool_map(fn, items) -> tuple[list, int]:

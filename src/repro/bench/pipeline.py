@@ -7,16 +7,16 @@ encoded; the optimised form also produces the bytecode baseline the
 Figure 5 comparison needs):
 
 1. **What do the shared front end and shared analyses buy?**  The
-   ``serial`` baseline is the pre-driver path: ``compile_to_module`` +
-   ``verify_module`` + ``optimize_module`` + ``encode_module`` +
-   ``compile_to_classfiles``, each consumer re-running its own solvers
-   (CSE its own dominator tree, DCE its own observability closure, the
-   verifier and the encoder theirs again) and the bytecode baseline
-   re-parsing the source.  The ``session`` path runs the same workload
-   through one :class:`~repro.driver.session.CompilationSession` per
-   artifact: every consumer hits the shared :class:`~repro.analysis.
-   manager.AnalysisManager`, and the baseline reuses the memoized
-   front end.
+   ``serial`` baseline shares nothing: a fresh session builds the
+   module, then ``verify_module``, a bare ``PassManager`` and
+   ``encode_module`` each re-run their own solvers (CSE its own
+   dominator tree, DCE its own observability closure, the verifier and
+   the encoder theirs again), and a second fresh session re-parses the
+   source for the bytecode baseline.  The ``session`` path runs the
+   same workload through one :class:`~repro.driver.session.
+   CompilationSession` per artifact: every consumer hits the shared
+   :class:`~repro.analysis.manager.AnalysisManager`, and the baseline
+   reuses the memoized front end.
 
 2. **What does the fan-out buy?**  ``parallel`` distributes the
    session workload across :func:`~repro.bench.metrics.pool_map`'s
@@ -56,7 +56,7 @@ def _run_session_workload(label_source_flags):
     """Worker: one artifact's full producer workload through a session:
     build, verify, optimise, re-verify, encode -- plus, for the
     optimised form, the bytecode baseline Figure 5 compares against
-    (sharing the session's memoized front end, where the legacy path
+    (sharing the session's memoized front end, where the unshared path
     parses a second time).
 
     Returns (label, wire bytes, deterministic report dicts, session
@@ -77,24 +77,24 @@ def _run_session_workload(label_source_flags):
     return label, wire, reports, session.pass_report()
 
 
-def _run_legacy_workload(label_source_flags):
-    """The same workload through the pre-driver entry points, every
-    consumer computing its own analyses."""
+def _run_unshared_workload(label_source_flags):
+    """The same workload with nothing shared: every consumer computes
+    its own analyses, and the bytecode baseline parses again."""
+    from repro.driver import DEFAULT_PASSES, PassManager
     from repro.encode.serializer import encode_module
-    from repro.opt.pipeline import optimize_module
-    from repro.pipeline import compile_to_classfiles, compile_to_module
     from repro.tsa.verifier import verify_module
     label, source, flags = label_source_flags
-    module = compile_to_module(
-        source, cache=False,
-        prune_phis=flags.get("prune_phis", True))
+    module = CompilationSession(
+        cache=False,
+        prune_phis=flags.get("prune_phis", True)).build_module(source)
     verify_module(module)
     if flags.get("optimize"):
-        optimize_module(module)
+        PassManager(DEFAULT_PASSES).run_module(module)
     verify_module(module)
     wire = encode_module(module)
     if flags.get("optimize"):
-        compile_to_classfiles(source)  # separate parse: no shared front end
+        # a second fresh session: no shared front end
+        CompilationSession(cache=False).compile_to_classfiles(source)
     return label, wire
 
 
@@ -110,7 +110,7 @@ def pipeline_report(programs=None, repeats=None) -> dict:
                     "repeats": repeats,
                     "cpus": os.cpu_count() or 1}
 
-    # 1-3. serial baseline (pre-driver path, per-consumer analyses) vs
+    # 1-3. serial baseline (nothing shared, per-consumer analyses) vs
     # the session path (shared AnalysisManager) vs the session workload
     # fanned across a process pool at artifact granularity (the serial
     # loop where no pool can run).  The rounds interleave so slow clock
@@ -118,7 +118,7 @@ def pipeline_report(programs=None, repeats=None) -> dict:
     # side keeps its best round.
     def serial_round() -> None:
         for item in artifacts:
-            _run_legacy_workload(item)
+            _run_unshared_workload(item)
 
     def session_round() -> list:
         return [_run_session_workload(item) for item in artifacts]
@@ -168,8 +168,8 @@ def pipeline_report(programs=None, repeats=None) -> dict:
 
     report["serial"] = {
         "seconds": round(serial_s, 4),
-        "mode": "legacy entry points; every consumer re-runs its "
-                "solvers, bytecode baseline re-parses",
+        "mode": "fresh sessions, no shared analyses; every consumer "
+                "re-runs its solvers, bytecode baseline re-parses",
     }
     report["session"] = {
         "seconds": round(session_s, 4),

@@ -79,7 +79,7 @@ from repro.bench.tables import (
     phi_pruning_table,
 )
 from repro.cache import CompilationCache, default_cache
-from repro.pipeline import compile_to_module
+from repro.driver import CompilationSession, PassManager
 
 #: Shared across the commands of one runner invocation, so ``all`` does
 #: not recompile the corpus for every table that needs it.  When the
@@ -122,10 +122,10 @@ def run_pruning() -> str:
     results = []
     for name in CORPUS_PROGRAMS:
         source = corpus_source(name)
-        unpruned = compile_to_module(source, prune_phis=False,
-                                     cache=_RUN_CACHE)
-        pruned = compile_to_module(source, prune_phis=True,
-                                   cache=_RUN_CACHE)
+        unpruned = CompilationSession(prune_phis=False,
+                                      cache=_RUN_CACHE).compile(source)
+        pruned = CompilationSession(prune_phis=True,
+                                    cache=_RUN_CACHE).compile(source)
         results.append((name,
                         unpruned.count_opcodes("phi"),
                         pruned.count_opcodes("phi")))
@@ -148,10 +148,9 @@ def run_ablation() -> str:
         for label, passes in configs.items():
             # each configuration mutates its module, so every one needs
             # a fresh decode -- which is exactly what a cache hit is
-            module = compile_to_module(source, cache=_RUN_CACHE)
+            module = CompilationSession(cache=_RUN_CACHE).compile(source)
             if passes:
-                from repro.opt.pipeline import optimize_module
-                optimize_module(module, passes)
+                PassManager(passes).run_module(module)
             counts[label] = module.instruction_count()
         results.append((name, counts))
     return ("E4: instruction count per optimisation configuration\n\n"
@@ -178,7 +177,7 @@ def run_verifycost() -> str:
     total_jvm = 0.0
     for name in CORPUS_PROGRAMS:
         source = corpus_source(name)
-        module = compile_to_module(source, cache=_RUN_CACHE)
+        module = CompilationSession(cache=_RUN_CACHE).compile(source)
         unit = parse_compilation_unit(source)
         world = analyze(unit)
         builder = UastBuilder(world)
@@ -231,8 +230,8 @@ def run_jitspeed() -> str:
     ]
     totals = [0.0, 0.0, 0.0]
     for name in ("BitSieve", "Linpack", "BigInt", "MiniVM"):
-        wire = encode_module(compile_to_module(
-            corpus_source(name), optimize=True, cache=_RUN_CACHE))
+        wire = encode_module(CompilationSession(
+            optimize=True, cache=_RUN_CACHE).compile(corpus_source(name)))
         module = load_module(wire, cache=False)
         interp_s = best_of(lambda: Interpreter(
             module, max_steps=200_000_000).run_main(name))
@@ -274,16 +273,17 @@ def codec_report(programs=None, repeats=None) -> dict:
         report["codec"]["combined_speedup"]
 
     # 2. the module path: full encode/decode plus per-stage compile time
-    stage_seconds: dict = {}
+    unpruned = CompilationSession(prune_phis=False, cache=False)
+    optimizing = CompilationSession(optimize=True, cache=False)
     modules = []
     for name in programs:
         source = corpus_source(name)
-        modules.append(compile_to_module(
-            source, prune_phis=False, cache=False,
-            stage_seconds=stage_seconds))
-        modules.append(compile_to_module(
-            source, optimize=True, cache=False,
-            stage_seconds=stage_seconds))
+        modules.append(unpruned.compile(source))
+        modules.append(optimizing.compile(source))
+    stage_seconds: dict = {}
+    for session in (unpruned, optimizing):
+        for stage, seconds in session.stage_seconds.items():
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
     wires = [encode_module(module) for module in modules]
     stage_seconds["encode"] = best_of(
         lambda: [encode_module(module) for module in modules],
@@ -328,8 +328,8 @@ def codec_report(programs=None, repeats=None) -> dict:
     def rerun() -> None:
         for name in programs:
             source = corpus_source(name)
-            compile_to_module(source, prune_phis=False, cache=cache)
-            compile_to_module(source, optimize=True, cache=cache)
+            CompilationSession(prune_phis=False, cache=cache).compile(source)
+            CompilationSession(optimize=True, cache=cache).compile(source)
 
     warm_s = best_of(rerun, repeats=repeats)
     report["cache"] = {

@@ -33,13 +33,13 @@ import math
 import time
 from typing import Optional
 
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
 from repro.bench.loops import LOOP_PROGRAMS
 from repro.cache import TraceCache
 from repro.interp.interpreter import Interpreter
 from repro.interp.trace import TracingInterpreter
 from repro.loader import load_module
-from repro.pipeline import compile_to_module
 
 _MAX_STEPS = 80_000_000
 
@@ -84,7 +84,7 @@ def _digest_module(source: str):
     """Compile and round-trip through the wire so the module carries a
     ``wire_digest`` -- the trace cache key (matching the serve path)."""
     from repro.encode.serializer import encode_module
-    wire = encode_module(compile_to_module(source))
+    wire = encode_module(compile_source(source))
     return load_module(wire, cache=False)
 
 

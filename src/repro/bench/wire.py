@@ -38,6 +38,7 @@ import time
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.cache import DictionaryStore
+from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
 from repro.encode.format import (
     MIN_DICTIONARY_BYTES,
@@ -48,7 +49,6 @@ from repro.encode.format import (
 )
 from repro.encode.serializer import encode_module
 from repro.loader import StreamingLoader, load_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 #: chunk size for the streaming TTFE measurement -- small enough that
@@ -75,10 +75,12 @@ def _best_sim(fn, repeats: int, warmup: int = 1) -> float:
 def _pairs(programs) -> list[tuple[str, bytes, bytes]]:
     """(name, plain wire, optimised wire) per corpus program."""
     pairs = []
+    plain_session = CompilationSession(cache=False)
+    optimizing = CompilationSession(optimize=True, cache=False)
     for name in programs:
         source = corpus_source(name)
-        plain = compile_to_module(source, cache=False)
-        optimized = compile_to_module(source, optimize=True, cache=False)
+        plain = plain_session.compile(source)
+        optimized = optimizing.compile(source)
         pairs.append((name, encode_module(plain),
                       encode_module(optimized)))
     return pairs

@@ -38,18 +38,16 @@ import sys
 from pathlib import Path
 
 
-def _load_module(path: str, optimize: bool, prune: bool = True,
-                 passes=None, lazy: bool = False):
+def _load_module(path: str, optimize: bool, lazy: bool = False):
+    from repro.api import compile_source
     from repro.loader import load_module
-    from repro.pipeline import compile_to_module
     data = Path(path).read_bytes()
     if path.endswith((".stsa", ".bin")):
         # the fused verifying loader: one decode pass plus the residual
         # sweep, warm loads via the verified-module cache
         return load_module(data, lazy=lazy)
-    return compile_to_module(data.decode("utf-8"), optimize=optimize,
-                             prune_phis=prune, filename=path,
-                             passes=passes)
+    return compile_source(data.decode("utf-8"), optimize=optimize,
+                          filename=path)
 
 
 def cmd_compile(args) -> int:

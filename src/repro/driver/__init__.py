@@ -7,16 +7,15 @@ shares:
   end, the compilation cache, stage timing, and diagnostics for one
   compilation configuration;
 * :class:`~repro.driver.manager.PassManager` -- runs a declarative
-  pipeline spec (``"constprop,safephi,cse_fields,dce,cleanup"``) over
+  pipeline spec (``"constprop,safephi,cse,dce,cleanup"``) over
   functions, producing structured
   :class:`~repro.driver.report.PassReport` timing/statistics;
 * :class:`~repro.analysis.manager.AnalysisManager` (re-exported) --
   per-function cache of dataflow results, invalidated by each pass's
   ``preserves`` declaration.
 
-The legacy surfaces (:func:`repro.pipeline.compile_to_module`,
-:func:`repro.opt.pipeline.optimize_function`, ...) remain as thin
-wrappers over these classes.
+:func:`repro.compile_source` is a one-shot session; a pass-only caller
+runs a :class:`~repro.driver.manager.PassManager` directly.
 """
 
 from repro.analysis.manager import ANALYSES, AnalysisManager, \

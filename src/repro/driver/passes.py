@@ -5,8 +5,8 @@ pass manager uses to schedule work and keep the shared analysis cache
 sound:
 
 ``name``
-    The spec name (``constprop``, ``safephi``, ``cse``, ``cse_fields``,
-    ``dce``, ``cleanup``).
+    The spec name (``constprop``, ``safephi``, ``hoist_checks``,
+    ``cse``, ``cse_fields``, ``licm``, ``dce``, ``cleanup``).
 ``slot``
     The canonical-order slot the pass occupies.  ``cse`` and
     ``cse_fields`` share the ``cse`` slot: they are variants, and at
@@ -32,8 +32,7 @@ compilation-cache key.
 
 Execution is routed through :data:`STEP_FUNCTIONS` so tests can
 monkeypatch a step (e.g. to inject a deliberately invariant-breaking
-pass and assert blame attribution); ``repro.opt.pipeline.PASS_FUNCTIONS``
-is the same dictionary object, kept as a compatibility alias.
+pass and assert blame attribution).
 """
 
 from __future__ import annotations
@@ -165,7 +164,6 @@ def _step_cleanup(function) -> dict:
 
 #: pass name -> step callable; monkeypatchable so tests can inject a
 #: deliberately invariant-breaking pass and assert blame attribution.
-#: ``repro.opt.pipeline.PASS_FUNCTIONS`` aliases this very dictionary.
 STEP_FUNCTIONS = {
     "constprop": _step_constprop,
     "safephi": _step_safephi,

@@ -2,12 +2,10 @@
 
 A :class:`PassReport` records, for one function, every pass that ran:
 its name, wall-clock seconds, and the statistics dictionary the pass
-returned.  The merged view reproduces the flat statistics dictionary
-the legacy ``optimize_function`` returned, with one deliberate fix:
-**boolean values overwrite, integer counters accumulate**.  The old
-``_merge_stats`` summed booleans into int counters (``isinstance(True,
-int)`` is true in Python), so two passes both reporting ``flag: True``
-yielded the nonsense counter ``2``.
+returned.  The merged :attr:`PassReport.stats` view accumulates integer
+counters and lets **boolean values overwrite** (``isinstance(True,
+int)`` is true in Python, so a plain sum would turn two passes both
+reporting ``flag: True`` into the nonsense counter ``2``).
 
 Report equality ignores wall-clock seconds: two sessions are considered
 to have produced *identical* reports when every pass reports the same
@@ -70,13 +68,6 @@ class PassReport:
     @property
     def total_seconds(self) -> float:
         return sum(entry["seconds"] for entry in self.passes)
-
-    def legacy_stats(self) -> dict:
-        """The flat dict the pre-driver ``optimize_function`` returned."""
-        merged = {"function": self.function}
-        for entry in self.passes:
-            merge_stats(merged, entry["stats"])
-        return merged
 
     def as_dict(self, *, seconds: bool = True) -> dict:
         """JSON-shaped view; ``seconds=False`` gives the deterministic

@@ -1,8 +1,10 @@
 """The compilation session: one front end, one pass manager, one
 analysis cache, one compilation cache -- every entry point goes here.
 
-A :class:`CompilationSession` owns the pieces the old pipeline module
-duplicated between ``compile_to_module`` and ``compile_to_classfiles``:
+:func:`repro.compile_source` and :func:`repro.compile_to_bytecode` each
+build a one-shot session; hold one yourself to pass a cache, read stage
+times or pass reports, or compile the bytecode baseline of the same
+source.  A :class:`CompilationSession` owns:
 
 * the **front end** -- ``parse`` + semantic analysis are memoized per
   source text, so compiling the SafeTSA form and the bytecode baseline
@@ -13,9 +15,9 @@ duplicated between ``compile_to_module`` and ``compile_to_classfiles``:
 * the **analysis manager** -- nullness/range/liveness/dominator results
   computed once per function and shared by the optimizer, the verifier,
   the lint driver, and the encoder's register layout;
-* the **compilation cache** -- the key covers the *pass spec* (not just
-  the historical three booleans), so differently optimised artifacts
-  can never alias;
+* the **compilation cache** -- the key covers the *pass spec* and the
+  phi-pruning flag, so differently optimised artifacts can never
+  alias;
 * **stage timing** (``parse`` / ``ssa`` / ``opt``, ``load`` on a
   cache hit -- the fused-loader consumer path) and collected
   diagnostics.
@@ -42,16 +44,13 @@ class CompilationSession:
     """Owns one compilation configuration end to end."""
 
     def __init__(self, *, optimize: bool = False, passes: PassSpec = None,
-                 prune_phis: bool = True, eager_phis: bool = True,
-                 filename: str = "<source>", cache=None,
-                 check_after_each_pass: bool = False):
+                 prune_phis: bool = True, filename: str = "<source>",
+                 cache=None):
         #: resolved pass tuple; ``passes`` wins over ``optimize``
         self.passes: tuple[str, ...] = effective_passes(optimize, passes)
         self.prune_phis = prune_phis
-        self.eager_phis = eager_phis
         self.filename = filename
-        self.pass_manager = PassManager(
-            self.passes, check_after_each_pass=check_after_each_pass)
+        self.pass_manager = PassManager(self.passes)
         self.analyses = AnalysisManager()
         #: wall-clock seconds per stage, accumulated across compiles
         self.stage_seconds: dict[str, float] = {}
@@ -83,12 +82,11 @@ class CompilationSession:
     def cache_key(self, source: str) -> Optional[str]:
         """The compilation-cache key this session uses for ``source``,
         or None when caching is disabled.  The key covers the canonical
-        pass spec plus the SSA-construction flags."""
+        pass spec plus the phi-pruning flag."""
         if self._cache is None:
             return None
         return self._cache.key(source, passes=self.spec,
-                               prune_phis=self.prune_phis,
-                               eager_phis=self.eager_phis)
+                               prune_phis=self.prune_phis)
 
     # -- front end ------------------------------------------------------
 
@@ -128,10 +126,9 @@ class CompilationSession:
             module.classes.append(decl.info)
             table.declare_class(decl.info)
             for umethod in uast_builder.build_class(decl):
-                function = build_function(world, decl.info, umethod,
-                                          eager_phis=self.eager_phis)
-                module.add_function(function)
-        _intern_used_types(module)
+                module.add_function(
+                    build_function(world, decl.info, umethod))
+        module.intern_used_types()
         if self.prune_phis:
             from repro.ssa.phi_pruning import prune_dead_phis
             for function in module.functions.values():
@@ -246,27 +243,3 @@ class CompilationSession:
                               in self.stage_seconds.items()},
         }
 
-
-def _intern_used_types(module) -> None:
-    """Make sure every type referenced by an instruction is in the table."""
-    from repro.typesys.types import ArrayType, Type
-    table = module.type_table
-    for function in module.functions.values():
-        for block in function.blocks:
-            for instr in block.all_instrs():
-                plane = instr.plane
-                if plane is not None and plane.kind != "safeidx":
-                    _intern_type(table, plane.type)
-                for attr in ("target_type", "ref_type", "array_type",
-                             "plane_type"):
-                    value = getattr(instr, attr, None)
-                    if isinstance(value, Type):
-                        _intern_type(table, value)
-
-
-def _intern_type(table, type) -> None:
-    from repro.typesys.types import ArrayType
-    if type not in table:
-        table.intern(type)
-    if isinstance(type, ArrayType):
-        _intern_type(table, type.element)

@@ -269,14 +269,15 @@ def program_seed(campaign_seed: int, index: int) -> int:
 def stream_bases() -> list[tuple[str, bytes]]:
     """The known-good wire streams a stream campaign mutates: every
     base program encoded both plain and optimised."""
+    from repro.driver.session import CompilationSession
     from repro.encode.serializer import encode_module
-    from repro.pipeline import compile_to_module
+    plain = CompilationSession(cache=False)
+    optimizing = CompilationSession(optimize=True, cache=False)
     bases = []
     for name, source in BASE_PROGRAMS:
-        plain = compile_to_module(source, cache=False)
-        bases.append((name, encode_module(plain)))
-        optimized = compile_to_module(source, optimize=True, cache=False)
-        bases.append((f"{name}+opt", encode_module(optimized)))
+        bases.append((name, encode_module(plain.compile(source))))
+        bases.append((f"{name}+opt",
+                      encode_module(optimizing.compile(source))))
     return bases
 
 

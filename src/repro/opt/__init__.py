@@ -5,8 +5,6 @@ Passes: constant propagation, common subexpression elimination over a
 type separation, and dead-code elimination.  All passes run on the SSA
 form and preserve the invariant that every operand dominates its use on
 the correct register plane.
+
+The passes are run by :class:`repro.driver.manager.PassManager`.
 """
-
-from repro.opt.pipeline import optimize_module, optimize_function
-
-__all__ = ["optimize_module", "optimize_function"]

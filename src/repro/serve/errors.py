@@ -32,6 +32,7 @@ HTTP_STATUS: dict[str, int] = {
     "SERVE-REJECTED": 422,
     "SERVE-CHAIN": 409,
     "SERVE-SIG": 409,
+    "SERVE-INTERNAL": 500,
 }
 
 

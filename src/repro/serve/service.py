@@ -227,6 +227,11 @@ class ServeService:
         except ServeError:
             self.counters["errors"] += 1
             raise
+        except OSError as error:
+            # the server's own storage failed, not the request
+            self.counters["errors"] += 1
+            raise ServeError(f"internal error: {error}", "SERVE-INTERNAL",
+                             {"errno": error.errno}) from error
 
     # -- introspection --------------------------------------------------
 
@@ -629,10 +634,10 @@ class ServeServer:
         except ServeError as error:
             return error.http_status, {"error": error.as_payload()}
         except Exception as error:  # never leak a traceback as a 000
-            return 500, {"error": {"code": "SERVE-BAD-REQUEST",
-                                   "message": f"internal error: "
-                                              f"{type(error).__name__}: "
-                                              f"{error}"}}
+            internal = ServeError(f"internal error: "
+                                  f"{type(error).__name__}: {error}",
+                                  "SERVE-INTERNAL")
+            return internal.http_status, {"error": internal.as_payload()}
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: dict, *,

@@ -108,13 +108,11 @@ class SsaBuilder:
     """Builds one :class:`~repro.ssa.ir.Function` from a UAST method."""
 
     def __init__(self, world: World, class_info: ClassInfo,
-                 umethod: u.UMethod, eager_phis: bool = True):
+                 umethod: u.UMethod):
         self.world = world
         self.class_info = class_info
         self.umethod = umethod
         self.function = Function(umethod.method, class_info)
-        #: insert B&M-style eager phis at joins (off = pruned-by-demand SSA)
-        self.eager_phis = eager_phis
 
         self.current: Optional[Block] = None
         self.pending: list[tuple[Block, str]] = []
@@ -188,7 +186,7 @@ class SsaBuilder:
             block.exc_target = self._exc_stack[-1]
             if self._pending_eager:
                 eager, self._pending_eager = self._pending_eager, set()
-                self._insert_eager_phis(block, eager)
+                self._insert_eager_join_phis(block, eager)
         return self.current
 
     def _new_unsealed_block(self) -> Block:
@@ -383,9 +381,10 @@ class SsaBuilder:
         return all(self._is_defined(var, pred, seen)
                    for pred, _ in block.preds)
 
-    def _insert_eager_phis(self, block: Block, vars: set[LocalVar]) -> None:
+    def _insert_eager_join_phis(self, block: Block,
+                                vars: set[LocalVar]) -> None:
         """B&M-style eager phis at a sealed join block."""
-        if not self.eager_phis or len(block.preds) < 2:
+        if len(block.preds) < 2:
             return
         for var in sorted(vars, key=lambda v: (v.index, v.name)):
             if self.defs.get(var, {}).get(block) is not None:
@@ -685,8 +684,6 @@ class SsaBuilder:
 
     def _insert_loop_header_phis(self, header: Block, assigned) -> None:
         """Eager B&M phis for every variable assigned in the loop body."""
-        if not self.eager_phis:
-            return
         for var in sorted(assigned, key=lambda v: (v.index, v.name)):
             if var in self.incomplete.get(header.id, {}):
                 continue  # a demand phi already exists
@@ -807,8 +804,6 @@ class SsaBuilder:
         self._pending_eager = set(assigned)
 
     def _insert_eager_dispatch_phis(self, dispatch: Block, assigned) -> None:
-        if not self.eager_phis:
-            return
         for var in sorted(assigned, key=lambda v: (v.index, v.name)):
             if var in self.incomplete.get(dispatch.id, {}):
                 continue
@@ -1049,7 +1044,7 @@ def _resolve(value: Instr) -> Instr:
     return value
 
 
-def build_function(world: World, class_info: ClassInfo, umethod: u.UMethod,
-                   eager_phis: bool = True) -> Function:
+def build_function(world: World, class_info: ClassInfo,
+                   umethod: u.UMethod) -> Function:
     """Construct SSA (SafeTSA form) for one UAST method."""
-    return SsaBuilder(world, class_info, umethod, eager_phis).build()
+    return SsaBuilder(world, class_info, umethod).build()

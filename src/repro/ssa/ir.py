@@ -734,6 +734,29 @@ class Module:
                 return function
         raise KeyError(f"no function {class_name}.{method_name}")
 
+    def intern_used_types(self) -> None:
+        """Make sure every type referenced by an instruction is in the
+        type table (array types together with their element types)."""
+        table = self.type_table
+
+        def intern(type: Type) -> None:
+            if type not in table:
+                table.intern(type)
+            if isinstance(type, ArrayType):
+                intern(type.element)
+
+        for function in self.functions.values():
+            for block in function.blocks:
+                for instr in block.all_instrs():
+                    plane = instr.plane
+                    if plane is not None and plane.kind != "safeidx":
+                        intern(plane.type)
+                    for attr in ("target_type", "ref_type", "array_type",
+                                 "plane_type"):
+                        value = getattr(instr, attr, None)
+                        if isinstance(value, Type):
+                            intern(value)
+
     def instruction_count(self) -> int:
         return sum(f.instruction_count() for f in self.functions.values())
 

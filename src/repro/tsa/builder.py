@@ -33,7 +33,6 @@ import itertools
 from typing import Optional, Union
 
 from repro.frontend.ast import LocalVar
-from repro.pipeline import _intern_used_types
 from repro.ssa.construction import build_function
 from repro.ssa.ir import Module
 from repro.typesys.ops import lookup_op
@@ -94,10 +93,10 @@ class ModuleBuilder:
             for umethod in class_builder._finalize():
                 module.add_function(build_function(
                     self.world, class_builder.info, umethod))
-        _intern_used_types(module)
+        module.intern_used_types()
         if optimize:
-            from repro.opt.pipeline import optimize_module
-            optimize_module(module)
+            from repro.driver.manager import PassManager
+            PassManager().run_module(module)
         if verify:
             from repro.tsa.verifier import verify_module
             verify_module(module)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipeline import compile_to_module
+from repro.api import compile_source
 from repro.interp.interpreter import Interpreter
 
 
 def run_java(source: str, *, optimize: bool = False, class_name=None,
              method: str = "main", max_steps: int = 5_000_000):
     """Compile and execute a MiniJava++ program; returns ExecutionResult."""
-    module = compile_to_module(source, optimize=optimize)
+    module = compile_source(source, optimize=optimize)
     interp = Interpreter(module, max_steps=max_steps)
     return interp.run_main(class_name, method)
 
@@ -26,11 +26,6 @@ def stdout_of(source: str, **kwargs) -> str:
 def main_wrap(body: str, extra: str = "") -> str:
     """Wrap statements into a minimal runnable class."""
     return f"class Main {{ {extra}\n static void main() {{\n{body}\n}} }}"
-
-
-@pytest.fixture
-def compile_module():
-    return compile_to_module
 
 
 # ----------------------------------------------------------------------

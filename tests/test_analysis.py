@@ -31,15 +31,14 @@ from repro.analysis.lint import (
 from repro.analysis.liveness import analyze_liveness, observable_values
 from repro.analysis.nullness import analyze_nullness, is_intrinsically_nonnull
 from repro.analysis.range import INT_MAX, INT_MIN, analyze_ranges
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.opt import pipeline as opt_pipeline
-from repro.opt.pipeline import (
+from repro.driver import (
     ALL_PASSES,
+    STEP_FUNCTIONS,
     PassCheckError,
-    optimize_function,
-    optimize_module,
+    PassManager,
 )
-from repro.pipeline import compile_to_module
 from repro.ssa import ir
 from repro.ssa.cst import RBasic, RSeq, derive_cfg
 from repro.ssa.ir import Const, Function, Module, Prim, Term
@@ -98,7 +97,7 @@ def finish(function, entry, term):
 
 
 def fn_of(source, class_name, method, optimize=False):
-    module = compile_to_module(source, optimize=optimize)
+    module = compile_source(source, optimize=optimize)
     return module, module.function_named(class_name, method)
 
 
@@ -286,8 +285,8 @@ class TestNullness:
         flagged = {d.instr for d in lint_function(module, fn)
                    if d.code == "STSA-NULL-101"}
         assert flagged
-        optimize_function(fn, ["cse"], module=module,
-                          check_after_each_pass=True)
+        PassManager(["cse"], check_after_each_pass=True).run_function(
+            fn, module)
         surviving = {c.id for c in instrs_of(fn, ir.NullCheck)}
         assert flagged <= surviving
 
@@ -432,8 +431,8 @@ class TestLivenessAndDeadPhi:
         flagged = {d.instr for d in lint_function(module, fn)
                    if d.code == "STSA-PHI-101"}
         assert flagged
-        optimize_function(fn, ["dce"], module=module,
-                          check_after_each_pass=True)
+        PassManager(["dce"], check_after_each_pass=True).run_function(
+            fn, module)
         remaining = {p.id for b in fn.reachable_blocks()
                      for p in b.phis}
         assert not (flagged & remaining)
@@ -509,9 +508,9 @@ class TestCollectDiagnostics:
             " try { r = p.f; r = r + p.f; }"
             " catch (RuntimeException e) { r = -1; } return r; } }"
             "\nclass P { int f; }")
-        module = compile_to_module(source.replace("\n", " "))
-        optimize_module(module, passes=["constprop", "safephi", "cse"],
-                        check_after_each_pass=True)
+        module = compile_source(source.replace("\n", " "))
+        PassManager(["constprop", "safephi", "cse"],
+                    check_after_each_pass=True).run_module(module)
         verify_module(module)
         # cleanup was withheld, so any handler whose exception points
         # were all eliminated leaves an unreachable dispatch chain
@@ -616,26 +615,26 @@ class TestPipelineGating:
 
     def test_empty_pass_list_is_a_true_noop(self):
         source = corpus_source("Scanner")
-        module = compile_to_module(source)
+        module = compile_source(source)
         before = module.instruction_count()
         shapes = {f.name: [(b.id, len(b.instrs), len(b.phis))
                            for b in f.blocks]
                   for f in module.functions.values()}
-        stats = optimize_module(module, passes=())
+        reports = PassManager(()).run_module(module)
         assert module.instruction_count() == before
         assert shapes == {f.name: [(b.id, len(b.instrs), len(b.phis))
                                    for b in f.blocks]
                           for f in module.functions.values()}
-        for stat in stats:
-            assert set(stat) == {"function"}  # no pass ran, no counters
+        for report in reports:
+            assert report.stats == {}  # no pass ran, no counters
 
     def test_single_pass_selections_self_repair(self):
         source = corpus_source("BinaryCode")
         for passes in (["constprop"], ["cse"], ["dce"], ["cleanup"],
                        ["cse", "dce"]):
-            module = compile_to_module(source)
-            optimize_module(module, passes=passes,
-                            check_after_each_pass=True)
+            module = compile_source(source)
+            PassManager(passes,
+                        check_after_each_pass=True).run_module(module)
             verify_module(module)
 
 
@@ -647,8 +646,8 @@ class TestPassCheckError:
         finish(function, entry, Term("return", ghost))
         module.functions[function.name] = function
         with pytest.raises(PassCheckError) as excinfo:
-            optimize_function(function, module=module,
-                              check_after_each_pass=True)
+            PassManager(check_after_each_pass=True).run_function(
+                function, module)
         assert excinfo.value.pass_name == "input"
         assert excinfo.value.diagnostics
         assert excinfo.value.diagnostic.code == "STSA-PASS-001"
@@ -663,10 +662,11 @@ class TestPassCheckError:
                     return {"sabotaged": 1}
             return {}
 
-        monkeypatch.setitem(opt_pipeline.PASS_FUNCTIONS, "dce", sabotage)
+        monkeypatch.setitem(STEP_FUNCTIONS, "dce", sabotage)
         with pytest.raises(PassCheckError) as excinfo:
-            optimize_function(fn, ["constprop", "dce"], module=module,
-                              check_after_each_pass=True)
+            PassManager(["constprop", "dce"],
+                        check_after_each_pass=True).run_function(
+                fn, module)
         assert excinfo.value.pass_name == "dce"
         assert excinfo.value.diagnostics[0].code == "STSA-STR-001"
         assert "dce" in str(excinfo.value)
@@ -674,7 +674,7 @@ class TestPassCheckError:
     def test_check_requires_module(self):
         module, fn = fn_of(DIAMOND, "D", "go")
         with pytest.raises(ValueError):
-            optimize_function(fn, check_after_each_pass=True)
+            PassManager(check_after_each_pass=True).run_function(fn)
 
 
 # per-pass verification across every corpus artifact (plain + optimized:
@@ -682,11 +682,12 @@ class TestPassCheckError:
 @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
 def test_per_pass_invariants_hold_on_corpus(name):
     source = corpus_source(name)
-    plain = compile_to_module(source)
-    assert optimize_module(plain, check_after_each_pass=True)
-    optimized = compile_to_module(source, optimize=True)
+    checked = PassManager(check_after_each_pass=True)
+    plain = compile_source(source)
+    assert checked.run_module(plain)
+    optimized = compile_source(source, optimize=True)
     # re-optimising an already optimised module must also stay sound
-    assert optimize_module(optimized, check_after_each_pass=True)
+    assert checked.run_module(optimized)
     for module in (plain, optimized):
         verify_module(module)
         assert not has_errors(lint_module(module))
@@ -695,8 +696,8 @@ def test_per_pass_invariants_hold_on_corpus(name):
 @given(program())
 @settings(max_examples=15, deadline=None)
 def test_per_pass_invariants_hold_on_generated_programs(source):
-    module = compile_to_module(source)
-    optimize_module(module, check_after_each_pass=True)
+    module = compile_source(source)
+    PassManager(check_after_each_pass=True).run_module(module)
     verify_module(module)
     assert not has_errors(lint_module(module))
 

@@ -7,11 +7,11 @@ programs" (Section 9).
 
 import pytest
 
+from repro.api import compile_source
 from repro.encode.bitio import BitWriter
 from repro.encode.common import MAGIC
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
-from repro.pipeline import compile_to_module
 from repro.tsa.layout import FunctionLayout, LayoutError
 from repro.tsa.verifier import VerifyError, verify_module
 
@@ -71,7 +71,7 @@ class TestStreamAttacks:
             decode_module(writer.getvalue())
 
     def test_every_prefix_rejected(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(int a, int b) { return a / b; } }")
         wire = encode_module(module)
         for cut in range(len(wire)):
@@ -79,7 +79,7 @@ class TestStreamAttacks:
                 decode_module(wire[:cut])
 
     def test_mutations_cannot_produce_invalid_modules(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { int x; int get() { return x; }"
             "static int f(T t) { return t.get(); } }")
         wire = encode_module(module)
@@ -102,7 +102,7 @@ class TestSemanticAttacks:
     producer library) are caught by layout/verification."""
 
     def _hijack(self, mutate):
-        module = compile_to_module(
+        module = compile_source(
             "class Box { int v; "
             "static int take(Box a, Box b) {"
             "  if (a == null) return b.v; return a.v; } }")
@@ -113,7 +113,7 @@ class TestSemanticAttacks:
     def test_swapping_phi_operands_is_detected_or_harmless(self):
         # swapping operands of a phi changes which value flows, but both
         # operands are on the same plane -- semantics change, safety holds
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(boolean c) {"
             "int x = 1; if (c) x = 2; else x = 3; return x; } }")
         function = module.function_named("T", "f")
@@ -123,7 +123,7 @@ class TestSemanticAttacks:
         verify_module(module)  # still type-safe (only wrong-valued)
 
     def test_retargeting_operand_across_branches_rejected(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(boolean c) {"
             "int r; if (c) { r = 10 / 2; } else { r = 20 / 4; }"
             "return r; } }")
@@ -138,7 +138,7 @@ class TestSemanticAttacks:
             verify_module(module)
 
     def test_layout_cannot_express_cross_branch_reference(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(boolean c) {"
             "int r; if (c) { r = 10 / 2; } else { r = 20 / 4; }"
             "return r; } }")
@@ -151,7 +151,7 @@ class TestSemanticAttacks:
 
     def test_widening_a_field_write_rejected(self):
         # store a supertype value into a subtype-typed field
-        module = compile_to_module(
+        module = compile_source(
             "class Node { Node next; "
             "void link(Node other) { next = other; } }")
         function = module.function_named("Node", "link")
@@ -171,7 +171,7 @@ class TestSemanticAttacks:
 
     def test_calling_private_table_slot_out_of_range(self):
         # a method index beyond the method table cannot decode
-        module = compile_to_module(
+        module = compile_source(
             "class T { int f() { return 1; } "
             "static int g(T t) { return t.f(); } }")
         wire = encode_module(module)

@@ -24,27 +24,41 @@ from repro.encode._bitio_reference import (
 from repro.encode.bitio import BitIOError, BitReader, BitWriter
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
-from repro.driver import CompilationSession
-from repro.pipeline import compile_to_module
+from repro.driver import CompilationSession, PassManager
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "wire"
 MANIFEST = json.loads((GOLDEN_DIR / "MANIFEST.json").read_text())
 
 
+def _shared_wire(source: str, flags: dict) -> bytes:
+    """The shipped path (perfbench, serve): the passes and the encoder
+    share the session's analysis cache."""
+    session = CompilationSession(cache=False, **flags)
+    return session.encode(session.compile(source))
+
+
+def _unshared_wire(source: str, flags: dict) -> bytes:
+    """The same pipeline with nothing shared: the pass manager and the
+    encoder each compute their own analyses."""
+    session = CompilationSession(cache=False, **flags)
+    module = session.build_module(source)
+    PassManager(session.passes).run_module(module)
+    return encode_module(module)
+
+
 class TestGoldenFixtures:
     """The rewrite must reproduce the seed codec's bytes exactly; the
-    fixtures were captured before the rewrite."""
+    fixtures were captured before the rewrite.  Sharing the analysis
+    cache must not change a byte either."""
 
     @pytest.mark.parametrize("fixture", sorted(MANIFEST))
-    def test_fixture_bytes_reproduced(self, fixture):
+    @pytest.mark.parametrize("build", [_shared_wire, _unshared_wire],
+                             ids=["shared", "unshared"])
+    def test_fixture_bytes_reproduced(self, build, fixture):
         program, form = fixture.rsplit(".", 1)
-        source = corpus_source(program)
-        if form == "plain":
-            module = compile_to_module(source, prune_phis=False,
-                                       cache=False)
-        else:
-            module = compile_to_module(source, optimize=True, cache=False)
-        wire = encode_module(module)
+        flags = {"prune_phis": False} if form == "plain" \
+            else {"optimize": True}
+        wire = build(corpus_source(program), flags)
         expected = MANIFEST[fixture]
         assert len(wire) == expected["bytes"]
         assert hashlib.sha256(wire).hexdigest() == expected["sha256"]
@@ -195,7 +209,7 @@ class TestPaddingRejection:
     def test_deserializer_rejects_flipped_padding_bit(self):
         source = corpus_source("BitSieve")
         wire = bytearray(encode_module(
-            compile_to_module(source, cache=False)))
+            CompilationSession(cache=False).compile(source)))
         # the final byte's least significant bit is padding unless the
         # stream happens to end byte-aligned; find a fixture where the
         # flip changes only padding by checking it still decodes the
@@ -300,15 +314,17 @@ class TestCompilationCache:
         cache = CompilationCache()
         key = cache_key(cache, self.SOURCE)
         assert cache.get(key) is None
-        module = compile_to_module(self.SOURCE, cache=cache)
+        module = CompilationSession(cache=cache).compile(self.SOURCE)
         assert cache.get(key) == encode_module(module)
         assert cache.hits == 1 and cache.misses == 2
         assert 0 < cache.hit_rate < 1
 
     def test_hit_returns_equivalent_module(self):
         cache = CompilationCache()
-        cold = compile_to_module(self.SOURCE, optimize=True, cache=cache)
-        warm = compile_to_module(self.SOURCE, optimize=True, cache=cache)
+        cold = CompilationSession(optimize=True,
+                                  cache=cache).compile(self.SOURCE)
+        warm = CompilationSession(optimize=True,
+                                  cache=cache).compile(self.SOURCE)
         assert cache.hits == 1
         assert encode_module(warm) == encode_module(cold)
 
@@ -327,18 +343,18 @@ class TestCompilationCache:
 
     def test_disk_persistence(self, tmp_path):
         first = CompilationCache(str(tmp_path))
-        compile_to_module(self.SOURCE, cache=first)
+        CompilationSession(cache=first).compile(self.SOURCE)
         assert list(tmp_path.glob("??/*.stsa"))
         second = CompilationCache(str(tmp_path))
         key = cache_key(second, self.SOURCE)
         assert second.get(key) is not None
         assert second.hits == 1
-        module = compile_to_module(self.SOURCE, cache=second)
+        module = CompilationSession(cache=second).compile(self.SOURCE)
         assert encode_module(module) == second.get(key)
 
     def test_clear_empties_memory_and_disk(self, tmp_path):
         cache = CompilationCache(str(tmp_path))
-        compile_to_module(self.SOURCE, cache=cache)
+        CompilationSession(cache=cache).compile(self.SOURCE)
         cache.clear()
         assert len(cache) == 0
         assert not list(tmp_path.glob("??/*.stsa"))
@@ -350,21 +366,20 @@ class TestCompilationCache:
         cache = CompilationCache(str(tmp_path))
         key = cache_key(cache, self.SOURCE)
         cache.put(key, b"\x00garbage")
-        module = compile_to_module(self.SOURCE, cache=cache)
-        cold = encode_module(compile_to_module(self.SOURCE, cache=False))
+        module = CompilationSession(cache=cache).compile(self.SOURCE)
+        cold = encode_module(
+            CompilationSession(cache=False).compile(self.SOURCE))
         assert encode_module(module) == cold
         assert cache.get(key) == cold
         assert CompilationCache(str(tmp_path)).get(key) == cold
 
     def test_stage_seconds_recorded(self):
         cache = CompilationCache()
-        stages: dict = {}
-        compile_to_module(self.SOURCE, optimize=True, cache=cache,
-                          stage_seconds=stages)
-        assert set(stages) == {"parse", "ssa", "opt"}
-        assert all(seconds >= 0 for seconds in stages.values())
-        warm_stages: dict = {}
-        compile_to_module(self.SOURCE, optimize=True, cache=cache,
-                          stage_seconds=warm_stages)
+        cold = CompilationSession(optimize=True, cache=cache)
+        cold.compile(self.SOURCE)
+        assert set(cold.stage_seconds) == {"parse", "ssa", "opt"}
+        assert all(seconds >= 0 for seconds in cold.stage_seconds.values())
+        warm = CompilationSession(optimize=True, cache=cache)
+        warm.compile(self.SOURCE)
         # a hit goes through the fused verifying loader
-        assert set(warm_stages) == {"load"}
+        assert set(warm.stage_seconds) == {"load"}

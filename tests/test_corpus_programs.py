@@ -8,6 +8,7 @@ and the Java-bytecode interpreter.
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
@@ -16,7 +17,6 @@ from repro.frontend.semantics import analyze
 from repro.interp.interpreter import Interpreter
 from repro.jvm.codegen import compile_unit
 from repro.jvm.interp import BytecodeInterpreter
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 from repro.uast.builder import UastBuilder
 
@@ -42,7 +42,7 @@ def outputs():
     """Reference stdout for every corpus program (plain pipeline)."""
     results = {}
     for name in CORPUS_PROGRAMS:
-        module = compile_to_module(corpus_source(name))
+        module = compile_source(corpus_source(name))
         result = Interpreter(module, max_steps=MAX_STEPS).run_main(name)
         assert result.exception is None, (name, result.exception_name())
         results[name] = result.stdout
@@ -57,7 +57,7 @@ def test_golden_first_line(outputs, program):
 
 @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
 def test_optimized_equals_plain(outputs, program):
-    module = compile_to_module(corpus_source(program), optimize=True)
+    module = compile_source(corpus_source(program), optimize=True)
     verify_module(module)
     result = Interpreter(module, max_steps=MAX_STEPS).run_main(program)
     assert result.stdout == outputs[program]
@@ -65,7 +65,7 @@ def test_optimized_equals_plain(outputs, program):
 
 @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
 def test_decoded_equals_plain(outputs, program):
-    module = compile_to_module(corpus_source(program), optimize=True)
+    module = compile_source(corpus_source(program), optimize=True)
     decoded = decode_module(encode_module(module))
     verify_module(decoded)
     result = Interpreter(decoded, max_steps=MAX_STEPS).run_main(program)
@@ -88,9 +88,9 @@ def test_bytecode_equals_plain(outputs, program):
 @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
 def test_optimized_runs_fewer_dynamic_checks(program):
     source = corpus_source(program)
-    plain = Interpreter(compile_to_module(source), max_steps=MAX_STEPS)
+    plain = Interpreter(compile_source(source), max_steps=MAX_STEPS)
     plain.run_main(program)
-    optimized = Interpreter(compile_to_module(source, optimize=True),
+    optimized = Interpreter(compile_source(source, optimize=True),
                             max_steps=MAX_STEPS)
     optimized.run_main(program)
     plain_total = sum(plain.check_counts.values())

@@ -25,8 +25,7 @@ from repro.driver import (
     parse_pass_spec,
     spec_string,
 )
-from repro.driver.passes import effective_passes
-from repro.pipeline import compile_to_module
+from repro.driver.passes import STEP_FUNCTIONS, effective_passes
 from repro.fuzz.gen import program_strategy
 
 
@@ -141,7 +140,7 @@ class TestCacheKeyCoverage:
     def test_known_flags_accepted(self):
         cache = CompilationCache()
         defaults = {"optimize": False, "passes": None,
-                    "prune_phis": True, "eager_phis": True}
+                    "prune_phis": True}
         for flag, default in defaults.items():
             assert cache_key(cache, SOURCE, **{flag: default}) \
                 == cache_key(cache, SOURCE)
@@ -170,20 +169,23 @@ class TestCacheKeyCoverage:
 
     def test_unoptimized_entry_never_served_for_optimized_compile(self):
         cache = CompilationCache()
-        plain = compile_to_module(SOURCE, cache=cache)
-        optimized = compile_to_module(SOURCE, optimize=True, cache=cache)
+        plain = CompilationSession(cache=cache).compile(SOURCE)
+        optimized = CompilationSession(optimize=True,
+                                       cache=cache).compile(SOURCE)
         assert optimized.instruction_count() \
             < plain.instruction_count()
         # both forms landed under their own keys; a rerun hits each
         assert cache.misses == 2
-        rerun = compile_to_module(SOURCE, optimize=True, cache=cache)
+        rerun = CompilationSession(optimize=True,
+                                   cache=cache).compile(SOURCE)
         assert cache.hits == 1
         assert rerun.instruction_count() == optimized.instruction_count()
 
 
 class TestAnalysisManager:
     def _function(self, optimize=False):
-        module = compile_to_module(SOURCE, optimize=optimize, cache=False)
+        module = CompilationSession(optimize=optimize,
+                                    cache=False).compile(SOURCE)
         return module, next(iter(module.functions.values()))
 
     def test_results_are_cached(self):
@@ -243,13 +245,6 @@ class TestCompilationSession:
         assert {cls.info.name for cls in classfiles} \
             == {info.name for info in module.classes}
 
-    def test_session_matches_legacy_wrapper(self):
-        from repro.encode.serializer import encode_module
-        legacy = compile_to_module(SOURCE, optimize=True, cache=False)
-        session = CompilationSession(optimize=True, cache=False)
-        module = session.compile(SOURCE)
-        assert encode_module(module) == encode_module(legacy)
-
     def test_stage_seconds_and_reports(self):
         session = CompilationSession(optimize=True, cache=False)
         session.compile(SOURCE)
@@ -267,7 +262,8 @@ class TestCompilationSession:
         module = optimized.compile(SOURCE)
         # the cached no-op module must not be served for -O
         assert cache.hits == 0 and cache.misses == 2
-        full = compile_to_module(SOURCE, optimize=True, cache=False)
+        full = CompilationSession(optimize=True,
+                                  cache=False).compile(SOURCE)
         assert module.instruction_count() == full.instruction_count()
 
 
@@ -382,31 +378,17 @@ class TestRebuildDeterminism:
                 f"rebuild diverged at trial {trial}"
 
 
-class TestLegacyWrappers:
-    def test_optimize_function_flat_stats_shape(self):
-        from repro.opt.pipeline import optimize_function
-        module = compile_to_module(SOURCE, cache=False)
-        function = next(iter(module.functions.values()))
-        stats = optimize_function(function)
-        assert stats["function"] == function.name
-        assert "constprop_folded" in stats
-
-    def test_pass_functions_alias_driver_steps(self):
-        from repro.driver.passes import STEP_FUNCTIONS
-        from repro.opt import pipeline as opt_pipeline
-        assert opt_pipeline.PASS_FUNCTIONS is STEP_FUNCTIONS
-
+class TestStepMonkeypatch:
     def test_monkeypatched_step_called_without_analyses(self, monkeypatch):
-        # the historical sabotage contract: a patched step that only
-        # accepts (function,) must keep working under the new manager
-        from repro.opt import pipeline as opt_pipeline
+        # the sabotage contract: a patched step that only accepts
+        # (function,) is called without the shared analysis cache
         calls = []
 
         def patched(function):
             calls.append(function.name)
             return {"patched": 1}
 
-        monkeypatch.setitem(opt_pipeline.PASS_FUNCTIONS, "dce", patched)
+        monkeypatch.setitem(STEP_FUNCTIONS, "dce", patched)
         session = CompilationSession(optimize=True, cache=False)
         module = session.build_module(SOURCE)
         session.optimize(module)

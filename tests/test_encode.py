@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode.bitio import BitIOError, BitReader, BitWriter
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
@@ -89,7 +89,7 @@ class TestModuleRoundTrip:
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_round_trip_preserves_everything(self, program):
         source = corpus_source(program)
-        module = compile_to_module(source, optimize=True)
+        module = compile_source(source, optimize=True)
         wire = encode_module(module)
         decoded = decode_module(wire)
         verify_module(decoded)
@@ -108,7 +108,7 @@ class TestModuleRoundTrip:
     @pytest.mark.parametrize("program", ("Parser", "BitSieve", "BinaryCode"))
     def test_round_trip_preserves_behaviour(self, program):
         source = corpus_source(program)
-        module = compile_to_module(source, optimize=True)
+        module = compile_source(source, optimize=True)
         expected = Interpreter(module, max_steps=50_000_000) \
             .run_main(program)
         decoded = decode_module(encode_module(module))
@@ -119,7 +119,7 @@ class TestModuleRoundTrip:
 
     def test_unpruned_module_round_trips(self):
         source = corpus_source("Linpack")
-        module = compile_to_module(source, prune_phis=False)
+        module = compile_source(source, prune_phis=False)
         decoded = decode_module(encode_module(module))
         verify_module(decoded)
 
@@ -132,7 +132,7 @@ class TestModuleRoundTrip:
             System.out.println(a.legs());
         } }
         """
-        module = compile_to_module(source)
+        module = compile_source(source)
         decoded = decode_module(encode_module(module))
         cat = decoded.world.require("Cat")
         animal = decoded.world.require("Animal")
@@ -144,7 +144,7 @@ class TestModuleRoundTrip:
     def test_string_constants_survive(self):
         source = ('class T { static void main() '
                   '{ System.out.println("héllo\\nwörld"); } }')
-        module = compile_to_module(source)
+        module = compile_source(source)
         decoded = decode_module(encode_module(module))
         result = Interpreter(decoded).run_main("T")
         assert result.stdout == "héllo\nwörld\n"
@@ -155,14 +155,14 @@ class TestModuleRoundTrip:
                   "System.out.println(1.0 / d);"
                   "System.out.println(f * 2.0);"
                   "} }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         decoded = decode_module(encode_module(module))
         result = Interpreter(decoded).run_main("T")
         assert result.stdout == "-Infinity\n3.0\n"
 
     def test_size_report_accounts_all_classes(self):
         source = corpus_source("Parser")
-        module = compile_to_module(source)
+        module = compile_source(source)
         report = {}
         wire = encode_module(module, size_report=report)
         header = report.pop("_header")
@@ -184,13 +184,13 @@ class TestDecodeRejections:
             decode_module(b"")
 
     def test_trailing_garbage_rejected(self):
-        module = compile_to_module("class T { static void main() { } }")
+        module = compile_source("class T { static void main() { } }")
         wire = encode_module(module)
         with pytest.raises(DecodeError):
             decode_module(wire + b"\x00\x01")
 
     def test_truncations_rejected(self):
-        module = compile_to_module(corpus_source("BitSieve"))
+        module = compile_source(corpus_source("BitSieve"))
         wire = encode_module(module)
         for cut in range(1, len(wire), 37):
             with pytest.raises(DecodeError):

@@ -8,12 +8,12 @@ form of field analysis ... partitioning Mem by field name."
 
 import pytest
 
+from repro.api import compile_source
+from repro.driver import PassManager
 from repro.interp.interpreter import Interpreter
 from repro.opt.cse import run_cse
 from repro.opt.memdep import MemDep, partition_of
-from repro.opt.pipeline import optimize_module
 from repro.opt.safephi import run_safe_phi_propagation
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
@@ -40,7 +40,7 @@ class TestSafePhiPropagation:
     """
 
     def test_loop_carried_safety_promotes_phi(self):
-        module = compile_to_module(self.LOOP_SOURCE)
+        module = compile_source(self.LOOP_SOURCE)
         function = module.function_named("Node", "run")
         promoted = run_safe_phi_propagation(function)
         assert promoted >= 1
@@ -50,18 +50,18 @@ class TestSafePhiPropagation:
         assert safe_phis
 
     def test_checks_eliminated_after_promotion(self):
-        plain = compile_to_module(self.LOOP_SOURCE)
-        optimized = compile_to_module(self.LOOP_SOURCE, optimize=True)
+        plain = compile_source(self.LOOP_SOURCE)
+        optimized = compile_source(self.LOOP_SOURCE, optimize=True)
         run_fn = lambda m: m.function_named("Node", "run")
         assert count(run_fn(optimized), "nullcheck") \
             < count(run_fn(plain), "nullcheck")
         verify_module(optimized)
 
     def test_dynamic_check_reduction(self):
-        plain = Interpreter(compile_to_module(self.LOOP_SOURCE))
+        plain = Interpreter(compile_source(self.LOOP_SOURCE))
         plain.run_main("Node")
         optimized = Interpreter(
-            compile_to_module(self.LOOP_SOURCE, optimize=True))
+            compile_source(self.LOOP_SOURCE, optimize=True))
         optimized.run_main("Node")
         assert optimized.check_counts["nullcheck"] \
             < plain.check_counts["nullcheck"]
@@ -84,12 +84,12 @@ class TestSafePhiPropagation:
             }
         }
         """
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("Node", "run")
         run_safe_phi_propagation(function)
         verify_module(module)
         # behaviour check: null path still works
-        optimized = compile_to_module(source, optimize=True)
+        optimized = compile_source(source, optimize=True)
         verify_module(optimized)
         fn = optimized.function_named("Node", "run")
         result = Interpreter(optimized).run_function(fn, [True])
@@ -106,11 +106,11 @@ class TestSafePhiPropagation:
             }
         }
         """
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("Node", "run")
         assert run_safe_phi_propagation(function) == 0
         # the check must stay: given may be null
-        optimized = compile_to_module(source, optimize=True)
+        optimized = compile_source(source, optimize=True)
         fn = optimized.function_named("Node", "run")
         result = Interpreter(optimized).run_function(fn, [None, True])
         assert result.exception_name() == "java.lang.NullPointerException"
@@ -118,9 +118,9 @@ class TestSafePhiPropagation:
     def test_pipeline_with_safephi_preserves_corpus(self):
         from repro.bench.corpus import corpus_source
         source = corpus_source("Parser")
-        plain = Interpreter(compile_to_module(source),
+        plain = Interpreter(compile_source(source),
                             max_steps=50_000_000).run_main("Parser")
-        optimized_module = compile_to_module(source, optimize=True)
+        optimized_module = compile_source(source, optimize=True)
         verify_module(optimized_module)
         optimized = Interpreter(optimized_module,
                                 max_steps=50_000_000).run_main("Parser")
@@ -129,7 +129,7 @@ class TestSafePhiPropagation:
 
 class TestFieldPartitionedMemory:
     def test_partition_keys(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { int a; static int f(T t, int[] xs, double[] ds) {"
             "t.a = 1; xs[0] = 2; ds[0] = 3.0; return t.a + xs[0]; } }")
         function = module.function_named("T", "f")
@@ -146,7 +146,7 @@ class TestFieldPartitionedMemory:
     def test_store_to_other_field_does_not_clobber(self):
         source = ("class T { int a; int b; static int f(T t) {"
                   "int x = t.a; t.b = 5; int y = t.a; return x + y; } }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("T", "f")
         run_cse(function, partition_memory=True)
         loads = [i for b in function.blocks for i in b.instrs
@@ -157,7 +157,7 @@ class TestFieldPartitionedMemory:
     def test_store_to_same_field_still_clobbers(self):
         source = ("class T { int a; static int f(T t) {"
                   "int x = t.a; t.a = 5; int y = t.a; return x + y; } }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("T", "f")
         run_cse(function, partition_memory=True)
         loads = [i for b in function.blocks for i in b.instrs
@@ -168,7 +168,7 @@ class TestFieldPartitionedMemory:
         source = ("class T { static int f(int[] xs, double[] ds) {"
                   "int x = xs[0]; ds[0] = 1.5; int y = xs[0];"
                   "return x + y; } }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("T", "f")
         run_cse(function, partition_memory=True)
         gets = [i for b in function.blocks for i in b.instrs
@@ -182,7 +182,7 @@ class TestFieldPartitionedMemory:
         source = ("class T { static int f(int[] xs, int[] ys) {"
                   "int x = xs[0]; ys[0] = 9; int y = xs[0];"
                   "return x + y; } }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("T", "f")
         run_cse(function, partition_memory=True)
         gets = [i for b in function.blocks for i in b.instrs
@@ -193,7 +193,7 @@ class TestFieldPartitionedMemory:
         source = ("class T { int a; static void g() { }"
                   "static int f(T t) {"
                   "int x = t.a; g(); int y = t.a; return x + y; } }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         function = module.function_named("T", "f")
         run_cse(function, partition_memory=True)
         loads = [i for b in function.blocks for i in b.instrs
@@ -204,12 +204,11 @@ class TestFieldPartitionedMemory:
         from repro.bench.corpus import corpus_source
         for name in ("BigInt", "Environment"):
             source = corpus_source(name)
-            plain = Interpreter(compile_to_module(source),
+            plain = Interpreter(compile_source(source),
                                 max_steps=50_000_000).run_main(name)
-            module = compile_to_module(source)
-            optimize_module(module,
-                            passes=["constprop", "safephi", "cse_fields",
-                                    "dce"])
+            module = compile_source(source)
+            PassManager(["constprop", "safephi", "cse_fields",
+                         "dce"]).run_module(module)
             verify_module(module)
             result = Interpreter(module, max_steps=50_000_000) \
                 .run_main(name)
@@ -219,11 +218,10 @@ class TestFieldPartitionedMemory:
         from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
         for name in CORPUS_PROGRAMS:
             source = corpus_source(name)
-            unified = compile_to_module(source)
-            optimize_module(unified)
-            partitioned = compile_to_module(source)
-            optimize_module(partitioned,
-                            passes=["constprop", "safephi", "cse_fields",
-                                    "dce"])
+            unified = compile_source(source)
+            PassManager().run_module(unified)
+            partitioned = compile_source(source)
+            PassManager(["constprop", "safephi", "cse_fields",
+                         "dce"]).run_module(partitioned)
             assert partitioned.instruction_count() \
                 <= unified.instruction_count(), name

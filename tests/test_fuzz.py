@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.driver import CompilationSession
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
 from repro.fuzz.campaign import (
@@ -38,7 +39,6 @@ from repro.fuzz.minimize import (
 )
 from repro.fuzz.mutate import check_stream, mutate_stream
 from repro.fuzz.oracle import check_program
-from repro.pipeline import compile_to_module
 from repro.ssa import ir
 from repro.tsa.verifier import VerifyError, verify_module
 
@@ -61,7 +61,8 @@ class TestGenerator:
     def test_generated_programs_compile_and_verify(self):
         for seed in range(15):
             generated = generate_seeded(seed)
-            module = compile_to_module(generated.source, cache=False)
+            module = CompilationSession(cache=False).compile(
+                generated.source)
             verify_module(module)
 
     def test_campaign_seed_derivation(self):
@@ -149,8 +150,8 @@ class TestMinimizer:
 
 class TestMutation:
     def test_mutators_are_deterministic(self):
-        base = encode_module(compile_to_module(BASE_PROGRAMS[0][1],
-                                               cache=False))
+        base = encode_module(
+            CompilationSession(cache=False).compile(BASE_PROGRAMS[0][1]))
         first = [mutate_stream(base, RandomSource(99)) for _ in range(20)]
         second = [mutate_stream(base, RandomSource(99)) for _ in range(20)]
         # one RandomSource per run: the whole mutant sequence repeats
@@ -262,7 +263,8 @@ class TestTrappingTailRule:
     SOURCE = BASE_PROGRAMS[2][1]  # arrays: try/catch over xs[7]
 
     def test_verifier_rejects_trap_shadow_reference(self):
-        module = compile_to_module(self.SOURCE, optimize=True, cache=False)
+        module = CompilationSession(optimize=True,
+                                    cache=False).compile(self.SOURCE)
         _tamper_trap_shadow(module)
         with pytest.raises(VerifyError) as info:
             verify_module(module)
@@ -272,7 +274,8 @@ class TestTrappingTailRule:
         # the decoder enforces the same rule on the wire (the fixtures
         # under golden/attacks replay real mutated streams; this one is
         # synthesized, so the two tests fail independently)
-        module = compile_to_module(self.SOURCE, optimize=True, cache=False)
+        module = CompilationSession(optimize=True,
+                                    cache=False).compile(self.SOURCE)
         _tamper_trap_shadow(module)
         with pytest.raises(DecodeError) as info:
             decode_module(encode_module(module))
@@ -290,7 +293,7 @@ class T {
     static void main() { System.out.println(f(12, 3, 2)); }
 }
 """
-        module = compile_to_module(source, cache=False)
+        module = CompilationSession(cache=False).compile(source)
         verify_module(module)
         function = next(f for m, f in module.functions.items()
                         if m.name == "f")
@@ -329,8 +332,8 @@ class TestDecodeErrorCodes:
         assert info.value.code == "DEC-MAGIC"
 
     def test_trailing_data(self):
-        wire = encode_module(compile_to_module(BASE_PROGRAMS[0][1],
-                                               cache=False))
+        wire = encode_module(
+            CompilationSession(cache=False).compile(BASE_PROGRAMS[0][1]))
         with pytest.raises(DecodeError) as info:
             decode_module(wire + b"\x01\x02\x03\x04")
         assert info.value.code == "DEC-TRAILING"
@@ -344,7 +347,7 @@ class TestExecutionGuards:
         )
         source = ("class T { static void main() "
                   "{ int[] big = new int[70000]; } }")
-        module = compile_to_module(source, cache=False)
+        module = CompilationSession(cache=False).compile(source)
         interp = Interpreter(module, max_steps=10_000)
         interp.max_array_length = 1 << 16
         with pytest.raises(AllocationLimitExceeded):

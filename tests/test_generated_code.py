@@ -16,20 +16,20 @@ import weakref
 
 import pytest
 
+from repro.api import compile_source
 from repro.cache import TraceCache
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter, StepLimitExceeded
 from repro.interp.jit import JitCompiler
 from repro.interp.trace import TracingInterpreter
 from repro.loader.fused import load_module
-from repro.pipeline import compile_to_module
 
 THRESHOLD = 4
 
 
 def loaded(source):
     """A freshly decoded module (with the wire digest traces key on)."""
-    return load_module(encode_module(compile_to_module(source)),
+    return load_module(encode_module(compile_source(source)),
                        cache=False)
 
 

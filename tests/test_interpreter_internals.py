@@ -3,29 +3,29 @@ step limits, and direct function invocation."""
 
 import pytest
 
+from repro.api import compile_source
 from repro.interp.heap import JStr
 from repro.interp.interpreter import Interpreter, StepLimitExceeded
-from repro.pipeline import compile_to_module
 from tests.conftest import main_wrap
 
 
 class TestDirectInvocation:
     def test_run_function_with_arguments(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int add(int a, int b) { return a + b; } }")
         fn = module.function_named("T", "add")
         result = Interpreter(module).run_function(fn, [20, 22])
         assert result.value == 42
 
     def test_run_function_with_reference_argument(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int len(String s) { return s.length(); } }")
         fn = module.function_named("T", "len")
         result = Interpreter(module).run_function(fn, [JStr("abcd")])
         assert result.value == 4
 
     def test_exception_propagates_to_result(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int bad(String s) { return s.length(); } }")
         fn = module.function_named("T", "bad")
         result = Interpreter(module).run_function(fn, [None])
@@ -33,7 +33,7 @@ class TestDirectInvocation:
         assert result.value is None
 
     def test_instance_method_with_this(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { int v; T(int v) { this.v = v; }"
             "int doubled() { return v * 2; } }")
         interp = Interpreter(module)
@@ -49,13 +49,13 @@ class TestDirectInvocation:
 
 class TestLimitsAndCounters:
     def test_step_limit_enforced(self):
-        module = compile_to_module(main_wrap("while (true) { }"))
+        module = compile_source(main_wrap("while (true) { }"))
         interp = Interpreter(module, max_steps=1000)
         with pytest.raises(StepLimitExceeded):
             interp.run_main()
 
     def test_check_counters_track_dynamic_checks(self):
-        module = compile_to_module(main_wrap(
+        module = compile_source(main_wrap(
             "int[] a = new int[10];"
             "for (int i = 0; i < 10; i++) a[i] = i;"))
         interp = Interpreter(module)
@@ -75,7 +75,7 @@ class TestLimitsAndCounters:
             System.out.println(Trace.log + " " + B.y);
         } }
         """
-        module = compile_to_module(source)
+        module = compile_source(source)
         result = Interpreter(module).run_main("Main")
         assert result.stdout == "12 3\n"
 
@@ -84,12 +84,12 @@ class TestLimitsAndCounters:
                   "{ System.out.println(\"A\"); } }"
                   "class B { static void main() "
                   "{ System.out.println(\"B\"); } }")
-        module = compile_to_module(source)
+        module = compile_source(source)
         assert Interpreter(module).run_main("B").stdout == "B\n"
         assert Interpreter(module).run_main("A").stdout == "A\n"
 
     def test_missing_main_reported(self):
-        module = compile_to_module("class T { }")
+        module = compile_source("class T { }")
         from repro.interp.interpreter import InterpreterError
         with pytest.raises(InterpreterError, match="no static main"):
             Interpreter(module).run_main()
@@ -97,7 +97,7 @@ class TestLimitsAndCounters:
 
 class TestDeepRecursion:
     def test_recursion_to_moderate_depth(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int depth(int n) {"
             "if (n == 0) return 0; return 1 + depth(n - 1); } }")
         fn = module.function_named("T", "depth")

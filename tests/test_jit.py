@@ -8,24 +8,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
 from repro.interp.jit import JitCompiler
-from repro.pipeline import compile_to_module
 from tests.conftest import main_wrap
 
 
 def jit_run(source, main_class=None, optimize=False):
-    module = compile_to_module(source, optimize=optimize)
+    module = compile_source(source, optimize=optimize)
     return JitCompiler(module).run_main(main_class)
 
 
 @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
 def test_jit_matches_interpreter_on_corpus(program):
     source = corpus_source(program)
-    module = compile_to_module(source, optimize=True)
+    module = compile_source(source, optimize=True)
     expected = Interpreter(module, max_steps=80_000_000).run_main(program)
     actual = JitCompiler(module).run_main(program)
     assert actual.stdout == expected.stdout
@@ -35,7 +35,7 @@ def test_jit_matches_interpreter_on_corpus(program):
 def test_jit_runs_decoded_modules():
     source = corpus_source("BitSieve")
     module = decode_module(encode_module(
-        compile_to_module(source, optimize=True)))
+        compile_source(source, optimize=True)))
     result = JitCompiler(module).run_main("BitSieve")
     assert result.stdout.startswith("primes=2262")
 
@@ -48,7 +48,7 @@ def test_jit_on_decoded_artifacts_matches_golden(program, optimize):
     the pinned golden output byte for byte, for both the plain and the
     optimized artifact."""
     source = corpus_source(program)
-    wire = encode_module(compile_to_module(source, optimize=optimize))
+    wire = encode_module(compile_source(source, optimize=optimize))
     result = JitCompiler(decode_module(wire)).run_main(program)
     golden = Path(__file__).parent / "golden" / f"{program}.out"
     assert result.stdout == golden.read_text()
@@ -74,7 +74,7 @@ def test_jit_exception_paths_through_wire(optimize):
     }
     """
     module = decode_module(encode_module(
-        compile_to_module(src, optimize=optimize)))
+        compile_source(src, optimize=optimize)))
     expected = Interpreter(module).run_main("Main")
     actual = JitCompiler(module).run_main("Main")
     assert actual.stdout == expected.stdout
@@ -184,7 +184,7 @@ class TestJitSemantics:
 def test_jit_is_faster_than_interpreter():
     import time
     source = corpus_source("BitSieve")
-    module = compile_to_module(source, optimize=True)
+    module = compile_source(source, optimize=True)
     start = time.perf_counter()
     Interpreter(module, max_steps=80_000_000).run_main("BitSieve")
     interp_time = time.perf_counter() - start

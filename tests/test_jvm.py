@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import compile_source
 from repro.frontend.parser import parse_compilation_unit
 from repro.frontend.semantics import analyze
 from repro.interp.interpreter import Interpreter
@@ -11,7 +12,6 @@ from repro.jvm.interp import BytecodeInterpreter
 from repro.jvm.opcodes import Insn, insn_size
 from repro.jvm.verifier import BytecodeVerifyError, verify_class, \
     verify_method
-from repro.pipeline import compile_to_module
 from repro.uast.builder import UastBuilder
 
 
@@ -154,7 +154,7 @@ class TestBytecodeInterpreter:
                   "System.out.println(1.5 % 0.7);"
                   "} }")
         bc = run_bc(source)
-        ts = Interpreter(compile_to_module(source)).run_main()
+        ts = Interpreter(compile_source(source)).run_main()
         assert bc.stdout == ts.stdout
 
     def test_exception_dispatch(self):
@@ -264,7 +264,7 @@ class TestDifferentialHarness:
     def test_bytecode_vs_safetsa(self, index):
         source = self.SOURCES[index]
         bc = run_bc(source)
-        ts = Interpreter(compile_to_module(source)).run_main()
+        ts = Interpreter(compile_source(source)).run_main()
         assert bc.stdout == ts.stdout
         assert bc.exception_name() == ts.exception_name()
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.diagnostics import STABLE_CODES, codes_equivalent
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.cache import VerifiedModuleCache
 from repro.encode.deserializer import DecodeError, decode_module
@@ -26,7 +27,6 @@ from repro.fuzz.gen import RandomSource
 from repro.fuzz.mutate import mutate_stream
 from repro.loader import ModuleLoader, load_module
 from repro.loader.lazy import LazyFunctions
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import VerifyError, verify_module
 
 ATTACKS_DIR = Path(__file__).parent / "golden" / "attacks"
@@ -36,7 +36,7 @@ ATTACKS_DIR = Path(__file__).parent / "golden" / "attacks"
 
 
 def _encode(source: str, optimize: bool) -> bytes:
-    return encode_module(compile_to_module(source, optimize=optimize))
+    return encode_module(compile_source(source, optimize=optimize))
 
 
 @pytest.fixture(scope="module")

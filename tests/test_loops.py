@@ -12,14 +12,13 @@ from repro.analysis.loops import (
     find_loops,
 )
 from repro.analysis.range import RangeFact, _RangeAnalysis
-from repro.driver import parse_pass_spec
+from repro.api import compile_source
+from repro.driver import PassManager, parse_pass_spec
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
 from repro.opt.hoist_checks import run_hoist_checks
 from repro.opt.licm import run_licm
-from repro.opt.pipeline import optimize_module
-from repro.pipeline import compile_to_module
 from repro.ssa.cst import derive_cfg
 from repro.tsa.verifier import verify_module
 
@@ -27,7 +26,7 @@ LOOP_PIPELINE = "constprop,safephi,hoist_checks,cse,licm,dce,cleanup"
 
 
 def compiled(source: str, cls: str, method: str):
-    module = compile_to_module(source)
+    module = compile_source(source)
     return module, module.function_named(cls, method)
 
 
@@ -150,7 +149,7 @@ class TestPreheader:
     def test_reuses_structural_preheader(self):
         # the frontend's loop-init block is already a preheader: single
         # outside pred, fall-through, header its only successor
-        module = compile_to_module(WHILE_SUM)
+        module = compile_source(WHILE_SUM)
         fn = module.function_named("T", "f")
         forest = find_loops(fn)
         loop = forest.loops[0]
@@ -174,8 +173,8 @@ class Main {
     static void main() { System.out.println(f(20, true)); }
 }
 """
-        baseline, _ = run(compile_to_module(source))
-        module = compile_to_module(source)
+        baseline, _ = run(compile_source(source))
+        module = compile_source(source)
         fn = module.function_named("Main", "f")
         forest = find_loops(fn)
         loop = forest.loops[0]
@@ -210,8 +209,8 @@ class Main {
     }
 }
 """
-        baseline, _ = run(compile_to_module(source))
-        module = compile_to_module(source)
+        baseline, _ = run(compile_source(source))
+        module = compile_source(source)
         fn = module.function_named("Main", "f")
         forest = find_loops(fn)
         pre = ensure_preheader(fn, forest.loops[0], forest)
@@ -220,7 +219,7 @@ class Main {
         assert run(module)[0] == baseline
 
     def test_wire_round_trip_after_insertion(self):
-        module = compile_to_module(WHILE_SUM)
+        module = compile_source(WHILE_SUM)
         fn = module.function_named("T", "f")
         forest = find_loops(fn)
         assert ensure_preheader(fn, forest.loops[0], forest) is not None
@@ -230,7 +229,7 @@ class Main {
         assert encode_module(decoded) == wire
 
     def test_structural_detection(self):
-        module = compile_to_module(WHILE_SUM)
+        module = compile_source(WHILE_SUM)
         fn = module.function_named("T", "f")
         forest = find_loops(fn)
         loop = forest.loops[0]
@@ -255,8 +254,8 @@ class Main {
 
 class TestLicm:
     def test_hoists_invariant_arithmetic(self):
-        baseline, _ = run(compile_to_module(LICM_INVARIANT))
-        module = compile_to_module(LICM_INVARIANT)
+        baseline, _ = run(compile_source(LICM_INVARIANT))
+        module = compile_source(LICM_INVARIANT)
         fn = module.function_named("Main", "f")
         forest = find_loops(fn)
         loop = forest.loops[0]
@@ -327,19 +326,19 @@ class Main { int a;
     static void main() { System.out.println(f(4)); }
 }
 """
-        module = compile_to_module(source)
+        module = compile_source(source)
         fn = module.function_named("Main", "f")
         forest = find_loops(fn)
         assert run_licm(fn, forest)["licm_hoisted"] == 0
 
-        baseline, _ = run(compile_to_module(source))
-        module = compile_to_module(source)
+        baseline, _ = run(compile_source(source))
+        module = compile_source(source)
         fn = module.function_named("Main", "f")
-        flat = optimize_module(module, passes="hoist_checks,cse,licm",
-                               check_after_each_pass=True)
+        reports = PassManager("hoist_checks,cse,licm",
+                              check_after_each_pass=True).run_module(module)
         stats = {}
-        for row in flat:
-            for key, value in row.items():
+        for report in reports:
+            for key, value in report.stats.items():
                 if isinstance(value, int) and not isinstance(value, bool):
                     stats[key] = stats.get(key, 0) + value
         assert stats["checks_hoisted_null"] >= 1
@@ -393,8 +392,8 @@ class Main {
     static void main() { System.out.println(f(3)); }
 }
 """
-        baseline, base_checks = run(compile_to_module(source))
-        module = compile_to_module(source)
+        baseline, base_checks = run(compile_source(source))
+        module = compile_source(source)
         fn = module.function_named("Main", "f")
         stats = run_hoist_checks(fn)
         assert stats["checks_hoisted_null"] + stats["checks_hoisted_idx"] > 0
@@ -437,7 +436,7 @@ class Main {
     static void main() { System.out.println(f(null, 0)); }
 }
 """
-        module = compile_to_module(source)
+        module = compile_source(source)
         fn = module.function_named("Main", "f")
         stats = run_hoist_checks(fn)
         assert stats["checks_hoisted_null"] == 0
@@ -480,9 +479,9 @@ class Main {
     }
 }
 """
-        baseline, _ = run(compile_to_module(source))
+        baseline, _ = run(compile_source(source))
         assert baseline == "npe\n"
-        module = compile_to_module(source)
+        module = compile_source(source)
         stats = run_hoist_checks(module.function_named("Main", "f"))
         assert stats["checks_hoisted_null"] == 1
         verify_module(module)
@@ -511,20 +510,20 @@ class TestPipelineIntegration:
             ("hoist_checks", "cse", "licm")
 
     def test_full_pipeline_reduces_dynamic_checks(self):
-        baseline, base_checks = run(compile_to_module(LOOP_HEAVY))
-        module = compile_to_module(LOOP_HEAVY)
-        optimize_module(module, passes=LOOP_PIPELINE,
-                        check_after_each_pass=True)
+        baseline, base_checks = run(compile_source(LOOP_HEAVY))
+        module = compile_source(LOOP_HEAVY)
+        PassManager(LOOP_PIPELINE,
+                    check_after_each_pass=True).run_module(module)
         verify_module(module)
         out, checks = run(module)
         assert out == baseline
         assert sum(checks.values()) < sum(base_checks.values())
 
     def test_tier_alone_reduces_dynamic_checks(self):
-        baseline, base_checks = run(compile_to_module(LOOP_HEAVY))
-        module = compile_to_module(LOOP_HEAVY)
-        optimize_module(module, passes="hoist_checks,licm",
-                        check_after_each_pass=True)
+        baseline, base_checks = run(compile_source(LOOP_HEAVY))
+        module = compile_source(LOOP_HEAVY)
+        PassManager("hoist_checks,licm",
+                    check_after_each_pass=True).run_module(module)
         verify_module(module)
         out, checks = run(module)
         assert out == baseline
@@ -534,11 +533,11 @@ class TestPipelineIntegration:
     def test_loop_pipeline_round_trips_on_corpus(self):
         from repro.bench.corpus import corpus_source
         source = corpus_source("BitSieve")
-        baseline, _ = run(compile_to_module(source), "BitSieve",
+        baseline, _ = run(compile_source(source), "BitSieve",
                           max_steps=50_000_000)
-        module = compile_to_module(source)
-        optimize_module(module, passes=LOOP_PIPELINE,
-                        check_after_each_pass=True)
+        module = compile_source(source)
+        PassManager(LOOP_PIPELINE,
+                    check_after_each_pass=True).run_module(module)
         verify_module(module)
         wire = encode_module(module)
         decoded = decode_module(wire)
@@ -548,7 +547,7 @@ class TestPipelineIntegration:
 
     def test_loops_analysis_registered(self):
         from repro.analysis.manager import AnalysisManager
-        module = compile_to_module(WHILE_SUM)
+        module = compile_source(WHILE_SUM)
         fn = module.function_named("T", "f")
         manager = AnalysisManager()
         forest = manager.get("loops", fn)
@@ -558,7 +557,7 @@ class TestPipelineIntegration:
 
 class TestWidenRegression:
     def _analysis(self):
-        module = compile_to_module(WHILE_SUM)
+        module = compile_source(WHILE_SUM)
         return _RangeAnalysis(module.function_named("T", "f"))
 
     def test_widen_intersects_below_sets(self):

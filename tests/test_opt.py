@@ -2,18 +2,18 @@
 
 import pytest
 
+from repro.api import compile_source
+from repro.driver import PassManager
 from repro.interp.interpreter import Interpreter
 from repro.opt.cse import run_cse
 from repro.opt.constprop import run_constprop
 from repro.opt.dce import run_dce
 from repro.opt.memdep import MemDep
-from repro.opt.pipeline import optimize_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
 def compiled(source: str, cls: str, method: str):
-    module = compile_to_module(source)
+    module = compile_source(source)
     return module, module.function_named(cls, method)
 
 
@@ -267,31 +267,31 @@ class TestPipeline:
     def test_full_pipeline_preserves_corpus_behaviour(self):
         from repro.bench.corpus import corpus_source
         source = corpus_source("Environment")
-        plain = compile_to_module(source)
+        plain = compile_source(source)
         expected = Interpreter(plain, max_steps=50_000_000) \
             .run_main("Environment")
-        optimized = compile_to_module(source)
-        optimize_module(optimized)
+        optimized = compile_source(source)
+        PassManager().run_module(optimized)
         verify_module(optimized)
         actual = Interpreter(optimized, max_steps=50_000_000) \
             .run_main("Environment")
         assert actual.stdout == expected.stdout
 
     def test_pipeline_is_idempotent(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { int a; static int f(T t) { return t.a + t.a; } }")
-        optimize_module(module)
+        PassManager().run_module(module)
         first = module.instruction_count()
-        optimize_module(module)
+        PassManager().run_module(module)
         assert module.instruction_count() == first
         verify_module(module)
 
     def test_pass_selection(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f() { return 1 + 2; } }")
-        stats = optimize_module(module, passes=["constprop"])
-        assert any("constprop_folded" in s for s in stats)
-        assert not any("cse_eliminated" in s for s in stats)
+        reports = PassManager(["constprop"]).run_module(module)
+        assert any("constprop_folded" in r.stats for r in reports)
+        assert not any("cse_eliminated" in r.stats for r in reports)
 
 
 class TestDeadHandlerRemoval:
@@ -314,8 +314,8 @@ class TestDeadHandlerRemoval:
             }
         }
         """
-        plain = compile_to_module(source)
-        optimized = compile_to_module(source, optimize=True)
+        plain = compile_source(source)
+        optimized = compile_source(source, optimize=True)
         verify_module(optimized)
         # handler is gone: no caughtexc survives
         assert optimized.count_opcodes("caughtexc") == 0
@@ -339,7 +339,7 @@ class TestDeadHandlerRemoval:
             }
         }
         """
-        optimized = compile_to_module(source, optimize=True)
+        optimized = compile_source(source, optimize=True)
         verify_module(optimized)
         assert optimized.count_opcodes("caughtexc") == 1
         fn = optimized.function_named("T", "f")
@@ -367,8 +367,8 @@ class TestDeadHandlerRemoval:
             }
         }
         """
-        plain = Interpreter(compile_to_module(source)).run_main("T")
-        optimized_module = compile_to_module(source, optimize=True)
+        plain = Interpreter(compile_source(source)).run_main("T")
+        optimized_module = compile_source(source, optimize=True)
         verify_module(optimized_module)
         optimized = Interpreter(optimized_module).run_main("T")
         assert plain.stdout == optimized.stdout == "12\n"
@@ -396,8 +396,8 @@ class TestDeadHandlerRemoval:
             }
         }
         """
-        plain = Interpreter(compile_to_module(source)).run_main("T")
-        optimized = compile_to_module(source, optimize=True)
+        plain = Interpreter(compile_source(source)).run_main("T")
+        optimized = compile_source(source, optimize=True)
         verify_module(optimized)
         assert optimized.count_opcodes("caughtexc") == 0
         decoded = decode_module(encode_module(optimized))
@@ -434,8 +434,8 @@ class TestDeadHandlerRemoval:
             }
         }
         """
-        plain = Interpreter(compile_to_module(source)).run_main("T")
-        optimized = compile_to_module(source, optimize=True)
+        plain = Interpreter(compile_source(source)).run_main("T")
+        optimized = compile_source(source, optimize=True)
         verify_module(optimized)
         assert optimized.count_opcodes("caughtexc") == 0
         wire = encode_module(optimized)

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import compile_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
-from repro.pipeline import compile_to_module
 from repro.ssa.cst import (
     RBasic,
     RDoWhile,
@@ -23,7 +23,7 @@ from repro.uast.printer import format_method
 
 
 def roundtrip_and_run(source, main_class, region_kinds):
-    module = compile_to_module(source)
+    module = compile_source(source)
     found = set()
     for function in module.functions.values():
         for region in iter_regions(function.cst):
@@ -121,7 +121,7 @@ class TestPrinters:
             assert text.count("\n") > 0
 
     def test_ssa_printer_output_is_parseable_shape(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(int a) {"
             "if (a > 0) return a; return -a; } }")
         text = format_module(module)
@@ -132,7 +132,7 @@ class TestPrinters:
         assert "v" in text
 
     def test_printer_marks_exception_preds(self):
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(int a, int b) {"
             "try { return a / b; }"
             "catch (ArithmeticException e) { return 0; } } }")
@@ -153,7 +153,7 @@ class TestPrinters:
 class TestLrDisassembly:
     def test_lr_notation_shape(self):
         from repro.tsa.disasm import format_function_lr
-        module = compile_to_module(
+        module = compile_source(
             "class T { static int f(boolean c, int i, int j) {"
             "int x; if (c) { x = i + j; } else { x = i - j; }"
             "return x * 2; } }")
@@ -170,8 +170,8 @@ class TestLrDisassembly:
     def test_lr_covers_corpus(self):
         from repro.tsa.disasm import format_module_lr
         from repro.bench.corpus import corpus_source
-        module = compile_to_module(corpus_source("BinaryCode"),
-                                   optimize=True)
+        module = compile_source(corpus_source("BinaryCode"),
+                                optimize=True)
         text = format_module_lr(module)
         assert "caughtexc" in text
         assert "xdispatch" in text or "xcall" in text

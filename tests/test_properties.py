@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import jmath
+from repro.api import compile_source
 from repro.encode.bitio import BitReader, BitWriter
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
@@ -121,7 +121,7 @@ def test_generated_programs_agree_across_pipelines(generated):
 @given(program_strategy())
 @settings(max_examples=15, deadline=None)
 def test_generated_programs_reencode_identically(generated):
-    module = compile_to_module(generated.source)
+    module = compile_source(generated.source)
     wire = encode_module(module)
     assert encode_module(decode_module(wire)) == wire
 
@@ -144,7 +144,7 @@ def test_arbitrary_bytes_never_yield_invalid_module(data):
 def test_single_byte_mutations_safe(position, xor):
     source = ("class T { static int f(int[] a, int i) "
               "{ return a[i] + a[i]; } }")
-    module = compile_to_module(source, optimize=True)
+    module = compile_source(source, optimize=True)
     wire = bytearray(encode_module(module))
     wire[position % len(wire)] ^= xor
     try:

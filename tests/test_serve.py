@@ -33,6 +33,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -66,9 +67,9 @@ SOURCE_PRINT = ('class Main { static int main() '
 
 
 def _wire(source: str = SOURCE, optimize: bool = False) -> bytes:
+    from repro.api import compile_source
     from repro.encode.serializer import encode_module
-    from repro.pipeline import compile_to_module
-    return encode_module(compile_to_module(source, optimize=optimize))
+    return encode_module(compile_source(source, optimize=optimize))
 
 
 # ======================================================================
@@ -106,27 +107,35 @@ class TestModuleStore:
         assert fresh.get(digest) is None  # absent, not wrong
 
 
+def _replace_failing_once(failed: list):
+    """An ``os.replace`` whose first call fails with ENOSPC; the target
+    it refused lands in ``failed``."""
+    real_replace = os.replace
+
+    def replace(source, target):
+        if not failed:
+            failed.append(target)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_replace(source, target)
+    return replace
+
+
 class TestFailedStoreWrite:
     def test_publish_retry_is_served_after_a_restart(self, tmp_path,
                                                      monkeypatch):
         """A publish whose store write failed leaves no entry behind,
         so its retry writes the module and every digest the replayed
         log names is still served by a restarted service."""
-        real_replace = os.replace
         failed = []
-
-        def replace_failing_once(source, target):
-            if not failed:
-                failed.append(target)
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_replace(source, target)
-
-        monkeypatch.setattr(os, "replace", replace_failing_once)
+        monkeypatch.setattr(os, "replace", _replace_failing_once(failed))
         service = ServeService(store_dir=str(tmp_path),
                                signing_key=SERVE_TEST_KEY)
         request = {"name": "m", "source": SOURCE, "tenant": "t"}
-        with pytest.raises(OSError):
+        with pytest.raises(ServeError) as caught:
             service.handle("POST", "/v1/publish", request)
+        assert caught.value.code == "SERVE-INTERNAL"
+        assert caught.value.detail == {"errno": errno.ENOSPC}
+        assert service.counters["errors"] == 1
         assert failed
         published = service.handle("POST", "/v1/publish", request)
         assert published["seq"] == 0
@@ -141,6 +150,39 @@ class TestFailedStoreWrite:
             fetched = restarted.handle("GET", f"/v1/fetch/{digest}")
             assert wire_digest(base64.b64decode(fetched["wire_b64"])) \
                 == digest
+
+    def test_failed_write_is_a_500_over_http(self, tmp_path, monkeypatch):
+        """A server-side write fault reaches the client as HTTP 500
+        ``SERVE-INTERNAL``, not as a bad request, and the retried
+        publish is served."""
+        from http.client import HTTPConnection
+        failed = []
+        monkeypatch.setattr(os, "replace", _replace_failing_once(failed))
+        service = ServeService(store_dir=str(tmp_path),
+                               signing_key=SERVE_TEST_KEY)
+        server = ServeServer(service).start()
+        try:
+            conn = HTTPConnection("127.0.0.1", server.port, timeout=30)
+            body = json.dumps({"name": "m", "source": SOURCE,
+                               "tenant": "t"})
+            conn.request("POST", "/v1/publish", body=body, headers={
+                "Content-Type": "application/json",
+                "Connection": "close"})
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+            conn.close()
+            assert failed
+            assert response.status == 500
+            assert error["code"] == "SERVE-INTERNAL"
+            assert error["detail"] == {"errno": errno.ENOSPC}
+            with ServeClient("127.0.0.1", server.port,
+                             tenant="t") as client:
+                published = client.publish("m", source=SOURCE)
+                assert wire_digest(client.fetch(published["digest"])) \
+                    == published["digest"]
+        finally:
+            server.stop()
+            service.close()
 
 
 # ======================================================================
@@ -907,6 +949,16 @@ def _serve_triggers() -> dict:
     def signature():
         audit_chain(_log_with(1).entries, key=b"not-the-publisher")
 
+    def internal():
+        # a store under a regular file: every write fails with ENOTDIR
+        with tempfile.TemporaryDirectory() as tmp:
+            blocker = Path(tmp) / "file"
+            blocker.write_bytes(b"")
+            service = ServeService(store_dir=str(blocker / "store"),
+                                   signing_key=SERVE_TEST_KEY)
+            service.handle("POST", "/v1/publish",
+                           {"name": "m", "source": SOURCE})
+
     generous = TenantLimits(requests_per_window=None,
                             stored_bytes=None, compile_seconds=None)
     garbage = base64.b64encode(b"\x00" * 30).decode("ascii")
@@ -931,6 +983,7 @@ def _serve_triggers() -> dict:
             generous, "POST", "/v1/verify", {"wire_b64": garbage}),
         "SERVE-CHAIN": chain,
         "SERVE-SIG": signature,
+        "SERVE-INTERNAL": internal,
     }
 
 

@@ -7,8 +7,8 @@ corpus.
 
 import pytest
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.pipeline import compile_to_module
 from repro.ssa.cst import cst_blocks, derive_cfg
 from repro.ssa.dominators import compute_dominators, compute_dominators_lt
 from repro.ssa.ir import Phi
@@ -22,14 +22,14 @@ def edges_of(function):
 
 
 def compile_fn(source: str, cls: str, name: str):
-    module = compile_to_module(source)
+    module = compile_source(source)
     return module, module.function_named(cls, name)
 
 
 class TestCfgCanonicity:
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_derive_cfg_reproduces_construction(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             before = edges_of(function)
             derive_cfg(function)
@@ -37,7 +37,7 @@ class TestCfgCanonicity:
 
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_dominator_algorithms_agree(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             chk = compute_dominators(function)
             lt = compute_dominators_lt(function)
@@ -49,12 +49,12 @@ class TestCfgCanonicity:
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_all_modules_verify(self, program):
         source = corpus_source(program)
-        verify_module(compile_to_module(source))
-        verify_module(compile_to_module(source, optimize=True))
-        verify_module(compile_to_module(source, prune_phis=False))
+        verify_module(compile_source(source))
+        verify_module(compile_source(source, optimize=True))
+        verify_module(compile_source(source, prune_phis=False))
 
     def test_cst_owns_every_block(self):
-        module = compile_to_module(corpus_source("Parser"))
+        module = compile_source(corpus_source("Parser"))
         for function in module.functions.values():
             owned = {b.id for b in cst_blocks(function.cst)}
             assert owned == {b.id for b in function.blocks}, function.name
@@ -90,7 +90,7 @@ class TestPhiPlacement:
         assert "k" not in merged
 
     def test_phi_operand_order_matches_preds(self):
-        module = compile_to_module(corpus_source("BigInt"))
+        module = compile_source(corpus_source("BigInt"))
         for function in module.functions.values():
             for block in function.blocks:
                 for phi in block.phis:
@@ -125,7 +125,7 @@ class TestPhiPlacement:
 class TestStructuralProperties:
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_entry_dominates_everything(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             domtree = compute_dominators(function)
             for block in domtree.preorder:
@@ -133,7 +133,7 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_every_operand_dominates_use(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             domtree = compute_dominators(function)
             position = {}
@@ -152,7 +152,7 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_phis_strictly_type_separated(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             for block in function.blocks:
                 for phi in block.phis:
@@ -161,7 +161,7 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_memory_ops_take_safe_operands(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             for block in function.blocks:
                 for instr in block.instrs:
@@ -173,7 +173,7 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("program", CORPUS_PROGRAMS)
     def test_constants_preloaded_in_entry(self, program):
-        module = compile_to_module(corpus_source(program))
+        module = compile_source(corpus_source(program))
         for function in module.functions.values():
             for block in function.blocks:
                 for instr in block.instrs:
@@ -181,7 +181,7 @@ class TestStructuralProperties:
                         assert block is function.entry, function.name
 
     def test_trapping_instructions_end_subblocks_in_try(self):
-        module = compile_to_module(corpus_source("BinaryCode"))
+        module = compile_source(corpus_source("BinaryCode"))
         from repro.ssa.cst import map_exception_contexts
         for function in module.functions.values():
             contexts = map_exception_contexts(function.cst)

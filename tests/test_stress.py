@@ -2,16 +2,16 @@
 
 import pytest
 
+from repro.api import compile_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
 def run_full_pipeline(source, main_class, expect):
     for optimize in (False, True):
-        module = compile_to_module(source, optimize=optimize)
+        module = compile_source(source, optimize=optimize)
         verify_module(module)
         decoded = decode_module(encode_module(module))
         result = Interpreter(decoded, max_steps=80_000_000) \
@@ -62,9 +62,9 @@ def test_long_straightline_method():
         for i in range(250))
     source = ("class Line { static void main() {\n" + body
               + "System.out.println(acc); } }")
-    module = compile_to_module(source, optimize=True)
+    module = compile_source(source, optimize=True)
     verify_module(module)
-    plain = Interpreter(compile_to_module(source)).run_main("Line")
+    plain = Interpreter(compile_source(source)).run_main("Line")
     optimized = Interpreter(module).run_main("Line")
     assert plain.stdout == optimized.stdout
     decoded = decode_module(encode_module(module))

@@ -14,12 +14,12 @@ CLI flag.
 
 import pytest
 
+from repro.api import compile_source
 from repro.cache import TraceCache
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter, StepLimitExceeded
 from repro.interp.trace import TracingInterpreter
 from repro.loader.fused import load_module
-from repro.pipeline import compile_to_module
 
 
 #: low enough that a few dozen loop iterations tier up
@@ -41,7 +41,7 @@ def assert_parity(source, *, class_name=None, optimize=False,
     assert on the trace statistics (the parity alone would pass
     vacuously if no trace ever ran).
     """
-    module = compile_to_module(source, optimize=optimize)
+    module = compile_source(source, optimize=optimize)
     plain = observe(Interpreter(module, max_steps=max_steps),
                     class_name)
     traced_interp = TracingInterpreter(module, max_steps=max_steps,
@@ -150,7 +150,7 @@ class TestGuardExits:
     def test_step_limit_identical(self):
         # the step budget must deplete identically through the trace
         source = loop_main("s = s + i;")
-        module = compile_to_module(source)
+        module = compile_source(source)
         with pytest.raises(StepLimitExceeded):
             Interpreter(module, max_steps=300).run_main()
         with pytest.raises(StepLimitExceeded):
@@ -179,7 +179,7 @@ class TestBlacklist:
         # second run through the same manager compiles nothing new and
         # never re-enters the dead trace
         from repro.bench.trace import ABORT_SOURCE
-        module = compile_to_module(ABORT_SOURCE)
+        module = compile_source(ABORT_SOURCE)
         interp = TracingInterpreter(module, max_steps=50_000_000,
                                     threshold=THRESHOLD,
                                     trace_cache=TraceCache())
@@ -213,7 +213,7 @@ class Warm {
 
 class TestTraceCache:
     def test_warm_load_preloads_traces(self):
-        wire = encode_module(compile_to_module(WARM_SOURCE))
+        wire = encode_module(compile_source(WARM_SOURCE))
         cache = TraceCache()
 
         cold = TracingInterpreter(load_module(wire), threshold=THRESHOLD,
@@ -235,7 +235,7 @@ class TestTraceCache:
 
     def test_blacklist_persists_as_negative_entry(self):
         from repro.bench.trace import ABORT_SOURCE
-        wire = encode_module(compile_to_module(ABORT_SOURCE))
+        wire = encode_module(compile_source(ABORT_SOURCE))
         cache = TraceCache()
 
         cold = TracingInterpreter(load_module(wire),
@@ -265,7 +265,7 @@ class TestTraceCache:
             == cold.trace_stats()["blacklisted"]
 
     def test_persisted_cache_round_trips_blacklist(self, tmp_path):
-        wire = encode_module(compile_to_module(WARM_SOURCE))
+        wire = encode_module(compile_source(WARM_SOURCE))
         cache = TraceCache(cache_dir=str(tmp_path))
         cold = TracingInterpreter(load_module(wire), threshold=THRESHOLD,
                                   trace_cache=cache)
@@ -281,7 +281,7 @@ class TestTraceCache:
     def test_negative_index_is_a_miss(self, tmp_path, damage):
         """A negative index would wrap onto a real block; the damaged
         entry must read as a miss, so the loop records as if cold."""
-        wire = encode_module(compile_to_module(WARM_SOURCE))
+        wire = encode_module(compile_source(WARM_SOURCE))
         module = load_module(wire)
         cold = TracingInterpreter(module, threshold=THRESHOLD,
                                   trace_cache=TraceCache(str(tmp_path)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.diagnostics import STABLE_CODES
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.cache import (
     CompilationCache,
@@ -43,12 +44,11 @@ from repro.encode.serializer import encode_module
 from repro.fuzz import run_campaign
 from repro.interp.interpreter import Interpreter
 from repro.loader import StreamingLoader, load_module, stream_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
 def _encode(source: str, optimize: bool = False) -> bytes:
-    return encode_module(compile_to_module(source, optimize=optimize))
+    return encode_module(compile_source(source, optimize=optimize))
 
 
 def _varint(value: int) -> bytes:
@@ -98,13 +98,13 @@ def _observed(module):
 
 class TestEnvelopeRoundTrip:
     def test_default_encode_is_still_v1(self):
-        module = compile_to_module(SMALL_SOURCE)
+        module = compile_source(SMALL_SOURCE)
         wire = encode_module(module)
         assert wire.startswith(MAGIC)
         assert encode_module(module, format_version="stsa1") == wire
 
     def test_unknown_format_version_rejected(self):
-        module = compile_to_module(SMALL_SOURCE)
+        module = compile_source(SMALL_SOURCE)
         with pytest.raises(ValueError):
             encode_module(module, format_version="stsa9")
 
@@ -131,7 +131,7 @@ class TestEnvelopeRoundTrip:
             encode_v2(wire, (b"\xff" * 16,), store=DictionaryStore())
 
     def test_serializer_v2_path(self):
-        module = compile_to_module(SMALL_SOURCE)
+        module = compile_source(SMALL_SOURCE)
         store = DictionaryStore()
         envelope = encode_module(module, format_version="stsa2",
                                  store=store)
