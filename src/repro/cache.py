@@ -1,9 +1,9 @@
 """Caches and content stores, all built on one blob primitive.
 
 Everything the system persists is advisory: a verifying consumer
-checks it again (decoding re-verifies every reference, the loader
-re-checks cached boundaries, the trace compiler re-derives guards), so
-a stale or damaged entry can cost time but never soundness.
+checks it again (every load re-decodes and re-verifies the wire, the
+trace compiler re-derives guards), so a stale or damaged entry can cost
+time but never soundness.
 :class:`BlobStore` therefore owns the whole storage decision once:
 
 * **Layout.**  A blob is named by 64 lowercase hex and lives in memory
@@ -21,10 +21,9 @@ a stale or damaged entry can cost time but never soundness.
   its name, a typed payload must parse.  Anything else is a miss.
 
 The subclasses supply only a suffix, a key function and a payload
-format: ``.stsa`` compiled wire (:class:`CompilationCache`),
-``.verified`` body boundaries (:class:`VerifiedModuleCache`), ``.trace``
-hot-loop paths (:class:`TraceCache`), and two content-addressed
-stores (:class:`ContentStore`): ``.blob`` v2 sections
+format: ``.stsa`` compiled wire (:class:`CompilationCache`), ``.trace``
+hot-loop paths (:class:`TraceCache`), and two content-addressed stores
+(:class:`ContentStore`): ``.blob`` v2 sections
 (:class:`DictionaryStore`) and ``.stsa`` served modules
 (:class:`repro.serve.store.ModuleStore`).
 
@@ -42,8 +41,6 @@ import tempfile
 import threading
 from pathlib import Path
 from typing import Optional
-
-from repro.encode.common import wire_format_version
 
 #: Bump when the wire format (or anything the key does not capture)
 #: changes meaning; old entries then miss instead of decoding garbage.
@@ -206,57 +203,6 @@ class CompilationCache(BlobStore):
         return hasher.hexdigest()
 
 
-class VerifiedModuleCache(BlobStore):
-    """Remembers which wire streams already passed verification.
-
-    The fused loader keys on the SHA-256 of the exact wire bytes; a hit
-    records that those bytes decoded and verified cleanly once, plus the
-    per-function ``(start_bit, end_bit)`` body boundaries the sequential
-    decode observed.  A warm load then skips the residual verification
-    sweeps and a lazy load can seek straight to individual bodies --
-    seeks the format itself cannot offer, having no length prefixes.
-    The decode itself still runs with every safety-by-construction
-    check, and boundaries are re-checked against the stream on use.
-    """
-
-    SUFFIX = ".verified"
-
-    @staticmethod
-    def key(wire: bytes) -> str:
-        """Content address of one distribution unit: its detected wire
-        format version plus its exact bytes.  Mixing the version in
-        means a v1 stream and a v2 envelope can never collide even if
-        a hostile envelope embedded v1 bytes verbatim."""
-        hasher = hashlib.sha256()
-        hasher.update(FORMAT_VERSION.encode())
-        hasher.update(b"\x00")
-        hasher.update(wire_format_version(wire).encode())
-        hasher.update(b"\x00verified\x00")
-        hasher.update(wire)
-        return hasher.hexdigest()
-
-    def put(self, key: str, boundaries: list[tuple[int, int]]) -> None:
-        super().put(key, list(boundaries))
-
-    def _dump(self, boundaries: list[tuple[int, int]]) -> bytes:
-        return (FORMAT_VERSION + "\n" + "".join(
-            f"{start} {end}\n" for start, end in boundaries)).encode()
-
-    def _parse(self, name: str,
-               data: bytes) -> Optional[list[tuple[int, int]]]:
-        try:
-            version, *lines = data.decode().splitlines()
-            if version != FORMAT_VERSION:
-                return None  # other format version: treat as a miss
-            boundaries = []
-            for line in lines:
-                start, end = line.split()
-                boundaries.append((int(start), int(end)))
-            return boundaries
-        except ValueError:
-            return None  # damaged entry: miss, the cold path re-runs
-
-
 class DictionaryStore(ContentStore):
     """Content-addressed store for wire-format v2 sections.
 
@@ -350,7 +296,6 @@ class TraceCache(BlobStore):
 _CONFIGURED = os.environ.get("REPRO_CACHE_DIR")
 _ENABLED = _CONFIGURED is not None
 _DEFAULT = CompilationCache(_CONFIGURED) if _ENABLED else None
-_DEFAULT_MODULES = VerifiedModuleCache(_CONFIGURED) if _ENABLED else None
 _DEFAULT_TRACES = TraceCache(_CONFIGURED) if _ENABLED else None
 _DEFAULT_DICTS = DictionaryStore(_CONFIGURED)
 
@@ -358,11 +303,6 @@ _DEFAULT_DICTS = DictionaryStore(_CONFIGURED)
 def default_cache() -> Optional[CompilationCache]:
     """The process-wide compilation cache, or None."""
     return _DEFAULT
-
-
-def default_module_cache() -> Optional[VerifiedModuleCache]:
-    """The process-wide verified-module cache, or None."""
-    return _DEFAULT_MODULES
 
 
 def default_trace_cache() -> Optional[TraceCache]:

@@ -5,7 +5,7 @@ Subcommands::
     repro-cc compile FILE.java -o FILE.stsa [--optimize] [--passes SPEC]
                      [--no-prune] [--report] [--wire-v2]
     repro-cc run     FILE.java|FILE.stsa|- [--class NAME] [--optimize]
-                     [--lazy] [--stream] [--trace[=N]]
+                     [--stream] [--trace[=N]]
     repro-cc disasm  FILE.java|FILE.stsa [--optimize]
     repro-cc verify  FILE.stsa
     repro-cc lint    FILE.java|FILE.stsa [--json] [--optimize]
@@ -23,7 +23,9 @@ Subcommands::
 incremental :class:`~repro.loader.stream.StreamingLoader` -- execution
 can begin while later chunks are still arriving, and a truncated or
 tampered stream is rejected with the same stable codes as a one-shot
-load.  ``run --trace`` executes through the speculative trace tier
+load.  A rejected wire file prints one ``REJECTED: <message [CODE]>``
+line to stderr and exits 1, whichever command loaded it.  ``run
+--trace`` executes through the speculative trace tier
 (:mod:`repro.interp.trace`): hot loops are recorded and compiled to
 guarded straight-line fast paths, with bit-identical fallback on guard
 failure.  ``serve`` starts the :mod:`repro.serve` distribution service;
@@ -38,14 +40,14 @@ import sys
 from pathlib import Path
 
 
-def _load_module(path: str, optimize: bool, lazy: bool = False):
+def _load_module(path: str, optimize: bool):
     from repro.api import compile_source
     from repro.loader import load_module
     data = Path(path).read_bytes()
     if path.endswith((".stsa", ".bin")):
         # the fused verifying loader: one decode pass plus the residual
-        # sweep, warm loads via the verified-module cache
-        return load_module(data, lazy=lazy)
+        # sweep
+        return load_module(data)
     return compile_source(data.decode("utf-8"), optimize=optimize,
                           filename=path)
 
@@ -108,14 +110,9 @@ def cmd_run(args) -> int:
             print("--stream reads the wire from stdin; "
                   "pass '-' as FILE", file=sys.stderr)
             return 2
-        from repro.encode.deserializer import DecodeError
-        try:
-            module = _load_streaming(args.chunk_size)
-        except DecodeError as error:
-            print(f"REJECTED: {error}", file=sys.stderr)
-            return 1
+        module = _load_streaming(args.chunk_size)
     else:
-        module = _load_module(args.file, args.optimize, lazy=args.lazy)
+        module = _load_module(args.file, args.optimize)
     trace = getattr(args, "trace", None)
     if trace is not None:
         from repro.interp.trace import (TRACE_DEFAULT_THRESHOLD,
@@ -330,8 +327,6 @@ def main(argv=None) -> int:
                    help="class whose main to run")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--max-steps", type=int, default=200_000_000)
-    p.add_argument("--lazy", action="store_true",
-                   help="decode .stsa function bodies on first touch")
     p.add_argument("--stream", action="store_true",
                    help="read the wire from stdin in chunks through "
                         "the incremental streaming loader (FILE must "
@@ -443,7 +438,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_fetch)
 
     args = parser.parse_args(argv)
+    from repro.encode.deserializer import DecodeError
     from repro.frontend.errors import CompileError
+    from repro.tsa.verifier import VerifyError
     try:
         return args.fn(args)
     except CompileError as error:
@@ -451,6 +448,10 @@ def main(argv=None) -> int:
         where = f":{error.pos}" if error.pos else ""
         print(f"{getattr(args, 'file', '<source>')}{where}: "
               f"{error.message}", file=sys.stderr)
+        return 1
+    except (DecodeError, VerifyError) as error:
+        # so is a wire file the loader rejects
+        print(f"REJECTED: {error}", file=sys.stderr)
         return 1
 
 

@@ -177,17 +177,11 @@ class CompilationSession:
 
     # -- consumer pipeline ----------------------------------------------
 
-    def load(self, wire: bytes, *, lazy: bool = False):
-        """Fused verifying load of encoded module bytes.
-
-        ``lazy=True`` defers each body to first touch.  Sessions with
-        caching disabled load without the verified-module cache too.
-        """
+    def load(self, wire: bytes):
+        """Fused verifying load of encoded module bytes."""
         from repro.loader import load_module
         start = perf_counter()
-        module = load_module(wire, lazy=lazy,
-                             cache=None if self._cache is not None
-                             else False)
+        module = load_module(wire)
         self._credit("load", start)
         return module
 

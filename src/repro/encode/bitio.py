@@ -36,6 +36,11 @@ _FLUSH_BITS = 256
 _REFILL_BYTES = 16
 
 
+#: The message of the one :class:`BitIOError` whose cause is the
+#: buffer, not the bits: the reader ran out of data.
+END_OF_STREAM = "unexpected end of stream"
+
+
 class BitIOError(Exception):
     """Malformed bit stream (ran out of bits, impossible symbol)."""
 
@@ -133,11 +138,10 @@ class BitWriter:
 class BitReader:
     """Reads the codes written by :class:`BitWriter`.
 
-    ``start_bit`` positions the reader mid-stream; the module loader
-    uses it to jump straight to a function body whose bit boundaries a
-    previous sequential decode recorded (lazy and streaming loading).
-    It is a read-side affordance only -- the wire format itself has no
-    length prefixes and is unchanged.
+    ``start_bit`` positions the reader mid-stream; the streaming loader
+    uses it to resume at the start of the next function body once more
+    data has arrived.  It is a read-side affordance only -- the wire
+    format itself has no length prefixes and is unchanged.
     """
 
     def __init__(self, data: bytes, start_bit: int = 0):
@@ -168,7 +172,7 @@ class BitReader:
             take = _REFILL_BYTES
         chunk = self._data[self._byte_pos:self._byte_pos + take]
         if self._nacc + 8 * len(chunk) < need:
-            raise BitIOError("unexpected end of stream")
+            raise BitIOError(END_OF_STREAM)
         self._byte_pos += len(chunk)
         self._acc = (self._acc << (8 * len(chunk))) \
             | int.from_bytes(chunk, "big")
@@ -292,7 +296,7 @@ class BitReader:
         if not self._nacc:  # empty accumulator means byte-aligned
             start = self._byte_pos
             if start + count > len(self._data):
-                raise BitIOError("unexpected end of stream")
+                raise BitIOError(END_OF_STREAM)
             self._byte_pos = start + count
             return bytes(self._data[start:start + count])
         return self.read_bits(8 * count).to_bytes(count, "big")

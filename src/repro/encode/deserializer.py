@@ -16,6 +16,7 @@ checks.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.encode.bitio import BitIOError, BitReader
@@ -53,7 +54,7 @@ from repro.ssa.ir import (
     Term,
 )
 from repro.typesys.ops import OPS_BY_TYPE
-from repro.typesys.table import TypeTable
+from repro.typesys.table import TypeTable, TypeTableError
 from repro.typesys.types import (
     ArrayType,
     BOOLEAN,
@@ -67,7 +68,13 @@ from repro.typesys.types import (
     Type,
     VOID,
 )
-from repro.typesys.world import ClassInfo, FieldInfo, MethodInfo, World
+from repro.typesys.world import (
+    ClassInfo,
+    FieldInfo,
+    MethodInfo,
+    World,
+    WorldError,
+)
 
 
 class DecodeError(Exception):
@@ -127,6 +134,23 @@ class DecodeError(Exception):
         return ":".join(parts) or "<module>"
 
 
+@contextmanager
+def decode_errors():
+    """Report a lower layer's validation error as a coded
+    :class:`DecodeError`: the one mapping every consumer path uses (the
+    streaming loader adds only its wait-for-more-data rule)."""
+    try:
+        yield
+    except BitIOError as error:
+        raise DecodeError(str(error), "DEC-IO") from None
+    except WorldError as error:
+        raise DecodeError(str(error), "DEC-WORLD") from None
+    except TypeTableError as error:
+        raise DecodeError(str(error), "DEC-TABLE") from None
+    except ValueError as error:
+        raise DecodeError(str(error), "DEC-VALUE") from None
+
+
 def _read_utf8(reader: BitReader) -> str:
     length = reader.read_gamma()
     if length > 1 << 20:
@@ -144,10 +168,6 @@ class _ModuleDecoder:
         self.world = World()
         self.table = TypeTable(self.world)
         self.module = Module(self.world, self.table)
-        #: per decoded body, ``(start_bit, end_bit)`` in the stream --
-        #: a read-side index only (the format has no length prefixes);
-        #: the loader persists it so warm loads can seek to one body
-        self.boundaries: list[tuple[int, int]] = []
 
     def decode(self) -> Module:
         bodies = self.decode_header()
@@ -205,19 +225,15 @@ class _ModuleDecoder:
 
     def _decode_bodies(self, bodies: list[MethodInfo]) -> None:
         for method in bodies:
-            self.module.add_function(self._decode_body(method))
-
-    def _decode_body(self, method: MethodInfo) -> Function:
-        start = self.reader.bit_position()
-        decoder = self._function_decoder(method)
-        function = decoder.decode()
-        self.boundaries.append((start, self.reader.bit_position()))
-        self._on_function(decoder, function)
-        return function
+            decoder = self._function_decoder(method)
+            function = decoder.decode()
+            self._on_function(decoder, function)
+            self.module.add_function(function)
 
     def _function_decoder(self, method: MethodInfo,
                           reader: Optional[BitReader] = None):
-        """Hook: the fused loader substitutes its verifying subclass."""
+        """The decoder for one body; the streaming loader passes a
+        ``reader`` that starts where the previous body ended."""
         return _FunctionDecoder(self, method, reader)
 
     def _on_function(self, decoder, function: Function) -> None:
@@ -291,8 +307,8 @@ class _ModuleDecoder:
 class _FunctionDecoder:
     def __init__(self, parent: _ModuleDecoder, method: MethodInfo,
                  reader: Optional[BitReader] = None):
-        # a private reader lets the lazy and streaming loaders seek
-        # each body to its own recorded boundary
+        # a private reader lets the streaming loader start each body
+        # where the previous one ended
         self.reader = parent.reader if reader is None else reader
         self.world = parent.world
         self.table = parent.table
@@ -856,17 +872,7 @@ def decode_module(data: bytes, *, store=None) -> Module:
     exists.  Everything else, v1 included, flows through the verifying
     decoder unchanged.
     """
-    from repro.typesys.table import TypeTableError
-    from repro.typesys.world import WorldError
     from repro.encode.format import resolve_stream
     data = resolve_stream(data, store)
-    try:
+    with decode_errors():
         return _ModuleDecoder(data).decode()
-    except BitIOError as error:
-        raise DecodeError(str(error), "DEC-IO") from None
-    except WorldError as error:
-        raise DecodeError(str(error), "DEC-WORLD") from None
-    except TypeTableError as error:
-        raise DecodeError(str(error), "DEC-TABLE") from None
-    except ValueError as error:
-        raise DecodeError(str(error), "DEC-VALUE") from None

@@ -104,8 +104,8 @@ class Interpreter:
 
     def _find_main(self, class_name: Optional[str],
                    method_name: str) -> Function:
-        # iterate keys only: under a lazy load, touching .items() would
-        # force every body just to find one entry point
+        # iterate keys only: a streamed module may not have every body
+        # yet, and the entry point is found without touching any
         for method in self.module.functions:
             if method.name != method_name or not method.is_static:
                 continue

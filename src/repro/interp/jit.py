@@ -89,7 +89,7 @@ class JitCompiler:
     def run_main(self, class_name: Optional[str] = None,
                  method_name: str = "main") -> ExecutionResult:
         target = None
-        # key-only iteration keeps a lazily loaded module lazy
+        # key-only iteration: a streamed module may still lack bodies
         for method in self.module.functions:
             if method.name != method_name or not method.is_static:
                 continue

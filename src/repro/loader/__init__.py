@@ -9,14 +9,10 @@ out-of-range reference or a wrong-plane operand -- so this package
 collapses verification into the decode and keeps only the handful of
 residual rules as a cheap post-pass (:mod:`repro.loader.fused`).
 
-On top of the fused pass sit two consumer conveniences:
+Every load runs that same decode-and-check; nothing is trusted from an
+earlier load of the same bytes.  It comes in two deliveries:
 
-* **lazy loading** (:mod:`repro.loader.lazy`): the header and type
-  table decode eagerly, function bodies decode-and-verify on first
-  touch;
-* a **verified-module cache** (:class:`repro.cache.VerifiedModuleCache`)
-  keyed on the wire-bytes digest: repeat loads skip the residual
-  verification sweeps and gain random access to individual bodies;
+* :func:`load_module` takes the whole distribution unit at once;
 * **streaming decode** (:mod:`repro.loader.stream`): a chunk-feedable
   front that verifies each body the moment its bits have arrived, so
   ``main`` can execute while later bodies are still in flight.
@@ -26,8 +22,7 @@ differential gate in ``tests/test_loader.py`` holds the fused path to
 verdict-for-verdict agreement with it.
 """
 
-from repro.loader.fused import ModuleLoader, load_module
+from repro.loader.fused import load_module
 from repro.loader.stream import StreamingLoader, stream_module
 
-__all__ = ["ModuleLoader", "StreamingLoader", "load_module",
-           "stream_module"]
+__all__ = ["StreamingLoader", "load_module", "stream_module"]

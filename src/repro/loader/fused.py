@@ -1,4 +1,4 @@
-"""Fused verifying decoder + cold/warm load paths.
+"""Fused verifying decoder: one load path, decode-and-check.
 
 The decoder already enforces the bulk of the verifier's property set by
 construction: every symbol is drawn from an alphabet computed over the
@@ -20,48 +20,18 @@ block order -- so a fused load rejects with the very code the two-pass
 path would have produced.  The full verifier stays in
 :mod:`repro.tsa.verifier` as the reference oracle.
 
-A cold load therefore costs one decode plus an O(instructions) sweep.
-A warm load -- the wire bytes' digest hits the
-:class:`repro.cache.VerifiedModuleCache` -- skips the sweeps and reuses
-the recorded per-function bit boundaries for random access, so bodies
-can decode lazily on first touch (:mod:`repro.loader.lazy`).  Every
-decode retains the intrinsic safety-by-construction checks, so a stale
-or tampered cache entry can cause a ``DecodeError`` or a silent fall
-back to the cold path, never an unsound module.
+A load therefore costs one decode plus an O(instructions) sweep, every
+time: nothing about earlier loads of the same bytes is trusted.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
-from typing import Optional
 
-from repro.cache import VerifiedModuleCache, default_module_cache
-from repro.encode.bitio import BitIOError
-from repro.encode.deserializer import DecodeError, _ModuleDecoder
+from repro.encode.deserializer import _ModuleDecoder, decode_errors
+from repro.encode.format import resolve_stream
 from repro.ssa.ir import Function, Module
 from repro.tsa.verifier import _FunctionVerifier
-
-#: ``(start_bit, end_bit)`` of one function body in the wire stream.
-Boundaries = list[tuple[int, int]]
-
-
-@contextmanager
-def _decode_errors():
-    """The same lower-layer-to-``DecodeError`` wrapping that
-    :func:`repro.encode.deserializer.decode_module` applies."""
-    from repro.typesys.table import TypeTableError
-    from repro.typesys.world import WorldError
-    try:
-        yield
-    except BitIOError as error:
-        raise DecodeError(str(error), "DEC-IO") from None
-    except WorldError as error:
-        raise DecodeError(str(error), "DEC-WORLD") from None
-    except TypeTableError as error:
-        raise DecodeError(str(error), "DEC-TABLE") from None
-    except ValueError as error:
-        raise DecodeError(str(error), "DEC-VALUE") from None
 
 
 class _ResidualChecker(_FunctionVerifier):
@@ -129,115 +99,25 @@ def residual_verify(module: Module, contexts) -> None:
         _ResidualChecker(module, function, domtree, dispatch_of).verify()
 
 
-def _plausible(boundaries: Boundaries, bodies, start_bit: int,
-               stream_bits: int) -> bool:
-    """Cheap shape validation of a cached boundary index: one entry
-    per body, contiguous, starting where the header ended, inside the
-    stream.  Anything else is a stale/corrupt entry -> cold path."""
-    if len(boundaries) != len(bodies):
-        return False
-    position = start_bit
-    for start, end in boundaries:
-        if start != position or end < start:
-            return False
-        position = end
-    return position <= stream_bits
-
-
-class ModuleLoader:
-    """One load of one distribution unit.
-
-    After :meth:`load`, ``cache_hit`` says whether the warm (trusted)
-    path ran, ``boundaries`` holds the per-body bit index, and
-    ``verified`` is True when the residual sweeps ran this load (cold)
-    -- a warm load trusts the digest-matched prior verification
-    instead.
-    """
-
-    def __init__(self, data: bytes, *, lazy: bool = False, cache=None,
-                 store=None):
-        from repro.encode.format import resolve_stream
-        #: the distribution unit as delivered (possibly a v2 envelope)
-        self.raw = data
-        #: the v1 payload the verifying decoder consumes; envelope
-        #: resolution rejects here, before any decode state exists
-        self.data = resolve_stream(data, store)
-        self.lazy = lazy
-        if cache is None:
-            cache = default_module_cache()
-        elif cache is False:
-            cache = None
-        self.cache: Optional[VerifiedModuleCache] = cache
-        self.cache_hit = False
-        self.boundaries: Optional[Boundaries] = None
-        self.verified = False
-
-    def load(self) -> Module:
-        key = VerifiedModuleCache.key(self.data) if self.cache else None
-        cached = self.cache.get(key) if key is not None else None
-        if self.lazy:
-            from repro.loader.lazy import lazy_load
-            return lazy_load(self, key, cached)
-        if cached is not None:
-            module = self._load_trusted(cached)
-            if module is not None:
-                self.cache_hit = True
-                return module
-        return self._load_cold(key)
-
-    # -- cold: sequential fused decode + residual sweep ----------------
-
-    def _load_cold(self, key: Optional[str]) -> Module:
-        decoder = FusedDecoder(self.data)
-        with _decode_errors():
-            module = decoder.decode()
-        residual_verify(module, decoder.contexts)
-        self.boundaries = decoder.boundaries
-        self.verified = True
-        if self.cache is not None and key is not None:
-            self.cache.put(key, decoder.boundaries)
-        return module
-
-    # -- warm: digest-trusted decode, no sweeps ------------------------
-
-    def _load_trusted(self, boundaries: Boundaries) -> Optional[Module]:
-        """Returns None on any disagreement between the cached index
-        and the stream, sending the caller down the cold path."""
-        decoder = FusedDecoder(self.data)
-        try:
-            with _decode_errors():
-                bodies = decoder.decode_header()
-                header_end = decoder.reader.bit_position()
-                if not _plausible(boundaries, bodies, header_end,
-                                  len(self.data) * 8):
-                    return None
-                decoder._decode_bodies(bodies)
-                if decoder.boundaries != boundaries:
-                    return None
-                decoder._require_end()
-        except DecodeError:
-            # the digest matched, so the bytes decoded cleanly once: a
-            # failure now means the cached index is bad.  The cold path
-            # re-decodes from scratch and re-raises anything genuine.
-            return None
-        self.boundaries = boundaries
-        self.verified = False
-        return decoder.module
-
-
-def load_module(data: bytes, *, lazy: bool = False, cache=None,
-                store=None) -> Module:
+def load_module(data: bytes, *, store=None, cache=False) -> Module:
     """Load (and thereby verify) a SafeTSA distribution unit.
 
-    ``lazy=True`` decodes the header eagerly and each function body on
-    first touch.  ``cache`` is a :class:`repro.cache.VerifiedModuleCache`,
-    ``None`` for the environment default, or ``False`` to disable
-    caching.  ``store`` is the :class:`repro.cache.DictionaryStore` used
-    to resolve v2 envelopes (``None`` for the environment default); v1
-    streams never touch it.
+    Resolves a v2 envelope through ``store`` (the
+    :class:`repro.cache.DictionaryStore`; ``None`` for the environment
+    default; v1 streams never touch it), decodes with every
+    safety-by-construction check, then runs the residual sweep.  Raises
+    ``DecodeError`` or ``VerifyError`` with a stable code.
+
+    ``cache`` accepts only ``False``: loads are never cached, and the
+    keyword remains only for callers written when they could be.
     """
-    module = ModuleLoader(data, lazy=lazy, cache=cache,
-                          store=store).load()
+    if cache is not False:
+        raise TypeError(f"load_module(cache={cache!r}): loads are never "
+                        "cached; only cache=False is accepted")
+    decoder = FusedDecoder(resolve_stream(data, store))
+    with decode_errors():
+        module = decoder.decode()
+    residual_verify(module, decoder.contexts)
     # the distribution unit's content address; the trace cache keys
     # compiled hot paths on it so warm processes skip re-recording
     module.wire_digest = hashlib.sha256(data).hexdigest()

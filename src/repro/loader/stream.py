@@ -11,11 +11,12 @@ strategy, and it is the whole trick here:
 * each :meth:`StreamingLoader.feed` appends a chunk, then retries the
   next not-yet-decoded unit (first the header, then one body at a
   time) from its recorded start bit against the grown buffer;
-* a retry that fails with ``BitIOError`` while more data may arrive
-  just waits -- prefix stability guarantees a *deterministic* rejection
-  (bad magic, alphabet violation, limit breach) never hides behind
-  that: any read that did not hit end-of-stream would fail identically
-  on the complete unit, and surfaces the moment enough bytes exist;
+* a retry that ran off the end of the buffer while more data may
+  arrive just waits -- prefix stability guarantees a *deterministic*
+  rejection (bad magic, alphabet violation, limit breach) never hides
+  behind that: any read that did not hit end-of-stream would fail
+  identically on the complete unit, and surfaces the moment enough
+  bytes exist;
 * each body that lands is immediately residual-checked (the same
   :class:`~repro.loader.fused._ResidualChecker` sweep as a cold fused
   load), so the module is *verified as far as it exists* at every
@@ -29,12 +30,12 @@ soon as its body (and whatever it actually calls) has landed -- while
 later bodies are still in flight.
 
 :meth:`StreamingLoader.finish` declares end-of-input: everything
-pending must now decode, the v1 trailing-padding rule runs
-(``DEC-TRAILING``), and the observed boundary index is published to the
-verified-module cache exactly as a cold fused load would.  Truncation
-therefore rejects with ``DEC-STREAM`` -- aliased to the one-shot path's
-``DEC-IO`` in :data:`repro.analysis.diagnostics.CODE_ALIASES`, same
-defect, two delivery paths.
+pending must now decode, and the v1 trailing-padding rule runs
+(``DEC-TRAILING``).  A cut outside any body therefore rejects with
+``DEC-STREAM`` -- aliased to the one-shot path's ``DEC-IO`` in
+:data:`repro.analysis.diagnostics.CODE_ALIASES`, same defect, two
+delivery paths; a cut inside a body keeps the body decoder's located
+``DEC-IO``.
 
 v2 envelopes stream too: :func:`repro.encode.format.
 resolve_stream_prefix` maps the buffered envelope prefix to the longest
@@ -49,9 +50,8 @@ from collections.abc import MutableMapping
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.cache import VerifiedModuleCache, default_module_cache
-from repro.encode.bitio import BitIOError, BitReader
-from repro.encode.deserializer import DecodeError
+from repro.encode.bitio import END_OF_STREAM, BitReader
+from repro.encode.deserializer import DecodeError, decode_errors
 from repro.encode.format import resolve_stream, resolve_stream_prefix
 from repro.loader.fused import FusedDecoder, _ResidualChecker
 from repro.ssa.ir import Function, Module
@@ -63,36 +63,22 @@ class _NeedMoreData(Exception):
 
 @contextmanager
 def _stream_decode_errors(final: bool):
-    """The fused loader's error wrapping, with one streaming twist:
-    while more data may arrive, *every* ``BitIOError`` means "wait" --
-    prefix stability guarantees deterministic rejections re-surface
-    identically once the unit is complete, so nothing is masked."""
-    from repro.typesys.table import TypeTableError
-    from repro.typesys.world import WorldError
+    """:func:`~repro.encode.deserializer.decode_errors` plus the one
+    streaming rule: running off the end of the buffered payload means
+    "wait" while more data may arrive, and is a truncation once it
+    cannot.  Prefix stability guarantees every other rejection
+    surfaces identically on the complete unit, so nothing is masked."""
     try:
-        yield
+        with decode_errors():
+            yield
     except DecodeError as error:
-        # a body decoder converts BitIOError itself (attaching its
-        # location); recover the end-of-stream case from the message --
-        # "unexpected end of stream" is the one BitIOError the reader
-        # raises on exhaustion, and the only buffer-dependent one
-        if not final and error.code == "DEC-IO" \
-                and "unexpected end of stream" in str(error):
-            raise _NeedMoreData from None
-        raise
-    except BitIOError as error:
+        if error.code != "DEC-IO" or END_OF_STREAM not in str(error):
+            raise
         if not final:
             raise _NeedMoreData from None
-        message = str(error)
-        code = "DEC-STREAM" if "unexpected end of stream" in message \
-            else "DEC-IO"
-        raise DecodeError(message, code) from None
-    except WorldError as error:
-        raise DecodeError(str(error), "DEC-WORLD") from None
-    except TypeTableError as error:
-        raise DecodeError(str(error), "DEC-TABLE") from None
-    except ValueError as error:
-        raise DecodeError(str(error), "DEC-VALUE") from None
+        if error.function is not None:
+            raise  # a cut body keeps its located DEC-IO
+        raise DecodeError(END_OF_STREAM, "DEC-STREAM") from None
 
 
 class StreamFunctions(MutableMapping):
@@ -165,15 +151,10 @@ class StreamingLoader:
     ``DEC-STREAM`` alias for truncation).
 
     Any rejection poisons the stream: the error is re-raised on every
-    later call, mirroring the lazy loader's poison-on-error rule.
+    later call.
     """
 
-    def __init__(self, *, cache=None, store=None):
-        if cache is None:
-            cache = default_module_cache()
-        elif cache is False:
-            cache = None
-        self.cache: Optional[VerifiedModuleCache] = cache
+    def __init__(self, *, store=None):
         self.store = store
         self.module: Optional[Module] = None
         #: per-body ``(start_bit, end_bit)`` observed so far
@@ -226,7 +207,6 @@ class StreamingLoader:
             self._error = error
             raise
         self._finished = True
-        self._publish()
         return self.module
 
     # -- the retry state machine ----------------------------------------
@@ -299,18 +279,10 @@ class StreamingLoader:
         with _stream_decode_errors(True):
             decoder._require_end()
 
-    def _publish(self) -> None:
-        """A finished stream is a completed cold verify: record it just
-        as the fused loader would, so the next load of these bytes is
-        warm."""
-        if self.cache is not None:
-            self.cache.put(VerifiedModuleCache.key(self._payload),
-                           list(self.boundaries))
 
-
-def stream_module(chunks, *, cache=None, store=None) -> Module:
+def stream_module(chunks, *, store=None) -> Module:
     """Convenience one-call form: feed every chunk, then finish."""
-    loader = StreamingLoader(cache=cache, store=store)
+    loader = StreamingLoader(store=store)
     for chunk in chunks:
         loader.feed(chunk)
     return loader.finish()

@@ -14,9 +14,8 @@ of four serving-specific pieces:
 * **coalescing of identical in-flight compiles**
   (:class:`ServeService`): concurrent requests for the same
   (source, flags) share one underlying compile and receive
-  bit-identical wire bytes, and a warm
-  :class:`~repro.cache.VerifiedModuleCache` is reused across
-  verify/run requests;
+  bit-identical wire bytes, and an in-process memo of verified
+  modules serves repeat verify/run requests without re-decoding;
 * **per-tenant quotas** (:class:`~repro.serve.quota.QuotaManager`):
   request rate, stored bytes, and compile seconds, rejecting with
   stable ``SERVE-*`` codes registered in

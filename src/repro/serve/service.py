@@ -87,6 +87,24 @@ def _b64decode(text: str, field: str) -> bytes:
                          "SERVE-BAD-REQUEST") from None
 
 
+def _check_compile_fields(payload: dict) -> None:
+    """A compile or publish request's flags must have their JSON types:
+    ``bool("no")`` is true, and a pass name that is not a string would
+    leave the session as a raw ``TypeError``.  Checked before anything
+    compiles; an absent or null field takes its default."""
+    for field in ("optimize", "wire_v2", "return_bytes"):
+        value = payload.get(field)
+        if value is not None and not isinstance(value, bool):
+            raise ServeError(f"'{field}' must be a boolean",
+                             "SERVE-BAD-REQUEST")
+    passes = payload.get("passes")
+    if passes is not None and not isinstance(passes, str) and not (
+            isinstance(passes, list)
+            and all(isinstance(name, str) for name in passes)):
+        raise ServeError("'passes' must be a pass spec string or a list "
+                         "of pass names", "SERVE-BAD-REQUEST")
+
+
 class ModuleMemo:
     """Bounded LRU: SHA-256 hex of delivered bytes -> the decoded,
     verified module.
@@ -347,6 +365,7 @@ class ServeService:
 
     async def _compile_endpoint(self, payload: dict,
                                 tenant: str) -> dict:
+        _check_compile_fields(payload)
         wire, coalesced = await self._compiled_wire(payload, tenant)
         format_version = "stsa1"
         if payload.get("wire_v2"):
@@ -394,6 +413,7 @@ class ServeService:
 
     async def _publish_endpoint(self, payload: dict,
                                 tenant: str) -> dict:
+        _check_compile_fields(payload)
         modules = payload.get("modules")
         if modules is None:
             return await self._publish_one(payload, tenant)
@@ -402,11 +422,13 @@ class ServeService:
         if not isinstance(modules, list) or not modules:
             raise ServeError("'modules' must be a non-empty list",
                              "SERVE-BAD-REQUEST")
-        wires = []
         for module in modules:
             if not isinstance(module, dict):
                 raise ServeError("each batch entry must be an object",
                                  "SERVE-BAD-REQUEST")
+            _check_compile_fields(module)
+        wires = []
+        for module in modules:
             if "wire_b64" in module:
                 wire = _b64decode(module["wire_b64"], "wire_b64")
                 await self._load_checked(wire)
@@ -449,7 +471,7 @@ class ServeService:
 
         def load():
             from repro.loader import load_module
-            return load_module(wire, store=self.dicts, cache=False)
+            return load_module(wire, store=self.dicts)
         try:
             module = await self._offload(load)
         except DecodeError as error:

@@ -1,4 +1,4 @@
-"""The blob primitive's contract, stated once over all five stores.
+"""The blob primitive's contract, stated once over all four stores.
 
 Every cache and content store is a :class:`repro.cache.BlobStore`:
 each round-trips through a fresh instance over the same directory,
@@ -24,7 +24,6 @@ from repro.cache import (
     CompilationCache,
     DictionaryStore,
     TraceCache,
-    VerifiedModuleCache,
 )
 from repro.serve.store import ModuleStore
 
@@ -48,11 +47,6 @@ CASES = [
     Case(CompilationCache, ".stsa",
          lambda store, name: store.put(name, WIRE),
          lambda store, name: store.get(name), WIRE),
-    Case(VerifiedModuleCache, ".verified",
-         lambda store, name: store.put(name, [(8, 9)]),
-         lambda store, name: store.get(name), [(8, 9)],
-         (b"stsa1\n8 not-a-number\n", b"other-version\n8 9\n",
-          b"stsa1\n8\n", b"\xff\xfe")),
     Case(TraceCache, ".trace",
          lambda store, name: store.put(name, "C.main", 1, (1, 2)),
          lambda store, name: store.get(name), {("C.main", 1): (1, 2)},

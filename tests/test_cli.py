@@ -1,5 +1,8 @@
 """CLI smoke tests (repro-cc)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -87,3 +90,28 @@ def test_source_error_is_one_line_not_a_traceback(tmp_path, capsys,
     assert "Traceback" not in err
     assert err.splitlines() == [err.strip()]
     assert err.startswith(f"{path}{where}")
+
+
+ATTACKS_DIR = Path(__file__).parent / "golden" / "attacks"
+
+
+def _attack_fixtures():
+    return sorted(json.loads((ATTACKS_DIR / "manifest.json").read_text()))
+
+
+@pytest.mark.parametrize("command", ["run", "disasm"])
+@pytest.mark.parametrize("fixture", _attack_fixtures())
+def test_rejected_wire_file_is_one_line_not_a_traceback(capsys, command,
+                                                        fixture):
+    from repro.encode.deserializer import DecodeError
+    from repro.loader import load_module
+    from repro.tsa.verifier import VerifyError
+    path = ATTACKS_DIR / f"{fixture}.bin"
+    with pytest.raises((DecodeError, VerifyError)) as caught:
+        load_module(path.read_bytes())
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("REJECTED: ")
+    assert err.strip().endswith(f"[{caught.value.code}]")

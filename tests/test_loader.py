@@ -5,8 +5,9 @@ the streams the legacy two-pass consumer (``decode_module`` +
 ``verify_module``) rejects, with the same stable code modulo the
 documented ``DEC-*`` <-> ``STSA-*`` aliasing -- over the benchmark
 corpus, the attack-fixture corpus, and a seeded stream-mutation
-campaign.  Honest streams must come back bit-identical under every
-load path (cold, warm, lazy cold, lazy warm).
+campaign.  The streaming loader is held to the same verdicts on the
+hostile inputs, fed in small chunks.  Honest streams must come back
+bit-identical whichever way they are delivered.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ import pytest
 from repro.analysis.diagnostics import STABLE_CODES, codes_equivalent
 from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.cache import VerifiedModuleCache
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
 from repro.fuzz.gen import RandomSource
 from repro.fuzz.mutate import mutate_stream
-from repro.loader import ModuleLoader, load_module
-from repro.loader.lazy import LazyFunctions
+from repro.loader import StreamingLoader, load_module, stream_module
 from repro.tsa.verifier import VerifyError, verify_module
 
 ATTACKS_DIR = Path(__file__).parent / "golden" / "attacks"
@@ -89,12 +88,23 @@ def two_pass_verdict(data: bytes):
     return ("accept", None)
 
 
-def fused_verdict(data: bytes, **kwargs):
-    kwargs.setdefault("cache", False)
+def fused_verdict(data: bytes):
     try:
-        module = load_module(data, **kwargs)
-        if kwargs.get("lazy"):
-            module.functions.materialize_all()
+        load_module(data)
+    except (DecodeError, VerifyError) as error:
+        return ("reject", error.code)
+    return ("accept", None)
+
+
+def _chunked(data: bytes, size: int) -> list[bytes]:
+    return [data[i:i + size] for i in range(0, len(data), size)]
+
+
+def streamed_verdict(data: bytes, chunk_size: int):
+    """The streaming loader's verdict, whether it rejects mid-stream
+    (a feed) or at end of input (finish)."""
+    try:
+        stream_module(_chunked(data, chunk_size))
     except (DecodeError, VerifyError) as error:
         return ("reject", error.code)
     return ("accept", None)
@@ -113,29 +123,22 @@ def assert_same_rejection(reference, fused, context: str) -> None:
 
 
 class TestHonestArtifacts:
-    def test_corpus_accepted_and_bit_identical(self, corpus_wires,
-                                               tmp_path):
-        """Every load path reproduces the two-pass module bit for bit,
-        over all 20 corpus artifacts."""
-        cache = VerifiedModuleCache(str(tmp_path))
+    def test_corpus_accepted_and_bit_identical(self, corpus_wires):
+        """The fused load reproduces the two-pass module bit for bit,
+        over all 20 corpus artifacts, every time."""
         for (name, optimize), wire in corpus_wires.items():
             context = f"{name} optimize={optimize}"
             reference = encode_module(decode_module(wire))
             assert reference == wire, context  # round-trip sanity
+            for _ in range(2):
+                assert encode_module(load_module(wire)) == wire, context
 
-            cold = ModuleLoader(wire, cache=cache)
-            assert encode_module(cold.load()) == wire, context
-            assert not cold.cache_hit and cold.verified, context
-
-            warm = ModuleLoader(wire, cache=cache)
-            assert encode_module(warm.load()) == wire, context
-            assert warm.cache_hit and not warm.verified, context
-
-            lazy = load_module(wire, lazy=True, cache=cache)
-            assert encode_module(lazy) == wire, context
-
-            lazy_cold = load_module(wire, lazy=True, cache=False)
-            assert encode_module(lazy_cold) == wire, context
+    def test_cache_keyword_accepts_only_false(self, corpus_wires):
+        wire = next(iter(corpus_wires.values()))
+        assert encode_module(load_module(wire, cache=False)) == wire
+        for value in (None, True, object()):
+            with pytest.raises(TypeError):
+                load_module(wire, cache=value)
 
     def test_corpus_verdicts_agree(self, corpus_wires):
         for (name, optimize), wire in corpus_wires.items():
@@ -168,10 +171,18 @@ class TestAttackFixtures:
         assert verdict[0] == "reject"
         assert codes_equivalent(verdict[1], manifest[fixture]["code"])
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
     @pytest.mark.parametrize("fixture", _attack_fixtures())
-    def test_lazy_load_rejects(self, fixture):
+    def test_streaming_rejects_like_load_module(self, fixture,
+                                                chunk_size):
+        manifest = json.loads((ATTACKS_DIR / "manifest.json").read_text())
         data = (ATTACKS_DIR / f"{fixture}.bin").read_bytes()
-        assert fused_verdict(data, lazy=True)[0] == "reject"
+        fused = fused_verdict(data)
+        streamed = streamed_verdict(data, chunk_size)
+        assert streamed[0] == "reject", fixture
+        assert codes_equivalent(streamed[1], fused[1]), \
+            f"{fixture}: streamed {streamed[1]} vs loaded {fused[1]}"
+        assert codes_equivalent(streamed[1], manifest[fixture]["code"])
 
     @pytest.mark.parametrize("fixture", _attack_fixtures())
     def test_rejection_location_is_stable(self, fixture):
@@ -182,7 +193,7 @@ class TestAttackFixtures:
         locations = []
         for _ in range(2):
             with pytest.raises(DecodeError) as caught:
-                load_module(data, cache=False)
+                load_module(data)
             locations.append(caught.value.location())
         assert locations[0] == locations[1]
 
@@ -213,25 +224,37 @@ class TestMutationCampaign:
                     accepted += 1
                     # a surviving mutant is an honest stream: it must
                     # still round-trip bit-identically through the loader
-                    assert encode_module(
-                        load_module(mutant, cache=False)) == mutant, \
+                    assert encode_module(load_module(mutant)) == mutant, \
                         context
                 else:
                     rejected += 1
         assert accepted + rejected >= 1000
         assert rejected > 0
 
-    def test_campaign_lazy_verdicts_agree(self, mutation_wires):
-        """Lazy loads reject exactly the streams eager loads reject
-        (the first-reported *code* may differ: residual rules fire per
-        function at materialization, a documented ordering change)."""
+    def test_campaign_streamed_verdicts_agree(self, mutation_wires):
+        """Mutants fed to the streaming loader in 7-byte chunks are
+        accepted or rejected exactly as one-shot loads are (the
+        first-reported *code* may differ: the stream residual-checks
+        each body as it lands, before later bodies decode), and an
+        accepted mutant re-encodes bit-identically."""
         src = RandomSource(self.CAMPAIGN_SEED + 1)
-        for base in mutation_wires:
-            for _ in range(25):
-                _, mutant = mutate_stream(base, src)
-                eager = fused_verdict(mutant)
-                lazy = fused_verdict(mutant, lazy=True)
-                assert eager[0] == lazy[0]
+        per_base = self.BUDGET // len(mutation_wires)
+        accepted = rejected = 0
+        for base_index, base in enumerate(mutation_wires):
+            for case in range(per_base):
+                mutator, mutant = mutate_stream(base, src)
+                context = f"base {base_index} case {case} ({mutator})"
+                loaded = fused_verdict(mutant)[0]
+                try:
+                    module = stream_module(_chunked(mutant, 7))
+                except (DecodeError, VerifyError):
+                    assert loaded == "reject", context
+                    rejected += 1
+                    continue
+                assert loaded == "accept", context
+                assert encode_module(module) == mutant, context
+                accepted += 1
+        assert accepted > 0 and rejected > 0
 
 
 # ======================================================================
@@ -248,26 +271,16 @@ class TestTruncation:
         wire = _encode(self.SOURCE, optimize=False)
         for cut in range(len(wire)):
             with pytest.raises(DecodeError) as info:
-                load_module(wire[:cut], cache=False)
-            assert info.value.code in STABLE_CODES, f"cut at {cut}"
-
-    def test_every_byte_prefix_rejected_lazily(self):
-        """A truncated stream must never give the consumer a partial
-        module: the lazy path raises a coded DecodeError no later than
-        full materialization."""
-        wire = _encode(self.SOURCE, optimize=False)
-        for cut in range(len(wire)):
-            with pytest.raises(DecodeError) as info:
-                module = load_module(wire[:cut], lazy=True, cache=False)
-                module.functions.materialize_all()
+                load_module(wire[:cut])
             assert info.value.code in STABLE_CODES, f"cut at {cut}"
 
     def test_section_boundary_cuts(self):
         """Cuts exactly at the header end and at every per-function
         body boundary (the places a malicious packager would split)."""
         wire = _encode(self.SOURCE, optimize=False)
-        loader = ModuleLoader(wire, cache=False)
-        loader.load()
+        loader = StreamingLoader()
+        loader.feed(wire)
+        loader.finish()
         boundaries = loader.boundaries
         assert boundaries  # two bodies
         header_end = boundaries[0][0]
@@ -276,13 +289,13 @@ class TestTruncation:
             cut = wire[:(bits + 7) // 8][:-1 if bits % 8 else None] \
                 if bits else b""
             with pytest.raises(DecodeError) as info:
-                load_module(cut, cache=False)
+                load_module(cut)
             assert info.value.code in STABLE_CODES, f"cut at bit {bits}"
 
     def test_truncation_mid_body_carries_location(self):
         wire = _encode(self.SOURCE, optimize=False)
         with pytest.raises(DecodeError) as info:
-            load_module(wire[:-1], cache=False)
+            load_module(wire[:-1])
         error = info.value
         assert error.code in STABLE_CODES
         assert error.function is not None
@@ -310,152 +323,6 @@ class TestDecodeErrorContext:
     def test_message_format_is_stable(self):
         error = DecodeError("bad stream", "DEC-MALFORMED")
         assert str(error) == "bad stream [DEC-MALFORMED]"
-
-
-# ======================================================================
-# verified-module cache
-
-
-class TestVerifiedModuleCache:
-    def test_key_is_digest_of_wire(self):
-        assert VerifiedModuleCache.key(b"abc") == \
-            VerifiedModuleCache.key(b"abc")
-        assert VerifiedModuleCache.key(b"abc") != \
-            VerifiedModuleCache.key(b"abd")
-
-    def test_put_get_roundtrip(self, tmp_path):
-        cache = VerifiedModuleCache(str(tmp_path))
-        key = VerifiedModuleCache.key(b"wire")
-        assert cache.get(key) is None
-        cache.put(key, [(64, 128), (128, 200)])
-        assert cache.get(key) == [(64, 128), (128, 200)]
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-
-class TestCacheCorruptionSafety:
-    """A stale or tampered cache entry may cost time, never soundness."""
-
-    SOURCE = TestTruncation.SOURCE
-
-    def test_implausible_boundaries_fall_back_cold(self, tmp_path):
-        wire = _encode(self.SOURCE, optimize=False)
-        cache = VerifiedModuleCache(str(tmp_path))
-        cache.put(VerifiedModuleCache.key(wire), [(0, 1)])
-        loader = ModuleLoader(wire, cache=cache)
-        module = loader.load()
-        assert not loader.cache_hit and loader.verified
-        assert encode_module(module) == wire
-
-    def test_shifted_boundaries_fall_back_cold(self, tmp_path):
-        wire = _encode(self.SOURCE, optimize=False)
-        honest = ModuleLoader(wire, cache=False)
-        honest.load()
-        lying = list(honest.boundaries)
-        assert len(lying) >= 2
-        (s0, e0), (_, e1) = lying[0], lying[1]
-        # contiguous and in-stream (passes the shape check), but the
-        # split point is wrong: body decode must disagree
-        lying[0] = (s0, e0 + 8)
-        lying[1] = (e0 + 8, e1)
-        cache = VerifiedModuleCache(str(tmp_path))
-        cache.put(VerifiedModuleCache.key(wire), lying)
-        loader = ModuleLoader(wire, cache=cache)
-        module = loader.load()
-        assert not loader.cache_hit and loader.verified
-        assert encode_module(module) == wire
-
-    def test_lazy_load_survives_bad_cache_entry(self, tmp_path):
-        wire = _encode(self.SOURCE, optimize=False)
-        cache = VerifiedModuleCache(str(tmp_path))
-        cache.put(VerifiedModuleCache.key(wire), [(0, 1)])
-        module = load_module(wire, lazy=True, cache=cache)
-        module.functions.materialize_all()
-        assert encode_module(module) == wire
-
-    def test_corrupt_version_byte_misses_and_rejects(self, tmp_path):
-        """The cache key covers the wire format version, so a stream
-        whose version byte was flipped can never reuse the honest
-        entry's boundary index -- it misses, decodes cold, and dies on
-        the magic check."""
-        wire = _encode(self.SOURCE, optimize=False)
-        cache = VerifiedModuleCache(str(tmp_path))
-        load_module(wire, cache=cache)  # publish the honest index
-        corrupt = bytes([wire[0] ^ 0xFF]) + wire[1:]
-        assert VerifiedModuleCache.key(corrupt) != \
-            VerifiedModuleCache.key(wire)
-        with pytest.raises(DecodeError) as info:
-            load_module(corrupt, cache=cache)
-        assert info.value.code == "DEC-MAGIC"
-
-
-# ======================================================================
-# lazy loading
-
-
-class TestLazyLoading:
-    SOURCE = TestTruncation.SOURCE
-
-    def test_header_available_without_body_decode(self):
-        wire = _encode(self.SOURCE, optimize=False)
-        module = load_module(wire, lazy=True, cache=False)
-        functions = module.functions
-        assert isinstance(functions, LazyFunctions)
-        names = [method.name for method in functions]
-        assert len(names) == len(functions)
-        assert {"f", "g"} <= set(names)
-        assert all(fn is None for fn in functions._state.decoded)
-
-    def test_cold_touch_is_prefix_lazy(self, tmp_path):
-        wire = _encode(self.SOURCE, optimize=False)
-        cache = VerifiedModuleCache(str(tmp_path))
-        loader = ModuleLoader(wire, lazy=True, cache=cache)
-        module = loader.load()
-        first = next(iter(module.functions))
-        module.functions[first]
-        state = module.functions._state
-        assert state.decoded[0] is not None
-        assert state.decoded[1] is None  # only the prefix decoded
-        assert not loader.verified      # trailing check still pending
-        last = list(module.functions)[-1]
-        module.functions[last]
-        assert loader.verified          # full stream consumed + checked
-        # full materialization published the boundary index
-        assert cache.get(VerifiedModuleCache.key(wire)) == \
-            loader.boundaries
-
-    def test_warm_touch_is_random_access(self, tmp_path):
-        wire = _encode(self.SOURCE, optimize=False)
-        cache = VerifiedModuleCache(str(tmp_path))
-        load_module(wire, cache=cache)  # publish the index
-        loader = ModuleLoader(wire, lazy=True, cache=cache)
-        module = loader.load()
-        assert loader.cache_hit
-        last = list(module.functions)[-1]
-        module.functions[last]
-        state = module.functions._state
-        assert state.decoded[-1] is not None
-        assert state.decoded[0] is None  # earlier body untouched
-
-    def test_failed_touch_poisons_later_touches(self):
-        wire = _encode(self.SOURCE, optimize=False)
-        module = load_module(wire[:-1], lazy=True, cache=False)
-        methods = list(module.functions)
-        with pytest.raises(DecodeError) as first:
-            module.functions[methods[-1]]
-        with pytest.raises(DecodeError) as second:
-            module.functions[methods[-1]]
-        assert second.value is first.value
-
-    def test_lazy_module_runs(self):
-        source = ("class Main { static int helper(int x) { return x * 3; }"
-                  "  static void main() {"
-                  "  System.out.println(helper(14)); } }")
-        wire = _encode(source, optimize=True)
-        from repro.interp.interpreter import Interpreter
-        module = load_module(wire, lazy=True, cache=False)
-        result = Interpreter(module).run_main()
-        assert result.stdout == "42\n"
 
 
 # ======================================================================

@@ -452,6 +452,53 @@ class TestEndpoints:
         # raw Python exception
         assert f"'{next(iter(argument))}'" in caught.value.message
 
+    @pytest.mark.parametrize("route, field, value, where", [
+        ("compile", "passes", 5, "request"),
+        ("compile", "passes", [5], "request"),
+        ("compile", "passes", [["cse"]], "request"),
+        ("compile", "optimize", "no", "request"),
+        ("compile", "optimize", "false", "request"),
+        ("compile", "wire_v2", 1, "request"),
+        ("compile", "return_bytes", "yes", "request"),
+        ("publish", "passes", 5, "request"),
+        ("publish", "optimize", "no", "request"),
+        ("publish", "wire_v2", "false", "request"),
+        ("publish", "passes", [5], "entry"),
+        ("publish", "optimize", "no", "entry"),
+        ("publish", "wire_v2", "yes", "batch"),
+    ])
+    def test_bad_compile_arguments_are_bad_requests(
+            self, serve_stack, route, field, value, where):
+        """Compile flags of the wrong JSON type answer 400 before
+        anything compiles: a bare ``bool()`` would read ``"no"`` as
+        true, and a non-string pass name would escape as a 500."""
+        from http.client import HTTPConnection
+        service, server, _clock = serve_stack
+        if where == "request":
+            payload = {"name": "m", "source": SOURCE, field: value}
+        else:
+            # the bad entry comes last, so a check made per compile
+            # would already have compiled the first one
+            modules = [{"name": "a", "source": SOURCE}]
+            if where == "entry":
+                modules.append({"name": "b", "source": SOURCE_PRINT,
+                                field: value})
+            payload = {"modules": modules}
+            if where == "batch":
+                payload[field] = value
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=30)
+        conn.request("POST", f"/v1/{route}", body=json.dumps(payload),
+                     headers={"Content-Type": "application/json",
+                              "Connection": "close"})
+        response = conn.getresponse()
+        error = json.loads(response.read())["error"]
+        conn.close()
+        assert (response.status, error["code"]) == \
+            (400, "SERVE-BAD-REQUEST")
+        assert f"'{field}'" in error["message"]
+        assert service.counters["compile_requests"] == 0
+        assert len(service.store) == 0
+
     def test_unknown_digest_and_endpoint(self, serve_client):
         with pytest.raises(ServeError) as caught:
             serve_client.fetch("ab" * 32)
@@ -855,7 +902,7 @@ def _v2_triggers() -> dict:
     overcopy += blob_digest(b"unreached")
 
     return {
-        "DEC-MAGIC": lambda: load_module(b"XXXX" + wire, cache=False),
+        "DEC-MAGIC": lambda: load_module(b"XXXX" + wire),
         "DEC-IO": lambda: decode_module(wire[:-3]),
         "DEC-TRAILING": lambda: load_module(wire + b"\x01",
                                             cache=False),

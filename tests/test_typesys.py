@@ -231,7 +231,7 @@ def compile_and_load(source: str):
     from repro.loader import load_module
     session = CompilationSession(optimize=True, cache=False)
     wire = session.encode(session.compile(source))
-    result = Interpreter(load_module(wire, cache=False)).run_main()
+    result = Interpreter(load_module(wire)).run_main()
     return wire, result.stdout
 
 

@@ -21,11 +21,7 @@ import pytest
 from repro.analysis.diagnostics import STABLE_CODES
 from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.cache import (
-    CompilationCache,
-    DictionaryStore,
-    VerifiedModuleCache,
-)
+from repro.cache import CompilationCache, DictionaryStore
 from repro.encode.common import MAGIC, MAGIC_V2, wire_format_version
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.format import (
@@ -43,7 +39,7 @@ from repro.encode.format import (
 from repro.encode.serializer import encode_module
 from repro.fuzz import run_campaign
 from repro.interp.interpreter import Interpreter
-from repro.loader import StreamingLoader, load_module, stream_module
+from repro.loader import StreamingLoader, stream_module
 from repro.tsa.verifier import verify_module
 
 
@@ -271,7 +267,7 @@ class TestStreaming:
         for bit."""
         for (name, optimize), wire in corpus_wires.items():
             chunks = [wire[i:i + 97] for i in range(0, len(wire), 97)]
-            module = stream_module(chunks, cache=False)
+            module = stream_module(chunks)
             assert encode_module(module) == wire, \
                 f"{name} optimize={optimize}"
 
@@ -281,13 +277,13 @@ class TestStreaming:
         wire = _encode(SMALL_SOURCE)
         for size in list(range(1, 24)) + [64, len(wire), len(wire) + 7]:
             chunks = [wire[i:i + size] for i in range(0, len(wire), size)]
-            module = stream_module(chunks, cache=False)
+            module = stream_module(chunks)
             assert encode_module(module) == wire, f"chunk size {size}"
 
     def test_truncation_at_every_byte_rejects(self):
         wire = _encode(SMALL_SOURCE)
         for cut in range(len(wire)):
-            loader = StreamingLoader(cache=False)
+            loader = StreamingLoader()
             loader.feed(wire[:cut])
             with pytest.raises(DecodeError) as info:
                 loader.finish()
@@ -295,7 +291,7 @@ class TestStreaming:
 
     def test_main_executes_mid_stream(self):
         wire = _encode(RUN_SOURCE, optimize=True)
-        loader = StreamingLoader(cache=False)
+        loader = StreamingLoader()
         ran_mid_stream = False
         for index in range(len(wire)):
             module = loader.feed(wire[index:index + 1])
@@ -316,7 +312,7 @@ class TestStreaming:
 
     def test_pending_body_raises_stream_code(self):
         wire = _encode(RUN_SOURCE)
-        loader = StreamingLoader(cache=False)
+        loader = StreamingLoader()
         module = None
         for index in range(0, len(wire), 16):
             module = loader.feed(wire[index:index + 16])
@@ -331,7 +327,7 @@ class TestStreaming:
 
     def test_feed_after_finish_rejects(self):
         wire = _encode(SMALL_SOURCE)
-        loader = StreamingLoader(cache=False)
+        loader = StreamingLoader()
         loader.feed(wire)
         loader.finish()
         with pytest.raises(DecodeError) as info:
@@ -342,7 +338,7 @@ class TestStreaming:
         """Bad magic is deterministic: it rejects on the very feed that
         exposes it, and every later call re-raises that same error."""
         wire = _encode(SMALL_SOURCE)
-        loader = StreamingLoader(cache=False)
+        loader = StreamingLoader()
         with pytest.raises(DecodeError) as first:
             loader.feed(bytes([wire[0] ^ 0xFF]) + wire[1:])
         assert first.value.code == "DEC-MAGIC"
@@ -353,22 +349,12 @@ class TestStreaming:
             loader.finish()
         assert third.value is first.value
 
-    def test_streaming_publishes_boundary_index(self, tmp_path):
-        from repro.loader import ModuleLoader
-        wire = _encode(SMALL_SOURCE)
-        cache = VerifiedModuleCache(str(tmp_path))
-        stream_module([wire[i:i + 13] for i in range(0, len(wire), 13)],
-                      cache=cache)
-        warm = ModuleLoader(wire, cache=cache)
-        warm.load()
-        assert warm.cache_hit
-
     def test_v2_envelope_streams(self):
         wire = _encode(RUN_SOURCE)
         store = DictionaryStore()
         envelope = encode_v2(wire, (wire[:60],), store=store)
         chunks = [envelope[i:i + 7] for i in range(0, len(envelope), 7)]
-        module = stream_module(chunks, cache=False, store=store)
+        module = stream_module(chunks, store=store)
         assert encode_module(module) == wire
 
     def test_unknown_digest_rejects_mid_stream(self):
@@ -377,7 +363,7 @@ class TestStreaming:
         store does not have."""
         wire = _encode(SMALL_SOURCE)
         envelope = encode_v2(wire, (wire[:20],), store=DictionaryStore())
-        loader = StreamingLoader(cache=False)  # empty default store
+        loader = StreamingLoader()  # empty default store
         prefix = len(MAGIC_V2) + 1 + 1 + 32  # through the digest
         with pytest.raises(DecodeError) as info:
             loader.feed(envelope[:prefix])
@@ -388,7 +374,7 @@ class TestStreaming:
         optimized = _encode(SMALL_SOURCE, optimize=True)
         store = DictionaryStore()
         delta = encode_delta(plain, optimized, store=store)
-        loader = StreamingLoader(cache=False, store=store)
+        loader = StreamingLoader(store=store)
         assert loader.feed(delta[:-1]) is None  # patch incomplete
         module = loader.feed(delta[-1:])
         assert module is not None
@@ -406,26 +392,6 @@ class TestCacheKeys:
         assert wire_format_version(wire) == "stsa1"
         assert wire_format_version(envelope) == "stsa2"
         assert wire_format_version(b"junk") == "unknown"
-
-    def test_verified_cache_keys_separate_versions(self):
-        wire = _encode(SMALL_SOURCE)
-        envelope = encode_v2(wire, store=DictionaryStore())
-        assert VerifiedModuleCache.key(wire) != \
-            VerifiedModuleCache.key(envelope)
-
-    def test_loader_keys_on_resolved_payload(self, tmp_path):
-        """v1-direct and v2-enveloped delivery of the same module share
-        one verified entry: the boundary index describes the *payload*
-        bits, however the bytes arrived."""
-        from repro.loader import ModuleLoader
-        wire = _encode(SMALL_SOURCE)
-        store = DictionaryStore()
-        envelope = encode_v2(wire, store=store)
-        cache = VerifiedModuleCache(str(tmp_path))
-        load_module(envelope, cache=cache, store=store)  # cold, publishes
-        warm = ModuleLoader(wire, cache=cache)
-        warm.load()
-        assert warm.cache_hit
 
     def test_compilation_cache_keys_on_format_version(self):
         key = CompilationCache.key
