@@ -32,51 +32,56 @@ bench:
 bench-check:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
-# Small codec + cache throughput run; writes BENCH_codec.json (CI runs
-# this after the test suite).
+# Small codec + cache throughput run; writes bench-smoke/BENCH_codec.json
+# (CI runs this after the test suite).  Every smoke target below writes
+# under bench-smoke/, never over a committed full-run BENCH_*.json.
 bench-smoke:
 	$(PYTHON) -m repro.bench.runner codec --smoke
 
-# Verify + lint cost over a corpus subset; writes BENCH_analysis.json.
+# Verify + lint cost over a corpus subset; writes
+# bench-smoke/BENCH_analysis.json.
 bench-analysis:
 	$(PYTHON) -m repro.bench.runner analysis --smoke
 
 # Pass-pipeline benchmark: shared-analysis reuse, per-pass timing, and
-# the parallel fan-out determinism check; writes BENCH_pipeline.json.
+# the parallel fan-out determinism check; writes
+# bench-smoke/BENCH_pipeline.json.
 bench-pipeline:
 	$(PYTHON) -m repro.bench.runner pipeline --smoke
 
 # Consumer-side load cost: two-pass decode+verify vs the fused
-# loader; writes BENCH_load.json and fails if the fused load stops
-# beating the two-pass baseline.
+# loader; writes bench-smoke/BENCH_load.json and fails if the fused
+# load stops beating the two-pass baseline.
 bench-load:
 	$(PYTHON) -m repro.bench.runner load --smoke
 
 # Loop-tier benchmark: dynamic check counts per pipeline over the
-# loop-heavy corpus; writes BENCH_loops.json and fails unless the loop
-# tier (hoist_checks,licm) strictly reduces executed checks.
+# loop-heavy corpus; writes bench-smoke/BENCH_loops.json and fails
+# unless the loop tier (hoist_checks,licm) strictly reduces executed
+# checks.
 bench-loops:
 	$(PYTHON) -m repro.bench.runner loops --smoke
 
 # Wire-format v2 distribution benchmark: shared-dictionary and delta
 # shipping ratios plus streaming vs eager time-to-first-execute on a
-# simulated link; writes BENCH_wire.json and fails if any of the three
-# guards regress.
+# simulated link; writes bench-smoke/BENCH_wire.json and fails if any
+# of the three guards regress.
 bench-wire:
 	$(PYTHON) -m repro.bench.runner wire --smoke
 
 # Distribution-service benchmark: sustained req/s and p50/p99 latency
 # over a live server plus a compile-coalescing fan-in; writes
-# BENCH_serve.json and fails if coalescing stops collapsing identical
-# in-flight compiles or coalesced bytes diverge.
+# bench-smoke/BENCH_serve.json and fails if coalescing stops collapsing
+# identical in-flight compiles or coalesced bytes diverge.
 bench-serve:
 	$(PYTHON) -m repro.bench.runner serve --smoke
 
 # Trace-tier benchmark: speculative trace execution vs the untraced
-# interpreter on the loop-heavy corpus (warm trace cache), plus the
-# guard-abort/blacklist path; writes BENCH_trace.json and fails if
-# traced execution stops beating untraced (geomean) or abort overhead
-# escapes the blacklist bound.
+# interpreter on the loop-heavy corpus (warm trace cache, the recording
+# run timed apart), plus the guard-abort/blacklist path; writes
+# bench-smoke/BENCH_trace.json and fails if traced execution stops
+# beating untraced (geomean) or abort overhead escapes the blacklist
+# bound.
 bench-trace:
 	$(PYTHON) -m repro.bench.runner trace --smoke
 
@@ -96,7 +101,8 @@ perfbench-smoke:
 
 # Deterministic fuzzing smoke: differential oracle over generated
 # programs + wire-stream mutation under a fixed seed (~30 s); writes
-# BENCH_fuzz.json and fails on any reject-or-equivalent violation.
+# bench-smoke/BENCH_fuzz.json and fails on any reject-or-equivalent
+# violation.
 fuzz-smoke:
 	$(PYTHON) -m repro.bench.runner fuzz --smoke
 
@@ -162,4 +168,4 @@ examples:
 all: test bench tables
 
 clean:
-	find . -name __pycache__ -type d -exec rm -rf {} +; rm -rf .pytest_cache .hypothesis
+	find . -name __pycache__ -type d -exec rm -rf {} +; rm -rf .pytest_cache .hypothesis bench-smoke

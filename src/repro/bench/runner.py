@@ -45,11 +45,16 @@ checks that N barrier-released identical compiles coalesce into ~one
 performed compilation with bit-identical digests, and writes
 ``BENCH_serve.json``; ``trace`` (E14) times the speculative trace tier
 against the untraced interpreter on the loop-heavy corpus with a warm
-trace cache, measures the guard-abort/blacklist path on an adversarial
-program, writes ``BENCH_trace.json``, and exits nonzero if
-the geomean speedup drops below the floor (1.25x full, 1.0x smoke) or
-the abort path stops being contained; ``--smoke`` runs a reduced
-configuration (the CI setting).
+trace cache (the recording run that warms it is timed apart), measures
+the guard-abort/blacklist path on an adversarial program, writes
+``BENCH_trace.json``, and exits nonzero if the geomean speedup drops
+below the floor (1.25x full, 1.0x smoke) or the abort path stops being
+contained; ``--smoke`` runs a reduced configuration (the CI setting).
+
+Without ``--output`` a full run writes ``BENCH_<name>.json`` in the
+working directory and a smoke run writes
+``bench-smoke/BENCH_<name>.json``, so a smoke run never replaces a
+committed full run.
 
 Timed sections run best-of-N with a warmup pass (``REPRO_BENCH_REPEATS``
 overrides N, default 3): the minimum over repeats is the standard
@@ -348,12 +353,30 @@ def codec_report(programs=None, repeats=None) -> dict:
     return report
 
 
-def run_codec(argv=()) -> str:
+#: where a smoke run writes its bench file unless ``--output`` says
+#: otherwise: never over the committed full-run ``BENCH_<name>.json``
+SMOKE_DIR = "bench-smoke"
+
+
+def _bench_args(name: str, argv) -> tuple[bool, str]:
+    """``(smoke, output path)`` of one bench command's arguments.
+
+    ``--output PATH`` wins.  Otherwise a full run writes
+    ``BENCH_<name>.json`` in the working directory and a smoke run
+    writes ``bench-smoke/BENCH_<name>.json``, creating the directory."""
+    argv = list(argv)
     smoke = "--smoke" in argv
-    output = "BENCH_codec.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
     if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+        return smoke, argv[argv.index("--output") + 1]
+    filename = f"BENCH_{name}.json"
+    if not smoke:
+        return smoke, filename
+    os.makedirs(SMOKE_DIR, exist_ok=True)
+    return smoke, os.path.join(SMOKE_DIR, filename)
+
+
+def run_codec(argv=()) -> str:
+    smoke, output = _bench_args("codec", argv)
     programs = ("BitSieve", "BinaryCode", "Scanner") if smoke else None
     repeats = 2 if smoke else None
     report = codec_report(programs, repeats=repeats)
@@ -383,11 +406,7 @@ def run_codec(argv=()) -> str:
 
 def run_pipeline(argv=()) -> str:
     from repro.bench.pipeline import pipeline_report
-    smoke = "--smoke" in argv
-    output = "BENCH_pipeline.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("pipeline", argv)
     programs = ("BitSieve", "BinaryCode", "Scanner") if smoke else None
     repeats = 2 if smoke else None
     report = pipeline_report(programs, repeats=repeats)
@@ -417,11 +436,7 @@ def run_pipeline(argv=()) -> str:
 
 def run_analysis(argv=()) -> str:
     from repro.bench.analysis import analysis_report
-    smoke = "--smoke" in argv
-    output = "BENCH_analysis.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("analysis", argv)
     programs = ("BitSieve", "BinaryCode", "Scanner") if smoke else None
     repeats = 2 if smoke else None
     report = analysis_report(programs, repeats=repeats, cache=_RUN_CACHE)
@@ -442,11 +457,7 @@ def run_analysis(argv=()) -> str:
 
 def run_fuzz(argv=()) -> str:
     from repro.bench.fuzz import fuzz_report
-    smoke = "--smoke" in argv
-    output = "BENCH_fuzz.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("fuzz", argv)
     # smoke: ~150 oracle programs + 2250 stream mutants + 150 source
     # splices (~30 s); full: ~1000 programs + 15000 mutants + 1000 splices
     budget = 1500 if smoke else 10_000
@@ -464,11 +475,7 @@ def run_fuzz(argv=()) -> str:
 
 def run_load(argv=()) -> str:
     from repro.bench.load import load_report, load_table
-    smoke = "--smoke" in argv
-    output = "BENCH_load.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("load", argv)
     programs = ("BitSieve", "BinaryCode", "Scanner") if smoke else None
     repeats = 2 if smoke else None
     report = load_report(programs, repeats=repeats)
@@ -488,11 +495,7 @@ def run_load(argv=()) -> str:
 
 def run_loops(argv=()) -> str:
     from repro.bench.loops import loops_report, loops_table
-    smoke = "--smoke" in argv
-    output = "BENCH_loops.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("loops", argv)
     # smoke drops Linpack (the slow interpretation) but keeps one array
     # kernel and the dispatch loop
     programs = ("BitSieve", "MiniVM") if smoke else None
@@ -518,11 +521,7 @@ def run_loops(argv=()) -> str:
 
 def run_wire(argv=()) -> str:
     from repro.bench.wire import wire_report, wire_table
-    smoke = "--smoke" in argv
-    output = "BENCH_wire.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("wire", argv)
     programs = ("BitSieve", "BinaryCode", "Scanner") if smoke else None
     repeats = 2 if smoke else None
     report = wire_report(programs, repeats=repeats)
@@ -552,11 +551,7 @@ def run_wire(argv=()) -> str:
 
 def run_trace(argv=()) -> str:
     from repro.bench.trace import trace_report, trace_table
-    smoke = "--smoke" in argv
-    output = "BENCH_trace.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("trace", argv)
     # smoke drops Linpack and trims repetitions; the acceptance-bar
     # geomean (>= 1.25x) is asserted only on the full corpus
     programs = ("BitSieve", "MiniVM") if smoke else None
@@ -591,11 +586,7 @@ def run_trace(argv=()) -> str:
 
 def run_serve(argv=()) -> str:
     from repro.bench.serve import serve_report, serve_table
-    smoke = "--smoke" in argv
-    output = "BENCH_serve.json"
-    argv = [arg for arg in argv if arg != "--smoke"]
-    if "--output" in argv:
-        output = argv[argv.index("--output") + 1]
+    smoke, output = _bench_args("serve", argv)
     programs = ("BitSieve", "BinaryCode", "Scanner") if smoke else None
     report = serve_report(programs,
                           clients=4 if smoke else 8,

@@ -286,8 +286,13 @@ def cmd_fetch(args) -> int:
         print(f"{args.output}: {len(wire)} bytes "
               f"(digest verified)")
     if args.run:
-        result = Interpreter(load_module(wire)).run_main(
-            getattr(args, "class"))
+        try:
+            # a v2 unit's shared dictionaries come from the same server
+            module = load_module(wire, store=client.dictionary_store())
+        except ServeError as error:
+            print(f"REJECTED: {error}", file=sys.stderr)
+            return 1
+        result = Interpreter(module).run_main(getattr(args, "class"))
         sys.stdout.write(result.stdout)
         if result.exception is not None:
             print(f"Exception in thread \"main\" "

@@ -374,6 +374,13 @@ class _FunctionDecoder:
         self.domtree = compute_dominators(self.function)
         if self.function.entry.preds:
             raise DecodeError("entry block has predecessors", "DEC-CST")
+        # the producer ends only dead code with an unreachable leaf; a
+        # reachable one would make every consumer fall off the block
+        for block in self.domtree.preorder:
+            if block.term.kind == "unreachable":
+                self._ctx_block = block
+                raise DecodeError("reachable block ends in an unreachable "
+                                  "leaf", "DEC-CST")
         self.dispatch_of = map_exception_contexts(cst)
         for block in self.domtree.preorder:
             self._decode_block(block)

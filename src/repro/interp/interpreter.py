@@ -6,23 +6,57 @@ was computed before its use, so no scoping machinery is needed at
 runtime.  Phi operands are selected by the index of the incoming edge in
 the block's canonical predecessor list -- the same list the wire format's
 phi operand order is defined by.
+
+Every operand names the instruction that defines it, so nothing about an
+instruction has to be looked up while it runs.  The first time a block
+is entered its :class:`_BlockPlan` binds each instruction into one
+closure ``op(frame)`` (the ``_bind_*`` methods).  The closure holds the
+operand and result registers and whatever the instruction resolves to:
+the operation's fold, a field slot, an interned string, a class or array
+type, a call site.  It writes its own result register.  A block then
+runs as ``for op in plan.ops: op(frame)`` inside one ``try``: a Java
+exception raised by any op leaves the block along its exception edge,
+and the dispatch block's ``caughtexc`` reads the caught value from the
+reserved frame slot :data:`CAUGHT_SLOT`.  In SafeTSA only a trapping
+instruction can raise, and it closes its subblock, so this is the edge
+a handler around each instruction would take.
+
+Every ``nullcheck``, ``idxcheck`` and ``upcast`` still runs and counts in
+:attr:`Interpreter.check_counts`; binding only removes the lookups
+around them.  A static call site resolves its body or native on first
+use, and a virtual one memoizes its resolution per receiver class.
+Plans and their ops belong to one interpreter: they close over its
+counters, its :class:`~repro.interp.runtime.Runtime` and its call-site
+memos, and read ``max_array_length`` when they run.  The trace tier's
+fallback (:class:`repro.interp.trace.TracingInterpreter`) runs the same
+ops.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from repro.interp.heap import (
     ArrayRef,
     JavaError,
     JStr,
     ObjectRef,
+    runtime_class,
     value_instanceof,
 )
 from repro.interp.runtime import Runtime
 from repro.ssa import ir
 from repro.ssa.ir import Block, Function, Module
 from repro.typesys.world import MethodInfo
+
+#: frame slot holding the exception a dispatch block's ``caughtexc``
+#: reads; instruction ids start at 1, so no register uses it
+CAUGHT_SLOT = -1
+
+#: (interpreter class, instruction class) -> its ``_bind_*`` method
+_BINDERS: dict = {}
 
 
 class InterpreterError(Exception):
@@ -76,9 +110,11 @@ class Interpreter:
         self.steps = 0
         self.check_counts = {"nullcheck": 0, "idxcheck": 0, "upcast": 0}
         self._initialized = False
-        #: block id -> _BlockPlan; per-block handler/phi/terminator
-        #: resolution done once instead of per executed instruction.
+        #: block id -> _BlockPlan: bound ops, phi moves per incoming
+        #: edge and terminator shape, built on first entry
         self._plans: dict[int, _BlockPlan] = {}
+        #: call instruction id -> its site's ``invoke(args)``
+        self._sites: dict[int, Callable[[Sequence], object]] = {}
 
     # ==================================================================
     # entry points
@@ -133,19 +169,15 @@ class Interpreter:
     # ==================================================================
     # calls
 
-    def call(self, function: Function, args: list):
-        frame: dict[int, object] = {}
-        for param in function.params:
-            frame[param.id] = args[param.index]
+    def call(self, function: Function, args: Sequence):
         plans = self._plans
         max_steps = self.max_steps
         block = function.entry
-        plan = plans.get(block.id)
-        if plan is None:
-            plan = self._plan(block)
+        plan = plans.get(block.id) or self._plan(block)
+        frame = plan.consts.copy()
+        for param in function.params:
+            frame[param.id] = args[param.index]
         came_key: Optional[tuple[int, str]] = None
-        came_block: Optional[Block] = None
-        exception: Optional[ObjectRef] = None
         while True:
             self.steps += 1
             if self.steps > max_steps:
@@ -155,64 +187,42 @@ class Interpreter:
             if moves is not None:
                 move = moves.get(came_key)
                 if move is None:
-                    raise self._phi_edge_error(plan.block, came_block)
-                targets, sources = move
-                # parallel copy: read every source before the first write
-                # (a phi operand may itself be a phi of this block)
-                values = [frame[source] for source in sources]
-                for target, value in zip(targets, values):
-                    frame[target] = value
-            for handler, instr, store in plan.ops:
-                if handler is None:  # CaughtExc
-                    frame[store] = exception
-                    continue
-                try:
-                    result = handler(instr, frame)
-                except JavaError as error:
-                    target = plan.exc_target
-                    if target is None:
-                        raise
-                    exception = error.value
-                    came_key = (plan.block_id, "exc")
-                    came_block = plan.block
-                    plan = plans.get(target.id) or self._plan(target)
-                    break
-                if store is not None:
-                    frame[store] = result
+                    raise self._phi_edge_error(plan.block, came_key)
+                move(frame)
+            try:
+                for op in plan.ops:
+                    op(frame)
+            except JavaError as error:
+                target = plan.exc_target
+                if target is None:
+                    raise
+                frame[CAUGHT_SLOT] = error.value
+                came_key = plan.exc_key
+                plan = plans.get(target.id) or self._plan(target)
+                continue
+            kind = plan.kind
+            if kind == "branch":
+                norm = plan.norm
+                next_block = norm[0] if frame[plan.value_id] else norm[1]
+            elif plan.succ is not None:  # fall / break / continue
+                next_block = plan.succ
+            elif kind == "return":
+                if plan.value_id is not None:
+                    return frame[plan.value_id]
+                return None
+            elif kind == "throw":
+                target = plan.exc_target
+                if target is None:
+                    raise JavaError(frame[plan.value_id])
+                # a throw inside a try body jumps to the dispatch block
+                frame[CAUGHT_SLOT] = frame[plan.value_id]
+                came_key = plan.exc_key
+                plan = plans.get(target.id) or self._plan(target)
+                continue
             else:
-                kind = plan.kind
-                if kind == "branch":
-                    norm = plan.norm
-                    next_block = norm[0] if frame[plan.value_id] else norm[1]
-                elif plan.succ is not None:  # fall / break / continue
-                    next_block = plan.succ
-                elif kind == "return":
-                    if plan.value_id is not None:
-                        return frame[plan.value_id]
-                    return None
-                elif kind == "throw":
-                    target = plan.exc_target
-                    if target is None:
-                        raise JavaError(frame[plan.value_id])
-                    # a throw inside a try body jumps to the dispatch block
-                    exception = frame[plan.value_id]
-                    came_key = (plan.block_id, "exc")
-                    came_block = plan.block
-                    plan = plans.get(target.id) or self._plan(target)
-                    continue
-                elif kind == "unreachable":
-                    raise InterpreterError(
-                        f"reached unreachable terminator in {function.name}")
-                elif kind is None:
-                    raise InterpreterError(
-                        f"block B{plan.block_id} has no terminator")
-                else:
-                    raise InterpreterError(
-                        f"B{plan.block_id} ({kind}) has {len(plan.norm)} "
-                        "normal successors")
-                came_key = (plan.block_id, "norm")
-                came_block = plan.block
-                plan = plans.get(next_block.id) or self._plan(next_block)
+                raise self._bad_terminator(plan, function)
+            came_key = plan.norm_key
+            plan = plans.get(next_block.id) or self._plan(next_block)
 
     def _plan(self, block: Block) -> "_BlockPlan":
         plan = _BlockPlan(self, block)
@@ -220,136 +230,84 @@ class Interpreter:
         return plan
 
     @staticmethod
-    def _phi_edge_error(block: Block, came_block) -> "InterpreterError":
-        if came_block is None:
+    def _phi_edge_error(block: Block, came_key) -> "InterpreterError":
+        if came_key is None:
             return InterpreterError(f"phis in entry block B{block.id}")
         return InterpreterError(
-            f"edge B{came_block.id}->B{block.id} not in pred list")
+            f"edge B{came_key[0]}->B{block.id} not in pred list")
+
+    @staticmethod
+    def _bad_terminator(plan: "_BlockPlan",
+                        function: Function) -> "InterpreterError":
+        kind = plan.kind
+        if kind == "unreachable":
+            return InterpreterError(
+                f"reached unreachable terminator in {function.name}")
+        if kind is None:
+            return InterpreterError(
+                f"block B{plan.block_id} has no terminator")
+        return InterpreterError(
+            f"B{plan.block_id} ({kind}) has {len(plan.norm)} "
+            "normal successors")
 
     # ==================================================================
-    # instruction execution
+    # call sites
 
-    def _exec_const(self, instr: ir.Const, frame):
-        if isinstance(instr.value, str):
-            return JStr.intern(instr.value)
-        return instr.value
+    def _site(self, call: ir.Call) -> Callable[[Sequence], object]:
+        """``invoke(args)`` for one call site of this interpreter, made
+        once and shared by the site's op and any trace through it;
+        ``args`` is the operand tuple, receiver first.
 
-    def _exec_param(self, instr: ir.Param, frame):
-        return frame[instr.id]
+        A static site resolves its body or native on first use -- not
+        when its block is bound, since a streamed module may still lack
+        a body the block never reaches.  A virtual site memoizes its
+        resolution per receiver class (the class info of an object, the
+        Python class of a builtin string or array)."""
+        invoke = self._sites.get(call.id)
+        if invoke is not None:
+            return invoke
+        method = call.method
+        target_of = self._target
+        if not call.dispatch:
+            target = None
 
-    def _exec_prim(self, instr: ir.Prim, frame):
-        args = [frame[op.id] for op in instr.operands]
-        try:
-            return instr.operation.fold(*args)
-        except ZeroDivisionError:
-            self.runtime.throw("java.lang.ArithmeticException", "/ by zero")
+            def invoke(args):
+                nonlocal target
+                if target is None:
+                    target = target_of(method)
+                return target(args)
+        else:
+            table: dict = {}
+            resolve = self._resolve_virtual
 
-    def _exec_refcmp(self, instr: ir.RefCmp, frame):
-        left = frame[instr.operands[0].id]
-        right = frame[instr.operands[1].id]
-        same = left is right
-        return same if instr.is_eq else not same
+            def invoke(args):
+                receiver = args[0]
+                key = receiver.class_info if type(receiver) is ObjectRef \
+                    else type(receiver)
+                target = table.get(key)
+                if target is None:
+                    target = table[key] = \
+                        target_of(resolve(receiver, method))
+                return target(args)
+        self._sites[call.id] = invoke
+        return invoke
 
-    def _exec_nullcheck(self, instr: ir.NullCheck, frame):
-        value = frame[instr.operands[0].id]
-        self.check_counts["nullcheck"] += 1
-        if value is None:
-            self.runtime.throw("java.lang.NullPointerException")
-        return value
+    def _target(self, method: MethodInfo) -> Callable[[Sequence], object]:
+        """``run(args)`` for a resolved method: its native, or a call of
+        its body in this interpreter."""
+        if method.is_native:
+            return partial(self.runtime.invoke_native, method)
+        function = self.module.functions.get(method)
+        if function is None:
+            raise InterpreterError(
+                f"no body for method {method.qualified_name}")
+        return self._body(function)
 
-    def _exec_idxcheck(self, instr: ir.IdxCheck, frame):
-        array = frame[instr.array.id]
-        index = frame[instr.index.id]
-        self.check_counts["idxcheck"] += 1
-        if not isinstance(array, ArrayRef):
-            raise InterpreterError("idxcheck on non-array")
-        if not 0 <= index < array.length:
-            self.runtime.throw(
-                "java.lang.ArrayIndexOutOfBoundsException",
-                f"Index {index} out of bounds for length {array.length}")
-        return index
-
-    def _exec_upcast(self, instr: ir.Upcast, frame):
-        value = frame[instr.operands[0].id]
-        self.check_counts["upcast"] += 1
-        if value is None:
-            return None  # Java checkcast passes null through
-        if not value_instanceof(self.world, value, instr.target_type):
-            self.runtime.throw("java.lang.ClassCastException",
-                               str(instr.target_type))
-        return value
-
-    def _exec_downcast(self, instr: ir.Downcast, frame):
-        return frame[instr.operands[0].id]
-
-    def _exec_getfield(self, instr: ir.GetField, frame):
-        obj = frame[instr.operands[0].id]
-        return obj.fields[instr.field.slot]
-
-    def _exec_setfield(self, instr: ir.SetField, frame):
-        obj = frame[instr.operands[0].id]
-        obj.fields[instr.field.slot] = frame[instr.operands[1].id]
-        return None
-
-    def _exec_getstatic(self, instr: ir.GetStatic, frame):
-        return self.runtime.get_static(instr.field)
-
-    def _exec_setstatic(self, instr: ir.SetStatic, frame):
-        self.runtime.set_static(instr.field, frame[instr.operands[0].id])
-        return None
-
-    def _exec_getelt(self, instr: ir.GetElt, frame):
-        array = frame[instr.operands[0].id]
-        return array.elements[frame[instr.operands[1].id]]
-
-    def _exec_setelt(self, instr: ir.SetElt, frame):
-        array = frame[instr.operands[0].id]
-        value = frame[instr.operands[2].id]
-        self._array_store_check(array, value)
-        array.elements[frame[instr.operands[1].id]] = value
-        return None
-
-    def _array_store_check(self, array, value) -> None:
-        """Java array covariance: reference stores are checked against
-        the array's *runtime* element type (ArrayStoreException)."""
-        element = array.array_type.element
-        if value is None or not element.is_reference():
-            return
-        if not value_instanceof(self.world, value, element):
-            self.runtime.throw("java.lang.ArrayStoreException",
-                               str(element))
-
-    def _exec_arraylen(self, instr: ir.ArrayLen, frame):
-        return frame[instr.operands[0].id].length
-
-    def _exec_new(self, instr: ir.New, frame):
-        return ObjectRef(instr.class_info)
-
-    def _exec_newarray(self, instr: ir.NewArray, frame):
-        length = frame[instr.operands[0].id]
-        if length < 0:
-            self.runtime.throw("java.lang.NegativeArraySizeException",
-                               str(length))
-        if self.max_array_length is not None \
-                and length > self.max_array_length:
-            raise AllocationLimitExceeded(
-                f"new array of {length} > cap {self.max_array_length}")
-        return ArrayRef(instr.array_type, length)
-
-    def _exec_instanceof(self, instr: ir.InstanceOf, frame):
-        value = frame[instr.operands[0].id]
-        return value_instanceof(self.world, value, instr.target_type)
-
-    def _exec_call(self, instr: ir.Call, frame):
-        args = [frame[op.id] for op in instr.operands]
-        method = instr.method
-        if instr.dispatch:
-            receiver = args[0]
-            method = self._resolve_virtual(receiver, method)
-        return self._invoke(method, args)
+    def _body(self, function: Function) -> Callable[[Sequence], object]:
+        """``run(args)`` for ``function``'s body in this interpreter."""
+        return partial(self.call, function)
 
     def _resolve_virtual(self, receiver, method: MethodInfo) -> MethodInfo:
-        from repro.interp.heap import runtime_class
         cls = runtime_class(self.world, receiver)
         if cls is None:
             raise InterpreterError("virtual dispatch on null receiver")
@@ -363,27 +321,311 @@ class Interpreter:
                 return candidate
         return method
 
-    def _invoke(self, method: MethodInfo, args: list):
-        if method.is_native:
-            return self.runtime.invoke_native(method, args)
-        function = self.module.functions.get(method)
-        if function is None:
-            raise InterpreterError(
-                f"no body for method {method.qualified_name}")
-        return self.call(function, args)
-
     def _invoke_virtual_for_runtime(self, receiver, method: MethodInfo):
         resolved = self._resolve_virtual(receiver, method)
-        return self._invoke(resolved, [receiver])
+        return self._target(resolved)((receiver,))
+
+    # ==================================================================
+    # binders: each turns one instruction into ``op(frame)``, once per
+    # block plan; ``None`` means the instruction has nothing to run
+
+    def _bind(self, instr: ir.Instr):
+        key = (type(self), type(instr))
+        binder = _BINDERS.get(key)
+        if binder is None:
+            binder = getattr(type(self),
+                             "_bind_" + type(instr).__name__.lower(), None)
+            if binder is None:
+                raise InterpreterError(
+                    f"cannot execute {type(instr).__name__}")
+            _BINDERS[key] = binder
+        return binder(self, instr)
+
+    def _bind_const(self, instr: ir.Const):
+        dst = instr.id
+        value = _const_value(instr)
+
+        def const(frame):
+            frame[dst] = value
+        return const
+
+    def _bind_param(self, instr: ir.Param):
+        return None  # call() stores every parameter before the entry block
+
+    def _bind_prim(self, instr: ir.Prim):
+        dst = instr.id
+        fold = instr.operation.fold
+        throw = self.runtime.throw
+        ids = tuple(op.id for op in instr.operands)
+        if len(ids) == 2:
+            left, right = ids
+
+            def prim(frame):
+                try:
+                    frame[dst] = fold(frame[left], frame[right])
+                except ZeroDivisionError:
+                    throw("java.lang.ArithmeticException", "/ by zero")
+        elif len(ids) == 1:
+            operand = ids[0]
+
+            def prim(frame):
+                try:
+                    frame[dst] = fold(frame[operand])
+                except ZeroDivisionError:
+                    throw("java.lang.ArithmeticException", "/ by zero")
+        else:
+            def prim(frame):
+                try:
+                    frame[dst] = fold(*[frame[i] for i in ids])
+                except ZeroDivisionError:
+                    throw("java.lang.ArithmeticException", "/ by zero")
+        return prim
+
+    def _bind_refcmp(self, instr: ir.RefCmp):
+        dst = instr.id
+        left = instr.operands[0].id
+        right = instr.operands[1].id
+        if instr.is_eq:
+            def refcmp(frame):
+                frame[dst] = frame[left] is frame[right]
+        else:
+            def refcmp(frame):
+                frame[dst] = frame[left] is not frame[right]
+        return refcmp
+
+    def _bind_nullcheck(self, instr: ir.NullCheck):
+        dst = instr.id
+        src = instr.operands[0].id
+        counts = self.check_counts
+        throw = self.runtime.throw
+
+        def nullcheck(frame):
+            value = frame[src]
+            counts["nullcheck"] += 1
+            if value is None:
+                throw("java.lang.NullPointerException")
+            frame[dst] = value
+        return nullcheck
+
+    def _bind_idxcheck(self, instr: ir.IdxCheck):
+        dst = instr.id
+        array_id = instr.array.id
+        index_id = instr.index.id
+        counts = self.check_counts
+        throw = self.runtime.throw
+
+        def idxcheck(frame):
+            array = frame[array_id]
+            index = frame[index_id]
+            counts["idxcheck"] += 1
+            if not isinstance(array, ArrayRef):
+                raise InterpreterError("idxcheck on non-array")
+            length = len(array.elements)
+            if not 0 <= index < length:
+                throw("java.lang.ArrayIndexOutOfBoundsException",
+                      f"Index {index} out of bounds for length {length}")
+            frame[dst] = index
+        return idxcheck
+
+    def _bind_upcast(self, instr: ir.Upcast):
+        dst = instr.id
+        src = instr.operands[0].id
+        target_type = instr.target_type
+        world = self.world
+        counts = self.check_counts
+        throw = self.runtime.throw
+
+        def upcast(frame):
+            value = frame[src]
+            counts["upcast"] += 1
+            # Java checkcast passes null through
+            if value is not None and \
+                    not value_instanceof(world, value, target_type):
+                throw("java.lang.ClassCastException", str(target_type))
+            frame[dst] = value
+        return upcast
+
+    def _bind_downcast(self, instr: ir.Downcast):
+        dst = instr.id
+        src = instr.operands[0].id
+
+        def downcast(frame):
+            frame[dst] = frame[src]
+        return downcast
+
+    def _bind_getfield(self, instr: ir.GetField):
+        dst = instr.id
+        obj = instr.operands[0].id
+        slot = instr.field.slot
+
+        def getfield(frame):
+            frame[dst] = frame[obj].fields[slot]
+        return getfield
+
+    def _bind_setfield(self, instr: ir.SetField):
+        obj = instr.operands[0].id
+        src = instr.operands[1].id
+        slot = instr.field.slot
+
+        def setfield(frame):
+            frame[obj].fields[slot] = frame[src]
+        return setfield
+
+    def _bind_getstatic(self, instr: ir.GetStatic):
+        dst = instr.id
+        field = instr.field
+        get_static = self.runtime.get_static
+
+        def getstatic(frame):
+            frame[dst] = get_static(field)
+        return getstatic
+
+    def _bind_setstatic(self, instr: ir.SetStatic):
+        src = instr.operands[0].id
+        field = instr.field
+        set_static = self.runtime.set_static
+
+        def setstatic(frame):
+            set_static(field, frame[src])
+        return setstatic
+
+    def _bind_getelt(self, instr: ir.GetElt):
+        dst = instr.id
+        array_id = instr.operands[0].id
+        index_id = instr.operands[1].id
+
+        def getelt(frame):
+            frame[dst] = frame[array_id].elements[frame[index_id]]
+        return getelt
+
+    def _bind_setelt(self, instr: ir.SetElt):
+        array_id = instr.operands[0].id
+        index_id = instr.operands[1].id
+        src = instr.operands[2].id
+        if not instr.array_type.element.is_reference():
+            # primitive arrays are invariant: nothing to check
+            def setelt(frame):
+                frame[array_id].elements[frame[index_id]] = frame[src]
+            return setelt
+        world = self.world
+        throw = self.runtime.throw
+
+        def setelt_checked(frame):
+            array = frame[array_id]
+            value = frame[src]
+            # Java array covariance: a reference store is checked against
+            # the array's *runtime* element type
+            if value is not None:
+                element = array.array_type.element
+                if element.is_reference() and \
+                        not value_instanceof(world, value, element):
+                    throw("java.lang.ArrayStoreException", str(element))
+            array.elements[frame[index_id]] = value
+        return setelt_checked
+
+    def _bind_arraylen(self, instr: ir.ArrayLen):
+        dst = instr.id
+        src = instr.operands[0].id
+
+        def arraylen(frame):
+            frame[dst] = len(frame[src].elements)
+        return arraylen
+
+    def _bind_new(self, instr: ir.New):
+        dst = instr.id
+        class_info = instr.class_info
+
+        def new(frame):
+            frame[dst] = ObjectRef(class_info)
+        return new
+
+    def _bind_newarray(self, instr: ir.NewArray):
+        dst = instr.id
+        src = instr.operands[0].id
+        array_type = instr.array_type
+        throw = self.runtime.throw
+        interp = self
+
+        def newarray(frame):
+            length = frame[src]
+            if length < 0:
+                throw("java.lang.NegativeArraySizeException", str(length))
+            # read per run: the fuzz harness sets the cap after binding
+            cap = interp.max_array_length
+            if cap is not None and length > cap:
+                raise AllocationLimitExceeded(
+                    f"new array of {length} > cap {cap}")
+            frame[dst] = ArrayRef(array_type, length)
+        return newarray
+
+    def _bind_instanceof(self, instr: ir.InstanceOf):
+        dst = instr.id
+        src = instr.operands[0].id
+        target_type = instr.target_type
+        world = self.world
+
+        def instanceof(frame):
+            frame[dst] = value_instanceof(world, frame[src], target_type)
+        return instanceof
+
+    def _bind_call(self, instr: ir.Call):
+        # a void call stores None under its own id, which nothing reads
+        dst = instr.id
+        ids = [op.id for op in instr.operands]
+        invoke = self._site(instr)
+        if len(ids) == 1:
+            only = ids[0]
+
+            def call(frame):
+                frame[dst] = invoke((frame[only],))
+        elif ids:
+            read = itemgetter(*ids)  # two or more registers, as a tuple
+
+            def call(frame):
+                frame[dst] = invoke(read(frame))
+        else:
+            def call(frame):
+                frame[dst] = invoke(())
+        return call
+
+    def _bind_caughtexc(self, instr: ir.CaughtExc):
+        dst = instr.id
+
+        def caughtexc(frame):
+            frame[dst] = frame.get(CAUGHT_SLOT)
+        return caughtexc
+
+
+def _const_value(instr: ir.Const):
+    value = instr.value
+    return JStr.intern(value) if isinstance(value, str) else value
+
+
+def _bind_move(targets: tuple, sources: tuple):
+    """The parallel copy of one incoming edge's phi operands: every
+    source is read before the first write, since a phi operand may
+    itself be a phi of the same block."""
+    if len(targets) == 1:
+        target, source = targets[0], sources[0]
+
+        def move(frame):
+            frame[target] = frame[source]
+        return move
+
+    def move_all(frame):
+        values = [frame[source] for source in sources]
+        for target, value in zip(targets, values):
+            frame[target] = value
+    return move_all
 
 
 class _BlockPlan:
-    """Everything :meth:`Interpreter.call` would otherwise resolve per
-    executed instruction -- handler bound methods, phi routing per
-    incoming edge, terminator shape -- resolved once per block."""
+    """One block, bound once per interpreter: its ops, a phi move per
+    incoming edge, and its terminator's shape and edge keys."""
 
-    __slots__ = ("block", "block_id", "ops", "moves", "kind", "value_id",
-                 "norm", "succ", "exc_target", "hs")
+    __slots__ = ("block", "block_id", "consts", "ops", "moves", "kind",
+                 "value_id", "norm", "succ", "exc_target", "norm_key",
+                 "exc_key", "hs")
 
     def __init__(self, interp: Interpreter, block: Block):
         self.block = block
@@ -391,29 +633,29 @@ class _BlockPlan:
         # loop-header state, set by the tracing interpreter's _plan
         # override; the base interpreter never reads it
         self.hs = None
+        #: an entry block's constants, copied into each new frame rather
+        #: than run as ops: a const has no operands and cannot trap
+        self.consts: dict[int, object] = {}
+        entry = block.function is not None and block.function.entry is block
         ops = []
         for instr in block.instrs:
-            if isinstance(instr, ir.CaughtExc):
-                ops.append((None, instr, instr.id))
+            if entry and isinstance(instr, ir.Const):
+                self.consts[instr.id] = _const_value(instr)
                 continue
-            handler = getattr(
-                interp, "_exec_" + type(instr).__name__.lower(), None)
-            if handler is None:
-                raise InterpreterError(
-                    f"cannot execute {type(instr).__name__}")
-            store = instr.id if instr.plane is not None else None
-            ops.append((handler, instr, store))
+            op = interp._bind(instr)
+            if op is not None:
+                ops.append(op)
         self.ops = tuple(ops)
         if block.phis:
             phi_ids = tuple(phi.id for phi in block.phis)
             moves: dict = {}
             for index, (pred, kind) in enumerate(block.preds):
-                # setdefault: a duplicated edge keeps its first index,
-                # the first match in pred order
-                moves.setdefault(
-                    (pred.id, kind),
-                    (phi_ids,
-                     tuple(phi.operands[index].id for phi in block.phis)))
+                # a duplicated edge keeps its first index, the first
+                # match in pred order
+                if (pred.id, kind) not in moves:
+                    moves[(pred.id, kind)] = _bind_move(
+                        phi_ids,
+                        tuple(phi.operands[index].id for phi in block.phis))
             self.moves = moves
         else:
             self.moves = None
@@ -431,3 +673,6 @@ class _BlockPlan:
             if kind == "exc":
                 self.exc_target = succ
                 break
+        #: the came-from keys of this block's two kinds of outgoing edge
+        self.norm_key = (block.id, "norm")
+        self.exc_key = (block.id, "exc")

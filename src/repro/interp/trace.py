@@ -47,15 +47,16 @@ trace formats its step-limit message from the running interpreter's
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Optional, Sequence
 
 from repro.analysis.loops import find_loops
 from repro.cache import TraceCache, default_trace_cache
-from repro.interp.heap import ArrayRef, JavaError, ObjectRef
+from repro.interp.heap import ArrayRef, JavaError
 from repro.interp.interpreter import (
+    CAUGHT_SLOT,
     AllocationLimitExceeded,
     Interpreter,
-    InterpreterError,
     StepLimitExceeded,
 )
 from repro.interp.jit import (
@@ -214,27 +215,13 @@ class _InterpAdapter:
         self.runtime = interp.runtime
 
     def _invoker(self, call: ir.Call):
-        interp = self.interp
-        method = call.method
-        if not call.dispatch:
-            def invoke_static(*args):
-                return interp._invoke(method, list(args))
-            return invoke_static
-        # memoize virtual resolution per runtime class (same scheme as
-        # the method JIT), but invoke through the interpreter
-        table: dict = {}
-        resolve = interp._resolve_virtual
-        invoke = interp._invoke
+        # the interpreter's own call site: static resolution on first
+        # use, virtual resolution memoized per receiver class
+        invoke = self.interp._site(call)
 
-        def invoke_virtual(*args):
-            receiver = args[0]
-            key = id(receiver.class_info) if isinstance(
-                receiver, ObjectRef) else id(receiver.__class__)
-            target = table.get(key)
-            if target is None:
-                target = table[key] = resolve(receiver, method)
-            return invoke(target, list(args))
-        return invoke_virtual
+        def invoker(*args):
+            return invoke(args)
+        return invoker
 
 
 def _trace_newarray_helper(adapter: _InterpAdapter, array_type):
@@ -672,6 +659,15 @@ class TracingInterpreter(Interpreter):
     def trace_stats(self) -> dict:
         return self.traces.stats()
 
+    def _body(self, function: Function):
+        """A call site into a function with no loop header left to
+        count, record or enter runs the base loop, which skips the hook
+        and its per-call state lookup.  ``live`` only falls, so the
+        choice holds for the site's lifetime."""
+        if self.traces.state_for(function).live:
+            return super()._body(function)
+        return partial(Interpreter.call, self, function)
+
     def _plan(self, block: Block):
         """Annotate loop-header plans with their header state so the
         execution loop's hook costs two pointer tests on non-header
@@ -681,12 +677,10 @@ class TracingInterpreter(Interpreter):
         return plan
 
     # The body below is the base `call` loop with the trace hook spliced
-    # in at the block-arrival point; the hot-path cost for untraced code
-    # is one dict lookup per executed block.
-    def call(self, function: Function, args: list):
-        frame: dict[int, object] = {}
-        for param in function.params:
-            frame[param.id] = args[param.index]
+    # in at the block-arrival point; it runs the same bound ops.  The
+    # hot-path cost for untraced code is two pointer tests per executed
+    # block.
+    def call(self, function: Function, args: Sequence):
         plans = self._plans
         max_steps = self.max_steps
         manager = self.traces
@@ -694,12 +688,11 @@ class TracingInterpreter(Interpreter):
         headers = fstate.headers if fstate.live else None
         threshold = manager.threshold
         block = function.entry
-        plan = plans.get(block.id)
-        if plan is None:
-            plan = self._plan(block)
+        plan = plans.get(block.id) or self._plan(block)
+        frame = plan.consts.copy()
+        for param in function.params:
+            frame[param.id] = args[param.index]
         came_key: Optional[tuple[int, str]] = None
-        came_block: Optional[Block] = None
-        exception: Optional[ObjectRef] = None
         rec_path: Optional[list[Block]] = None
         rec_hs: Optional[_HeaderState] = None
         # positions of header visits inside rec_path: a recording
@@ -709,7 +702,7 @@ class TracingInterpreter(Interpreter):
         # iterations; a dispatch loop keeps recording through header
         # visits until its whole opcode cycle repeats, then closes
         # with exactly one cycle.
-        rec_visits: list[int] = []
+        rec_visits: Optional[list[int]] = None
         skip_once: Optional[_HeaderState] = None
         while True:
             if headers:
@@ -778,7 +771,6 @@ class TracingInterpreter(Interpreter):
                                         headers = None
                             if site.kind == "guard":
                                 came_key = (site.block_id, "norm")
-                                came_block = site.block
                                 target = site.resume
                                 plan = plans.get(target.id) \
                                     or self._plan(target)
@@ -787,9 +779,8 @@ class TracingInterpreter(Interpreter):
                                 target = site.exc_target
                                 if target is None:
                                     raise err
-                                exception = err.value
+                                frame[CAUGHT_SLOT] = err.value
                                 came_key = (site.block_id, "exc")
-                                came_block = site.block
                                 plan = plans.get(target.id) \
                                     or self._plan(target)
                                 continue
@@ -814,58 +805,38 @@ class TracingInterpreter(Interpreter):
             if moves is not None:
                 move = moves.get(came_key)
                 if move is None:
-                    raise self._phi_edge_error(plan.block, came_block)
-                targets, sources = move
-                values = [frame[source] for source in sources]
-                for target, value in zip(targets, values):
-                    frame[target] = value
-            for handler, instr, store in plan.ops:
-                if handler is None:  # CaughtExc
-                    frame[store] = exception
-                    continue
-                try:
-                    result = handler(instr, frame)
-                except JavaError as error:
-                    target = plan.exc_target
-                    if target is None:
-                        raise
-                    exception = error.value
-                    came_key = (plan.block_id, "exc")
-                    came_block = plan.block
-                    plan = plans.get(target.id) or self._plan(target)
-                    break
-                if store is not None:
-                    frame[store] = result
+                    raise self._phi_edge_error(plan.block, came_key)
+                move(frame)
+            try:
+                for op in plan.ops:
+                    op(frame)
+            except JavaError as error:
+                target = plan.exc_target
+                if target is None:
+                    raise
+                frame[CAUGHT_SLOT] = error.value
+                came_key = plan.exc_key
+                plan = plans.get(target.id) or self._plan(target)
+                continue
+            kind = plan.kind
+            if kind == "branch":
+                norm = plan.norm
+                next_block = norm[0] if frame[plan.value_id] else norm[1]
+            elif plan.succ is not None:  # fall / break / continue
+                next_block = plan.succ
+            elif kind == "return":
+                if plan.value_id is not None:
+                    return frame[plan.value_id]
+                return None
+            elif kind == "throw":
+                target = plan.exc_target
+                if target is None:
+                    raise JavaError(frame[plan.value_id])
+                frame[CAUGHT_SLOT] = frame[plan.value_id]
+                came_key = plan.exc_key
+                plan = plans.get(target.id) or self._plan(target)
+                continue
             else:
-                kind = plan.kind
-                if kind == "branch":
-                    norm = plan.norm
-                    next_block = norm[0] if frame[plan.value_id] else norm[1]
-                elif plan.succ is not None:  # fall / break / continue
-                    next_block = plan.succ
-                elif kind == "return":
-                    if plan.value_id is not None:
-                        return frame[plan.value_id]
-                    return None
-                elif kind == "throw":
-                    target = plan.exc_target
-                    if target is None:
-                        raise JavaError(frame[plan.value_id])
-                    exception = frame[plan.value_id]
-                    came_key = (plan.block_id, "exc")
-                    came_block = plan.block
-                    plan = plans.get(target.id) or self._plan(target)
-                    continue
-                elif kind == "unreachable":
-                    raise InterpreterError(
-                        f"reached unreachable terminator in {function.name}")
-                elif kind is None:
-                    raise InterpreterError(
-                        f"block B{plan.block_id} has no terminator")
-                else:
-                    raise InterpreterError(
-                        f"B{plan.block_id} ({kind}) has {len(plan.norm)} "
-                        "normal successors")
-                came_key = (plan.block_id, "norm")
-                came_block = plan.block
-                plan = plans.get(next_block.id) or self._plan(next_block)
+                raise self._bad_terminator(plan, function)
+            came_key = plan.norm_key
+            plan = plans.get(next_block.id) or self._plan(next_block)

@@ -36,6 +36,7 @@ import threading
 from http.client import BadStatusLine, HTTPConnection, ResponseNotReady
 from typing import Optional
 
+from repro.cache import DictionaryStore
 from repro.serve.errors import ServeError
 from repro.serve.log import GENESIS, audit_chain
 from repro.serve.store import wire_digest
@@ -219,6 +220,15 @@ class ServeClient:
                 "SERVE-CHAIN", {"requested": digest})
         return blob
 
+    def dictionary_store(self) -> DictionaryStore:
+        """A memory-only :class:`~repro.cache.DictionaryStore` whose
+        misses ask this server (:meth:`fetch_dictionary`, which
+        re-hashes what it gets).  Pass it as a loader's ``store`` to
+        load a wire-format v2 unit that names shared dictionaries or
+        a delta base: a blob the server lacks stays a miss, so the
+        envelope still rejects with its own ``DEC-*`` code."""
+        return _FetchingDictionaryStore(self)
+
     def verify(self, *, digest: Optional[str] = None,
                wire: Optional[bytes] = None) -> dict:
         return self.request("POST", "/v1/verify",
@@ -287,3 +297,23 @@ class ServeClient:
                     {"pinned": expect_head,
                      "claimed": result.get("head")})
         return head
+
+
+class _FetchingDictionaryStore(DictionaryStore):
+    """See :meth:`ServeClient.dictionary_store`."""
+
+    def __init__(self, client: ServeClient):
+        super().__init__()
+        self._client = client
+
+    def get(self, digest: bytes) -> Optional[bytes]:
+        blob = super().get(digest)
+        if blob is None:
+            try:
+                blob = self._client.fetch_dictionary(digest.hex())
+            except ServeError as error:
+                if error.code != "SERVE-NOT-FOUND":
+                    raise
+                return None
+            self.put(blob)
+        return blob

@@ -74,6 +74,7 @@ from repro.ssa.ir import (
     Upcast,
 )
 from repro.uast import nodes as u
+from repro.uast.builder import _zero_const
 
 THROWABLE = ClassType("java.lang.Throwable")
 
@@ -164,12 +165,19 @@ class SsaBuilder:
     def _finish_method(self) -> None:
         if self.current is None and not self.pending:
             return
-        self._ensure_block()
-        if self.umethod.method.return_type is VOID:
+        block = self._ensure_block()
+        return_type = self.umethod.method.return_type
+        if return_type is VOID:
             self._finish_leaf("return", None)
+        elif block in self.function.reachable_blocks():
+            # semantics proved the method cannot complete normally, yet
+            # lowering left a path here that no run takes: the
+            # normal-completion arm of a finally dispatch after a try
+            # that always transfers.  Consumers reject a reachable
+            # ``unreachable`` leaf (DEC-CST), so close it with a return
+            # of the type's zero value instead.
+            self._finish_leaf("return", self.eval(_zero_const(return_type)))
         else:
-            # semantics guarantees non-void methods cannot complete
-            # normally; a reachable fall-off here is a front-end bug
             self._finish_leaf("unreachable", None)
 
     # ==================================================================

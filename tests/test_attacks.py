@@ -5,6 +5,8 @@ safety" (Section 3) and "SafeTSA ... cannot be manipulated to give unsafe
 programs" (Section 9).
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import compile_source
@@ -95,6 +97,65 @@ class TestStreamAttacks:
             survived += 1
         # some mutations land in names/constants and stay well-formed
         assert survived >= 0
+
+
+UNREACHABLE_LEAF = (Path(__file__).parent / "golden" / "attacks"
+                    / "149c31d2c1f7a342.bin")
+
+
+class TestReachableUnreachableLeaf:
+    """A reachable block ending in the ``unreachable`` terminator would
+    make every consumer fall off the block after accepting the module;
+    each load path rejects it with ``DEC-CST`` instead."""
+
+    SOURCE = ('class T { public static void main(String[] a) { '
+              'System.out.println("hi"); } }')
+
+    def test_fixture_is_the_honest_module_with_its_leaf_replaced(self):
+        module = compile_source(self.SOURCE)
+        main = next(f for m, f in module.functions.items()
+                    if m.name == "main")
+        for block in main.blocks:
+            if block.term is not None and block.term.kind == "return":
+                block.term.kind = "unreachable"
+        assert encode_module(module) == UNREACHABLE_LEAF.read_bytes()
+
+    def test_every_load_path_rejects_it(self, capsys):
+        from repro.cli import main
+        from repro.loader import load_module, stream_module
+        data = UNREACHABLE_LEAF.read_bytes()
+        for load in (load_module, decode_module,
+                     lambda wire: stream_module([wire[:7], wire[7:]])):
+            with pytest.raises(DecodeError) as caught:
+                load(data)
+            assert caught.value.code == "DEC-CST"
+        assert main(["verify", str(UNREACHABLE_LEAF)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("REJECTED: ")
+        assert out.strip().endswith("[DEC-CST]")
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_the_producer_closes_a_finally_fall_off(self, optimize):
+        # lowering gives the finally dispatch a normal-completion arm
+        # that no run takes; the method's end must still not be an
+        # ``unreachable`` leaf in a reachable block
+        from repro.interp.interpreter import Interpreter
+        from repro.loader import load_module
+        source = """
+class T {
+    static int poke(int[] xs, int i) {
+        try { xs[i] = 1; return xs[0] + i; }
+        finally { System.out.println("fin " + i); }
+    }
+    static void main() { System.out.println(poke(new int[2], 1)); }
+}
+"""
+        module = compile_source(source, optimize=optimize)
+        for function in module.functions.values():
+            for block in function.reachable_blocks():
+                assert block.term.kind != "unreachable", function.name
+        loaded = load_module(encode_module(module))
+        assert Interpreter(loaded).run_main().stdout == "fin 1\n1\n"
 
 
 class TestSemanticAttacks:

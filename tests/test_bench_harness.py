@@ -150,3 +150,46 @@ class TestRunnerCommands:
         assert cache["corpus_compiles"] == 6
         assert 0 < cache["hit_rate"] <= 1
         assert cache["warm_seconds"] >= 0
+
+
+BENCH_NAMES = ("codec", "analysis", "pipeline", "fuzz", "load", "loops",
+               "wire", "serve", "trace")
+
+
+class TestSmokeOutput:
+    """A smoke run never writes over the committed full-run file."""
+
+    @pytest.mark.parametrize("name", BENCH_NAMES)
+    def test_smoke_default_is_not_the_committed_path(self, name, tmp_path,
+                                                     monkeypatch):
+        from repro.bench.runner import _bench_args
+        monkeypatch.chdir(tmp_path)
+        smoke, output = _bench_args(name, ["--smoke"])
+        assert smoke
+        assert os.path.abspath(output) != \
+            os.path.abspath(f"BENCH_{name}.json")
+        assert os.path.dirname(os.path.abspath(output)) == \
+            str(tmp_path / "bench-smoke")
+        assert _bench_args(name, []) == (False, f"BENCH_{name}.json")
+        assert _bench_args(name, ["--smoke", "--output", "x.json"]) == \
+            (True, "x.json")
+
+    def test_smoke_trace_run_leaves_the_cwd_file_alone(self, tmp_path,
+                                                       monkeypatch, capsys):
+        from repro.bench import trace
+        from repro.bench.runner import main
+        stats = {"blacklisted": 1, "entries": 3}
+        monkeypatch.setattr(trace, "trace_report", lambda *a, **k: {
+            "programs": {},
+            "guard": {"geomean_speedup": 2.0, "abort_overhead": 1.0,
+                      "abort_blacklisted": True,
+                      "abort_entries": stats["entries"]}})
+        monkeypatch.setattr(trace, "trace_table", lambda report: "")
+        monkeypatch.chdir(tmp_path)
+        committed = tmp_path / "BENCH_trace.json"
+        committed.write_text("full run\n")
+        assert main(["trace", "--smoke"]) == 0
+        assert committed.read_text() == "full run\n"
+        smoke = tmp_path / "bench-smoke" / "BENCH_trace.json"
+        assert json.loads(smoke.read_text())["guard"]["abort_entries"] == 3
+        assert "bench-smoke" in capsys.readouterr().out

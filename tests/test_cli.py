@@ -115,3 +115,39 @@ def test_rejected_wire_file_is_one_line_not_a_traceback(capsys, command,
     assert err.splitlines() == [err.strip()]
     assert err.startswith("REJECTED: ")
     assert err.strip().endswith(f"[{caught.value.code}]")
+
+
+class TestFetchRun:
+    """``fetch --run`` loads a wire-format v2 unit whose shared
+    dictionary lives on the server it was fetched from."""
+
+    def test_runs_a_shared_dictionary_module(self, serve_client, tmp_path,
+                                             capsys):
+        from repro.bench.corpus import corpus_source
+        source = corpus_source("BitSieve")
+        batch = serve_client.publish_batch(
+            [{"name": "sieve", "source": source},
+             {"name": "sieve-opt", "source": source, "optimize": True}],
+            wire_v2=True)
+        assert batch["dictionaries"]  # the batch factored a dictionary
+        path = tmp_path / "BitSieve.java"
+        path.write_text(source)
+        assert main(["run", str(path)]) == 0
+        local = capsys.readouterr().out
+        url = f"http://127.0.0.1:{serve_client.port}"
+        for entry in batch["published"]:
+            assert main(["fetch", entry["digest"], "--url", url,
+                         "--run"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == local
+            assert captured.err == ""
+
+    def test_a_dictionary_the_server_lacks_still_rejects(self,
+                                                         serve_client):
+        from repro.encode.deserializer import DecodeError
+        from repro.loader import load_module
+        # a full v2 envelope naming a dictionary no store holds
+        data = (ATTACKS_DIR / "50be96083f184395.bin").read_bytes()
+        with pytest.raises(DecodeError) as caught:
+            load_module(data, store=serve_client.dictionary_store())
+        assert caught.value.code == "DEC-DICT"

@@ -1,11 +1,14 @@
 """Interpreter-level tests: frames, dispatch, dynamic check counting,
-step limits, and direct function invocation."""
+step limits, direct function invocation, and the ops each interpreter
+binds once per block plan."""
 
 import pytest
 
 from repro.api import compile_source
 from repro.interp.heap import JStr
 from repro.interp.interpreter import Interpreter, StepLimitExceeded
+from repro.interp.jit import JitCompiler
+from repro.interp.trace import TracingInterpreter
 from tests.conftest import main_wrap
 
 
@@ -109,3 +112,128 @@ class TestDeepRecursion:
         finally:
             sys.setrecursionlimit(old)
         assert result.value == 300
+
+
+DISPATCH_SOURCE = """
+class Shape {
+    int area() { return 0; }
+    public String toString() { return "shape"; }
+}
+class Square extends Shape {
+    int s;
+    Square(int s) { this.s = s; }
+    int area() { return s * s; }
+    public String toString() { return "square" + s; }
+}
+class Rect extends Shape {
+    int w; int h;
+    Rect(int w, int h) { this.w = w; this.h = h; }
+    int area() { return w * h; }
+}
+class Tri extends Rect {
+    Tri(int w, int h) { super(w, h); }
+    int area() { return w * h / 2; }
+    public String toString() { return "tri"; }
+}
+class Main {
+    static int total(Shape[] shapes) {
+        int sum = 0;
+        for (int i = 0; i < shapes.length; i++) {
+            sum = sum + shapes[i].area();
+        }
+        return sum;
+    }
+    static String show(Object o) { return o.toString(); }
+    static void main() {
+        Shape[] shapes = new Shape[8];
+        for (int i = 0; i < shapes.length; i++) {
+            if (i % 4 == 0) shapes[i] = new Square(i);
+            else if (i % 4 == 1) shapes[i] = new Rect(i, 2);
+            else if (i % 4 == 2) shapes[i] = new Tri(i, 3);
+            else shapes[i] = new Shape();
+        }
+        System.out.println(total(shapes));
+        String text = "";
+        for (int i = 0; i < shapes.length; i++) {
+            text = text + show(shapes[i]) + " " + show("s" + i) + ";";
+        }
+        System.out.println(text);
+        System.out.println(show("done").length());
+    }
+}
+"""
+
+
+def _bytecode_stdout(source: str, main_class: str) -> str:
+    from repro.driver import CompilationSession
+    from repro.jvm import BytecodeInterpreter
+    session = CompilationSession(cache=False)
+    classes = session.compile_to_classfiles(source)
+    _unit, world = session.frontend(source)
+    result = BytecodeInterpreter(classes, world).run_main(main_class)
+    assert result.exception is None
+    return result.stdout
+
+
+class TestBoundCallSites:
+    def test_polymorphic_and_builtin_receivers_match_every_tier(
+            self, monkeypatch):
+        module = compile_source(DISPATCH_SOURCE)
+        expected = _bytecode_stdout(DISPATCH_SOURCE, "Main")
+        assert expected.splitlines()[0] == "40"
+        resolved = []
+        resolve = Interpreter._resolve_virtual
+
+        def recording(self, receiver, method):
+            cls = "java.lang.String" if isinstance(receiver, JStr) \
+                else receiver.class_info.name
+            resolved.append((id(self), method.name, cls))
+            return resolve(self, receiver, method)
+
+        monkeypatch.setattr(Interpreter, "_resolve_virtual", recording)
+        for _ in range(2):  # fresh runners over one module
+            for runner in (Interpreter(module),
+                           TracingInterpreter(module, threshold=2),
+                           JitCompiler(module)):
+                result = runner.run_main("Main")
+                assert result.exception is None
+                assert result.stdout == expected
+        interpreters = {key for key, _name, _cls in resolved}
+        assert len(interpreters) == 4
+        for key in interpreters:
+            area = [cls for k, name, cls in resolved
+                    if k == key and name == "area"]
+            # one site, eight calls: one resolution per receiver class
+            assert sorted(area) == ["Rect", "Shape", "Square", "Tri"]
+            shown = {cls for k, name, cls in resolved
+                     if k == key and name == "toString"}
+            assert {"java.lang.String", "Square", "Tri"} <= shown
+
+
+class TestRunnerIsolation:
+    SOURCE = """
+class Counter {
+    static int runs;
+    static void main() {
+        runs = runs + 1;
+        int[] a = new int[3];
+        for (int i = 0; i < a.length; i++) a[i] = runs;
+        System.out.println("run " + runs + " " + a[2]);
+    }
+}
+"""
+
+    def test_two_interpreters_keep_their_own_state(self):
+        module = compile_source(self.SOURCE)
+        first = Interpreter(module)
+        second = Interpreter(module)
+        assert first.run_main().stdout == "run 1 1\n"
+        once = dict(first.check_counts)
+        assert once["idxcheck"] == 4
+        assert second.run_main().stdout == "run 1 1\n"
+        assert first.run_main().stdout == "run 1 1\nrun 2 2\n"
+        assert second.check_counts == once
+        assert first.check_counts == {kind: 2 * count
+                                      for kind, count in once.items()}
+        assert second.run_main().stdout == "run 1 1\nrun 2 2\n"
+        assert second.steps == first.steps
