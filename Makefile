@@ -5,10 +5,9 @@ PYTHON ?= python3
 # Targets work from a bare checkout too (no editable install needed).
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-unit test-campaign bench bench-check bench-smoke \
-	bench-analysis bench-pipeline bench-load bench-loops bench-wire \
-	bench-serve bench-trace perfbench-smoke fuzz-smoke serve-smoke \
-	cache-smoke lint-corpus tables examples all clean
+.PHONY: test test-unit test-campaign bench-smoke perfbench-smoke \
+	fuzz-smoke serve-smoke cache-smoke lint-corpus tables examples all \
+	clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -23,67 +22,18 @@ test-unit:
 test-campaign:
 	$(PYTHON) -m pytest tests/ -q -m slow
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
-# The benchmarks/ suite as plain tests: every table-shape assertion
-# runs once, timings off (testpaths covers tests/ only, so nothing
-# else imports these files).
-bench-check:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
-
-# Small codec + cache throughput run; writes bench-smoke/BENCH_codec.json
-# (CI runs this after the test suite).  Every smoke target below writes
-# under bench-smoke/, never over a committed full-run BENCH_*.json.
+# Every bench runner entry in its smoke configuration (the CI setting):
+# the paper tables print, every other entry writes
+# bench-smoke/BENCH_<name>.json -- never over a committed full-run
+# BENCH_*.json -- and the run fails if any entry's guard fails.
 bench-smoke:
-	$(PYTHON) -m repro.bench.runner codec --smoke
+	$(PYTHON) -m repro.bench.runner all --smoke
 
-# Verify + lint cost over a corpus subset; writes
-# bench-smoke/BENCH_analysis.json.
-bench-analysis:
-	$(PYTHON) -m repro.bench.runner analysis --smoke
-
-# Pass-pipeline benchmark: shared-analysis reuse, per-pass timing, and
-# the parallel fan-out determinism check; writes
-# bench-smoke/BENCH_pipeline.json.
-bench-pipeline:
-	$(PYTHON) -m repro.bench.runner pipeline --smoke
-
-# Consumer-side load cost: two-pass decode+verify vs the fused
-# loader; writes bench-smoke/BENCH_load.json and fails if the fused
-# load stops beating the two-pass baseline.
-bench-load:
-	$(PYTHON) -m repro.bench.runner load --smoke
-
-# Loop-tier benchmark: dynamic check counts per pipeline over the
-# loop-heavy corpus; writes bench-smoke/BENCH_loops.json and fails
-# unless the loop tier (hoist_checks,licm) strictly reduces executed
-# checks.
-bench-loops:
-	$(PYTHON) -m repro.bench.runner loops --smoke
-
-# Wire-format v2 distribution benchmark: shared-dictionary and delta
-# shipping ratios plus streaming vs eager time-to-first-execute on a
-# simulated link; writes bench-smoke/BENCH_wire.json and fails if any
-# of the three guards regress.
-bench-wire:
-	$(PYTHON) -m repro.bench.runner wire --smoke
-
-# Distribution-service benchmark: sustained req/s and p50/p99 latency
-# over a live server plus a compile-coalescing fan-in; writes
-# bench-smoke/BENCH_serve.json and fails if coalescing stops collapsing
-# identical in-flight compiles or coalesced bytes diverge.
-bench-serve:
-	$(PYTHON) -m repro.bench.runner serve --smoke
-
-# Trace-tier benchmark: speculative trace execution vs the untraced
-# interpreter on the loop-heavy corpus (warm trace cache, the recording
-# run timed apart), plus the guard-abort/blacklist path; writes
-# bench-smoke/BENCH_trace.json and fails if traced execution stops
-# beating untraced (geomean) or abort overhead escapes the blacklist
-# bound.
-bench-trace:
-	$(PYTHON) -m repro.bench.runner trace --smoke
+# One runner entry in its smoke configuration, e.g. `make bench-load`,
+# `make bench-trace` (`python -m repro.bench.runner` lists the names);
+# fails if one of the entry's guards fails.
+bench-%:
+	$(PYTHON) -m repro.bench.runner $* --smoke
 
 # End-to-end benchmark smoke: three seconds of each perfbench workload
 # at seed 1, untraced.  perfbench/run.py exits 0 even when an output
@@ -155,6 +105,8 @@ lint-corpus:
 		echo "== $$f"; $(PYTHON) -m repro.cli lint $$f; \
 	done
 
+# Every runner entry in its full configuration: the paper tables and
+# every committed BENCH_*.json (RESULTS.txt is this run's output).
 tables:
 	$(PYTHON) -m repro.bench.runner all
 
@@ -165,7 +117,7 @@ examples:
 		echo "== $$ex"; $(PYTHON) $$ex; \
 	done
 
-all: test bench tables
+all: test tables
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +; rm -rf .pytest_cache .hypothesis bench-smoke

@@ -12,22 +12,21 @@ diagnostic counts each artifact produces.  The numbers land in
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.diagnostics import count_by_severity
 from repro.analysis.lint import lint_module
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.bench.metrics import bench_repeats, best_of
 from repro.driver import CompilationSession
 from repro.tsa.verifier import verify_module
 
 
-def _artifact_report(name: str, variant: str, module, repeats: int,
-                     best_of) -> dict:
-    verify_s = best_of(lambda: verify_module(module), repeats=repeats)
+def _artifact_report(name: str, variant: str, module,
+                     repeats: int) -> dict:
+    verify_s = best_of(lambda: verify_module(module), repeats)
     holder = []
     lint_s = best_of(lambda: (holder.clear(),
                               holder.extend(lint_module(module))),
-                     repeats=repeats)
+                     repeats)
     diagnostics = holder
     codes: dict[str, int] = {}
     for diagnostic in diagnostics:
@@ -47,10 +46,7 @@ def _artifact_report(name: str, variant: str, module, repeats: int,
 
 def analysis_report(programs=None, repeats=None, cache=None) -> dict:
     """All the numbers behind ``BENCH_analysis.json``."""
-    from repro.bench.runner import best_of
-
-    if repeats is None:
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+    repeats = bench_repeats(repeats)
     programs = list(programs or CORPUS_PROGRAMS)
     artifacts = []
     for name in programs:
@@ -59,7 +55,7 @@ def analysis_report(programs=None, repeats=None, cache=None) -> dict:
             module = CompilationSession(optimize=optimize,
                                         cache=cache).compile(source)
             artifacts.append(_artifact_report(name, variant, module,
-                                              repeats, best_of))
+                                              repeats))
     totals = {
         "artifacts": len(artifacts),
         "verify_ms": round(sum(a["verify_ms"] for a in artifacts), 3),
@@ -76,3 +72,14 @@ def analysis_report(programs=None, repeats=None, cache=None) -> dict:
         "artifacts": artifacts,
         "totals": totals,
     }
+
+
+def analysis_table(report: dict) -> str:
+    totals = report["totals"]
+    return "\n".join([
+        f"  verify (fail-fast)  {totals['verify_ms']:8.2f} ms total "
+        f"over {totals['artifacts']} artifacts",
+        f"  lint (all analyses) {totals['lint_ms']:8.2f} ms total",
+        f"  diagnostics: {totals['errors']} error(s), "
+        f"{totals['warnings']} warning(s), {totals['infos']} info",
+    ])

@@ -17,15 +17,18 @@ also serves as a whole-corpus differential test of the rewrite.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.bench.metrics import TRANSMITTED_FLAGS, bench_repeats, best_of
+from repro.cache import CompilationCache
+from repro.driver import CompilationSession
 from repro.encode._bitio_reference import (
     ReferenceBitReader,
     ReferenceBitWriter,
 )
 from repro.encode.bitio import BitReader, BitWriter
-from repro.driver import CompilationSession
+from repro.encode.deserializer import decode_module
+from repro.encode.serializer import encode_module
+from repro.tsa.verifier import verify_module
 
 #: (writer method, reader method) per trace-op tag.
 _OPS = {
@@ -117,38 +120,19 @@ def _read_calls(reader, ops):
     return calls
 
 
+def _run_calls(calls) -> None:
+    for method, args in calls:
+        method(*args)
+
+
 def replay_write(writer_class, ops) -> bytes:
     writer = writer_class()
-    for method, args in _write_calls(writer, ops):
-        method(*args)
+    _run_calls(_write_calls(writer, ops))
     return writer.getvalue()
 
 
 def replay_read(reader_class, ops, stream) -> None:
-    reader = reader_class(stream)
-    for method, args in _read_calls(reader, ops):
-        method(*args)
-
-
-def _timed_write(writer_class, ops) -> float:
-    """Seconds for the op loop alone, with the bound methods resolved
-    up front -- dispatch overhead would be charged equally to both
-    codecs and compress the ratio between them."""
-    writer = writer_class()
-    calls = _write_calls(writer, ops)
-    start = perf_counter()
-    for method, args in calls:
-        method(*args)
-    return perf_counter() - start
-
-
-def _timed_read(reader_class, ops, stream) -> float:
-    reader = reader_class(stream)
-    calls = _read_calls(reader, ops)
-    start = perf_counter()
-    for method, args in calls:
-        method(*args)
-    return perf_counter() - start
+    _run_calls(_read_calls(reader_class(stream), ops))
 
 
 def check_read_values(ops, stream) -> None:
@@ -167,24 +151,25 @@ def check_read_values(ops, stream) -> None:
             raise AssertionError(f"replayed {op} but read {value!r}")
 
 
-def _best_of(fn, repeats: int, warmup: int = 1) -> float:
-    for _ in range(warmup):
-        fn()
-    return min(fn() for _ in range(repeats))
-
-
 def measure_codec_throughput(programs=None, repeats: int = 3) -> dict:
-    """Trace-replay MB/s for both codecs plus the speedup ratios."""
+    """Trace-replay MB/s for both codecs plus the speedup ratios.  Each
+    timed run replays the trace against a fresh writer or reader whose
+    bound methods are resolved off the clock -- dispatch overhead would
+    be charged equally to both codecs and compress the ratio between
+    them."""
     ops, stream = capture_corpus_trace(programs)
     size = len(stream)
+
+    def replay(setup) -> float:
+        return best_of(_run_calls, repeats, setup=setup)
+
     seconds = {
-        "encode": _best_of(lambda: _timed_write(BitWriter, ops), repeats),
-        "decode": _best_of(lambda: _timed_read(BitReader, ops, stream),
-                           repeats),
-        "ref_encode": _best_of(
-            lambda: _timed_write(ReferenceBitWriter, ops), repeats),
-        "ref_decode": _best_of(
-            lambda: _timed_read(ReferenceBitReader, ops, stream), repeats),
+        "encode": replay(lambda: _write_calls(BitWriter(), ops)),
+        "decode": replay(lambda: _read_calls(BitReader(stream), ops)),
+        "ref_encode": replay(
+            lambda: _write_calls(ReferenceBitWriter(), ops)),
+        "ref_decode": replay(
+            lambda: _read_calls(ReferenceBitReader(stream), ops)),
     }
     mbps = {key: size / secs / 1e6 for key, secs in seconds.items()}
     return {
@@ -202,3 +187,85 @@ def measure_codec_throughput(programs=None, repeats: int = 3) -> dict:
             (seconds["ref_encode"] + seconds["ref_decode"])
             / (seconds["encode"] + seconds["decode"]), 2),
     }
+
+
+def codec_report(programs=None, repeats=None) -> dict:
+    """All the numbers behind ``BENCH_codec.json``."""
+    repeats = bench_repeats(repeats)
+    programs = list(programs or CORPUS_PROGRAMS)
+    report: dict = {"programs": programs, "repeats": repeats}
+
+    # 1. the codec itself: trace replay, new vs reference.  Replaying
+    # the trace is cheap, so take at least five repeats: on a busy
+    # single-CPU machine three minima still carry visible noise.
+    report["codec"] = measure_codec_throughput(programs,
+                                               repeats=max(repeats, 5))
+    report["codec"]["speedup_vs_reference"] = \
+        report["codec"]["combined_speedup"]
+
+    # 2. the module path: full encode/decode plus per-stage compile time
+    sessions = [CompilationSession(cache=False, **flags)
+                for flags in TRANSMITTED_FLAGS]
+    modules = [session.compile(corpus_source(name))
+               for name in programs for session in sessions]
+    stage_seconds: dict = {}
+    for session in sessions:
+        for stage, seconds in session.stage_seconds.items():
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+    wires = [encode_module(module) for module in modules]
+    stage_seconds["encode"] = best_of(
+        lambda: [encode_module(module) for module in modules], repeats)
+    stage_seconds["decode"] = best_of(
+        lambda: [decode_module(wire) for wire in wires], repeats)
+    stage_seconds["verify"] = best_of(
+        lambda: [verify_module(module) for module in modules], repeats)
+    wire_bytes = sum(len(wire) for wire in wires)
+    report["module_path"] = {
+        "modules": len(modules),
+        "wire_bytes": wire_bytes,
+        "encode_mbps": round(
+            wire_bytes / stage_seconds["encode"] / 1e6, 3),
+        "decode_mbps": round(
+            wire_bytes / stage_seconds["decode"] / 1e6, 3),
+        "stage_seconds": {stage: round(seconds, 4)
+                          for stage, seconds in stage_seconds.items()},
+    }
+
+    # 3. the compilation cache.  Cold: the corpus's compile+encode work,
+    # best of ``repeats``.  Warm: the same compiles through a cache that
+    # best_of's warmup round fills.
+    jobs = [(corpus_source(name), flags)
+            for name in programs for flags in TRANSMITTED_FLAGS]
+    cold_s = best_of(lambda: [encode_module(CompilationSession(
+        cache=False, **flags).compile(source)) for source, flags in jobs],
+        repeats, warmup=0)
+    cache = CompilationCache()
+    warm_s = best_of(lambda: [CompilationSession(
+        cache=cache, **flags).compile(source) for source, flags in jobs],
+        repeats)
+    report["cache"] = {
+        "corpus_compiles": len(jobs),
+        "cold_serial_seconds": round(cold_s, 4),
+        "warm_seconds": round(warm_s, 4),
+        "warm_speedup": round(cold_s / warm_s, 2),
+        "hit_rate": round(cache.hit_rate, 4),
+        **{key: value for key, value in cache.stats().items()
+           if key != "hit_rate"},
+    }
+    return report
+
+
+def codec_table(report: dict) -> str:
+    codec = report["codec"]
+    cache = report["cache"]
+    return "\n".join([
+        f"  trace encode   {codec['encode_mbps']:7.3f} MB/s "
+        f"({codec['encode_speedup']}x vs seed codec)",
+        f"  trace decode   {codec['decode_mbps']:7.3f} MB/s "
+        f"({codec['decode_speedup']}x vs seed codec)",
+        f"  combined speedup vs reference: "
+        f"{codec['speedup_vs_reference']}x",
+        f"  corpus compile {cache['cold_serial_seconds']:.2f}s cold, "
+        f"{cache['warm_seconds']:.2f}s from cache "
+        f"(hit rate {cache['hit_rate']:.0%})",
+    ])

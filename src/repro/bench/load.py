@@ -17,31 +17,13 @@ guard in CI fails if the fused cold path stops beating two-pass.
 
 from __future__ import annotations
 
-import os
-import time
-
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.bench.metrics import bench_repeats, best_of
 from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.loader import load_module
 from repro.tsa.verifier import verify_module
-
-
-def _best_of(fn, repeats: int, warmup: int = 1) -> float:
-    """Minimum wall-clock seconds over ``repeats`` timed runs (same
-    estimator as :func:`repro.bench.runner.best_of`, kept local so the
-    module imports standalone)."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
 
 
 def _artifacts(programs) -> list[tuple[str, bool, bytes]]:
@@ -63,8 +45,7 @@ def _check_identical(wire: bytes, module, label: str) -> None:
 
 def load_report(programs=None, repeats=None) -> dict:
     """All the numbers behind ``BENCH_load.json``."""
-    if repeats is None:
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+    repeats = bench_repeats(repeats)
     programs = list(programs or CORPUS_PROGRAMS)
     artifacts = _artifacts(programs)
 
@@ -87,8 +68,8 @@ def load_report(programs=None, repeats=None) -> dict:
             "optimized": optimize,
             "wire_bytes": len(wire),
             "functions": len(module.functions),
-            "two_pass_ms": _best_of(two_pass, repeats) * 1000,
-            "fused_cold_ms": _best_of(fused_cold, repeats) * 1000,
+            "two_pass_ms": best_of(two_pass, repeats) * 1000,
+            "fused_cold_ms": best_of(fused_cold, repeats) * 1000,
         }
         for key in totals:
             totals[key] += row[f"{key}_ms"]

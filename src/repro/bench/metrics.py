@@ -1,31 +1,33 @@
-"""Per-class measurements behind Figures 5 and 6.
+"""The measurements behind the paper tables, and the bench timer.
 
-For every corpus program this module compiles three artifacts from the
-same source -- the Java-bytecode baseline, plain SafeTSA, and optimised
-SafeTSA -- and collects, per class:
+For every corpus program :func:`measure_program` compiles three
+artifacts from the same source -- the Java-bytecode baseline, plain
+SafeTSA, and optimised SafeTSA -- and collects, per class:
 
 * file size in bytes (real ``.class`` bytes vs attributed SafeTSA wire
   bits) and instruction counts (Figure 5);
 * phi, null-check and array-check instruction counts before and after
   producer-side optimisation (Figure 6).
+
+The other paper tables measure here too -- phi pruning (E3), the
+per-pass ablation (E4), verification cost (E5), the wire bit breakdown
+(E7), the extension ablation (E8) and consumer code generation (E9) --
+so the runner renders them and the tests assert over the same numbers.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import os
+import time
+import zlib
 from typing import Optional
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.driver import CompilationSession, PassManager
 from repro.encode.serializer import encode_module
-from repro.frontend.parser import parse_compilation_unit
-from repro.frontend.semantics import analyze
 from repro.jvm.classfile import class_file_bytes
-from repro.jvm.codegen import compile_unit
-from repro.driver import CompilationSession
 from repro.ssa.ir import Module
-from repro.uast.builder import UastBuilder
+from repro.tsa.verifier import verify_module
 
 #: The two transmitted forms every corpus program is compiled to.
 TRANSMITTED_FLAGS = ({"prune_phis": False}, {"optimize": True})
@@ -114,13 +116,7 @@ def measure_program(program: str, source: Optional[str] = None, *,
     if source is None:
         source = corpus_source(program)
 
-    # bytecode baseline
-    unit = parse_compilation_unit(source)
-    world = analyze(unit)
-    builder = UastBuilder(world)
-    per_class = {decl.info: builder.build_class(decl)
-                 for decl in unit.classes}
-    compiled = compile_unit(world, per_class)
+    _world, compiled = _bytecode(source)
 
     # the unoptimised transmitted form keeps the eager (B&M) phis;
     # pruning is part of the producer-side optimisation (Figure 6)
@@ -154,71 +150,188 @@ def measure_program(program: str, source: Optional[str] = None, *,
     return rows
 
 
-def compile_wire_job(job) -> bytes:
-    """Worker: one cold compile, returned as picklable wire bytes."""
-    source, flags = job
-    return encode_module(CompilationSession(cache=False, **flags)
-                         .compile(source))
-
-
-def pool_map(fn, items) -> tuple[list, int]:
-    """``[fn(item) for item in items]`` across a process pool with one
-    worker per CPU (at most one per item).
-
-    Compilation is pure CPU, so processes, not threads, are the
-    executor.  Workers are spawned, not forked -- the calling process
-    may have threads -- so ``fn`` must be importable, the items must
-    pickle, and each worker runs under its own hash seed.  Results come
-    back in item order.  Returns ``(results, workers)``, where
-    ``workers`` is the pool size that actually ran: 1 means the plain
-    serial loop did -- on a single CPU, for a single item, or where a
-    process pool cannot start or breaks (restricted sandboxes).
-    """
-    items = list(items)
-    workers = min(os.cpu_count() or 1, len(items))
-    if workers > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context(
-                        "spawn")) as pool:
-                return list(pool.map(fn, items)), workers
-        except (OSError, NotImplementedError,
-                concurrent.futures.process.BrokenProcessPool):
-            pass
-    return [fn(item) for item in items], 1
-
-
-def warm_cache(cache, jobs) -> int:
-    """Fill ``cache`` by compiling ``jobs`` (source, flags) pairs across
-    :func:`pool_map`, wire bytes being the picklable result.
-    Already-cached jobs are skipped; returns how many compiles ran."""
-    keyed = [(CompilationSession(cache=cache, **flags).cache_key(source),
-              (source, flags)) for source, flags in jobs]
-    pending = [(key, job) for key, job in keyed if cache.get(key) is None]
-    wires, _ = pool_map(compile_wire_job, [job for _, job in pending])
-    for (key, _), wire in zip(pending, wires):
-        cache.put(key, wire)
-    return len(pending)
-
-
-def corpus_compile_jobs(programs=None) -> list:
-    """(source, flags) for every transmitted form of the corpus."""
-    return [(corpus_source(program), dict(flags))
-            for program in (programs or CORPUS_PROGRAMS)
-            for flags in TRANSMITTED_FLAGS]
-
-
 def measure_corpus(programs=None, *, cache=None) -> list[ClassMetrics]:
-    """Measure every corpus program (the full Figure 5 / 6 data set).
-
-    With a ``cache``, the corpus's SafeTSA compiles are first warmed
-    across a process pool, so the serial measurement loop below runs on
-    cache hits (decode-only).
-    """
-    programs = programs or CORPUS_PROGRAMS
-    if cache:
-        warm_cache(cache, corpus_compile_jobs(programs))
+    """Measure every corpus program (the full Figure 5 / 6 data set)."""
     rows: list[ClassMetrics] = []
-    for program in programs:
+    for program in programs or CORPUS_PROGRAMS:
         rows.extend(measure_program(program, cache=cache))
+    return rows
+
+
+def bench_repeats(repeats: Optional[int] = None) -> int:
+    """``repeats``, or else ``REPRO_BENCH_REPEATS`` (default 3): the
+    timed runs behind every best-of figure."""
+    if repeats is None:
+        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+    return max(repeats, 1)
+
+
+def best_of(fn, repeats: Optional[int] = None, warmup: int = 1,
+            setup=None) -> float:
+    """Minimum wall-clock seconds of ``fn()`` over ``repeats`` runs,
+    after ``warmup`` untimed runs: the estimator for "time the code
+    would take undisturbed", where one sample is at the mercy of
+    whatever else the machine was doing.  With ``setup``, every run is
+    ``fn(setup())`` and ``setup`` runs off the clock.  ``fn``'s return
+    value is discarded; capture it via a closure if it is needed."""
+    best = float("inf")
+    for run in range(warmup + bench_repeats(repeats)):
+        args = () if setup is None else (setup(),)
+        start = time.perf_counter()
+        fn(*args)
+        elapsed = time.perf_counter() - start
+        if run >= warmup and elapsed < best:
+            best = elapsed
+    return best
+
+
+def _bytecode(source: str):
+    """``(world, compiled classes)`` of the Java-bytecode baseline."""
+    session = CompilationSession(cache=False)
+    classes = session.compile_to_classfiles(source)
+    return session.frontend(source)[1], classes
+
+
+def phi_pruning_counts(programs=None, *, cache=None) -> list:
+    """E3: ``(program, unpruned phis, pruned phis)`` per program."""
+    def phis(name: str, prune: bool) -> int:
+        return CompilationSession(prune_phis=prune, cache=cache).compile(
+            corpus_source(name)).count_opcodes("phi")
+
+    return [(name, phis(name, False), phis(name, True))
+            for name in programs or CORPUS_PROGRAMS]
+
+
+#: E4: the single-pass ablation against no passes and all three
+ABLATION_CONFIGS = {
+    "none": [],
+    "constprop": ["constprop"],
+    "cse": ["cse"],
+    "dce": ["dce"],
+    "all": ["constprop", "cse", "dce"],
+}
+
+
+def ablation_counts(programs=None, *, cache=None) -> list:
+    """E4: ``(program, {config: instruction count})`` per program."""
+    results = []
+    for name in programs or CORPUS_PROGRAMS:
+        counts = {}
+        for label, passes in ABLATION_CONFIGS.items():
+            # each configuration mutates its module, so every one needs
+            # a fresh decode -- which is exactly what a cache hit is
+            module = CompilationSession(cache=cache).compile(
+                corpus_source(name))
+            if passes:
+                PassManager(passes).run_module(module)
+            counts[label] = module.instruction_count()
+        results.append((name, counts))
+    return results
+
+
+def verify_costs(programs=None, *, cache=None, repeats=None) -> list:
+    """E5: ``(program, SafeTSA verify ms, JVM verify ms, JVM dataflow
+    steps)`` per program."""
+    from repro.jvm.verifier import verify_class
+    rows = []
+    for name in programs or CORPUS_PROGRAMS:
+        source = corpus_source(name)
+        module = CompilationSession(cache=cache).compile(source)
+        world, classes = _bytecode(source)
+        steps: list = []
+        tsa_ms = best_of(lambda: verify_module(module), repeats) * 1000
+        jvm_ms = best_of(lambda: steps.append(
+            sum(verify_class(world, cls) for cls in classes)),
+            repeats) * 1000
+        rows.append((name, tsa_ms, jvm_ms, steps[-1]))
+    return rows
+
+
+def bit_breakdown(programs=None, *, cache=None) -> list[dict]:
+    """E7: where each optimised wire stream's bits go -- linking
+    information (header and member tables), constants, instructions,
+    phi operands -- and both formats' bytes, raw and under zlib (the
+    paper: "any dictionary encoding scheme can be used" on the symbol
+    sequence, so the prefix coder is the floor, not the ceiling)."""
+    rows = []
+    for name in programs or CORPUS_PROGRAMS:
+        source = corpus_source(name)
+        sizes: dict = {}
+        wire = encode_module(CompilationSession(
+            optimize=True, cache=cache).compile(source), size_report=sizes)
+        phases = sizes.pop("_phases")
+        header = sizes.pop("_header")
+        classfile = b"".join(class_file_bytes(cls)
+                             for cls in _bytecode(source)[1])
+        rows.append({
+            "program": name,
+            "wire_bytes": len(wire),
+            "wire_zlib": len(zlib.compress(wire, 9)),
+            "class_bytes": len(classfile),
+            "class_zlib": len(zlib.compress(classfile, 9)),
+            "linking_bits": header + sum(sizes.values())
+            - sum(phases.values()),
+            "cst_bits": phases["cst"],
+            "code_bits": phases["instructions"],
+            "phi_bits": phases["phi_operands"],
+        })
+    return rows
+
+
+#: E8: the paper's base optimiser, plus safe-phi transport (§4), plus
+#: memory partitioned by field (§8's proposed alias improvement)
+EXTENSION_CONFIGS = {
+    "base": ["constprop", "cse", "dce"],
+    "safephi": ["constprop", "safephi", "cse", "dce"],
+    "fields": ["constprop", "safephi", "cse_fields", "dce"],
+}
+
+
+def extension_ablation(programs=None, *, cache=None) -> dict:
+    """E8: corpus totals of instructions, null checks, array checks and
+    memory loads per :data:`EXTENSION_CONFIGS` entry."""
+    totals = {}
+    for config, passes in EXTENSION_CONFIGS.items():
+        total = dict.fromkeys(
+            ("instructions", "nullchecks", "idxchecks", "loads"), 0)
+        for name in programs or CORPUS_PROGRAMS:
+            module = CompilationSession(cache=cache).compile(
+                corpus_source(name))
+            PassManager(passes).run_module(module)
+            verify_module(module)
+            total["instructions"] += module.instruction_count()
+            total["nullchecks"] += module.count_opcodes("nullcheck")
+            total["idxchecks"] += module.count_opcodes("idxcheck")
+            total["loads"] += module.count_opcodes("getfield", "getelt",
+                                                   "getstatic")
+        totals[config] = total
+    return totals
+
+
+#: E9: the corpus programs with enough run time to time a tier on
+JIT_PROGRAMS = ("BitSieve", "Linpack", "BigInt", "MiniVM")
+
+
+def jit_speeds(programs=JIT_PROGRAMS, *, cache=None,
+               repeats=None) -> list:
+    """E9: ``(program, interpreter s, first JIT run s, warm JIT run s)``.
+    The first run is on a freshly loaded module, translation included
+    and loading not; a warm run links the code its module's functions
+    already carry."""
+    from repro.interp.interpreter import Interpreter
+    from repro.interp.jit import JitCompiler
+    from repro.loader import load_module
+    rows = []
+    for name in programs:
+        wire = encode_module(CompilationSession(
+            optimize=True, cache=cache).compile(corpus_source(name)))
+        module = load_module(wire)
+        interp_s = best_of(lambda: Interpreter(
+            module, max_steps=200_000_000).run_main(name), repeats)
+        cold_s = best_of(lambda fresh: JitCompiler(fresh).run_main(name),
+                         repeats, warmup=0,
+                         setup=lambda: load_module(wire))
+        warm_s = best_of(lambda: JitCompiler(module).run_main(name),
+                         repeats)
+        rows.append((name, interp_s, cold_s, warm_s))
     return rows

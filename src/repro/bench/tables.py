@@ -2,15 +2,16 @@
 
 ``figure5`` prints the size / instruction-count comparison (paper
 Figure 5), ``figure6`` the phi / null-check / array-check reductions
-(paper Figure 6), and the ablation/pruning tables back experiments
-E3 and E4 (see DESIGN.md).
+(paper Figure 6), and the other tables back experiments E3-E5 and
+E7-E9 (see DESIGN.md); each renders a measurement from
+:mod:`repro.bench.metrics`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.metrics import ClassMetrics
+from repro.bench.metrics import EXTENSION_CONFIGS, ClassMetrics
 
 
 def _fmt_delta(before: int, after: int) -> str:
@@ -130,4 +131,80 @@ def ablation_table(results: list[tuple[str, dict[str, int]]]) -> str:
     for name, counts in results:
         lines.append(f"{name:16}" + "".join(
             f"{counts[p]:11}" for p in passes))
+    return "\n".join(lines)
+
+
+def verifycost_table(rows: list) -> str:
+    """E5: SafeTSA verification vs JVM dataflow verification."""
+    lines = [f"{'Program':16} {'tsa (ms)':>9} {'jvm (ms)':>9} "
+             f"{'jvm steps':>10} {'ratio':>7}", "-" * 56]
+    for name, tsa_ms, jvm_ms, steps in rows:
+        lines.append(f"{name:16} {tsa_ms:9.2f} {jvm_ms:9.2f} "
+                     f"{steps:10} {jvm_ms / tsa_ms:7.2f}")
+    total_tsa = sum(row[1] for row in rows)
+    total_jvm = sum(row[2] for row in rows)
+    lines.append("-" * 56)
+    lines.append(f"{'TOTAL':16} {total_tsa:9.2f} {total_jvm:9.2f} "
+                 f"{'':10} {total_jvm / total_tsa:7.2f}")
+    return "\n".join(lines)
+
+
+def bits_table(rows: list[dict]) -> str:
+    """E7: the optimised wire stream's bits by section, and both
+    formats raw and under zlib."""
+    lines = [f"{'Program':16} {'wire B':>7} {'linking':>8} {'cst':>6} "
+             f"{'code':>6} {'phi':>5} | {'wire.z':>7} {'class':>7} "
+             f"{'class.z':>8}", "-" * 79]
+    for row in rows:
+        bits = row["wire_bytes"] * 8
+        lines.append(
+            f"{row['program']:16} {row['wire_bytes']:7} "
+            f"{100 * row['linking_bits'] / bits:7.1f}% "
+            f"{100 * row['cst_bits'] / bits:5.1f}% "
+            f"{100 * row['code_bits'] / bits:5.1f}% "
+            f"{100 * row['phi_bits'] / bits:4.1f}% | "
+            f"{row['wire_zlib']:7} {row['class_bytes']:7} "
+            f"{row['class_zlib']:8}")
+    total = {key: sum(row[key] for row in rows) for key in
+             ("wire_bytes", "wire_zlib", "class_bytes", "class_zlib")}
+    lines.append("-" * 79)
+    lines.append(f"{'TOTAL':16} {total['wire_bytes']:7} {'':28} | "
+                 f"{total['wire_zlib']:7} {total['class_bytes']:7} "
+                 f"{total['class_zlib']:8}")
+    return "\n".join(lines)
+
+
+def extensions_table(totals: dict) -> str:
+    """E8: corpus totals per extension configuration."""
+    lines = [f"{'config':10} {'passes':34} {'instructions':>13} "
+             f"{'nullchecks':>11} {'idxchecks':>10} {'loads':>6}",
+             "-" * 89]
+    for config, total in totals.items():
+        lines.append(
+            f"{config:10} {','.join(EXTENSION_CONFIGS[config]):34} "
+            f"{total['instructions']:13} {total['nullchecks']:11} "
+            f"{total['idxchecks']:10} {total['loads']:6}")
+    return "\n".join(lines)
+
+
+def jitspeed_table(rows: list) -> str:
+    """E9: interpreter vs the JIT's first and warm runs."""
+    def row(name, interp_s, cold_s, warm_s) -> str:
+        return (f"{name:12} {interp_s * 1000:8.1f}ms {cold_s * 1000:8.1f}ms "
+                f"{warm_s * 1000:8.1f}ms {interp_s / cold_s:6.1f}x "
+                f"{interp_s / warm_s:6.1f}x")
+
+    lines = [
+        "cold: the first run on a freshly decoded module, translation",
+        "included; warm: a fresh JitCompiler on a module whose functions",
+        "already carry their generated code (it only links)",
+        "",
+        f"{'Program':12} {'interp':>10} {'jit cold':>10} {'jit warm':>10} "
+        f"{'cold':>7} {'warm':>7}",
+        "-" * 61,
+    ]
+    lines.extend(row(*timings) for timings in rows)
+    lines.append("-" * 61)
+    lines.append(row("TOTAL", *(sum(timings[i] for timings in rows)
+                                for i in (1, 2, 3))))
     return "\n".join(lines)

@@ -28,9 +28,10 @@ Two further measurements keep the headline honest:
   opcode cycle exceeds the trace length budget and correctly
   blacklists) is attributable.
 
-Perf guards: geomean warm speedup >= 1.25 (full) / > 1.0 (smoke), the
-abort program's overhead bounded, and blacklisting actually engaged on
-the abort program.  Any parity mismatch raises immediately.
+The runner's guards: geomean warm speedup above 1.25 (full) / 1.0
+(smoke), the abort program's overhead bounded, and blacklisting
+actually engaged on the abort program.  Any parity mismatch raises
+immediately.
 """
 
 from __future__ import annotations

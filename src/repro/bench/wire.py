@@ -33,10 +33,10 @@ ratio stay below 1.0 and that streaming TTFE stays at or below eager.
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.bench.metrics import bench_repeats
 from repro.cache import DictionaryStore
 from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
@@ -133,8 +133,7 @@ def _ttfe_eager(wire: bytes) -> float:
 
 def wire_report(programs=None, repeats=None) -> dict:
     """All the numbers behind ``BENCH_wire.json``."""
-    if repeats is None:
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+    repeats = bench_repeats(repeats)
     programs = list(programs or CORPUS_PROGRAMS)
     store = DictionaryStore()  # memory-only: no disk I/O in timings
 

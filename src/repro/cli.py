@@ -10,8 +10,8 @@ Subcommands::
     repro-cc verify  FILE.stsa
     repro-cc lint    FILE.java|FILE.stsa [--json] [--optimize]
     repro-cc stats   FILE.java
-    repro-cc bench   figure5|figure6|pruning|ablation|verifycost|codec|
-                     analysis|pipeline|fuzz|load|wire|serve|all
+    repro-cc bench   NAME|all   (a full run of one bench runner entry;
+                     ``python -m repro.bench.runner`` lists them)
     repro-cc fuzz    [--seed S] [--budget N]
                      [--mode programs|streams|streams-v2|sources|all]
                      [--fixtures DIR] [--json PATH] [--no-minimize] [-q]
@@ -369,12 +369,10 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("bench", help="regenerate a paper table")
-    p.add_argument("table", choices=["figure5", "figure6", "pruning",
-                                     "ablation", "verifycost",
-                                     "jitspeed", "codec", "analysis",
-                                     "pipeline", "fuzz", "load", "wire",
-                                     "serve", "all"])
+    p = sub.add_parser("bench", help="regenerate a paper table or a "
+                       "bench file (full run)")
+    p.add_argument("table", help="a bench runner entry, or all; an "
+                   "unknown name prints the list")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(

@@ -23,10 +23,9 @@ source.  A :class:`CompilationSession` owns:
   diagnostics.
 
 Per-function optimisation runs serially, in module order; two fresh
-sessions produce identical bytes and identical reports
-(``tests/test_driver.py`` enforces this over the whole corpus).  The
-only fan-out is the bench harness's process pool over whole artifacts
-(:func:`repro.bench.metrics.pool_map`).
+sessions produce identical bytes and identical reports, also in fresh
+interpreters under other hash seeds (``tests/test_driver.py`` enforces
+this over the whole corpus).
 """
 
 from __future__ import annotations

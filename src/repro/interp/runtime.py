@@ -94,7 +94,7 @@ class Runtime:
         self.stdout: list[str] = []
         self.statics: dict[tuple[str, str], object] = {}
         self._print_stream = ObjectRef(world.require("java.io.PrintStream"))
-        self._natives = _build_native_table()
+        self._natives = _NATIVES
         #: callback into the interpreter for re-entrant virtual calls
         #: (e.g. String.valueOf(Object) invoking a user toString)
         self.invoke_virtual: Optional[Callable] = None
@@ -527,3 +527,8 @@ def _string_hash(text: str) -> int:
     for ch in text:
         value = jmath.i32(value * 31 + ord(ch))
     return value
+
+
+#: the native-method table, built once per process: its handlers take
+#: the runtime as an argument and capture no per-runtime state
+_NATIVES = _build_native_table()

@@ -23,8 +23,7 @@ persistent connections), checked out under a lock so the client stays
 thread-safe -- the conformance suite and the benchmark both hammer one
 server from many threads.  A connection that went stale while idle
 (server restarted, keep-alive timeout) is discarded and the request
-retried once on a fresh connection; ``keep_alive=False`` restores the
-old one-connection-per-request behaviour.
+retried once on a fresh connection.
 """
 
 from __future__ import annotations
@@ -50,13 +49,11 @@ class ServeClient:
     POOL_SIZE = 8
 
     def __init__(self, host: str, port: int, *,
-                 tenant: str = "public", timeout: float = 30.0,
-                 keep_alive: bool = True):
+                 tenant: str = "public", timeout: float = 30.0):
         self.host = host
         self.port = port
         self.tenant = tenant
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self._lock = threading.Lock()
         self._idle: list[HTTPConnection] = []
 
@@ -101,7 +98,7 @@ class ServeClient:
                 payload: Optional[dict] = None) -> dict:
         """One round trip; error envelopes re-raise as ServeError."""
         body = None
-        headers = {} if self.keep_alive else {"Connection": "close"}
+        headers = {}
         if payload is not None:
             payload = dict(payload)
             payload.setdefault("tenant", self.tenant)
@@ -110,39 +107,28 @@ class ServeClient:
         elif method.upper() == "GET" and "tenant=" not in path:
             sep = "&" if "?" in path else "?"
             path = f"{path}{sep}tenant={self.tenant}"
-        if not self.keep_alive:
+        conn, reused = self._checkout()
+        try:
+            data = self._round_trip(conn, method, path, body, headers)
+        except (BadStatusLine, ResponseNotReady, ConnectionError,
+                BrokenPipeError, OSError):
+            # a pooled connection can go stale while idle; retry exactly
+            # once on a fresh connection.  A fresh connection's failure
+            # is genuine and propagates.
+            conn.close()
+            if not reused:
+                raise
             conn = HTTPConnection(self.host, self.port,
                                   timeout=self.timeout)
             try:
-                data = self._round_trip(conn, method, path, body,
-                                        headers)
-            finally:
-                conn.close()
-        else:
-            conn, reused = self._checkout()
-            try:
-                data = self._round_trip(conn, method, path, body,
-                                        headers)
-            except (BadStatusLine, ResponseNotReady, ConnectionError,
-                    BrokenPipeError, OSError):
-                # a pooled connection can go stale while idle; retry
-                # exactly once on a fresh connection.  A fresh
-                # connection's failure is genuine and propagates.
-                conn.close()
-                if not reused:
-                    raise
-                conn = HTTPConnection(self.host, self.port,
-                                      timeout=self.timeout)
-                try:
-                    data = self._round_trip(conn, method, path, body,
-                                            headers)
-                except BaseException:
-                    conn.close()
-                    raise
+                data = self._round_trip(conn, method, path, body, headers)
             except BaseException:
                 conn.close()
                 raise
-            self._release(conn)
+        except BaseException:
+            conn.close()
+            raise
+        self._release(conn)
         if "error" in data:
             raise ServeError.from_payload(data)
         return data

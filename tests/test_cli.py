@@ -75,6 +75,21 @@ def test_stats(java_file, capsys):
     assert "file size" in out and "Null-Checks" in out
 
 
+def test_bench_runs_every_runner_entry(tmp_path, monkeypatch, capsys):
+    from repro.bench import runner
+    ran = []
+    for name, bench in runner.BENCHES.items():
+        monkeypatch.setitem(runner.BENCHES, name, bench._replace(
+            report=lambda name=name: ran.append(name) or {},
+            full={}, render=lambda report: "", guards=()))
+    monkeypatch.chdir(tmp_path)
+    for name in runner.BENCHES:
+        assert main(["bench", name]) == 0
+    assert ran == list(runner.BENCHES)
+    assert main(["bench", "nope"]) == 2
+    assert "trace" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["compile", "run", "disasm", "stats"])
 @pytest.mark.parametrize("body, where", [
     ("int x = ;", ":3:17: unexpected token"),

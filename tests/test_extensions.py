@@ -202,7 +202,7 @@ class TestFieldPartitionedMemory:
 
     def test_partitioned_mode_preserves_corpus_behaviour(self):
         from repro.bench.corpus import corpus_source
-        for name in ("BigInt", "Environment"):
+        for name in ("BigInt", "Environment", "BinaryCode"):
             source = corpus_source(name)
             plain = Interpreter(compile_source(source),
                                 max_steps=50_000_000).run_main(name)

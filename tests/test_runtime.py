@@ -153,6 +153,25 @@ class TestLibraryNatives:
         assert stdout_of(source) == "1\n"
         assert stdout_of(source) == "1\n"  # fresh Runtime each run
 
+    def test_runtimes_share_the_native_table_but_not_state(self):
+        from repro.api import compile_source
+        from repro.interp.interpreter import Interpreter
+        from repro.interp.jit import JitCompiler
+        module = compile_source(
+            "class T { static int counter; static void main() {"
+            "counter++; System.out.println(counter);"
+            "System.out.println(System.currentTimeMillis()); } }")
+        runners = [Interpreter(module), Interpreter(module),
+                   JitCompiler(module)]
+        first, second, jit = (runner.runtime for runner in runners)
+        assert first._natives is second._natives is jit._natives
+        assert runners[0].run_main().stdout == "1\n1\n"
+        assert first.time_counter == 1 and first.statics
+        assert second.stdout == [] and second.statics == {}
+        assert second.time_counter == 0
+        assert runners[1].run_main().stdout == "1\n1\n"
+        assert runners[2].run_main().stdout == "1\n1\n"
+
 
 class TestHeapModel:
     def test_default_values(self):
