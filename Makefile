@@ -57,8 +57,9 @@ fuzz-smoke:
 	$(PYTHON) -m repro.bench.runner fuzz --smoke
 
 # End-to-end serving smoke against a live HTTP server: full
-# compile/publish/fetch/verify/run lifecycle, hostile-stream
-# rejection, and rate-limit enforcement (~5 s).
+# compile/publish/fetch/verify/run lifecycle, concurrent first runs of
+# one module, hostile-stream rejection, and rate-limit enforcement
+# (~5 s).
 serve-smoke:
 	$(PYTHON) -m repro.serve.smoke
 

@@ -314,10 +314,11 @@ JIT_PROGRAMS = ("BitSieve", "Linpack", "BigInt", "MiniVM")
 
 def jit_speeds(programs=JIT_PROGRAMS, *, cache=None,
                repeats=None) -> list:
-    """E9: ``(program, interpreter s, first JIT run s, warm JIT run s)``.
-    The first run is on a freshly loaded module, translation included
-    and loading not; a warm run links the code its module's functions
-    already carry."""
+    """E9: ``(program, interpreter cold s, interpreter warm s, JIT cold
+    s, JIT warm s)``.  A cold run is the first run on a freshly loaded
+    module: the interpreter's block plans or the JIT's translation are
+    built, loading is not timed.  A warm run is a fresh runner on a
+    module whose functions already carry their plans or code."""
     from repro.interp.interpreter import Interpreter
     from repro.interp.jit import JitCompiler
     from repro.loader import load_module
@@ -326,12 +327,17 @@ def jit_speeds(programs=JIT_PROGRAMS, *, cache=None,
         wire = encode_module(CompilationSession(
             optimize=True, cache=cache).compile(corpus_source(name)))
         module = load_module(wire)
-        interp_s = best_of(lambda: Interpreter(
-            module, max_steps=200_000_000).run_main(name), repeats)
-        cold_s = best_of(lambda fresh: JitCompiler(fresh).run_main(name),
-                         repeats, warmup=0,
-                         setup=lambda: load_module(wire))
-        warm_s = best_of(lambda: JitCompiler(module).run_main(name),
-                         repeats)
-        rows.append((name, interp_s, cold_s, warm_s))
+
+        def interpret(loaded, name=name):
+            Interpreter(loaded, max_steps=200_000_000).run_main(name)
+
+        def jit(loaded, name=name):
+            JitCompiler(loaded).run_main(name)
+
+        row = [name]
+        for run in (interpret, jit):
+            row.append(best_of(run, repeats, warmup=0,
+                               setup=lambda: load_module(wire)))
+            row.append(best_of(run, repeats, setup=lambda: module))
+        rows.append(tuple(row))
     return rows

@@ -19,10 +19,12 @@ Two further measurements keep the headline honest:
 
 * **abort path**: an adversarial program whose hot loop branches on a
   linear-congruential bit -- no short block cycle exists, so recorded
-  traces guard-abort until the header blacklists.  Its timed runs
-  include the cold one, since recording and blacklisting are the cost
-  its bound is about; the report measures the all-overhead-no-benefit
-  ratio and asserts the blacklist bound keeps it small.
+  traces guard-abort until the header blacklists.  It is timed in the
+  same alternating pairs, but each traced half starts from an empty
+  trace cache, so every sample includes the recording and blacklisting
+  its bound is about; the report gives the median per-pair
+  all-overhead-no-benefit ratio (``overheads`` lists them all) and
+  asserts the blacklist bound keeps it small.
 * **per-program stats**: compiled/preloaded/blacklisted trace counts,
   entries and committed trips, so a speedup (or its absence -- MiniVM's
   opcode cycle exceeds the trace length budget and correctly
@@ -144,17 +146,17 @@ class _Runs:
         return time.perf_counter() - started, stats
 
 
-def _measure_warm(module, name: str, reps: int) -> dict:
-    """One program row.  The recording run that warms the trace cache
-    runs first, on its own clock (``record_s``); then ``_PAIRS`` pairs
-    of ``reps`` untraced and ``reps`` warm traced runs, in alternating
-    order so a change of host speed within a pair favours each side
-    equally often.  Times are medians over the pairs, and the speedup is
-    the median of the per-pair ratios."""
-    runs = _Runs(module, name)
-    record_s, (cold,) = runs.traced(1)
-    untraced, traced, ratios = [], [], []
+def _pairs(runs: _Runs, reps: int, fresh_cache: bool = False):
+    """``_PAIRS`` pairs of ``reps`` untraced and ``reps`` traced runs,
+    in alternating order so a change of host speed within a pair
+    favours each side equally often.  Returns the untraced and the
+    traced seconds of each pair, and the last traced batch's stats.
+    With ``fresh_cache`` every traced batch starts from an empty trace
+    cache, so its first run records (and blacklists) again."""
+    untraced, traced = [], []
     for pair in range(_PAIRS):
+        if fresh_cache:
+            runs.cache = TraceCache()
         if pair % 2:
             traced_s, stats = runs.traced(reps)
             untraced_s = runs.untraced(reps)
@@ -163,7 +165,19 @@ def _measure_warm(module, name: str, reps: int) -> dict:
             traced_s, stats = runs.traced(reps)
         untraced.append(untraced_s)
         traced.append(traced_s)
-        ratios.append(untraced_s / traced_s)
+    return untraced, traced, stats
+
+
+def _measure_warm(module, name: str, reps: int) -> dict:
+    """One program row.  The recording run that warms the trace cache
+    runs first, on its own clock (``record_s``); then :func:`_pairs`
+    times ``reps`` untraced against ``reps`` warm traced runs.  Times
+    are medians over the pairs, and the speedup is the median of the
+    per-pair ratios."""
+    runs = _Runs(module, name)
+    record_s, (cold,) = runs.traced(1)
+    untraced, traced, stats = _pairs(runs, reps)
+    ratios = [u / t for u, t in zip(untraced, traced)]
     return {
         "reps": reps,
         "pairs": _PAIRS,
@@ -188,14 +202,14 @@ def trace_report(programs=None, *, reps=None, abort_reps: int = 3) -> dict:
     geomean = math.exp(sum(math.log(s) for s in speedups)
                        / len(speedups)) if speedups else 0.0
 
-    # the abort path: pure overhead, bounded by blacklisting; its timed
-    # traced runs include the cold one, whose recording and blacklisting
-    # are the cost the bound is about
+    # the abort path: pure overhead, bounded by blacklisting; every
+    # traced half records and blacklists from an empty cache, since
+    # that is the cost the bound is about
     runs = _Runs(_digest_module(ABORT_SOURCE), "AbortStorm", threshold=8)
-    abort_untraced = runs.untraced(abort_reps)
-    abort_traced, abort_stats = runs.traced(abort_reps)
-    abort_overhead = (abort_traced / abort_untraced
-                      if abort_untraced else 0.0)
+    untraced, traced, abort_stats = _pairs(runs, abort_reps,
+                                           fresh_cache=True)
+    overheads = [t / u for u, t in zip(untraced, traced)]
+    abort_overhead = statistics.median(overheads)
 
     return {
         "max_steps": _MAX_STEPS,
@@ -204,9 +218,11 @@ def trace_report(programs=None, *, reps=None, abort_reps: int = 3) -> dict:
         "abort": {
             "program": "AbortStorm",
             "reps": abort_reps,
-            "untraced_s": round(abort_untraced, 4),
-            "traced_s": round(abort_traced, 4),
+            "pairs": _PAIRS,
+            "untraced_s": round(statistics.median(untraced), 4),
+            "traced_s": round(statistics.median(traced), 4),
             "overhead": round(abort_overhead, 4),
+            "overheads": [round(ratio, 4) for ratio in overheads],
             "cold_stats": abort_stats[0],
             "warm_stats": abort_stats[-1],
         },
@@ -241,12 +257,13 @@ def trace_table(report: dict) -> str:
     lines.append(f"{'geomean':<12} {'':>4} {'':>5} {'':>10} {'':>10} "
                  f"{'':>10} {report['geomean_speedup']:>7.2f}x")
     abort = report["abort"]
+    spread = f"{min(abort['overheads']):.2f}-{max(abort['overheads']):.2f}"
     lines.append("")
     lines.append(
-        f"abort path   {abort['reps']:>4} {1:>5} "
+        f"abort path   {abort['reps']:>4} {abort['pairs']:>5} "
         f"{abort['untraced_s']:>9.3f}s {'(cold)':>10} "
         f"{abort['traced_s']:>9.3f}s {abort['overhead']:>7.2f}x "
-        f"{'':>11}  "
+        f"{spread:>11}  "
         f"overhead (blacklisted={abort['cold_stats']['blacklisted']}, "
         f"entries={abort['cold_stats']['entries']})")
     return "\n".join(lines)

@@ -24,12 +24,14 @@ paper's "competitive runtime system" claim.
 
 Translation depends only on the function, so it happens once per
 loaded function: the source is emitted and compiled on first use and
-kept on the ``Function`` (:func:`function_code`, which the trace tier
-shares).  Each :class:`JitCompiler` links that code
-(:meth:`GeneratedCode.link`) to its own runtime, call-site dispatch
-tables and throwing helpers, so a fresh compiler over an already-run
-module pays no translation.  This is sound only under the invariant
-stated on :class:`repro.ssa.ir.Function`.
+kept in the function's
+:class:`~repro.interp.interpreter.FunctionCode` memo, beside the
+interpreter's block plans and the trace tier's builds.  Each
+:class:`JitCompiler` links that code (:meth:`GeneratedCode.link`) to
+its own runtime, call-site dispatch tables and throwing helpers, so a
+fresh compiler over an already-run module pays no translation.  This
+is sound only under the invariant stated on
+:class:`repro.ssa.ir.Function`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.interp.heap import (
     runtime_class,
     value_instanceof,
 )
-from repro.interp.interpreter import ExecutionResult
+from repro.interp.interpreter import ExecutionResult, function_code
 from repro.interp.runtime import Runtime
 from repro.ssa import ir
 from repro.ssa.ir import Block, Function, Module
@@ -201,7 +203,8 @@ class JitCompiler:
 
 
 # ----------------------------------------------------------------------
-# translation: once per function, shared by every runner
+# translation: once per function, kept in its FunctionCode and shared by
+# every runner
 
 class GeneratedCode:
     """One generated Python function: compiled once, linked per runner.
@@ -228,35 +231,6 @@ class GeneratedCode:
         for name, make, arg in self.slots:
             env[name] = make(runner, arg)
         return FunctionType(self.code, env)
-
-
-class FunctionCode:
-    """What is derived once per loaded function and shared by its
-    runners: the ``reachable_blocks()`` order and its index, the loop
-    headers (set by the trace tier), the JIT build and the trace builds
-    keyed on reachable-block indices (``None`` marks a path that does
-    not compile).  A build is complete before the one store that
-    publishes it and the trace table is replaced, never updated, so
-    threads racing on a function may waste a build but never see half
-    of one."""
-
-    __slots__ = ("blocks", "index_of", "loops", "jit", "traces")
-
-    def __init__(self, function: Function):
-        self.blocks = tuple(function.reachable_blocks())
-        self.index_of = {block.id: i for i, block in enumerate(self.blocks)}
-        self.loops = None
-        self.jit = None
-        self.traces: dict = {}
-
-
-def function_code(function: Function) -> FunctionCode:
-    """The function's memo, created on first use.  It lives on the
-    function, so it is freed with the module."""
-    code = getattr(function, "_generated", None)
-    if code is None:
-        code = function._generated = FunctionCode(function)
-    return code
 
 
 def _translate(function: Function) -> GeneratedCode:
@@ -532,7 +506,8 @@ class _FunctionTranslator:
 # ----------------------------------------------------------------------
 # link-time helpers: each is called as make(runner, arg) once per runner,
 # where the runner is a JitCompiler or the trace tier's adapter (both
-# expose runtime, world and _invoker)
+# expose runtime and world; a trace calls the interpreter's shared call
+# sites instead of linking _call_site)
 
 def _runtime(runner, _arg):
     return runner.runtime

@@ -34,20 +34,23 @@ reachable-block indices (block *ids* are not stable across decodes), so
 a warm serve process re-creates traces without re-recording.
 
 What depends only on the function is built once per loaded function
-and kept on it, in the JIT's :func:`~repro.interp.jit.function_code`
-memo: the ``reachable_blocks()`` order and its index, the loop headers,
-and each recorded path's generated code and exit sites, keyed on its
-block indices.  Each :class:`TracingInterpreter` links that code to its
-own adapter (call sites, runtime helpers, the allocation cap) and keeps
-its own header states, trace counters and step budget; a call-flavour
-trace formats its step-limit message from the running interpreter's
-``max_steps``.  This is sound only under the invariant stated on
-:class:`repro.ssa.ir.Function`.
+and kept in its :class:`~repro.interp.interpreter.FunctionCode` memo:
+the ``reachable_blocks()`` order and its index, the loop headers, the
+interpreter's block plans and call sites, and each recorded path's
+generated code and exit sites, keyed on its block indices.  Each
+:class:`TracingInterpreter` runs those plans, links that code to its
+own adapter (runtime helpers, the allocation cap; call sites resolve
+through the shared ones) and keeps its own header states, trace
+counters and step budget; a call-flavour trace formats its step-limit
+message from the running interpreter's ``max_steps``.  A shared plan
+records only whether its block is a loop header; the runner's
+:class:`_FunctionState` maps such a block to its own
+:class:`_HeaderState`.  This is sound only under the invariant stated
+on :class:`repro.ssa.ir.Function`.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional, Sequence
 
 from repro.analysis.loops import find_loops
@@ -58,13 +61,11 @@ from repro.interp.interpreter import (
     AllocationLimitExceeded,
     Interpreter,
     StepLimitExceeded,
-)
-from repro.interp.jit import (
-    GeneratedCode,
-    _Emitter,
-    _FunctionTranslator,
+    _build_plans,
+    call_site,
     function_code,
 )
+from repro.interp.jit import GeneratedCode, _Emitter, _FunctionTranslator
 from repro.ssa import ir
 from repro.ssa.ir import Block, Function, Module
 
@@ -164,7 +165,7 @@ class _HeaderState:
 class _FunctionState:
     """One runner's tracing state of a function: a header state per
     loop, over the block index and loop headers in the function's
-    shared :class:`~repro.interp.jit.FunctionCode`."""
+    shared :class:`~repro.interp.interpreter.FunctionCode`."""
 
     __slots__ = ("function", "code", "name", "headers", "live")
 
@@ -181,9 +182,7 @@ class _FunctionState:
             # spins up a fresh TracingInterpreter per request)
             loops = code.loops = _loop_headers(function)
         for header, loop_blocks in loops:
-            hs = _HeaderState(header, loop_blocks)
-            self.headers[header.id] = hs
-            manager.header_states[header.id] = hs
+            self.headers[header.id] = _HeaderState(header, loop_blocks)
         #: headers not yet blacklisted; at zero the per-block hook
         #: disables itself for this function entirely
         self.live = len(self.headers)
@@ -202,8 +201,7 @@ def _loop_headers(function: Function) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# interpreter adapter: call sites inside a trace route through the
-# interpreter so nested frames keep counting steps and checks
+# interpreter adapter: what a trace links to per runner
 
 class _InterpAdapter:
     """The runner a trace links to: duck-types the slice of
@@ -213,15 +211,6 @@ class _InterpAdapter:
         self.interp = interp
         self.world = interp.world
         self.runtime = interp.runtime
-
-    def _invoker(self, call: ir.Call):
-        # the interpreter's own call site: static resolution on first
-        # use, virtual resolution memoized per receiver class
-        invoke = self.interp._site(call)
-
-        def invoker(*args):
-            return invoke(args)
-        return invoker
 
 
 def _trace_newarray_helper(adapter: _InterpAdapter, array_type):
@@ -249,6 +238,14 @@ class _TraceOps(_FunctionTranslator):
     def _i_newarray(self, instr: ir.NewArray) -> None:
         helper = self.link(_trace_newarray_helper, instr.array_type)
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
+
+    def _i_call(self, instr: ir.Call) -> None:
+        # the call's op's own site, shared by every runner: its
+        # resolution is memoized once, and it runs through ``interp``
+        site = self.bind(call_site(instr))
+        args = "".join(f"v{op.id}, " for op in instr.operands)
+        target = f"v{instr.id} = " if instr.plane is not None else ""
+        self.out.emit(f"{target}{site}(interp, ({args}))")
 
     def _i_caughtexc(self, instr: ir.CaughtExc) -> None:
         raise _TraceCompileError("exception dispatch block on trace path")
@@ -514,10 +511,7 @@ class TraceManager:
         self.digest = getattr(interp.module, "wire_digest", None)
         #: what this runner's traces link to
         self.adapter = _InterpAdapter(interp)
-        self._states: dict[int, _FunctionState] = {}
-        #: block id -> header state, for annotating block plans (block
-        #: ids are process-unique, so one flat map covers all functions)
-        self.header_states: dict[int, _HeaderState] = {}
+        self._states: dict[Function, _FunctionState] = {}
         self.compiled = 0
         self.preloaded = 0
         self.recordings = 0
@@ -529,10 +523,9 @@ class TraceManager:
         self.trips = 0
 
     def state_for(self, function: Function) -> _FunctionState:
-        key = id(function)
-        state = self._states.get(key)
-        if state is None or state.function is not function:
-            state = self._states[key] = _FunctionState(self, function)
+        state = self._states.get(function)
+        if state is None:
+            state = self._states[function] = _FunctionState(self, function)
         return state
 
     # -- recording lifecycle -------------------------------------------
@@ -659,39 +652,26 @@ class TracingInterpreter(Interpreter):
     def trace_stats(self) -> dict:
         return self.traces.stats()
 
-    def _body(self, function: Function):
-        """A call site into a function with no loop header left to
-        count, record or enter runs the base loop, which skips the hook
-        and its per-call state lookup.  ``live`` only falls, so the
-        choice holds for the site's lifetime."""
-        if self.traces.state_for(function).live:
-            return super()._body(function)
-        return partial(Interpreter.call, self, function)
-
-    def _plan(self, block: Block):
-        """Annotate loop-header plans with their header state so the
-        execution loop's hook costs two pointer tests on non-header
-        blocks instead of a dict probe per transfer."""
-        plan = super()._plan(block)
-        plan.hs = self.traces.header_states.get(block.id)
-        return plan
-
     # The body below is the base `call` loop with the trace hook spliced
-    # in at the block-arrival point; it runs the same bound ops.  The
+    # in at the block-arrival point; it runs the same shared plans.  The
     # hot-path cost for untraced code is two pointer tests per executed
-    # block.
+    # block.  A function with no loop header left to count, record or
+    # enter (none, or all blacklisted; ``live`` only falls) runs the
+    # base loop instead, which skips the hook.
     def call(self, function: Function, args: Sequence):
-        plans = self._plans
-        max_steps = self.max_steps
         manager = self.traces
-        fstate = manager.state_for(function)
-        headers = fstate.headers if fstate.live else None
+        fstate = manager._states.get(function) \
+            or manager.state_for(function)
+        if not fstate.live:
+            return Interpreter.call(self, function, args)
+        plan = fstate.code.entry or _build_plans(function)
+        plans = fstate.code.plans
+        max_steps = self.max_steps
+        headers = fstate.headers
         threshold = manager.threshold
-        block = function.entry
-        plan = plans.get(block.id) or self._plan(block)
         frame = plan.consts.copy()
-        for param in function.params:
-            frame[param.id] = args[param.index]
+        for register, index in plan.params:
+            frame[register] = args[index]
         came_key: Optional[tuple[int, str]] = None
         rec_path: Optional[list[Block]] = None
         rec_hs: Optional[_HeaderState] = None
@@ -738,7 +718,10 @@ class TracingInterpreter(Interpreter):
                                 rec_path.append(plan.block)
                         else:
                             rec_path.append(plan.block)
-                hs = plan.hs
+                # the shared plan only marks a header; the header state
+                # is this runner's
+                hs = headers.get(plan.block_id) \
+                    if plan.header and headers else None
                 if hs is not None and came_key is not None and \
                         came_key[1] == "norm":
                     trace = hs.trace
@@ -771,9 +754,7 @@ class TracingInterpreter(Interpreter):
                                         headers = None
                             if site.kind == "guard":
                                 came_key = (site.block_id, "norm")
-                                target = site.resume
-                                plan = plans.get(target.id) \
-                                    or self._plan(target)
+                                plan = plans[site.resume.id]
                                 continue
                             if site.kind == "trap":
                                 target = site.exc_target
@@ -781,8 +762,7 @@ class TracingInterpreter(Interpreter):
                                     raise err
                                 frame[CAUGHT_SLOT] = err.value
                                 came_key = (site.block_id, "exc")
-                                plan = plans.get(target.id) \
-                                    or self._plan(target)
+                                plan = plans[target.id]
                                 continue
                             # budget: interpret the header once (the
                             # step limit is about to fire exactly)
@@ -809,21 +789,21 @@ class TracingInterpreter(Interpreter):
                 move(frame)
             try:
                 for op in plan.ops:
-                    op(frame)
+                    op(frame, self)
             except JavaError as error:
                 target = plan.exc_target
                 if target is None:
                     raise
                 frame[CAUGHT_SLOT] = error.value
                 came_key = plan.exc_key
-                plan = plans.get(target.id) or self._plan(target)
+                plan = target
                 continue
             kind = plan.kind
             if kind == "branch":
                 norm = plan.norm
-                next_block = norm[0] if frame[plan.value_id] else norm[1]
+                next_plan = norm[0] if frame[plan.value_id] else norm[1]
             elif plan.succ is not None:  # fall / break / continue
-                next_block = plan.succ
+                next_plan = plan.succ
             elif kind == "return":
                 if plan.value_id is not None:
                     return frame[plan.value_id]
@@ -834,9 +814,9 @@ class TracingInterpreter(Interpreter):
                     raise JavaError(frame[plan.value_id])
                 frame[CAUGHT_SLOT] = frame[plan.value_id]
                 came_key = plan.exc_key
-                plan = plans.get(target.id) or self._plan(target)
+                plan = target
                 continue
             else:
                 raise self._bad_terminator(plan, function)
             came_key = plan.norm_key
-            plan = plans.get(next_block.id) or self._plan(next_block)
+            plan = next_plan

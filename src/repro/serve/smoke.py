@@ -2,9 +2,10 @@
 
 Starts a real server on an ephemeral port, then walks the whole
 distribution lifecycle once over HTTP -- compile, publish (single and
-v2 batch), fetch (digest re-verified client-side), verify, run, a
-rejected hostile stream, a quota rejection, and a full client-side
-chain audit.  Exits nonzero on the first broken invariant; CI runs
+v2 batch), fetch (digest re-verified client-side), verify, run,
+concurrent first runs of a verified module on the server's executor
+threads, a rejected hostile stream, a quota rejection, and a full
+client-side chain audit.  Exits nonzero on the first broken invariant; CI runs
 this as the fast serving gate (``make serve-smoke``) next to the
 sharded pytest lanes.
 """
@@ -12,6 +13,7 @@ sharded pytest lanes.
 from __future__ import annotations
 
 import sys
+import threading
 
 from repro.serve import (
     ManualClock,
@@ -31,6 +33,10 @@ class Main {
     }
 }
 """
+
+
+#: /v1/run requests per client thread in the concurrent first-run step
+RACING_RUNS = 4
 
 
 def fail(message: str) -> None:
@@ -70,6 +76,33 @@ def main() -> int:
                 fail("batch publish did not produce v2 envelopes")
             client.verify(digest=entry["digest"])
 
+        # two clients race on a module the server has verified but
+        # never run, so its executor threads build the module's shared
+        # block plans at once; every run must agree
+        unrun = batch["published"][1]["digest"]
+        outcomes, errors = [], []
+        barrier = threading.Barrier(2)
+
+        def run_unrun():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(RACING_RUNS):
+                    response = client.run(digest=unrun)
+                    outcomes.append((response["value"], response["steps"]))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        racers = [threading.Thread(target=run_unrun) for _ in range(2)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=60)
+        if errors:
+            fail(f"concurrent first run raised {errors[0]!r}")
+        if len(outcomes) != 2 * RACING_RUNS or len(set(outcomes)) != 1 \
+                or outcomes[0][0] != 3:
+            fail(f"concurrent first runs disagree: {sorted(set(outcomes))}")
+
         try:
             client.verify(wire=b"not a module at all")
         except ServeError as error:
@@ -92,6 +125,7 @@ def main() -> int:
 
         total = len(batch["published"]) + 1
         print(f"serve-smoke: OK: published {total} modules, "
+              f"{len(outcomes)} concurrent first runs agree, "
               f"head {head[:16]}..., rate limit enforced")
         return 0
     finally:

@@ -659,14 +659,16 @@ def trapping_tail_gate(def_block: Block, instr: Instr) -> Optional[Block]:
 class Function:
     """A SafeTSA method body: entry block, block list, CST, parameters.
 
-    The JIT and the trace tier keep the code they generate from a
-    function on it (``_generated``, made by
-    :func:`repro.interp.jit.function_code`) and share it between
-    runners, so **a function must not be changed once it has run**
-    under either of them.  In-repo producers keep this: every pass runs
-    before a module is first executed, and the loaders hand out only
-    fully decoded bodies.  Code that must change a function after it
-    ran has to ``del function._generated`` and use fresh runners.
+    The interpreter, the JIT and the trace tier keep what they build
+    from a function on it (``_generated``, made by
+    :func:`repro.interp.interpreter.function_code`: the interpreter's
+    block plans and call sites, the JIT's code, the trace builds) and
+    share it between runners, so **a function must not be changed once
+    it has run** under any of them.  In-repo producers keep this: every
+    pass runs before a module is first executed, and the loaders hand
+    out only fully decoded bodies.  Code that must change a function
+    after it ran has to ``del function._generated``, which drops all of
+    it, and use fresh runners.
     """
 
     def __init__(self, method: MethodInfo, class_info: ClassInfo):

@@ -1,9 +1,11 @@
-"""Generated code shared across runners.
+"""Generated code and block plans shared across runners.
 
-The JIT and the trace tier build a function's code once and keep it on
-the ``Function``; every ``JitCompiler`` and ``TracingInterpreter`` only
-links it.  These tests pin what must stay per runner (runtime, step
-budget, step-limit message), that concurrent runners building the same
+The interpreter, the JIT and the trace tier build what a function
+alone determines once and keep it on the ``Function``; every
+``Interpreter`` and ``TracingInterpreter`` runs the same block plans,
+and every ``JitCompiler`` and trace only links the generated code.
+These tests pin what must stay per runner (runtime, step budget,
+step-limit message), that concurrent runners building the same
 function at once still agree with the serial interpreter, and that the
 shared code is freed with its module.
 """
@@ -34,8 +36,8 @@ def loaded(source):
 
 
 def live_traces(interp):
-    return [hs.trace for hs in interp.traces.header_states.values()
-            if hs.trace is not None]
+    return [hs.trace for state in interp.traces._states.values()
+            for hs in state.headers.values() if hs.trace is not None]
 
 
 COUNTER_SOURCE = """
@@ -177,6 +179,48 @@ def test_concurrent_runners_match_the_serial_interpreter():
             assert outcome == expected[0]
         else:
             assert outcome == expected
+
+
+def test_concurrent_first_runs_match_a_serial_run():
+    """Two threads of fresh interpreters over one module that has never
+    run race to build its plans, call sites and traces; every run still
+    matches a serial run of an identical module."""
+    reference = Interpreter(loaded(WORK_SOURCE))
+    result = reference.run_main("Work")
+    expected = (result.stdout, reference.steps,
+                dict(reference.check_counts))
+    module = loaded(WORK_SOURCE)
+    cache = TraceCache()
+    barrier = threading.Barrier(2)
+    observed, errors = [], []
+
+    def run(index):
+        try:
+            barrier.wait(timeout=30)
+            for rep in range(4):
+                interp = TracingInterpreter(
+                    module, threshold=THRESHOLD, trace_cache=cache) \
+                    if (index + rep) % 2 else Interpreter(module)
+                stdout = interp.run_main("Work").stdout
+                observed.append((stdout, interp.steps,
+                                 dict(interp.check_counts)))
+        except Exception as error:  # reported below, with its thread
+            errors.append((index, error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert observed == [expected] * 8
 
 
 def test_generated_code_is_freed_with_its_module():

@@ -1,14 +1,17 @@
 """Interpreter-level tests: frames, dispatch, dynamic check counting,
-step limits, direct function invocation, and the ops each interpreter
-binds once per block plan."""
+step limits, direct function invocation, and the block plans bound once
+per loaded function and shared by every interpreter over it."""
 
 import pytest
 
 from repro.api import compile_source
+from repro.cache import TraceCache
+from repro.interp import interpreter
 from repro.interp.heap import JStr
 from repro.interp.interpreter import Interpreter, StepLimitExceeded
 from repro.interp.jit import JitCompiler
 from repro.interp.trace import TracingInterpreter
+from repro.ssa import ir
 from tests.conftest import main_wrap
 
 
@@ -182,32 +185,82 @@ class TestBoundCallSites:
         expected = _bytecode_stdout(DISPATCH_SOURCE, "Main")
         assert expected.splitlines()[0] == "40"
         resolved = []
-        resolve = Interpreter._resolve_virtual
+        resolve = interpreter._resolve_virtual
 
-        def recording(self, receiver, method):
+        def recording(world, receiver, method):
             cls = "java.lang.String" if isinstance(receiver, JStr) \
                 else receiver.class_info.name
-            resolved.append((id(self), method.name, cls))
-            return resolve(self, receiver, method)
+            resolved.append((method.name, cls))
+            return resolve(world, receiver, method)
 
-        monkeypatch.setattr(Interpreter, "_resolve_virtual", recording)
+        monkeypatch.setattr(interpreter, "_resolve_virtual", recording)
         for _ in range(2):  # fresh runners over one module
-            for runner in (Interpreter(module),
-                           TracingInterpreter(module, threshold=2),
+            for runner in (TracingInterpreter(module, threshold=2,
+                                              trace_cache=TraceCache()),
+                           Interpreter(module),
                            JitCompiler(module)):
                 result = runner.run_main("Main")
                 assert result.exception is None
                 assert result.stdout == expected
-        interpreters = {key for key, _name, _cls in resolved}
-        assert len(interpreters) == 4
-        for key in interpreters:
-            area = [cls for k, name, cls in resolved
-                    if k == key and name == "area"]
-            # one site, eight calls: one resolution per receiver class
-            assert sorted(area) == ["Rect", "Shape", "Square", "Tri"]
-            shown = {cls for k, name, cls in resolved
-                     if k == key and name == "toString"}
-            assert {"java.lang.String", "Square", "Tri"} <= shown
+        # one site, eight calls per run, four interpreters: one
+        # resolution per receiver class for the loaded module
+        area = [cls for name, cls in resolved if name == "area"]
+        assert sorted(area) == ["Rect", "Shape", "Square", "Tri"]
+        shown = [cls for name, cls in resolved if name == "toString"]
+        assert sorted(shown) == ["Rect", "Shape", "Square", "Tri",
+                                 "java.lang.String"]
+
+
+@pytest.fixture
+def built_plans(monkeypatch):
+    """Every block plan built while the test runs, as its arguments."""
+    built = []
+    init = interpreter._BlockPlan.__init__
+
+    def counting(plan, *args):
+        built.append(args)
+        init(plan, *args)
+
+    monkeypatch.setattr(interpreter._BlockPlan, "__init__", counting)
+    return built
+
+
+class TestSharedPlans:
+    @pytest.mark.parametrize("first", [Interpreter, TracingInterpreter])
+    def test_a_second_fresh_runner_builds_no_plan(self, built_plans, first):
+        module = compile_source(DISPATCH_SOURCE)
+        expected = first(module).run_main("Main").stdout
+        count = len(built_plans)
+        assert count
+        for runner in (Interpreter(module),
+                       TracingInterpreter(module, threshold=2,
+                                          trace_cache=TraceCache())):
+            assert runner.run_main("Main").stdout == expected
+        assert len(built_plans) == count
+
+    def test_dropping_the_memo_rebinds_a_changed_function(self,
+                                                          built_plans):
+        module = compile_source("""
+class Main {
+    static int answer() { return 41; }
+    static void main() { System.out.println(answer()); }
+}
+""")
+        assert Interpreter(module).run_main("Main").stdout == "41\n"
+        assert JitCompiler(module).run_main("Main").stdout == "41\n"
+        # a pass changes a function that has run
+        answer = module.function_named("Main", "answer")
+        (const,) = [instr for block in answer.blocks
+                    for instr in block.instrs
+                    if isinstance(instr, ir.Const) and instr.value == 41]
+        const.value = 42
+        del answer._generated
+        built_plans.clear()
+        assert Interpreter(module).run_main("Main").stdout == "42\n"
+        assert built_plans, "the changed function was not rebound"
+        assert TracingInterpreter(module, trace_cache=TraceCache()) \
+            .run_main("Main").stdout == "42\n"
+        assert JitCompiler(module).run_main("Main").stdout == "42\n"
 
 
 class TestRunnerIsolation:
@@ -237,3 +290,20 @@ class Counter {
                                       for kind, count in once.items()}
         assert second.run_main().stdout == "run 1 1\nrun 2 2\n"
         assert second.steps == first.steps
+
+    def test_an_interpreter_and_a_tracing_interpreter_keep_their_own_state(
+            self):
+        module = compile_source(self.SOURCE)
+        plain = Interpreter(module)
+        traced = TracingInterpreter(module, threshold=1,
+                                    trace_cache=TraceCache())
+        for run in (1, 2, 3):
+            for runner in (plain, traced):
+                stdout = runner.run_main().stdout
+                assert stdout == "".join(f"run {n} {n}\n"
+                                         for n in range(1, run + 1))
+                assert runner.runtime.statics[("Counter", "runs")] == run
+            assert plain.steps == traced.steps
+            assert plain.check_counts == traced.check_counts
+            assert plain.check_counts["idxcheck"] == 4 * run
+        assert traced.trace_stats()["entries"] > 0

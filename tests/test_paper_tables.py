@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.api import compile_source
-from repro.bench import metrics
+from repro.bench import metrics, tables
 from repro.bench.corpus import corpus_source
 from repro.driver import PassManager
 from repro.encode.common import MAGIC
@@ -240,7 +240,12 @@ class TestExtensions:
 def test_jit_beats_the_interpreter():
     """E9: SafeTSA arrives ready for code generation."""
     rows = metrics.jit_speeds(repeats=1)
-    assert sum(row[3] for row in rows) < sum(row[1] for row in rows)
+    assert [row[0] for row in rows] == list(metrics.JIT_PROGRAMS)
+    # interpreter cold and warm, JIT cold and warm
+    assert all(len(row) == 5 and min(row[1:]) > 0 for row in rows)
+    assert "interp warm" in tables.jitspeed_table(rows)
+    # warm against warm: fresh runners on a module that has run
+    assert sum(row[4] for row in rows) < sum(row[2] for row in rows)
 
 
 @pytest.mark.slow
