@@ -36,18 +36,22 @@ bench-%:
 	$(PYTHON) -m repro.bench.runner $* --smoke
 
 # End-to-end benchmark smoke: three seconds of each perfbench workload
-# at seed 1, untraced.  perfbench/run.py exits 0 even when an output
-# check failed, so this fails unless each run's last stdout line (the
-# result object) says "correct": true.
+# at seed 1, untraced and then traced (--trace 1: per-layer spans and
+# counters).  perfbench/run.py exits 0 even when an output check
+# failed, so this fails unless each run's last stdout line (the result
+# object) says "correct": true.  A traced run's checks include the
+# per-layer ones: traced `request` is incorrect when its spans cover
+# less than 95% of wall time (E0's per-layer budget), and traced
+# `execute` times every (program, tier) cell.
 perfbench-smoke:
-	@set -e; for workload in request execute serve; do \
-		echo "== perfbench $$workload"; \
+	@set -e; for trace in 0 1; do for workload in request execute serve; do \
+		echo "== perfbench $$workload --trace $$trace"; \
 		result=$$($(PYTHON) perfbench/run.py --workload $$workload \
-			--seed 1 --seconds 3 --trace 0 | tail -n 1); \
+			--seed 1 --seconds 3 --trace $$trace | tail -n 1); \
 		echo "$$result"; \
 		echo "$$result" | $(PYTHON) -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
-			|| { echo "perfbench $$workload: outputs incorrect" >&2; exit 1; }; \
-	done
+			|| { echo "perfbench $$workload --trace $$trace: outputs incorrect" >&2; exit 1; }; \
+	done; done
 
 # Deterministic fuzzing smoke: differential oracle over generated
 # programs + wire-stream mutation under a fixed seed (~30 s); writes

@@ -9,6 +9,11 @@ unoptimised and optimised) this benchmark times:
 * **fused cold**  one ``load_module``: decode-with-checks plus the
   residual rule sweep (every load is cold)
 
+Each row keeps both times as best-of (``two_pass_ms``,
+``fused_cold_ms``; the totals and the guard read these) and, under
+``spread``, perfbench's ``{n, median, min, iqr}`` record of each one's
+samples.
+
 Every timed load also re-encodes once (outside the timer) and must be
 bit-identical to the input -- a benchmark that loads the wrong module
 measures nothing.  The report lands in ``BENCH_load.json``; the perf
@@ -18,7 +23,7 @@ guard in CI fails if the fused cold path stops beating two-pass.
 from __future__ import annotations
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.bench.metrics import bench_repeats, best_of
+from repro.bench.metrics import bench_repeats, samples, spread
 from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
@@ -63,18 +68,20 @@ def load_report(programs=None, repeats=None) -> dict:
         module = load_module(wire)
         _check_identical(wire, module, label)
 
+        spreads = {"two_pass_ms": spread(samples(two_pass, repeats), 1000),
+                   "fused_cold_ms": spread(samples(fused_cold, repeats),
+                                           1000)}
         row = {
             "program": name,
             "optimized": optimize,
             "wire_bytes": len(wire),
             "functions": len(module.functions),
-            "two_pass_ms": best_of(two_pass, repeats) * 1000,
-            "fused_cold_ms": best_of(fused_cold, repeats) * 1000,
+            **{key: record["min"] for key, record in spreads.items()},
         }
         for key in totals:
             totals[key] += row[f"{key}_ms"]
-        rows.append({key: round(value, 4) if isinstance(value, float)
-                     else value for key, value in row.items()})
+        rows.append({**_rounded(row), "spread": {
+            key: _rounded(record) for key, record in spreads.items()}})
 
     fused = totals["fused_cold"]
     report = {
@@ -97,21 +104,33 @@ def load_report(programs=None, repeats=None) -> dict:
     return report
 
 
+def _rounded(record: dict) -> dict:
+    return {key: round(value, 4) if isinstance(value, float) else value
+            for key, value in record.items()}
+
+
 def load_table(report: dict) -> str:
-    """Fixed-width rendering of a :func:`load_report` (RESULTS.txt)."""
+    """Fixed-width rendering of a :func:`load_report` (RESULTS.txt):
+    each time's best-of (min), median and IQR in ms."""
+    width = 20 + 8 + 2 * 25
     lines = [
-        f"{'Artifact':20} {'bytes':>7} {'2pass':>8} {'fused':>8}",
-        "-" * 46,
+        f"{'':28}" + "".join(f" {label:-^24}" for label in
+                             (" two-pass ", " fused ")),
+        f"{'Artifact':20} {'bytes':>7}"
+        + " {:>8}{:>8}{:>8}".format("min", "median", "iqr") * 2,
+        "-" * width,
     ]
     for row in report["rows"]:
         label = row["program"] + ("+opt" if row["optimized"] else "")
-        lines.append(
-            f"{label:20} {row['wire_bytes']:>7} "
-            f"{row['two_pass_ms']:>8.2f} {row['fused_cold_ms']:>8.2f}")
+        cells = "".join(f" {record['min']:8.2f}{record['median']:8.2f}"
+                        f"{record['iqr']:8.2f}" for record in
+                        (row["spread"]["two_pass_ms"],
+                         row["spread"]["fused_cold_ms"]))
+        lines.append(f"{label:20} {row['wire_bytes']:>7}{cells}")
     totals = report["totals_ms"]
-    lines.append("-" * 46)
+    lines.append("-" * width)
     lines.append(
-        f"{'TOTAL (ms)':20} {'':>7} {totals['two_pass']:>8.2f} "
+        f"{'TOTAL (ms)':20} {'':>7} {totals['two_pass']:>8.2f}{'':16} "
         f"{totals['fused_cold']:>8.2f}")
     lines.append("")
     lines.append(f"fused vs two-pass: "

@@ -18,6 +18,7 @@ so the runner renders them and the tests assert over the same numbers.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 import zlib
 from typing import Optional
@@ -166,23 +167,40 @@ def bench_repeats(repeats: Optional[int] = None) -> int:
     return max(repeats, 1)
 
 
-def best_of(fn, repeats: Optional[int] = None, warmup: int = 1,
-            setup=None) -> float:
-    """Minimum wall-clock seconds of ``fn()`` over ``repeats`` runs,
-    after ``warmup`` untimed runs: the estimator for "time the code
-    would take undisturbed", where one sample is at the mercy of
-    whatever else the machine was doing.  With ``setup``, every run is
+def samples(fn, repeats: Optional[int] = None, warmup: int = 1,
+            setup=None) -> list[float]:
+    """Wall-clock seconds of ``fn()`` in each of ``repeats`` runs, after
+    ``warmup`` untimed runs.  With ``setup``, every run is
     ``fn(setup())`` and ``setup`` runs off the clock.  ``fn``'s return
     value is discarded; capture it via a closure if it is needed."""
-    best = float("inf")
+    timed = []
     for run in range(warmup + bench_repeats(repeats)):
         args = () if setup is None else (setup(),)
         start = time.perf_counter()
         fn(*args)
         elapsed = time.perf_counter() - start
-        if run >= warmup and elapsed < best:
-            best = elapsed
-    return best
+        if run >= warmup:
+            timed.append(elapsed)
+    return timed
+
+
+def best_of(fn, repeats: Optional[int] = None, warmup: int = 1,
+            setup=None) -> float:
+    """The minimum of :func:`samples`: the estimator for "time the code
+    would take undisturbed", where one sample is at the mercy of
+    whatever else the machine was doing."""
+    return min(samples(fn, repeats, warmup, setup))
+
+
+def spread(values, scale: float = 1.0) -> dict:
+    """perfbench's per-metric record of ``values`` (each times
+    ``scale``): ``n``, ``median``, ``min`` and ``iqr``, the distance
+    between the quartiles interpolated between closest ranks."""
+    values = sorted(value * scale for value in values)
+    quartiles = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else values * 3
+    return {"n": len(values), "median": statistics.median(values),
+            "min": values[0], "iqr": quartiles[2] - quartiles[0]}
 
 
 def _bytecode(source: str):
@@ -231,7 +249,9 @@ def ablation_counts(programs=None, *, cache=None) -> list:
 
 def verify_costs(programs=None, *, cache=None, repeats=None) -> list:
     """E5: ``(program, SafeTSA verify ms, JVM verify ms, JVM dataflow
-    steps)`` per program."""
+    steps, spread)`` per program.  The two times are best-of; ``spread``
+    holds each one's :func:`spread` in ms under ``"tsa_ms"`` and
+    ``"jvm_ms"``."""
     from repro.jvm.verifier import verify_class
     rows = []
     for name in programs or CORPUS_PROGRAMS:
@@ -239,11 +259,12 @@ def verify_costs(programs=None, *, cache=None, repeats=None) -> list:
         module = CompilationSession(cache=cache).compile(source)
         world, classes = _bytecode(source)
         steps: list = []
-        tsa_ms = best_of(lambda: verify_module(module), repeats) * 1000
-        jvm_ms = best_of(lambda: steps.append(
+        tsa = spread(samples(lambda: verify_module(module), repeats), 1000)
+        jvm = spread(samples(lambda: steps.append(
             sum(verify_class(world, cls) for cls in classes)),
-            repeats) * 1000
-        rows.append((name, tsa_ms, jvm_ms, steps[-1]))
+            repeats), 1000)
+        rows.append((name, tsa["min"], jvm["min"], steps[-1],
+                     {"tsa_ms": tsa, "jvm_ms": jvm}))
     return rows
 
 

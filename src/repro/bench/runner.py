@@ -18,9 +18,11 @@ name for the list.
 Without ``--output`` a full run writes ``BENCH_<name>.json`` in the
 working directory and a smoke run writes
 ``bench-smoke/BENCH_<name>.json``, so a smoke run never replaces a
-committed full run.  Timed sections run best-of-N after a warmup
-(:func:`repro.bench.metrics.best_of`; ``REPRO_BENCH_REPEATS`` sets N,
-default 3).
+committed full run.  Timed sections run N times after a warmup
+(:func:`repro.bench.metrics.samples`; ``REPRO_BENCH_REPEATS`` sets N,
+default 3) and report the best of them; E5 and E10 also report
+perfbench's ``{n, median, min, iqr}`` record of the N
+(:func:`repro.bench.metrics.spread`).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ Every mutated stream must fall into one of exactly two buckets:
   its stable ``DEC-*`` code) or
   :class:`~repro.tsa.verifier.VerifyError` (``STSA-*``), or
 * **equivalent** -- the stream decodes to a module that verifies,
-  executes without host-level errors, and behaves identically after a
-  further encode/decode round trip.
+  executes without host-level errors, behaves identically under the
+  interpreter, the trace tier and the JIT, and behaves identically
+  after a further encode/decode round trip.
 
 Anything else -- ``IndexError``, ``KeyError``, ``struct.error``,
 ``RecursionError``, an interpreter invariant violation on a module the
@@ -34,6 +35,9 @@ EXEC_MAX_STEPS = 20_000
 #: array-allocation cap for accepted mutants (a mutated length constant
 #: must not make the harness swap)
 EXEC_MAX_ARRAY = 1 << 16
+#: back-edge arrivals before the trace tier records a mutant's loop: low,
+#: so that short bounded runs still enter traces
+EXEC_TRACE_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -235,15 +239,80 @@ def _default_args(method) -> Optional[list]:
     return args
 
 
-def _execute(module, max_steps: int):
-    """Run the first runnable static method body; returns the
-    ExecutionResult or None when the module has nothing to run."""
-    from repro.interp.interpreter import Interpreter
-    interp = Interpreter(module, max_steps=max_steps)
-    interp.max_array_length = EXEC_MAX_ARRAY
+def _entry(module) -> Optional[tuple]:
+    """The first runnable static method body with its arguments, or
+    None when the module has nothing to run."""
     for method, function in module.functions.items():
         if method.is_static and method.name != "<clinit>":
-            return interp.run_function(function, _default_args(method))
+            return function, _default_args(method)
+    return None
+
+
+def _observe(runner, entry: tuple) -> tuple:
+    """Run ``entry`` on ``runner`` under the array cap; returns ``(end,
+    stdout, exception name, steps, check counts)``.  ``end`` is
+    ``"ran"``, ``"steps"`` or ``"allocation"`` when a bound stopped the
+    run, or ``"stackoverflow"``: ``RecursionError`` maps to Java's
+    ``StackOverflowError`` semantics, not to a finding."""
+    from repro.interp.interpreter import (
+        AllocationLimitExceeded,
+        StepLimitExceeded,
+    )
+    runner.max_array_length = EXEC_MAX_ARRAY
+    end, exception = "ran", None
+    try:
+        exception = runner.run_function(*entry).exception_name()
+    except StepLimitExceeded:
+        end = "steps"
+    except AllocationLimitExceeded:
+        end = "allocation"
+    except RecursionError:
+        end = "stackoverflow"
+    return (end, "".join(runner.runtime.stdout), exception, runner.steps,
+            getattr(runner, "check_counts", None))
+
+
+def _behaviour(observed: Optional[tuple]) -> tuple:
+    """What two runs of equivalent modules must agree on."""
+    if observed is None:
+        return ("no-entry", None)
+    end, stdout, exception = observed[:3]
+    if end == "ran":
+        return (stdout, exception)
+    return ("stackoverflow" if end == "stackoverflow" else "bounded", None)
+
+
+def _tier_divergence(module, expected: tuple,
+                     max_steps: int) -> Optional[str]:
+    """Run the module's entry under the trace tier and, when the
+    interpreter run ``expected`` finished inside its bounds, under the
+    JIT; describe the first way either differs from the interpreter, or
+    None.
+
+    The trace tier must match on stdout, exception, steps and check
+    counts, except that a cap that fires inside a trace leaves the
+    trace's uncommitted trips uncounted (stdout still matches).  Python
+    frames per Java call differ between tiers, so a run that overflows
+    the stack is not compared.  The JIT counts no steps, so it can bound
+    no run and runs only the mutants that finished."""
+    from repro.cache import TraceCache
+    from repro.interp.jit import JitCompiler
+    from repro.interp.trace import TracingInterpreter
+    end = expected[0]
+    if end == "stackoverflow":
+        return None
+    entry = _entry(module)
+    traced = _observe(TracingInterpreter(
+        module, max_steps=max_steps, threshold=EXEC_TRACE_THRESHOLD,
+        trace_cache=TraceCache()), entry)
+    compared = 3 if end == "allocation" else 5
+    if traced[:compared] != expected[:compared]:
+        return f"trace: {traced!r} != interp {expected!r}"
+    if end != "ran":
+        return None
+    jit = _observe(JitCompiler(module), entry)
+    if jit[:3] != expected[:3]:
+        return f"jit: {jit[:3]!r} != interp {expected[:3]!r}"
     return None
 
 
@@ -254,14 +323,14 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
     ``store`` resolves v2 envelopes (the v2 mutation lane passes the
     campaign's dictionary store so honest envelopes decode and mutated
     ones must reject); the default ``None`` uses the environment store,
-    under which digest references simply reject as missing.
+    under which digest references simply reject as missing.  An
+    accepted module runs under the interpreter, the trace tier and the
+    JIT (:func:`_tier_divergence`), and again under the interpreter
+    after a further encode/decode round trip.
     """
     from repro.encode.deserializer import DecodeError, decode_module
     from repro.encode.serializer import encode_module
-    from repro.interp.interpreter import (
-        AllocationLimitExceeded,
-        StepLimitExceeded,
-    )
+    from repro.interp.interpreter import Interpreter
     from repro.tsa.verifier import VerifyError, verify_module
 
     try:
@@ -282,23 +351,29 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
         return StreamOutcome("finding", type(error).__name__,
                              f"verify: {error!r}"[:300])
 
-    def run(target_module):
-        try:
-            result = _execute(target_module, max_steps)
-        except (StepLimitExceeded, AllocationLimitExceeded):
-            return ("bounded", None)
-        except RecursionError:
-            # Java semantics for unbounded recursion: StackOverflowError
-            return ("stackoverflow", None)
-        if result is None:
-            return ("no-entry", None)
-        return (result.stdout, result.exception_name())
+    def run(target_module) -> Optional[tuple]:
+        entry = _entry(target_module)
+        if entry is None:
+            return None
+        return _observe(Interpreter(target_module, max_steps=max_steps),
+                        entry)
 
     try:
-        first = run(module)
+        observed = run(module)
     except Exception as error:
         return StreamOutcome("finding", type(error).__name__,
                              f"execute: {error!r}"[:300])
+    first = _behaviour(observed)
+
+    if observed is not None:
+        try:
+            divergence = _tier_divergence(module, observed, max_steps)
+        except Exception as error:
+            return StreamOutcome("finding", type(error).__name__,
+                                 f"tiers: {error!r}"[:300])
+        if divergence is not None:
+            return StreamOutcome("finding", "TierDivergence",
+                                 divergence[:300])
 
     # equivalence across a further round trip: re-encode, decode,
     # re-run -- behaviour must be identical
@@ -306,7 +381,7 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
         reencoded = encode_module(module)
         second_module = decode_module(reencoded)
         verify_module(second_module)
-        second = run(second_module)
+        second = _behaviour(run(second_module))
     except Exception as error:
         return StreamOutcome("finding", type(error).__name__,
                              f"reencode: {error!r}"[:300])

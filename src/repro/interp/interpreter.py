@@ -37,6 +37,14 @@ call site's resolution depends only on the module and its world, so the
 site memoizes it for every runner: a static site resolves its body or
 native on first use, a virtual site per receiver class.  This is sound
 only under the invariant stated on :class:`repro.ssa.ir.Function`.
+
+The JIT's generated functions and the trace tier's traces follow the
+same rule: they take the running runner as ``rt`` and are never linked
+per runner.  Every tier's runner is a :class:`Runner`, which holds what
+a run owns (the module's runtime, the allocation cap) and the one copy
+of the entry points (``run_main``, ``run_function``, class
+initialisation and the runtime's virtual callback); a tier supplies
+only ``call(function, args)``.
 """
 
 from __future__ import annotations
@@ -105,16 +113,18 @@ class FunctionCode:
     runners: the ``reachable_blocks()`` order and its index, the
     interpreter's block plans (``plans`` by block id, ``entry`` the
     entry block's, ``loop_free`` when no back edge enters any of them)
-    and call sites, the loop headers (set by the trace tier), the JIT
-    build and the trace builds keyed on reachable-block indices
-    (``None`` marks a path that does not compile).
+    and call sites, the loop headers (set by the trace tier), the JIT's
+    compiled function ``jit(rt, *args)`` and the trace builds keyed on
+    reachable-block indices (``None`` marks a path that does not
+    compile).
 
     A build is complete before the one store that publishes it: every
     plan is built and linked before ``entry`` is set, a call site is
-    added whole by one insert-if-absent, and the trace table is
-    replaced, never updated.  Threads racing on a function may waste a
-    build but never see half of one.  No run's state lives here: a call
-    site memoizes only what the module and its world determine."""
+    added whole by one insert-if-absent, the JIT's function is compiled
+    before it is stored, and the trace table is replaced, never
+    updated.  Threads racing on a function may waste a build but never
+    see half of one.  No run's state lives here: a call site memoizes
+    only what the module and its world determine."""
 
     __slots__ = ("blocks", "index_of", "plans", "entry", "loop_free",
                  "sites", "loops", "jit", "traces")
@@ -129,7 +139,7 @@ class FunctionCode:
         #: call instruction id -> its site's ``invoke(rt, args)``
         self.sites: dict[int, Callable] = {}
         self.loops = None
-        self.jit = None
+        self.jit: Optional[Callable] = None
         self.traces: dict = {}
 
 
@@ -184,25 +194,26 @@ def _loop_entries(entry: Block) -> set[int]:
     return entered
 
 
-class Interpreter:
-    """Executes a SafeTSA module."""
+class Runner:
+    """What every tier's runner has: the module, its own
+    :class:`~repro.interp.runtime.Runtime` (statics, stdout), the
+    allocation cap, and the entry points.  A subclass supplies
+    :meth:`call`, which runs one function on this runner; the shared
+    code of every tier (block plans, call sites, the JIT's functions,
+    traces) takes the running runner as its ``rt`` argument."""
 
-    def __init__(self, module: Module, max_steps: int = 50_000_000):
+    def __init__(self, module: Module):
         self.module = module
         self.world = module.world
         self.runtime = Runtime(module.world)
         self.runtime.invoke_virtual = self._invoke_virtual_for_runtime
-        self.max_steps = max_steps
         #: optional cap on single-array allocations; None = unlimited.
         #: The fuzz harness sets this so a mutated length constant in an
         #: otherwise valid module cannot exhaust host memory.
         self.max_array_length: Optional[int] = None
+        #: blocks executed (the JIT counts none)
         self.steps = 0
-        self.check_counts = {"nullcheck": 0, "idxcheck": 0, "upcast": 0}
         self._initialized = False
-
-    # ==================================================================
-    # entry points
 
     def run_main(self, class_name: Optional[str] = None,
                  method_name: str = "main") -> ExecutionResult:
@@ -250,6 +261,21 @@ class Interpreter:
                     function = self.module.functions.get(method)
                     if function is not None:
                         self.call(function, [])
+
+    def _invoke_virtual_for_runtime(self, receiver, method: MethodInfo):
+        resolved = _resolve_virtual(self.world, receiver, method)
+        if resolved.is_native:
+            return self.runtime.invoke_native(resolved, (receiver,))
+        return self.call(_body(self.module, resolved), (receiver,))
+
+
+class Interpreter(Runner):
+    """Executes a SafeTSA module block by block over the shared plans."""
+
+    def __init__(self, module: Module, max_steps: int = 50_000_000):
+        super().__init__(module)
+        self.max_steps = max_steps
+        self.check_counts = {"nullcheck": 0, "idxcheck": 0, "upcast": 0}
 
     # ==================================================================
     # calls
@@ -333,13 +359,6 @@ class Interpreter:
             f"B{plan.block_id} ({kind}) has {len(plan.norm)} "
             "normal successors")
 
-    def _invoke_virtual_for_runtime(self, receiver, method: MethodInfo):
-        run, target = _target(self.module,
-                              _resolve_virtual(self.world, receiver, method))
-        if run is None:
-            return self.call(target, (receiver,))
-        return run(self, target, (receiver,))
-
 
 # ----------------------------------------------------------------------
 # call sites: resolved once per loaded module, invoked through the runner
@@ -405,14 +424,20 @@ def _target(module: Module, method: MethodInfo) -> tuple:
     which runs through the runner's own ``rt.call(target, args)``."""
     if method.is_native:
         return _run_native, method
-    function = module.functions.get(method)
-    if function is None:
-        raise InterpreterError(
-            f"no body for method {method.qualified_name}")
+    function = _body(module, method)
     code = function_code(function)
     if code.entry is None:
         _build_plans(function)
     return (Interpreter.call if code.loop_free else None), function
+
+
+def _body(module: Module, method: MethodInfo) -> Function:
+    """The body of a resolved, non-native method."""
+    function = module.functions.get(method)
+    if function is None:
+        raise InterpreterError(
+            f"no body for method {method.qualified_name}")
+    return function
 
 
 def _run_native(rt, method: MethodInfo, args):
@@ -660,16 +685,20 @@ def _bind_newarray(instr: ir.NewArray):
     array_type = instr.array_type
 
     def newarray(frame, rt):
-        length = frame[src]
-        if length < 0:
-            rt.runtime.throw("java.lang.NegativeArraySizeException",
-                             str(length))
-        cap = rt.max_array_length
-        if cap is not None and length > cap:
-            raise AllocationLimitExceeded(
-                f"new array of {length} > cap {cap}")
-        frame[dst] = ArrayRef(array_type, length)
+        frame[dst] = _new_array(rt, array_type, frame[src])
     return newarray
+
+
+def _new_array(rt, array_type, length: int) -> ArrayRef:
+    """``new T[length]`` on the runner ``rt``, under its allocation cap
+    (every tier allocates arrays here)."""
+    if length < 0:
+        rt.runtime.throw("java.lang.NegativeArraySizeException",
+                         str(length))
+    cap = rt.max_array_length
+    if cap is not None and length > cap:
+        raise AllocationLimitExceeded(f"new array of {length} > cap {cap}")
+    return ArrayRef(array_type, length)
 
 
 def _bind_instanceof(instr: ir.InstanceOf):

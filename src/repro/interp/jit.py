@@ -20,43 +20,57 @@ translation consumes the SSA directly:
 Semantically the JIT is bit-for-bit equivalent to
 :class:`repro.interp.interpreter.Interpreter` (tested differentially);
 operationally it is several times faster, which stands in for the
-paper's "competitive runtime system" claim.
+paper's "competitive runtime system" claim.  It counts no steps and no
+checks.  Where a module's shape makes the interpreter fail -- an
+``unreachable`` leaf, a block without a terminator or with the wrong
+successors, a phi edge missing from the predecessor list, an unknown
+instruction, a missing body, the allocation cap -- the JIT raises the
+same :class:`~repro.interp.interpreter.InterpreterError` with the same
+message, when the interpreter would: generated code raises it where
+the run reaches the block.
 
 Translation depends only on the function, so it happens once per
-loaded function: the source is emitted and compiled on first use and
-kept in the function's
-:class:`~repro.interp.interpreter.FunctionCode` memo, beside the
-interpreter's block plans and the trace tier's builds.  Each
-:class:`JitCompiler` links that code (:meth:`GeneratedCode.link`) to
-its own runtime, call-site dispatch tables and throwing helpers, so a
-fresh compiler over an already-run module pays no translation.  This
-is sound only under the invariant stated on
+loaded function: on first use the source is emitted and compiled into
+one Python function ``fn(rt, *args)``, kept in the function's
+:class:`~repro.interp.interpreter.FunctionCode` memo beside the
+interpreter's block plans and the trace tier's builds.  Like the
+interpreter's ops, the code takes the running runner as ``rt``:
+whatever a run owns -- its runtime (statics, stdout, throwing), world
+and allocation cap -- reaches the code through ``rt``, and everything
+else is a constant of the code.  A call site is made once per call
+instruction when its caller is translated; it reaches the callee's
+code through the callee's memo on every call, so a fresh
+:class:`JitCompiler` over a module that has run translates, compiles
+and links nothing.  This is sound only under the invariant stated on
 :class:`repro.ssa.ir.Function`.
+
+No wire text enters generated source except through ``repr`` or as a
+bound constant: strings, floats, fields, types and messages that name
+a method are constants of the code, and :func:`compile_generated`
+writes the function's name into the filename through ``repr`` (a
+wire-supplied name may hold a NUL, which ``compile`` refuses).
 """
 
 from __future__ import annotations
 
-from types import FunctionType
-from typing import Callable, Optional
+from typing import Sequence
 
-from repro import jmath
 from repro.interp.heap import (
-    ArrayRef,
     JavaError,
     JStr,
     ObjectRef,
-    runtime_class,
     value_instanceof,
 )
-from repro.interp.interpreter import ExecutionResult, function_code
-from repro.interp.runtime import Runtime
+from repro.interp.interpreter import (
+    InterpreterError,
+    Runner,
+    _body,
+    _new_array,
+    _resolve_virtual,
+    function_code,
+)
 from repro.ssa import ir
-from repro.ssa.ir import Block, Function, Module
-from repro.typesys.world import MethodInfo
-
-
-class JitError(Exception):
-    """Translation failure (invalid module or unsupported shape)."""
+from repro.ssa.ir import Block, Function
 
 
 class _Emitter:
@@ -73,190 +87,54 @@ class _Emitter:
         return "\n".join(self.lines)
 
 
-class JitCompiler:
-    """Runs a module's functions as generated Python callables, linking
-    each function's shared code to this compiler's runtime on demand."""
+class JitCompiler(Runner):
+    """Runs a module's functions as generated Python functions, each
+    translated once per loaded function and shared by every runner."""
 
-    def __init__(self, module: Module):
-        self.module = module
-        self.world = module.world
-        self.runtime = Runtime(module.world)
-        self.runtime.invoke_virtual = self._invoke_virtual_for_runtime
-        self._compiled: dict[int, Callable] = {}
-        self._initialized = False
+    def call(self, function: Function, args: Sequence):
+        return _jit_code(function)(self, *args)
 
-    # ------------------------------------------------------------------
-    # public API (mirrors the interpreter)
 
-    def run_main(self, class_name: Optional[str] = None,
-                 method_name: str = "main") -> ExecutionResult:
-        target = None
-        # key-only iteration: a streamed module may still lack bodies
-        for method in self.module.functions:
-            if method.name != method_name or not method.is_static:
-                continue
-            if class_name is not None and \
-                    method.declaring.name.split(".")[-1] != \
-                    class_name.split(".")[-1]:
-                continue
-            target = self.module.functions[method]
-            break
-        if target is None:
-            raise JitError(f"no static {method_name} found")
-        args = [None] if target.method.param_types else []
-        return self.run_function(target, args)
-
-    def run_function(self, function: Function,
-                     args: list) -> ExecutionResult:
-        self._ensure_initialized()
-        compiled = self.get(function)
-        exception = None
-        value = None
-        try:
-            value = compiled(*args)
-        except JavaError as error:
-            exception = error.value
-        return ExecutionResult(value, exception,
-                               "".join(self.runtime.stdout), 0)
-
-    def _ensure_initialized(self) -> None:
-        if self._initialized:
-            return
-        self._initialized = True
-        for info in self.module.classes:
-            for method in info.methods:
-                if method.name == "<clinit>":
-                    function = self.module.functions.get(method)
-                    if function is not None:
-                        self.get(function)()
-
-    # ------------------------------------------------------------------
-    # compilation
-
-    def get(self, function: Function) -> Callable:
-        linked = self._compiled.get(id(function))
-        if linked is None:
-            code = function_code(function)
-            generated = code.jit
-            if generated is None:
-                generated = code.jit = _translate(function)
-            linked = self._compiled[id(function)] = generated.link(self)
-        return linked
-
-    def _invoker(self, call: ir.Call) -> Callable:
-        """A call-site closure: static binding resolves once, virtual
-        dispatch memoizes per runtime class."""
-        method = call.method
-        if not call.dispatch:
-            return self._static_invoker(method)
-        table: dict[int, Callable] = {}
-        resolve = self._resolve_virtual
-        static_invoker = self._static_invoker
-
-        def invoke_virtual(*args):
-            receiver = args[0]
-            key = id(receiver.__class__) if not isinstance(
-                receiver, ObjectRef) else id(receiver.class_info)
-            target = table.get(key)
-            if target is None:
-                resolved = resolve(receiver, method)
-                target = static_invoker(resolved)
-                table[key] = target
-            return target(*args)
-        return invoke_virtual
-
-    def _static_invoker(self, method: MethodInfo) -> Callable:
-        if method.is_native:
-            runtime = self.runtime
-
-            def invoke_native(*args):
-                return runtime.invoke_native(method, list(args))
-            return invoke_native
-        function = self.module.functions.get(method)
-        if function is None:
-            raise JitError(f"no body for {method.qualified_name}")
-        cell: list = []
-        get = self.get
-
-        def invoke(*args):
-            if not cell:
-                cell.append(get(function))
-            return cell[0](*args)
-        return invoke
-
-    def _resolve_virtual(self, receiver, method: MethodInfo) -> MethodInfo:
-        cls = runtime_class(self.world, receiver)
-        if cls is None:
-            raise JitError("virtual dispatch on a non-object")
-        if 0 <= method.vtable_slot < len(cls.vtable):
-            resolved = cls.vtable[method.vtable_slot]
-            if resolved.signature == method.signature:
-                return resolved
-        for candidate in cls.methods_named(method.name):
-            if candidate.signature == method.signature:
-                return candidate
-        return method
-
-    def _invoke_virtual_for_runtime(self, receiver, method: MethodInfo):
-        resolved = self._resolve_virtual(receiver, method)
-        return self._static_invoker(resolved)(receiver)
+def _jit_code(function: Function):
+    """The function's generated code, translated on first use."""
+    code = function_code(function)
+    jit = code.jit
+    if jit is None:
+        jit = code.jit = _translate(function)
+    return jit
 
 
 # ----------------------------------------------------------------------
 # translation: once per function, kept in its FunctionCode and shared by
 # every runner
 
-class GeneratedCode:
-    """One generated Python function: compiled once, linked per runner.
-
-    ``constants`` are the globals every runner shares (interned
-    strings, fold functions, field and class infos); ``slots`` are
-    ``(name, make, arg)`` triples that :meth:`link` binds to
-    ``make(runner, arg)``, so anything holding runner state is created
-    for each runner.  Raises ``SyntaxError`` on bad source.
-    """
-
-    __slots__ = ("code", "constants", "slots")
-
-    def __init__(self, source: str, filename: str, name: str,
-                 constants: dict, slots: tuple):
-        env = dict(constants)
-        exec(compile(source, filename, "exec"), env)
-        self.code = env.pop(name).__code__
-        self.constants = env  # exec added __builtins__
-        self.slots = slots
-
-    def link(self, runner) -> Callable:
-        env = dict(self.constants)
-        for name, make, arg in self.slots:
-            env[name] = make(runner, arg)
-        return FunctionType(self.code, env)
+def compile_generated(source: str, tier: str, function: Function,
+                      env: dict):
+    """Compile ``source``, which defines ``_<tier>``, with ``env`` as
+    its globals, and return that function.  The filename names the
+    function through ``repr``: a wire-supplied name may hold a NUL,
+    which ``compile`` refuses in a filename."""
+    exec(compile(source, f"<{tier}:{function.name!r}>", "exec"), env)
+    return env.pop(f"_{tier}")
 
 
-def _translate(function: Function) -> GeneratedCode:
-    env: dict = {"_JavaError": JavaError}
+def _translate(function: Function):
     emitter = _Emitter()
-    translator = _FunctionTranslator(function, env, emitter)
+    translator = _FunctionTranslator(function, emitter)
     translator.translate("_jit")
-    source = emitter.source()
-    try:
-        return GeneratedCode(source, f"<jit:{function.name}>", "_jit", env,
-                             tuple(translator.slots))
-    except SyntaxError as error:  # pragma: no cover - translator bug
-        raise JitError(f"generated bad code for {function.name}: "
-                       f"{error}\n{source}") from None
+    return compile_generated(emitter.source(), "jit", function,
+                             translator.env)
 
 
 class _FunctionTranslator:
-    """Emits one function's code.  Values every runner shares become
-    constants (:meth:`bind`); values that hold runner state become
-    link slots (:meth:`link`), bound by :meth:`GeneratedCode.link`."""
+    """Emits one function's code.  The code reads the running runner
+    as ``rt``; every other value it needs is a constant shared by every
+    runner (:meth:`bind`)."""
 
-    def __init__(self, function: Function, env: dict, emitter: _Emitter):
+    def __init__(self, function: Function, emitter: _Emitter):
         self.function = function
-        self.env = env
+        self.env = dict(_GLOBALS)
         self.out = emitter
-        self.slots: list[tuple] = []
         self._names: dict = {}
 
     def bind(self, value) -> str:
@@ -267,27 +145,24 @@ class _FunctionTranslator:
             self.env[name] = value
         return name
 
-    def link(self, make: Callable, arg=None) -> str:
-        """A global each runner binds to ``make(runner, arg)``."""
-        key = (make, id(arg))
-        name = self._names.get(key)
-        if name is None:
-            name = self._names[key] = f"_r{len(self._names) + 1}"
-            self.slots.append((name, make, arg))
-        return name
-
-    # -- helpers bound once per function -----------------------------------
+    def fail(self, message: str) -> None:
+        """Code that raises the interpreter's error for ``message``."""
+        self.out.emit(f"raise _IE({self.bind(message)})")
 
     def translate(self, name: str) -> None:
         function = self.function
         method = function.method
         arity = len(method.param_types) + (0 if method.is_static else 1)
-        params = ", ".join(f"a{i}" for i in range(arity))
-        self.out.emit(f"def {name}({params}):")
+        params = "".join(f", a{i}" for i in range(arity))
+        self.out.emit(f"def {name}(rt{params}):")
         self.out.indent += 1
         reachable = function_code(function).blocks
         if not reachable:
             self.out.emit("return None")
+            self.out.indent -= 1
+            return
+        if function.entry.phis:
+            self.fail(f"phis in entry block B{function.entry.id}")
             self.out.indent -= 1
             return
         for param in function.params:
@@ -296,38 +171,32 @@ class _FunctionTranslator:
         self.out.emit(f"_b = {function.entry.id}")
         self.out.emit("while True:")
         self.out.indent += 1
-        for index, block in enumerate(reachable):
-            keyword = "if" if index == 0 else "elif"
-            self.out.emit(f"{keyword} _b == {block.id}:")
+        # one flat `if` per block (every block ends in a jump, a return
+        # or a raise): an `elif` chain nests, and compile() overflows
+        # its recursion limit on a few thousand blocks
+        for block in reachable:
+            self.out.emit(f"if _b == {block.id}:")
             self.out.indent += 1
             self._translate_block(block)
             self.out.indent -= 1
-        self.out.emit("else:")
-        self.out.indent += 1
-        self.out.emit("raise RuntimeError('jit: bad block id')")
         self.out.indent -= 2
-        self.out.indent -= 1
-
-    def _phi_copies(self, source: Block, target: Block, kind: str) -> str:
-        """The parallel copy for edge source->target (may be '')."""
-        if not target.phis:
-            return ""
-        index = None
-        for position, (pred, pred_kind) in enumerate(target.preds):
-            if pred is source and pred_kind == kind:
-                index = position
-                break
-        if index is None:
-            raise JitError("edge missing from predecessor list")
-        targets = ", ".join(f"v{phi.id}" for phi in target.phis)
-        values = ", ".join(f"v{phi.operands[index].id}"
-                           for phi in target.phis)
-        return f"{targets} = {values}"
 
     def _jump(self, source: Block, target: Block, kind: str = "norm") -> None:
-        copies = self._phi_copies(source, target, kind)
-        if copies:
-            self.out.emit(copies)
+        """Take the edge source->target: its parallel phi copy, if any,
+        then the jump."""
+        if target.phis:
+            index = None
+            for position, (pred, pred_kind) in enumerate(target.preds):
+                if pred is source and pred_kind == kind:
+                    index = position
+                    break
+            if index is None:
+                self.fail(f"edge B{source.id}->B{target.id} not in pred list")
+                return
+            targets = ", ".join(f"v{phi.id}" for phi in target.phis)
+            values = ", ".join(f"v{phi.operands[index].id}"
+                               for phi in target.phis)
+            self.out.emit(f"{targets} = {values}")
         self.out.emit(f"_b = {target.id}")
         self.out.emit("continue")
 
@@ -355,7 +224,8 @@ class _FunctionTranslator:
     def _translate_term(self, block: Block, exc_target) -> None:
         term = block.term
         if term is None:
-            raise JitError(f"B{block.id} lacks a terminator")
+            self.fail(f"block B{block.id} has no terminator")
+            return
         if term.kind == "return":
             value = f"v{term.value.id}" if term.value is not None else "None"
             self.out.emit(f"return {value}")
@@ -368,31 +238,28 @@ class _FunctionTranslator:
                 self.out.emit(f"raise _JavaError(v{term.value.id})")
             return
         if term.kind == "unreachable":
-            self.out.emit("raise RuntimeError('jit: unreachable')")
+            self.fail("reached unreachable terminator in "
+                      f"{self.function.name}")
             return
         normal = block.normal_succs()
-        if term.kind == "branch":
-            if len(normal) != 2:
-                raise JitError("branch without two successors")
+        if term.kind == "branch" and len(normal) == 2:
             self.out.emit(f"if v{term.value.id}:")
             self.out.indent += 1
             self._jump(block, normal[0])
             self.out.indent -= 1
-            self.out.emit("else:")
-            self.out.indent += 1
             self._jump(block, normal[1])
-            self.out.indent -= 1
-            return
-        if len(normal) != 1:
-            raise JitError(f"{term.kind} with {len(normal)} successors")
-        self._jump(block, normal[0])
+        elif term.kind in ("fall", "break", "continue") and len(normal) == 1:
+            self._jump(block, normal[0])
+        else:
+            self.fail(f"B{block.id} ({term.kind}) has {len(normal)} "
+                      "normal successors")
 
     # -- instructions -------------------------------------------------------
 
     def _translate_instr(self, instr: ir.Instr) -> None:
         handler = getattr(self, "_i_" + type(instr).__name__.lower(), None)
         if handler is None:
-            raise JitError(f"jit cannot translate {type(instr).__name__}")
+            raise InterpreterError(f"cannot execute {type(instr).__name__}")
         handler(instr)
 
     def _i_const(self, instr: ir.Const) -> None:
@@ -412,12 +279,11 @@ class _FunctionTranslator:
 
     def _i_prim(self, instr: ir.Prim) -> None:
         operation = instr.operation
+        fold = self.bind(operation.fold)
         args = ", ".join(f"v{op.id}" for op in instr.operands)
         if operation.traps:
-            wrapper = self.link(_trapping, operation.fold)
-            self.out.emit(f"v{instr.id} = {wrapper}({args})")
+            self.out.emit(f"v{instr.id} = _trapping(rt, {fold}, {args})")
         else:
-            fold = self.bind(operation.fold)
             self.out.emit(f"v{instr.id} = {fold}({args})")
 
     def _i_refcmp(self, instr: ir.RefCmp) -> None:
@@ -426,20 +292,19 @@ class _FunctionTranslator:
                       f"v{instr.operands[1].id}")
 
     def _i_nullcheck(self, instr: ir.NullCheck) -> None:
-        helper = self.link(_runtime)
         value = f"v{instr.operands[0].id}"
         self.out.emit(f"if {value} is None: "
-                      f"{helper}.throw('java.lang.NullPointerException')")
+                      "rt.runtime.throw('java.lang.NullPointerException')")
         self.out.emit(f"v{instr.id} = {value}")
 
     def _i_idxcheck(self, instr: ir.IdxCheck) -> None:
-        helper = self.link(_idxcheck_helper)
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.array.id}, "
+        self.out.emit(f"v{instr.id} = _idxcheck(rt, v{instr.array.id}, "
                       f"v{instr.index.id})")
 
     def _i_upcast(self, instr: ir.Upcast) -> None:
-        helper = self.link(_upcast_helper, instr.target_type)
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
+        target = self.bind(instr.target_type)
+        self.out.emit(f"v{instr.id} = _upcast(rt, v{instr.operands[0].id}, "
+                      f"{target})")
 
     def _i_downcast(self, instr: ir.Downcast) -> None:
         self.out.emit(f"v{instr.id} = v{instr.operands[0].id}")
@@ -453,14 +318,12 @@ class _FunctionTranslator:
                       f" = v{instr.operands[1].id}")
 
     def _i_getstatic(self, instr: ir.GetStatic) -> None:
-        runtime = self.link(_runtime)
         field = self.bind(instr.field)
-        self.out.emit(f"v{instr.id} = {runtime}.get_static({field})")
+        self.out.emit(f"v{instr.id} = rt.runtime.get_static({field})")
 
     def _i_setstatic(self, instr: ir.SetStatic) -> None:
-        runtime = self.link(_runtime)
         field = self.bind(instr.field)
-        self.out.emit(f"{runtime}.set_static({field}, "
+        self.out.emit(f"rt.runtime.set_static({field}, "
                       f"v{instr.operands[0].id})")
 
     def _i_getelt(self, instr: ir.GetElt) -> None:
@@ -469,8 +332,7 @@ class _FunctionTranslator:
 
     def _i_setelt(self, instr: ir.SetElt) -> None:
         if instr.array_type.element.is_reference():
-            helper = self.link(_storecheck_helper)
-            self.out.emit(f"{helper}(v{instr.operands[0].id}, "
+            self.out.emit(f"_storecheck(rt, v{instr.operands[0].id}, "
                           f"v{instr.operands[2].id})")
         self.out.emit(f"v{instr.operands[0].id}"
                       f".elements[v{instr.operands[1].id}] = "
@@ -482,104 +344,121 @@ class _FunctionTranslator:
 
     def _i_new(self, instr: ir.New) -> None:
         cls = self.bind(instr.class_info)
-        ctor = self.bind(ObjectRef)
-        self.out.emit(f"v{instr.id} = {ctor}({cls})")
+        self.out.emit(f"v{instr.id} = _ObjectRef({cls})")
 
     def _i_newarray(self, instr: ir.NewArray) -> None:
-        helper = self.link(_newarray_helper, instr.array_type)
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
+        array_type = self.bind(instr.array_type)
+        self.out.emit(f"v{instr.id} = _new_array(rt, {array_type}, "
+                      f"v{instr.operands[0].id})")
 
     def _i_instanceof(self, instr: ir.InstanceOf) -> None:
-        helper = self.link(_instanceof_helper, instr.target_type)
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
+        target = self.bind(instr.target_type)
+        self.out.emit(f"v{instr.id} = _instanceof(rt.world, "
+                      f"v{instr.operands[0].id}, {target})")
 
     def _i_call(self, instr: ir.Call) -> None:
-        invoker = self.link(_call_site, instr)
-        args = ", ".join(f"v{op.id}" for op in instr.operands)
+        site = self.bind(_call_site(instr))
+        args = "".join(f", v{op.id}" for op in instr.operands)
         target = f"v{instr.id} = " if instr.plane is not None else ""
-        self.out.emit(f"{target}{invoker}({args})")
+        self.out.emit(f"{target}{site}(rt{args})")
 
     def _i_caughtexc(self, instr: ir.CaughtExc) -> None:
         self.out.emit(f"v{instr.id} = _exc")
 
 
 # ----------------------------------------------------------------------
-# link-time helpers: each is called as make(runner, arg) once per runner,
-# where the runner is a JitCompiler or the trace tier's adapter (both
-# expose runtime and world; a trace calls the interpreter's shared call
-# sites instead of linking _call_site)
+# call sites: made once per call instruction when its caller is
+# translated, invoked as ``site(rt, *args)``
 
-def _runtime(runner, _arg):
-    return runner.runtime
+def _call_site(call: ir.Call):
+    """A static site resolves its body on first use -- not when its
+    caller is translated, since a streamed module may still lack it --
+    and a virtual site memoizes its resolution per receiver class (the
+    class info of an object, the Python class of a builtin string or
+    array).  Either reaches the body's code through the body's memo on
+    every call, and passes its arguments on as one tuple, ``rt``
+    first."""
+    method = call.method
+    if not call.dispatch:
+        if method.is_native:
+            def invoke_native(rt, *args):
+                return rt.runtime.invoke_native(method, args)
+            return invoke_native
+        body = None
 
+        def invoke(*args):
+            nonlocal body
+            if body is None:
+                body = _body(args[0].module, method)
+            try:
+                jit = body._generated.jit
+            except AttributeError:  # the memo was dropped
+                jit = None
+            return (jit or _jit_code(body))(*args)
+        return invoke
+    table: dict = {}
 
-def _call_site(runner, call: ir.Call):
-    return runner._invoker(call)
-
-
-def _trapping(runner, fold):
-    runtime = runner.runtime
-
-    def apply(*args):
+    def invoke_virtual(*args):
+        receiver = args[1]
+        key = receiver.class_info if type(receiver) is ObjectRef \
+            else type(receiver)
+        target = table.get(key)
+        if target is None:
+            rt = args[0]
+            resolved = _resolve_virtual(rt.world, receiver, method)
+            target = table[key] = resolved if resolved.is_native \
+                else _body(rt.module, resolved)
+        if type(target) is not Function:
+            return args[0].runtime.invoke_native(target, args[1:])
         try:
-            return fold(*args)
-        except ZeroDivisionError:
-            runtime.throw("java.lang.ArithmeticException", "/ by zero")
-    return apply
+            jit = target._generated.jit
+        except AttributeError:  # the memo was dropped
+            jit = None
+        return (jit or _jit_code(target))(*args)
+    return invoke_virtual
 
 
-def _idxcheck_helper(runner, _arg):
-    runtime = runner.runtime
+# ----------------------------------------------------------------------
+# helpers the generated code calls with the running runner first
 
-    def idxcheck(array, index):
-        if 0 <= index < len(array.elements):
-            return index
-        runtime.throw(
-            "java.lang.ArrayIndexOutOfBoundsException",
-            f"Index {index} out of bounds for length "
-            f"{len(array.elements)}")
-    return idxcheck
+def _trapping(rt, fold, *args):
+    try:
+        return fold(*args)
+    except ZeroDivisionError:
+        rt.runtime.throw("java.lang.ArithmeticException", "/ by zero")
 
 
-def _upcast_helper(runner, target_type):
-    world = runner.world
-    runtime = runner.runtime
-
-    def upcast(value):
-        if value is None:
-            return None
-        if not value_instanceof(world, value, target_type):
-            runtime.throw("java.lang.ClassCastException", str(target_type))
-        return value
-    return upcast
+def _idxcheck(rt, array, index):
+    if 0 <= index < len(array.elements):
+        return index
+    rt.runtime.throw(
+        "java.lang.ArrayIndexOutOfBoundsException",
+        f"Index {index} out of bounds for length {len(array.elements)}")
 
 
-def _instanceof_helper(runner, target_type):
-    world = runner.world
-
-    def check(value):
-        return value_instanceof(world, value, target_type)
-    return check
-
-
-def _newarray_helper(runner, array_type):
-    runtime = runner.runtime
-
-    def newarray(length):
-        if length < 0:
-            runtime.throw("java.lang.NegativeArraySizeException",
-                          str(length))
-        return ArrayRef(array_type, length)
-    return newarray
+def _upcast(rt, value, target_type):
+    # Java checkcast passes null through
+    if value is not None and not value_instanceof(rt.world, value,
+                                                  target_type):
+        rt.runtime.throw("java.lang.ClassCastException", str(target_type))
+    return value
 
 
-def _storecheck_helper(runner, _arg):
-    world = runner.world
-    runtime = runner.runtime
+def _storecheck(rt, array, value):
+    element = array.array_type.element
+    if value is not None and not value_instanceof(rt.world, value, element):
+        rt.runtime.throw("java.lang.ArrayStoreException", str(element))
 
-    def storecheck(array, value):
-        element = array.array_type.element
-        if value is not None \
-                and not value_instanceof(world, value, element):
-            runtime.throw("java.lang.ArrayStoreException", str(element))
-    return storecheck
+
+#: the globals every generated function starts from
+_GLOBALS = {
+    "_JavaError": JavaError,
+    "_IE": InterpreterError,
+    "_ObjectRef": ObjectRef,
+    "_trapping": _trapping,
+    "_idxcheck": _idxcheck,
+    "_upcast": _upcast,
+    "_storecheck": _storecheck,
+    "_new_array": _new_array,
+    "_instanceof": value_instanceof,
+}

@@ -37,16 +37,18 @@ What depends only on the function is built once per loaded function
 and kept in its :class:`~repro.interp.interpreter.FunctionCode` memo:
 the ``reachable_blocks()`` order and its index, the loop headers, the
 interpreter's block plans and call sites, and each recorded path's
-generated code and exit sites, keyed on its block indices.  Each
-:class:`TracingInterpreter` runs those plans, links that code to its
-own adapter (runtime helpers, the allocation cap; call sites resolve
-through the shared ones) and keeps its own header states, trace
-counters and step budget; a call-flavour trace formats its step-limit
-message from the running interpreter's ``max_steps``.  A shared plan
-records only whether its block is a loop header; the runner's
-:class:`_FunctionState` maps such a block to its own
-:class:`_HeaderState`.  This is sound only under the invariant stated
-on :class:`repro.ssa.ir.Function`.
+generated function ``fn(rt, frame)`` and exit sites, keyed on its block
+indices.  Each :class:`TracingInterpreter` runs those plans and those
+functions with itself as ``rt``, as the interpreter's ops and the
+JIT's code do: the runtime helpers, the allocation cap, the step
+budget (a call-flavour trace words its step-limit message from
+``rt.max_steps``) and the call sites (the interpreter's shared ones)
+all reach a trace through ``rt``, so a runner compiles and links
+nothing for a path another runner built.  The runner keeps its own
+header states and trace counters: a shared plan records only whether
+its block is a loop header, and the runner's :class:`_FunctionState`
+maps such a block to its own :class:`_HeaderState`.  This is sound
+only under the invariant stated on :class:`repro.ssa.ir.Function`.
 """
 
 from __future__ import annotations
@@ -55,17 +57,16 @@ from typing import Optional, Sequence
 
 from repro.analysis.loops import find_loops
 from repro.cache import TraceCache, default_trace_cache
-from repro.interp.heap import ArrayRef, JavaError
+from repro.interp.heap import JavaError
 from repro.interp.interpreter import (
     CAUGHT_SLOT,
-    AllocationLimitExceeded,
     Interpreter,
     StepLimitExceeded,
     _build_plans,
     call_site,
     function_code,
 )
-from repro.interp.jit import GeneratedCode, _Emitter, _FunctionTranslator
+from repro.interp.jit import _Emitter, _FunctionTranslator, compile_generated
 from repro.ssa import ir
 from repro.ssa.ir import Block, Function, Module
 
@@ -114,15 +115,16 @@ class _Site:
 
 
 class _TraceCode:
-    """One recorded path's generated code and exit metadata: built once
-    per (function, path), shared by every runner that links it."""
+    """One recorded path's generated function ``fn(rt, frame)`` and
+    exit metadata: built once per (function, path) and run by every
+    runner that enters the path."""
 
-    __slots__ = ("generated", "sites", "path_len", "per_trip_checks",
+    __slots__ = ("fn", "sites", "path_len", "per_trip_checks",
                  "has_calls", "entry_latch_id")
 
-    def __init__(self, generated: GeneratedCode, sites, path_len,
-                 per_trip_checks, has_calls, entry_latch: Block):
-        self.generated = generated
+    def __init__(self, fn, sites, path_len, per_trip_checks, has_calls,
+                 entry_latch: Block):
+        self.fn = fn
         self.sites = sites
         self.path_len = path_len
         self.per_trip_checks = per_trip_checks
@@ -131,19 +133,14 @@ class _TraceCode:
 
 
 class CompiledTrace:
-    """One runner's link of a shared trace: its own callable and
-    counters over the shared :class:`_TraceCode`."""
+    """One runner's use of a shared :class:`_TraceCode`: its own count
+    of zero-trip exits."""
 
-    __slots__ = ("fn", "code", "path_indices", "aborts", "entries", "trips")
+    __slots__ = ("code", "aborts")
 
-    def __init__(self, code: _TraceCode, adapter: "_InterpAdapter",
-                 path_indices: tuple[int, ...]):
-        self.fn = code.generated.link(adapter)
+    def __init__(self, code: _TraceCode):
         self.code = code
-        self.path_indices = path_indices
         self.aborts = 0
-        self.entries = 0
-        self.trips = 0
 
 
 class _HeaderState:
@@ -201,51 +198,19 @@ def _loop_headers(function: Function) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# interpreter adapter: what a trace links to per runner
-
-class _InterpAdapter:
-    """The runner a trace links to: duck-types the slice of
-    :class:`JitCompiler` the JIT's link-time helpers touch."""
-
-    def __init__(self, interp: Interpreter):
-        self.interp = interp
-        self.world = interp.world
-        self.runtime = interp.runtime
-
-
-def _trace_newarray_helper(adapter: _InterpAdapter, array_type):
-    """Unlike the JIT's helper this honours ``max_array_length`` so a
-    traced run keeps the interpreter's fuzzing allocation guard."""
-    interp = adapter.interp
-    runtime = interp.runtime
-
-    def newarray(length):
-        if length < 0:
-            runtime.throw("java.lang.NegativeArraySizeException",
-                          str(length))
-        cap = interp.max_array_length
-        if cap is not None and length > cap:
-            raise AllocationLimitExceeded(
-                f"new array of {length} > cap {cap}")
-        return ArrayRef(array_type, length)
-    return newarray
-
+# compilation
 
 class _TraceOps(_FunctionTranslator):
     """Instruction emission for traces: the JIT handlers, minus the
     shapes a linear trace cannot contain."""
 
-    def _i_newarray(self, instr: ir.NewArray) -> None:
-        helper = self.link(_trace_newarray_helper, instr.array_type)
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
-
     def _i_call(self, instr: ir.Call) -> None:
         # the call's op's own site, shared by every runner: its
-        # resolution is memoized once, and it runs through ``interp``
+        # resolution is memoized once, and it runs through ``rt``
         site = self.bind(call_site(instr))
         args = "".join(f"v{op.id}, " for op in instr.operands)
         target = f"v{instr.id} = " if instr.plane is not None else ""
-        self.out.emit(f"{target}{site}(interp, ({args}))")
+        self.out.emit(f"{target}{site}(rt, ({args}))")
 
     def _i_caughtexc(self, instr: ir.CaughtExc) -> None:
         raise _TraceCompileError("exception dispatch block on trace path")
@@ -254,11 +219,10 @@ class _TraceOps(_FunctionTranslator):
 _CHECK_KIND = {ir.NullCheck: 0, ir.IdxCheck: 1, ir.Upcast: 2}
 
 
-def _step_limit(interp: Interpreter, name: str) -> StepLimitExceeded:
+def _step_limit(rt: Interpreter, name: str) -> StepLimitExceeded:
     """The untraced interpreter's step-limit error, worded from the
     running interpreter's own budget."""
-    return StepLimitExceeded(
-        f"exceeded {interp.max_steps} steps in {name}")
+    return StepLimitExceeded(f"exceeded {rt.max_steps} steps in {name}")
 
 
 class _TraceCompiler:
@@ -266,16 +230,17 @@ class _TraceCompiler:
 
     Generated shape (call-free flavour)::
 
-        def _trace(interp, frame):
+        def _trace(rt, frame):
             _trips = 0; _pc = -1
             v3 = frame.get(3, _M); ...
-            _maxtrips = (interp.max_steps - interp.steps) // PATH_LEN
+            _maxtrips = (rt.max_steps - rt.steps) // PATH_LEN
             try:
                 while True:
                     if _trips >= _maxtrips: raise _X(0)     # budget
                     v3, v5 = v9, v11        # header phis, latch edge
                     _pc = 2                 # next trap's site index
                     v7 = _g1(v3, v6)        # block bodies, JIT-style
+                    v8 = _idxcheck(rt, v4, v7)
                     if not v8: raise _X(1)  # branch -> guard
                     ...
                     _trips += 1
@@ -290,20 +255,20 @@ class _TraceCompiler:
             return _trips, _site, _err
 
     Traces containing calls cannot precompute a trip budget (nested
-    frames consume steps too); they commit ``interp.steps`` per block
-    top and raise the step limit inline instead, which keeps ``steps``
+    frames consume steps too); they commit ``rt.steps`` per block top
+    and raise the step limit inline instead, which keeps ``steps``
     exact in both flavours.  Nothing in the code depends on the
-    interpreter that records the path: ``interp`` is an argument and
-    the rest is linked per runner.
+    interpreter that records the path: the running interpreter is the
+    argument ``rt``, and everything else is a constant of the code.
     """
 
     def __init__(self, function: Function, path: list[Block]):
         self.function = function
         self.path = path
-        self.env: dict = {"_JavaError": JavaError, "_X": _TraceExit,
-                          "_M": _MISSING, "_SLE": _step_limit}
         self.out = _Emitter()
-        self.ops = _TraceOps(function, self.env, self.out)
+        self.ops = _TraceOps(function, self.out)
+        self.env = self.ops.env
+        self.env.update(_X=_TraceExit, _M=_MISSING, _SLE=_step_limit)
         self.sites: list[_Site] = []
         self.checks = [0, 0, 0]  # nullcheck, idxcheck, upcast per trip
 
@@ -371,14 +336,14 @@ class _TraceCompiler:
         path = self.path
         regs, writes, has_calls = self._collect()
         out = self.out
-        out.emit("def _trace(interp, frame):")
+        out.emit("def _trace(rt, frame):")
         out.indent += 1
         out.emit("_trips = 0")
         out.emit("_pc = -1")
         for reg in regs:
             out.emit(f"v{reg} = frame.get({reg}, _M)")
         if not has_calls:
-            out.emit(f"_maxtrips = (interp.max_steps - interp.steps) "
+            out.emit(f"_maxtrips = (rt.max_steps - rt.steps) "
                      f"// {len(path)}")
         out.emit("try:")
         out.indent += 1
@@ -392,9 +357,9 @@ class _TraceCompiler:
             self._emit_move(*self._edge_move(path[-1], path[0]))
         for k, block in enumerate(path):
             if has_calls:
-                out.emit("interp.steps += 1")
-                out.emit(f"if interp.steps > interp.max_steps: "
-                         f"raise _SLE(interp, {function.name!r})")
+                out.emit("rt.steps += 1")
+                out.emit(f"if rt.steps > rt.max_steps: "
+                         f"raise _SLE(rt, {function.name!r})")
             self._emit_block(k, block)
         out.emit("_trips += 1")
         out.indent -= 2
@@ -419,16 +384,8 @@ class _TraceCompiler:
         out.emit("return _trips, _site, _err")
         out.indent -= 1
         self.env["_W"] = tuple((reg, f"v{reg}") for reg in writes)
-        source = out.source()
-        try:
-            generated = GeneratedCode(source, f"<trace:{function.name}>",
-                                      "_trace", self.env,
-                                      tuple(self.ops.slots))
-        except SyntaxError as error:  # pragma: no cover - emitter bug
-            raise _TraceCompileError(
-                f"generated bad trace for {function.name}: {error}\n"
-                f"{source}") from None
-        return _TraceCode(generated, tuple(self.sites), len(path),
+        fn = compile_generated(out.source(), "trace", function, self.env)
+        return _TraceCode(fn, tuple(self.sites), len(path),
                           tuple(self.checks), has_calls, path[-1])
 
     def _emit_move(self, targets: list[int], sources: list[int]) -> None:
@@ -502,15 +459,12 @@ class _TraceCompiler:
 class TraceManager:
     """Owns per-function tracing state, compilation, and the cache."""
 
-    def __init__(self, interp: Interpreter,
+    def __init__(self, module: Module,
                  threshold: int = TRACE_DEFAULT_THRESHOLD,
                  cache: Optional[TraceCache] = None):
-        self.interp = interp
         self.threshold = max(1, int(threshold))
         self.cache = cache if cache is not None else default_trace_cache()
-        self.digest = getattr(interp.module, "wire_digest", None)
-        #: what this runner's traces link to
-        self.adapter = _InterpAdapter(interp)
+        self.digest = getattr(module, "wire_digest", None)
         self._states: dict[Function, _FunctionState] = {}
         self.compiled = 0
         self.preloaded = 0
@@ -576,7 +530,7 @@ class TraceManager:
             code.traces = {**traces, indices: built}
         if built is None:
             return False
-        hs.trace = CompiledTrace(built, self.adapter, indices)
+        hs.trace = CompiledTrace(built)
         self.compiled += 1
         if self.cache and self.digest is not None:
             self.cache.put(self.digest, fstate.name,
@@ -646,7 +600,7 @@ class TracingInterpreter(Interpreter):
                  threshold: int = TRACE_DEFAULT_THRESHOLD,
                  trace_cache: Optional[TraceCache] = None):
         super().__init__(module, max_steps)
-        self.traces = TraceManager(self, threshold=threshold,
+        self.traces = TraceManager(module, threshold=threshold,
                                    cache=trace_cache)
 
     def trace_stats(self) -> dict:
@@ -731,7 +685,7 @@ class TracingInterpreter(Interpreter):
                             skip_once = None
                         elif rec_path is None and \
                                 came_key[0] == code.entry_latch_id:
-                            trips, site_index, err = trace.fn(self, frame)
+                            trips, site_index, err = code.fn(self, frame)
                             site = code.sites[site_index]
                             manager.entries += 1
                             manager.trips += trips

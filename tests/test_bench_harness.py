@@ -148,6 +148,21 @@ class TestRunnerCommands:
                         setup=lambda: len(calls) + 10)
         assert calls == [10]  # setup's result is fn's argument
 
+    def test_spread_is_perfbenchs_record_of_the_samples(self,
+                                                       monkeypatch):
+        from repro.bench import metrics
+        assert metrics.spread([0.004, 0.001, 0.002, 0.003, 0.005],
+                              1000) == pytest.approx(
+            {"n": 5, "median": 3.0, "min": 1.0, "iqr": 2.0})
+        assert metrics.spread([0.5]) == {"n": 1, "median": 0.5,
+                                         "min": 0.5, "iqr": 0.0}
+        # best_of is the minimum of the samples it keeps
+        ticks = iter([0, 3, 3, 4, 4, 6])
+        monkeypatch.setattr(metrics.time, "perf_counter",
+                            lambda: next(ticks))
+        assert metrics.samples(lambda: None, repeats=3, warmup=0) \
+            == [3, 1, 2]
+
     def test_codec_command_writes_report(self, tmp_path, capsys,
                                          monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_REPEATS", "1")

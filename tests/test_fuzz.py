@@ -37,7 +37,7 @@ from repro.fuzz.minimize import (
     minimize_sequence,
     save_fixture,
 )
-from repro.fuzz.mutate import check_stream, mutate_stream
+from repro.fuzz.mutate import StreamOutcome, check_stream, mutate_stream
 from repro.fuzz.oracle import check_program
 from repro.ssa import ir
 from repro.tsa.verifier import VerifyError, verify_module
@@ -185,6 +185,32 @@ class TestMutation:
         trailing = check_stream(wire + b"\xff\xff\xff\xff")
         assert trailing.kind == "rejected"
         assert trailing.code == "DEC-TRAILING"
+
+    def test_accepted_mutants_run_under_every_tier(self, monkeypatch):
+        from repro.interp.jit import JitCompiler
+        from repro.interp.trace import TracingInterpreter
+        from tests.test_jit import NUL_NAME_MUTANT
+        # the JIT raised ValueError on this accepted mutant
+        assert check_stream(NUL_NAME_MUTANT) == StreamOutcome("accepted",
+                                                              "ran")
+        # a tier that prints nothing, or counts one block too many, is
+        # a finding
+        monkeypatch.setattr(JitCompiler, "call",
+                            lambda self, function, args: None)
+        outcome = check_stream(NUL_NAME_MUTANT)
+        assert (outcome.kind, outcome.code) == ("finding", "TierDivergence")
+        assert outcome.detail.startswith("jit: ")
+        monkeypatch.undo()
+        call = TracingInterpreter.call
+
+        def one_more_step(self, function, args):
+            self.steps += 1
+            return call(self, function, args)
+
+        monkeypatch.setattr(TracingInterpreter, "call", one_more_step)
+        outcome = check_stream(NUL_NAME_MUTANT)
+        assert (outcome.kind, outcome.code) == ("finding", "TierDivergence")
+        assert outcome.detail.startswith("trace: ")
 
     @pytest.mark.slow
     def test_stream_smoke_campaign_holds_invariant(self):

@@ -1,19 +1,20 @@
 """Generated code and block plans shared across runners.
 
 The interpreter, the JIT and the trace tier build what a function
-alone determines once and keep it on the ``Function``; every
-``Interpreter`` and ``TracingInterpreter`` runs the same block plans,
-and every ``JitCompiler`` and trace only links the generated code.
-These tests pin what must stay per runner (runtime, step budget,
-step-limit message), that concurrent runners building the same
-function at once still agree with the serial interpreter, and that the
-shared code is freed with its module.
+alone determines once and keep it on the ``Function``; every runner
+runs the same block plans, JIT functions and traces, which take the
+running runner as an argument.  These tests pin what must stay per
+runner (runtime, statics, stdout, step budget, step-limit message),
+that a second runner builds nothing, that concurrent runners building
+the same function at once still agree with the serial interpreter, and
+that the shared code is freed with its module.
 """
 
 import gc
 import os
 import sys
 import threading
+import types
 import weakref
 
 import pytest
@@ -21,8 +22,13 @@ import pytest
 from repro.api import compile_source
 from repro.cache import TraceCache
 from repro.encode.serializer import encode_module
-from repro.interp.interpreter import Interpreter, StepLimitExceeded
-from repro.interp.jit import JitCompiler
+from repro.interp import jit as jit_module
+from repro.interp.interpreter import (
+    Interpreter,
+    StepLimitExceeded,
+    function_code,
+)
+from repro.interp.jit import JitCompiler, _jit_code
 from repro.interp.trace import TracingInterpreter
 from repro.loader.fused import load_module
 
@@ -52,18 +58,23 @@ class Main {
 """
 
 
-def test_jit_compilers_share_code_but_not_runtime():
+def test_jit_compilers_run_the_same_code_with_their_own_runtime():
     module = loaded(COUNTER_SOURCE)
     first, second = JitCompiler(module), JitCompiler(module)
-    # a shared runtime would carry the static (and stdout) across
     assert first.run_main("Main").stdout == "1\n"
+    built = {function.name: function_code(function).jit
+             for function in module.functions.values()}
+    assert built["Main.main()"] and built["Main.bump()"]
+    # a shared runtime would carry the static (and stdout) across
     assert second.run_main("Main").stdout == "1\n"
+    assert first.run_main("Main").stdout == "1\n2\n"
+    assert second.run_main("Main").stdout == "1\n2\n"
     assert first.runtime is not second.runtime
-    for function in module.functions.values():
-        mine, theirs = first.get(function), second.get(function)
-        assert mine is not theirs
-        assert mine.__code__ is theirs.__code__
-        assert mine.__globals__ is not theirs.__globals__
+    assert first.runtime.statics == second.runtime.statics \
+        == {("Counter", "n"): 2}
+    # both ran the function objects the first run built
+    assert {function.name: function_code(function).jit
+            for function in module.functions.values()} == built
 
 
 CALL_LOOP_SOURCE = """
@@ -100,8 +111,43 @@ def test_runners_keep_their_own_step_budget_on_a_shared_trace():
         assert traced.trace_stats()["preloaded"] == 1
         (trace,) = live_traces(traced)
         assert trace.code.has_calls
-        codes.add(trace.fn.__code__)
+        codes.add(trace.code.fn.__code__)
     assert len(codes) == 1, "each runner recompiled the cached trace"
+
+
+def test_a_second_runner_translates_compiles_and_links_nothing(monkeypatch):
+    module = loaded(CALL_LOOP_SOURCE)
+    cache = TraceCache()
+    compiled = []
+    real = compile
+
+    def counting(source, filename, *args):
+        compiled.append(filename)
+        return real(source, filename, *args)
+
+    def runners():
+        return (JitCompiler(module),
+                TracingInterpreter(module, threshold=THRESHOLD,
+                                   trace_cache=cache))
+
+    monkeypatch.setattr(jit_module, "compile", counting, raising=False)
+    first = runners()
+    stdout = [runner.run_main("Main").stdout for runner in first]
+    assert sorted(name.split(":")[0] for name in compiled) \
+        == ["<jit", "<jit", "<trace"]
+    compiled.clear()
+    second = runners()
+    assert [runner.run_main("Main").stdout for runner in second] == stdout
+    assert compiled == []
+    # with all four runners alive, each generated code object has one
+    # function: no runner made its own copy
+    codes = [code.jit.__code__ for code in
+             map(function_code, module.functions.values()) if code.jit]
+    codes.extend(trace.code.fn.__code__ for trace in live_traces(second[1]))
+    assert len(codes) == 3
+    for code in codes:
+        assert len([ref for ref in gc.get_referrers(code)
+                    if isinstance(ref, types.FunctionType)]) == 1
 
 
 WORK_SOURCE = """
@@ -233,9 +279,9 @@ def test_generated_code_is_freed_with_its_module():
     refs = [weakref.ref(module)]
     refs.extend(weakref.ref(function)
                 for function in module.functions.values())
-    refs.extend(weakref.ref(jit.get(function).__code__)
+    refs.extend(weakref.ref(_jit_code(function).__code__)
                 for function in module.functions.values())
-    refs.extend(weakref.ref(trace.fn.__code__)
+    refs.extend(weakref.ref(trace.code.fn.__code__)
                 for trace in live_traces(traced))
     assert len(refs) > 1 + 2 * len(module.functions), "no trace was built"
     del module, jit, traced

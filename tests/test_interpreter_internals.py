@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import compile_source
 from repro.cache import TraceCache
-from repro.interp import interpreter
+from repro.interp import interpreter, jit
 from repro.interp.heap import JStr
 from repro.interp.interpreter import Interpreter, StepLimitExceeded
 from repro.interp.jit import JitCompiler
@@ -187,13 +187,17 @@ class TestBoundCallSites:
         resolved = []
         resolve = interpreter._resolve_virtual
 
-        def recording(world, receiver, method):
-            cls = "java.lang.String" if isinstance(receiver, JStr) \
-                else receiver.class_info.name
-            resolved.append((method.name, cls))
-            return resolve(world, receiver, method)
+        def recording(tier):
+            def record(world, receiver, method):
+                cls = "java.lang.String" if isinstance(receiver, JStr) \
+                    else receiver.class_info.name
+                resolved.append((tier, method.name, cls))
+                return resolve(world, receiver, method)
+            return record
 
-        monkeypatch.setattr(interpreter, "_resolve_virtual", recording)
+        monkeypatch.setattr(interpreter, "_resolve_virtual",
+                            recording("interp"))
+        monkeypatch.setattr(jit, "_resolve_virtual", recording("jit"))
         for _ in range(2):  # fresh runners over one module
             for runner in (TracingInterpreter(module, threshold=2,
                                               trace_cache=TraceCache()),
@@ -202,13 +206,17 @@ class TestBoundCallSites:
                 result = runner.run_main("Main")
                 assert result.exception is None
                 assert result.stdout == expected
-        # one site, eight calls per run, four interpreters: one
-        # resolution per receiver class for the loaded module
-        area = [cls for name, cls in resolved if name == "area"]
-        assert sorted(area) == ["Rect", "Shape", "Square", "Tri"]
-        shown = [cls for name, cls in resolved if name == "toString"]
-        assert sorted(shown) == ["Rect", "Shape", "Square", "Tri",
-                                 "java.lang.String"]
+        # one site, eight calls per run, four interpreters (and
+        # two JIT compilers, whose sites are their own): one resolution
+        # per receiver class for the loaded module
+        for tier in ("interp", "jit"):
+            area = [cls for kind, name, cls in resolved
+                    if kind == tier and name == "area"]
+            assert sorted(area) == ["Rect", "Shape", "Square", "Tri"]
+            shown = [cls for kind, name, cls in resolved
+                     if kind == tier and name == "toString"]
+            assert sorted(shown) == ["Rect", "Shape", "Square", "Tri",
+                                     "java.lang.String"]
 
 
 @pytest.fixture

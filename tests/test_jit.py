@@ -4,16 +4,25 @@ The JIT must be observably identical to the interpreter on every
 program -- exceptions, dispatch, covariance checks included.
 """
 
+import traceback
 from pathlib import Path
 
 import pytest
 
 from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.cache import TraceCache
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import (
+    AllocationLimitExceeded,
+    Interpreter,
+    InterpreterError,
+)
+from repro.interp import jit as jit_module
 from repro.interp.jit import JitCompiler
+from repro.interp.trace import TracingInterpreter
+from repro.loader import load_module
 from tests.conftest import main_wrap
 
 
@@ -181,6 +190,20 @@ class TestJitSemantics:
         assert plain.stdout == optimized.stdout
 
 
+def test_block_dispatch_does_not_nest():
+    """One flat ``if`` per block: an ``elif`` chain nests one level per
+    block, and ``compile()`` raised ``RecursionError`` on a main of 5001
+    blocks."""
+    module = compile_source(corpus_source("MiniVM"))
+    for function in module.functions.values():
+        emitter = jit_module._Emitter()
+        jit_module._FunctionTranslator(function, emitter).translate("_jit")
+        arms = [line for line in emitter.lines
+                if line.lstrip().startswith(("if _b ==", "elif _b =="))]
+        assert len({len(line) - len(line.lstrip()) for line in arms}) <= 1
+        assert not any(arm.lstrip().startswith("elif") for arm in arms)
+
+
 def test_jit_is_faster_than_interpreter():
     import time
     source = corpus_source("BitSieve")
@@ -194,3 +217,70 @@ def test_jit_is_faster_than_interpreter():
     jit_time = time.perf_counter() - start
     assert jit_time < interp_time, \
         f"jit {jit_time:.3f}s not faster than interp {interp_time:.3f}s"
+
+
+# ----------------------------------------------------------------------
+# every tier runs an accepted module alike, failures included
+
+#: a wire mutant the loader accepts (fuzz seed 0, v1 stream lane, the
+#: 1501st mutant: the ``dispatch`` base under the ``zero`` mutator,
+#: ddmin-shrunk from 103 bytes): the virtual method ``A.get`` arrives
+#: named ``"\x00et"``, and ``main`` prints 21 through it
+NUL_NAME_MUTANT = bytes.fromhex(
+    "5354534131212092112a21d2093b00c800cae84273c696e69743e27d919d95d0"
+    "84e78d2dcd2e87c4fb2b6b0b4b753ce78d2dcd2e87c4f283633d28320c23df50"
+    "1419467c005209ca0c831dfba506335eef98ebd5e8002ba76ac55af7dd3e594a"
+    "0c8308ffd400")
+
+
+def every_tier(module):
+    return (Interpreter(module),
+            TracingInterpreter(module, threshold=1,
+                               trace_cache=TraceCache()),
+            JitCompiler(module))
+
+
+class TestEveryTierAlike:
+    def test_a_nul_in_a_method_name_runs_under_every_tier(self):
+        module = load_module(NUL_NAME_MUTANT)
+        assert "\x00et" in [method.name for method in module.functions]
+        for runner in every_tier(module):
+            result = runner.run_main()
+            assert (result.stdout, result.exception) == ("21\n", None)
+
+    def test_a_reachable_unreachable_leaf_is_an_interpreter_error(self):
+        # the module the decoder now rejects (DEC-CST), built in-process
+        module = compile_source('class T { public static void main('
+                                'String[] a) { System.out.println("hi"); '
+                                '} }')
+        main = module.function_named("T", "main")
+        for block in main.blocks:
+            if block.term is not None and block.term.kind == "return":
+                block.term.kind = "unreachable"
+        for runner in every_tier(module):
+            with pytest.raises(InterpreterError) as caught:
+                runner.run_main()
+            assert str(caught.value) == \
+                "reached unreachable terminator in T.main(java.lang.String[])"
+
+    # ``(i / 5) << 20`` reaches 1 << 20 once a trace runs the loop
+    @pytest.mark.parametrize("length, in_trace",
+                             [("1 << 20", False), ("(i / 5) << 20", True)],
+                             ids=["straight", "in-trace"])
+    def test_every_tier_keeps_the_allocation_cap(self, length, in_trace):
+        module = compile_source(main_wrap(f"""
+            int total = 0;
+            for (int i = 0; i < 8; i++) {{
+                int[] a = new int[{length}];
+                total = total + a.length;
+            }}
+            System.out.println(total);
+        """))
+        for runner in every_tier(module):
+            runner.max_array_length = 1 << 16
+            with pytest.raises(AllocationLimitExceeded) as caught:
+                runner.run_main("Main")
+            assert runner.runtime.stdout == []
+            if in_trace and isinstance(runner, TracingInterpreter):
+                frames = traceback.extract_tb(caught.value.__traceback__)
+                assert frames[-2].filename.startswith("<trace:")
