@@ -6,16 +6,19 @@ layer instead of a monolithic fail-fast verifier:
 
 * :mod:`repro.analysis.diagnostics` -- structured diagnostics with stable
   error codes, severities and (function, block, instruction) locations;
-* :mod:`repro.analysis.dataflow` -- a generic forward/backward worklist
-  solver over the CFG (lattice protocol, per-edge refinement, merges at
-  joins including exception edges, widening at loop heads);
+* :mod:`repro.analysis.dataflow` -- a generic forward worklist solver
+  over the CFG (lattice protocol, per-edge refinement, merges at joins
+  including exception edges, widening at loop heads);
 * :mod:`repro.analysis.nullness` -- which safe-ref facts already hold on
   each edge (forward must-analysis);
 * :mod:`repro.analysis.range` -- interval analysis of ``int``-plane
   values with array lengths as symbolic bounds;
-* :mod:`repro.analysis.liveness` -- backward liveness plus SSA-graph
-  observability;
-* :mod:`repro.analysis.lint` -- the rule registry and lint driver that
+* :mod:`repro.analysis.loops` -- natural loops, loop nests and
+  preheader insertion;
+* :mod:`repro.analysis.manager` -- the per-function cache of analysis
+  results that the optimizer, the verifier, the encoder and the lint
+  driver share;
+* :mod:`repro.analysis.lint` -- the rule table and lint driver that
   combines verifier diagnostics with analysis-backed lint rules.
 
 The submodules that depend on :mod:`repro.tsa.verifier` (``lint``) are

@@ -1,11 +1,10 @@
-"""Generic worklist dataflow solver over the SafeTSA CFG.
+"""Generic forward worklist dataflow solver over the SafeTSA CFG.
 
-The solver is direction-agnostic (forward or backward), iterates to a
-fixpoint over the *reachable* blocks in (reverse) postorder, merges at
-joins -- exception edges included -- and supports per-edge fact
-refinement (the hook branch- and trap-sensitive analyses use) plus
-widening at loop heads so infinite-height lattices (intervals) still
-terminate.
+The solver iterates to a fixpoint over the *reachable* blocks in DFS
+preorder, merges at joins -- exception edges included -- and supports
+per-edge fact refinement (the hook branch- and trap-sensitive analyses
+use) plus widening at loop heads so infinite-height lattices
+(intervals) still terminate.
 
 Lattice protocol
 ----------------
@@ -14,28 +13,22 @@ An analysis supplies its lattice operations directly (facts are opaque
 to the solver):
 
 ``boundary(function)``
-    the fact at the function entry (forward) / at every exit (backward);
+    the fact at the function entry;
 ``join(a, b)``
-    least upper bound of two facts -- set union for may-analyses,
-    intersection for must-analyses, interval hull for ranges;
+    least upper bound of two facts -- intersection for the nullness
+    must-analysis, interval hull for ranges;
 ``transfer(block, fact)``
-    flow one whole block, returning the fact at the other end;
+    flow one whole block, returning the fact at its end;
 ``edge(src, index, dst, kind, fact)`` (optional)
     refine ``src``'s out-fact for the specific out-edge at position
     ``index`` of ``src.succs`` (``kind`` is ``'norm'`` or ``'exc'``) --
     this is where branch conditions and trapping tails specialise facts;
 ``widen(old, new)`` (optional)
     called instead of ``join`` at loop heads once a block has been
-    revisited :data:`WIDEN_AFTER` times;
-``eq(a, b)`` (optional)
-    convergence test, defaults to ``==``.
+    revisited :data:`WIDEN_AFTER` times.
 
-Facts must be treated as immutable values: ``transfer`` returns a new
-fact and never mutates its argument.
-
-Two small reusable lattices (:class:`SetLattice`,
-:class:`IntervalLattice`-style helpers live with the range analysis)
-cover the common cases.
+Facts must be treated as immutable values compared with ``==``:
+``transfer`` returns a new fact and never mutates its argument.
 """
 
 from __future__ import annotations
@@ -49,53 +42,31 @@ from repro.ssa.ir import Block, Function
 #: joining (only when the analysis defines ``widen``)
 WIDEN_AFTER = 3
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
-
-class SetLattice:
-    """Finite powerset lattice; ``union`` (may) or ``intersect`` (must)."""
-
-    def __init__(self, mode: str = "union"):
-        assert mode in ("union", "intersect")
-        self.mode = mode
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b if self.mode == "union" else a & b
-
-    @staticmethod
-    def bottom() -> frozenset:
-        return frozenset()
-
 
 class DataflowResult:
-    """Fixpoint facts per block id.
+    """Fixpoint facts per block id: ``entry[b]`` at the block's start,
+    ``exit[b]`` at its end."""
 
-    ``entry[b]``/``exit[b]`` are relative to the *flow* direction: for a
-    backward analysis ``entry`` is the fact at the block's end (where
-    flow enters) and ``exit`` the fact at its start.
-    """
-
-    def __init__(self, direction: str):
-        self.direction = direction
+    def __init__(self) -> None:
         self.entry: dict[int, object] = {}
         self.exit: dict[int, object] = {}
-        self.iterations = 0
-
-    def in_fact(self, block: Block):
-        """Fact at the block's *start* regardless of direction."""
-        key = block.id
-        return self.entry.get(key) if self.direction == FORWARD \
-            else self.exit.get(key)
-
-    def out_fact(self, block: Block):
-        """Fact at the block's *end* regardless of direction."""
-        key = block.id
-        return self.exit.get(key) if self.direction == FORWARD \
-            else self.entry.get(key)
 
 
-def _forward_edges_into(block: Block):
+def branch_arm(block: Block, succ_index: int) -> Optional[str]:
+    """'true'/'false' for the two normal successors of a branch (the
+    position ``succ_index`` in ``block.succs``), None for any other."""
+    normals = [i for i, (_succ, kind) in enumerate(block.succs)
+               if kind == "norm"]
+    if len(normals) < 2:
+        return None
+    if succ_index == normals[0]:
+        return "true"
+    if succ_index == normals[1]:
+        return "false"
+    return None
+
+
+def _edges_into(block: Block):
     """(pred, edge-kind, succ-index-in-pred) triples feeding ``block``.
 
     A degenerate branch can route both arms to the same block; every
@@ -110,30 +81,29 @@ def _forward_edges_into(block: Block):
 
 def solve(function: Function, analysis) -> DataflowResult:
     """Run ``analysis`` to a fixpoint over ``function``'s reachable CFG."""
-    direction = getattr(analysis, "direction", FORWARD)
-    result = DataflowResult(direction)
+    result = DataflowResult()
+    # reachable_blocks() is a DFS preorder from the entry; a stable
+    # approximation of RPO that keeps the worklist passes low.  The
+    # fixpoint is order-independent, order only affects speed.
     blocks = function.reachable_blocks()
     if not blocks:
         return result
     edge_fn: Optional[Callable] = getattr(analysis, "edge", None)
     widen_fn: Optional[Callable] = getattr(analysis, "widen", None)
-    eq_fn: Callable = getattr(analysis, "eq", lambda a, b: a == b)
 
-    order = _iteration_order(blocks, direction)
-    position = {block.id: i for i, block in enumerate(order)}
+    reachable = {block.id for block in blocks}
     boundary = analysis.boundary(function)
     visits: dict[int, int] = {}
 
-    worklist: deque[Block] = deque(order)
-    queued = {block.id for block in order}
+    worklist: deque[Block] = deque(blocks)
+    queued = set(reachable)
     while worklist:
         block = worklist.popleft()
         queued.discard(block.id)
-        result.iterations += 1
         visits[block.id] = visits.get(block.id, 0) + 1
 
-        incoming = _merge_incoming(block, direction, analysis, result,
-                                   edge_fn, boundary, position)
+        incoming = _merge_incoming(block, analysis, result, edge_fn,
+                                   boundary, reachable)
         if incoming is None:
             continue  # no flowed-in fact yet (e.g. loop not entered)
         old_in = result.entry.get(block.id)
@@ -143,64 +113,37 @@ def solve(function: Function, analysis) -> DataflowResult:
                 incoming = widen_fn(old_in, incoming)
             else:
                 incoming = analysis.join(old_in, incoming)
-            if eq_fn(old_in, incoming):
+            if old_in == incoming:
                 # entry unchanged -> exit unchanged, nothing to propagate
                 continue
         result.entry[block.id] = incoming
         outgoing = analysis.transfer(block, incoming)
         old_out = result.exit.get(block.id)
         result.exit[block.id] = outgoing
-        if old_out is not None and eq_fn(old_out, outgoing):
+        if old_out is not None and old_out == outgoing:
             continue
-        for succ in _flow_successors(block, direction):
-            if succ.id in position and succ.id not in queued:
+        for succ, _kind in block.succs:
+            if succ.id in reachable and succ.id not in queued:
                 worklist.append(succ)
                 queued.add(succ.id)
     return result
 
 
-def _iteration_order(blocks: list[Block], direction: str) -> list[Block]:
-    # reachable_blocks() is a DFS preorder from the entry; a stable
-    # approximation of RPO that keeps the worklist passes low.  The
-    # fixpoint is order-independent, order only affects speed.
-    return blocks if direction == FORWARD else list(reversed(blocks))
-
-
-def _flow_successors(block: Block, direction: str) -> list[Block]:
-    if direction == FORWARD:
-        return [succ for succ, _kind in block.succs]
-    return [pred for pred, _kind in block.preds]
-
-
-def _merge_incoming(block: Block, direction: str, analysis, result,
-                    edge_fn, boundary, position):
-    """Join the facts flowing into ``block`` from all its flow-preds."""
+def _merge_incoming(block: Block, analysis, result, edge_fn, boundary,
+                    reachable):
+    """Join the facts flowing into ``block`` from all its predecessors."""
+    if not block.preds:
+        return boundary
     facts = []
-    if direction == FORWARD:
-        if not block.preds:
-            return boundary
-        for pred, kind, index in _forward_edges_into(block):
-            if pred.id not in position:
-                continue  # unreachable predecessor contributes nothing
-            fact = result.exit.get(pred.id)
-            if fact is None:
-                continue
-            if edge_fn is not None:
-                fact = edge_fn(pred, index, block, kind, fact)
-            facts.append(fact)
-    else:
-        flow_preds = block.succs  # backward: facts flow from successors
-        if not flow_preds:
-            return boundary
-        for index, (succ, kind) in enumerate(flow_preds):
-            if succ.id not in position:
-                continue
-            fact = result.exit.get(succ.id)
-            if fact is None:
-                continue
-            if edge_fn is not None:
-                fact = edge_fn(block, index, succ, kind, fact)
-            facts.append(fact)
+    for pred, kind, index in _edges_into(block):
+        if pred.id not in reachable:
+            continue  # unreachable predecessor contributes nothing
+        fact = result.exit.get(pred.id)
+        if fact is None:
+            continue
+        if edge_fn is not None:
+            fact = edge_fn(pred, index, block, kind, fact)
+        facts.append(fact)
     if not facts:
         return None
     merged = facts[0]

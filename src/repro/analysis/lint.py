@@ -1,4 +1,4 @@
-"""The SafeTSA lint driver: rule registry + structured reports.
+"""The SafeTSA lint driver: rule table + structured reports.
 
 A lint run combines two diagnostic sources:
 
@@ -6,64 +6,40 @@ A lint run combines two diagnostic sources:
   collect_diagnostics`) -- every well-formedness *error* plus the
   warning-severity findings fail-fast verification tolerates
   (unreachable blocks, ``STSA-CFG-101``);
-* the registered analysis-backed rules below -- dead phis
+* the analysis-backed rules below -- dead phis
   (``STSA-PHI-101``), and the redundant ``nullcheck``/``idxcheck``
   findings (``STSA-NULL-101`` / ``STSA-IDX-101``) the nullness and
   range dataflow facts prove can never trap.  These are the producer's
   Figure 6 check-elimination opportunities surfaced as diagnostics.
 
-Rules are registered by name in :data:`LINT_RULES` via the
-:func:`rule` decorator; a rule takes ``(module, function)`` and yields
-:class:`Diagnostic` objects.  :func:`lint_module` runs everything and
+The rules are the fixed table :data:`LINT_RULES`; a rule takes
+``(module, function, analyses)`` and yields :class:`Diagnostic` objects,
+reading its facts through the :class:`~repro.analysis.manager.
+AnalysisManager` ``analyses``.  :func:`lint_module` runs everything and
 returns the deterministically sorted findings; :func:`lint_report`
 shapes them into the stable JSON schema ``repro-cc lint --json`` emits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.analysis.diagnostics import (
     Diagnostic,
     count_by_severity,
     sort_diagnostics,
 )
-from repro.analysis.liveness import observable_values
-from repro.analysis.nullness import analyze_nullness
-from repro.analysis.range import analyze_ranges
+from repro.analysis.manager import AnalysisManager
 from repro.ssa import ir
 from repro.ssa.ir import Function, Module
 from repro.tsa.verifier import collect_diagnostics
 
-#: rule name -> rule(module, function) yielding diagnostics
-LINT_RULES: dict[str, Callable[[Module, Function], Iterator[Diagnostic]]] \
-    = {}
 
-
-def rule(name: str):
-    """Register a lint rule under ``name`` (see :data:`LINT_RULES`)."""
-    def register(fn):
-        LINT_RULES[name] = fn
-        return fn
-    return register
-
-
-def _uses_analyses(fn):
-    """Mark a rule as accepting the ``analyses`` keyword; unmarked rules
-    (including externally registered ones) keep the historical
-    ``rule(module, function)`` call contract."""
-    fn.uses_analyses = True
-    return fn
-
-
-@rule("dead-phi")
-@_uses_analyses
 def _dead_phi(module: Module, function: Function,
-              analyses=None) -> Iterator[Diagnostic]:
+              analyses: AnalysisManager) -> Iterator[Diagnostic]:
     """A phi with no path to an observable use -- including cycles of
     phis that only feed each other -- does useful work for nobody."""
-    observable = analyses.get("observable", function) \
-        if analyses is not None else observable_values(function)
+    observable = analyses.get("observable", function)
     for block in function.reachable_blocks():
         for phi in block.phis:
             if phi.id not in observable:
@@ -73,12 +49,10 @@ def _dead_phi(module: Module, function: Function,
                     function=function.name, block=block.id, instr=phi.id)
 
 
-@rule("redundant-nullcheck")
-@_uses_analyses
 def _redundant_nullcheck(module: Module, function: Function,
-                         analyses=None) -> Iterator[Diagnostic]:
-    facts = analyses.get("nullness", function) \
-        if analyses is not None else analyze_nullness(function)
+                         analyses: AnalysisManager) \
+        -> Iterator[Diagnostic]:
+    facts = analyses.get("nullness", function)
     for block in function.reachable_blocks():
         for instr in block.instrs:
             if isinstance(instr, ir.NullCheck) \
@@ -91,12 +65,10 @@ def _redundant_nullcheck(module: Module, function: Function,
                     instr=instr.id)
 
 
-@rule("redundant-idxcheck")
-@_uses_analyses
 def _redundant_idxcheck(module: Module, function: Function,
-                        analyses=None) -> Iterator[Diagnostic]:
-    facts = analyses.get("range", function) \
-        if analyses is not None else analyze_ranges(function)
+                        analyses: AnalysisManager) \
+        -> Iterator[Diagnostic]:
+    facts = analyses.get("range", function)
     for block in function.reachable_blocks():
         for instr in block.instrs:
             if isinstance(instr, ir.IdxCheck) \
@@ -109,28 +81,33 @@ def _redundant_idxcheck(module: Module, function: Function,
                     instr=instr.id)
 
 
+#: rule name -> rule(module, function, analyses) yielding diagnostics
+LINT_RULES = {
+    "dead-phi": _dead_phi,
+    "redundant-nullcheck": _redundant_nullcheck,
+    "redundant-idxcheck": _redundant_idxcheck,
+}
+
+
 def lint_function(module: Module, function: Function,
                   rules: Optional[Iterable[str]] = None,
                   include_verifier: bool = True,
                   analyses=None) -> list[Diagnostic]:
     """Run the verifier (collect mode) and the selected lint rules.
 
-    ``analyses`` is an optional :class:`repro.analysis.manager.
-    AnalysisManager`; rules marked as analysis-aware consume cached
-    results through it instead of re-solving per rule.
+    ``analyses`` is an optional :class:`~repro.analysis.manager.
+    AnalysisManager` whose cached results the verifier and the rules
+    share; without one, this call makes its own.
     """
     names = list(rules) if rules is not None else sorted(LINT_RULES)
+    if analyses is None:
+        analyses = AnalysisManager()
     diagnostics: list[Diagnostic] = []
     if include_verifier:
         diagnostics.extend(
             collect_diagnostics(module, function, analyses=analyses))
     for name in names:
-        checker = LINT_RULES[name]
-        if analyses is not None and getattr(checker, "uses_analyses",
-                                            False):
-            diagnostics.extend(checker(module, function, analyses))
-        else:
-            diagnostics.extend(checker(module, function))
+        diagnostics.extend(LINT_RULES[name](module, function, analyses))
     return sort_diagnostics(diagnostics)
 
 

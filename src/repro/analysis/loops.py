@@ -16,11 +16,6 @@ edge set, so a preheader must be a CST mutation -- a fresh fall-through
 this module wires by hand, which the verifier (and the decoder on the
 consumer side) re-checks.
 
-The module also recognises *basic induction variables*: header phis
-whose every latch operand is the same ``add``/``sub`` of the phi and a
-loop-invariant step.  LICM and the check-hoisting pass use them to
-prove facts about the first trip through a loop.
-
 Registered with the :class:`~repro.analysis.manager.AnalysisManager`
 as ``"loops"``; any pass that reports a CFG-shape change invalidates it
 (the manager drops non-preserved results after every changing pass).
@@ -30,7 +25,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ssa import ir
 from repro.ssa.cst import (
     RBasic,
     RDoWhile,
@@ -75,52 +69,9 @@ class Loop:
         return [(pred, kind) for pred, kind in self.header.preds
                 if pred.id not in self.blocks]
 
-    def exit_edges(self) -> list[tuple[Block, Block]]:
-        """``(src, dst)`` for every edge leaving the loop."""
-        edges = []
-        for block_id in self.blocks:
-            block = self._member(block_id)
-            if block is None:
-                continue
-            for succ, _kind in block.succs:
-                if succ.id not in self.blocks:
-                    edges.append((block, succ))
-        return edges
-
-    def _member(self, block_id: int) -> Optional[Block]:
-        for latch in self.latches:
-            if latch.id == block_id:
-                return latch
-        function = self.header.function
-        if function is None:
-            return None
-        for block in function.blocks:
-            if block.id == block_id:
-                return block
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<loop header=B{self.header.id} "
                 f"blocks={len(self.blocks)} depth={self.depth}>")
-
-
-class InductionVariable:
-    """A basic IV: header phi advanced by a loop-invariant step."""
-
-    __slots__ = ("phi", "entry_values", "op", "step")
-
-    def __init__(self, phi: Phi, entry_values: list[Instr], op: str,
-                 step: Instr):
-        self.phi = phi
-        #: the phi operand(s) on the entry edges (the initial value(s))
-        self.entry_values = entry_values
-        #: 'add' or 'sub' -- the direction of the latch update
-        self.op = op
-        #: the loop-invariant step value
-        self.step = step
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<iv v{self.phi.id} {self.op} v{self.step.id}>"
 
 
 class LoopForest:
@@ -134,14 +85,6 @@ class LoopForest:
         self.loops = loops
         self.by_header: dict[int, Loop] = {
             loop.header.id: loop for loop in loops}
-        self._loop_of: dict[int, Loop] = {}
-        for loop in sorted(loops, key=lambda l: -len(l.blocks)):
-            for block_id in loop.blocks:
-                self._loop_of[block_id] = loop
-
-    def loop_of(self, block: Block) -> Optional[Loop]:
-        """The innermost loop containing ``block`` (None outside)."""
-        return self._loop_of.get(block.id)
 
     def innermost_first(self) -> list[Loop]:
         return sorted(self.loops, key=lambda l: -l.depth)
@@ -154,45 +97,6 @@ class LoopForest:
         while ancestor is not None:
             ancestor.blocks.add(preheader.id)
             ancestor = ancestor.parent
-
-    def induction_variables(self, loop: Loop) -> list[InductionVariable]:
-        """Basic IVs of ``loop``: int header phis whose latch operands
-        are all the identical ``phi +/- invariant`` update."""
-        from repro.typesys.types import INT
-        ivs = []
-        header = loop.header
-        for phi in header.phis:
-            if phi.plane.kind != "prim" or phi.plane.type is not INT:
-                continue
-            if len(phi.operands) != len(header.preds):
-                continue
-            entry_values, latch_values = [], []
-            for operand, (pred, _kind) in zip(phi.operands, header.preds):
-                if pred.id in loop.blocks:
-                    latch_values.append(operand)
-                else:
-                    entry_values.append(operand)
-            if not entry_values or not latch_values:
-                continue
-            update = latch_values[0]
-            if any(value is not update for value in latch_values[1:]):
-                continue
-            if not isinstance(update, ir.Prim) \
-                    or update.operation.name not in ("add", "sub") \
-                    or update.block is None \
-                    or update.block.id not in loop.blocks:
-                continue
-            left, right = update.operands
-            if left is phi and loop.is_invariant(right):
-                step = right
-            elif update.operation.name == "add" and right is phi \
-                    and loop.is_invariant(left):
-                step = left  # addition commutes; subtraction does not
-            else:
-                continue
-            ivs.append(InductionVariable(phi, entry_values,
-                                         update.operation.name, step))
-        return ivs
 
 
 def find_loops(function: Function,

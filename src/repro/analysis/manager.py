@@ -15,92 +15,51 @@ manager invalidates after every pass that does not declare the analysis
 preserved (see :class:`repro.driver.passes.Pass`).  A pass whose
 statistics show it changed nothing implicitly preserves everything.
 
-The registry is open: :func:`register_analysis` adds a new analysis
-under a name, mirroring the lint-rule registry.  Built-in analyses:
+The analyses are the fixed table :data:`ANALYSES`:
 
 =============  ====================================================
 ``domtree``    :func:`repro.ssa.dominators.compute_dominators`
-``observable`` :func:`repro.analysis.liveness.observable_values`
-``liveness``   :func:`repro.analysis.liveness.analyze_liveness`
+``observable`` :func:`repro.opt.dce.observable_values`
 ``nullness``   :func:`repro.analysis.nullness.analyze_nullness`
 ``range``      :func:`repro.analysis.range.analyze_ranges`
+``loops``      :func:`repro.analysis.loops.find_loops`
 =============  ====================================================
 
-The manager is thread-safe for the driver's per-function fan-out:
-worker threads operate on disjoint functions, so the lock only guards
-the shared cache dictionary and the hit/computed counters.
+A manager belongs to one compilation session and is used on one thread.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Optional
+from typing import Callable
 
+from repro.analysis.loops import find_loops
+from repro.analysis.nullness import analyze_nullness
+from repro.analysis.range import analyze_ranges
+from repro.opt.dce import observable_values
+from repro.ssa.dominators import compute_dominators
 from repro.ssa.ir import Function
 
-#: analysis name -> solver(function); see :func:`register_analysis`.
-ANALYSES: dict[str, Callable[[Function], object]] = {}
-
-
-def register_analysis(name: str, solver: Optional[Callable] = None):
-    """Register ``solver`` under ``name`` (usable as a decorator)."""
-    def register(fn):
-        ANALYSES[name] = fn
-        return fn
-    if solver is not None:
-        return register(solver)
-    return register
-
-
-@register_analysis("domtree")
-def _domtree(function: Function):
-    from repro.ssa.dominators import compute_dominators
-    return compute_dominators(function)
-
-
-@register_analysis("observable")
-def _observable(function: Function):
-    from repro.analysis.liveness import observable_values
-    return observable_values(function)
-
-
-@register_analysis("liveness")
-def _liveness(function: Function):
-    from repro.analysis.liveness import analyze_liveness
-    return analyze_liveness(function)
-
-
-@register_analysis("nullness")
-def _nullness(function: Function):
-    from repro.analysis.nullness import analyze_nullness
-    return analyze_nullness(function)
-
-
-@register_analysis("range")
-def _range(function: Function):
-    from repro.analysis.range import analyze_ranges
-    return analyze_ranges(function)
-
-
-@register_analysis("loops")
-def _loops(function: Function):
-    from repro.analysis.loops import find_loops
-    return find_loops(function)
+#: analysis name -> solver(function)
+ANALYSES: dict[str, Callable[[Function], object]] = {
+    "domtree": compute_dominators,
+    "observable": observable_values,
+    "nullness": analyze_nullness,
+    "range": analyze_ranges,
+    "loops": find_loops,
+}
 
 
 class AnalysisManager:
     """Per-function cache of analysis results with hit accounting.
 
-    Results are keyed by function *identity*: a manager outlives any
-    number of modules, and two functions never alias.  The functions
-    themselves are pinned so an ``id()`` can never be recycled while its
-    cache entries are alive.
+    Results are keyed on the :class:`~repro.ssa.ir.Function` object,
+    which hashes by identity: a manager outlives any number of modules,
+    two functions never alias, and a function stays alive while any of
+    its results are cached.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[str, int], object] = {}
-        self._pinned: dict[int, Function] = {}
-        self._lock = threading.Lock()
+        self._cache: dict[Function, dict[str, object]] = {}
         self.computed = 0
         self.hits = 0
         self.invalidations = 0
@@ -115,25 +74,19 @@ class AnalysisManager:
         if solver is None:
             raise KeyError(
                 f"unknown analysis {name!r}; known: {sorted(ANALYSES)}")
-        key = (name, id(function))
-        with self._lock:
-            if key in self._cache:
-                self.hits += 1
-                self._account(name)["hits"] += 1
-                return self._cache[key]
-        # compute outside the lock: parallel workers own disjoint
-        # functions, so no two threads ever solve the same problem
-        value = solver(function)
-        with self._lock:
-            self._cache[key] = value
-            self._pinned[id(function)] = function
-            self.computed += 1
-            self._account(name)["computed"] += 1
+        results = self._cache.setdefault(function, {})
+        if name in results:
+            self.hits += 1
+            self._account(name)["hits"] += 1
+            return results[name]
+        value = results[name] = solver(function)
+        self.computed += 1
+        self._account(name)["computed"] += 1
         return value
 
     def cached(self, name: str, function: Function):
         """The cached result, or None without computing anything."""
-        return self._cache.get((name, id(function)))
+        return self._cache.get(function, {}).get(name)
 
     def _account(self, name: str) -> dict:
         stats = self.per_analysis.get(name)
@@ -146,21 +99,14 @@ class AnalysisManager:
     def invalidate(self, function: Function,
                    preserved: frozenset = frozenset()) -> None:
         """Drop ``function``'s results except the ``preserved`` names."""
-        target = id(function)
-        with self._lock:
-            stale = [key for key in self._cache
-                     if key[1] == target and key[0] not in preserved]
-            for key in stale:
-                del self._cache[key]
-                self.invalidations += 1
-            if not any(key[1] == target for key in self._cache):
-                self._pinned.pop(target, None)
-
-    def invalidate_all(self) -> None:
-        with self._lock:
-            self.invalidations += len(self._cache)
-            self._cache.clear()
-            self._pinned.clear()
+        results = self._cache.get(function)
+        if results is None:
+            return
+        for name in [name for name in results if name not in preserved]:
+            del results[name]
+            self.invalidations += 1
+        if not results:
+            del self._cache[function]
 
     # -- accounting -----------------------------------------------------
 

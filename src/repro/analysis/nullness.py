@@ -59,11 +59,8 @@ def _null_comparison(value: Instr) -> Optional[tuple[Instr, bool]]:
 
 
 class _NullnessAnalysis:
-    direction = dataflow.FORWARD
-
     def __init__(self, function: Function):
         self.function = function
-        self.lattice = dataflow.SetLattice("intersect")
 
     def boundary(self, function: Function) -> frozenset:
         return frozenset()
@@ -141,7 +138,7 @@ class _NullnessAnalysis:
         if comparison is None:
             return fact
         value, is_eq = comparison
-        arm = _branch_arm(src, index)
+        arm = dataflow.branch_arm(src, index)
         if arm is None:
             return fact
         # true arm of `v != null`, false arm of `v == null`: v non-null
@@ -150,19 +147,6 @@ class _NullnessAnalysis:
         return fact
 
     _result = None  # set by analyze_nullness during/after solving
-
-
-def _branch_arm(block: Block, succ_index: int) -> Optional[str]:
-    """'true'/'false' for the two normal successors of a branch."""
-    normals = [i for i, (_succ, kind) in enumerate(block.succs)
-               if kind == "norm"]
-    if len(normals) < 2:
-        return None
-    if succ_index == normals[0]:
-        return "true"
-    if succ_index == normals[1]:
-        return "false"
-    return None
 
 
 class NullnessFacts:
@@ -176,14 +160,6 @@ class NullnessFacts:
 
     def nonnull_at_entry(self, block: Block) -> frozenset:
         return self._result.entry.get(block.id, frozenset())
-
-    def nonnull_on_edge(self, src: Block, dst: Block,
-                        kind: str = "norm") -> frozenset:
-        fact = self._result.exit.get(src.id, frozenset())
-        for index, (succ, succ_kind) in enumerate(src.succs):
-            if succ is dst and succ_kind == kind:
-                return self._analysis.edge(src, index, dst, kind, fact)
-        return fact
 
     def nonnull_before(self, instr: Instr) -> frozenset:
         """Fact just before ``instr`` (phis observe the block entry)."""
@@ -219,7 +195,7 @@ def analyze_nullness(function: Function) -> NullnessFacts:
     # the phi transfer peeks at other blocks' (partial) edge facts; give
     # it access to the result being built, then iterate once more so the
     # optimistic phi guesses settle
-    result = dataflow.DataflowResult(dataflow.FORWARD)
+    result = dataflow.DataflowResult()
     analysis._result = result
     solved = dataflow.solve(function, analysis)
     result.entry.update(solved.entry)

@@ -3,7 +3,7 @@
 Complements E5 (verifycost): E5 compares SafeTSA verification against
 JVM bytecode dataflow verification, this report measures the *new*
 diagnostics stack -- fail-fast verification, collect-all verification,
-and the full lint driver (nullness + range + liveness dataflow) -- over
+and the full lint driver (nullness + range dataflow, observability) -- over
 every corpus artifact (each program in its plain and optimized variant,
 the same 20 modules the codec benchmark times), together with the
 diagnostic counts each artifact produces.  The numbers land in

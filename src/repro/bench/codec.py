@@ -1,18 +1,14 @@
-"""Codec throughput benchmark: word-at-a-time vs the seed codec.
+"""Codec throughput benchmark: the bit codec, the module path and the
+compilation cache.
 
-The honest unit of comparison for the bit codec is the *primitive-op
+The honest unit of measurement for the bit codec is the *primitive-op
 trace*: the exact sequence of ``write_bounded`` / ``write_gamma`` /
 ``write_bits`` / ... calls the serializer makes while externalising the
-corpus.  Replaying that trace against both codecs times the codec alone
-under the format's real field-width distribution (about four bits per
-symbol), without attributing serializer or deserializer object
-construction to either side.  The module-path numbers (full
-``encode_module`` / ``decode_module`` wall-clock) are reported alongside
-for the end-to-end view.
-
-Both codecs must produce byte-identical streams for the replay to be
-meaningful; :func:`capture_corpus_trace` asserts exactly that, which
-also serves as a whole-corpus differential test of the rewrite.
+corpus.  Replaying that trace times the codec alone under the format's
+real field-width distribution (about four bits per symbol), without
+attributing serializer or deserializer object construction to it.  The
+module-path numbers (full ``encode_module`` / ``decode_module``
+wall-clock) are reported alongside for the end-to-end view.
 """
 
 from __future__ import annotations
@@ -21,10 +17,6 @@ from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.bench.metrics import TRANSMITTED_FLAGS, bench_repeats, best_of
 from repro.cache import CompilationCache
 from repro.driver import CompilationSession
-from repro.encode._bitio_reference import (
-    ReferenceBitReader,
-    ReferenceBitWriter,
-)
 from repro.encode.bitio import BitReader, BitWriter
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
@@ -69,8 +61,8 @@ def _tracing_writer(ops: list):
 
 
 def capture_corpus_trace(programs=None):
-    """Compile the corpus (both transmitted forms), record the write
-    trace, and check the two codecs agree byte-for-byte on it.
+    """Compile the corpus (both transmitted forms) and record the write
+    trace.
 
     Returns ``(ops, stream)`` where ``stream`` is the replayed bit
     stream all further measurements run against.
@@ -93,13 +85,7 @@ def capture_corpus_trace(programs=None):
             serializer.encode_module(module)
     finally:
         serializer.BitWriter = original
-    stream = replay_write(BitWriter, ops)
-    reference = replay_write(ReferenceBitWriter, ops)
-    if stream != reference:
-        raise AssertionError(
-            "word-at-a-time and reference codecs produced different "
-            "bytes for the corpus trace")
-    return ops, stream
+    return ops, replay_write(BitWriter, ops)
 
 
 def _write_calls(writer, ops):
@@ -152,11 +138,9 @@ def check_read_values(ops, stream) -> None:
 
 
 def measure_codec_throughput(programs=None, repeats: int = 3) -> dict:
-    """Trace-replay MB/s for both codecs plus the speedup ratios.  Each
-    timed run replays the trace against a fresh writer or reader whose
-    bound methods are resolved off the clock -- dispatch overhead would
-    be charged equally to both codecs and compress the ratio between
-    them."""
+    """Trace-replay MB/s of the codec.  Each timed run replays the trace
+    against a fresh writer or reader whose bound methods are resolved
+    off the clock, so the number is the codec's, not dispatch's."""
     ops, stream = capture_corpus_trace(programs)
     size = len(stream)
 
@@ -166,10 +150,6 @@ def measure_codec_throughput(programs=None, repeats: int = 3) -> dict:
     seconds = {
         "encode": replay(lambda: _write_calls(BitWriter(), ops)),
         "decode": replay(lambda: _read_calls(BitReader(stream), ops)),
-        "ref_encode": replay(
-            lambda: _write_calls(ReferenceBitWriter(), ops)),
-        "ref_decode": replay(
-            lambda: _read_calls(ReferenceBitReader(stream), ops)),
     }
     mbps = {key: size / secs / 1e6 for key, secs in seconds.items()}
     return {
@@ -177,15 +157,6 @@ def measure_codec_throughput(programs=None, repeats: int = 3) -> dict:
         "stream_bytes": size,
         "encode_mbps": round(mbps["encode"], 3),
         "decode_mbps": round(mbps["decode"], 3),
-        "ref_encode_mbps": round(mbps["ref_encode"], 3),
-        "ref_decode_mbps": round(mbps["ref_decode"], 3),
-        "encode_speedup": round(seconds["ref_encode"]
-                                / seconds["encode"], 2),
-        "decode_speedup": round(seconds["ref_decode"]
-                                / seconds["decode"], 2),
-        "combined_speedup": round(
-            (seconds["ref_encode"] + seconds["ref_decode"])
-            / (seconds["encode"] + seconds["decode"]), 2),
     }
 
 
@@ -195,13 +166,11 @@ def codec_report(programs=None, repeats=None) -> dict:
     programs = list(programs or CORPUS_PROGRAMS)
     report: dict = {"programs": programs, "repeats": repeats}
 
-    # 1. the codec itself: trace replay, new vs reference.  Replaying
-    # the trace is cheap, so take at least five repeats: on a busy
-    # single-CPU machine three minima still carry visible noise.
+    # 1. the codec itself: trace replay.  Replaying the trace is cheap,
+    # so take at least five repeats: on a busy single-CPU machine three
+    # minima still carry visible noise.
     report["codec"] = measure_codec_throughput(programs,
                                                repeats=max(repeats, 5))
-    report["codec"]["speedup_vs_reference"] = \
-        report["codec"]["combined_speedup"]
 
     # 2. the module path: full encode/decode plus per-stage compile time
     sessions = [CompilationSession(cache=False, **flags)
@@ -259,12 +228,8 @@ def codec_table(report: dict) -> str:
     codec = report["codec"]
     cache = report["cache"]
     return "\n".join([
-        f"  trace encode   {codec['encode_mbps']:7.3f} MB/s "
-        f"({codec['encode_speedup']}x vs seed codec)",
-        f"  trace decode   {codec['decode_mbps']:7.3f} MB/s "
-        f"({codec['decode_speedup']}x vs seed codec)",
-        f"  combined speedup vs reference: "
-        f"{codec['speedup_vs_reference']}x",
+        f"  trace encode   {codec['encode_mbps']:7.3f} MB/s",
+        f"  trace decode   {codec['decode_mbps']:7.3f} MB/s",
         f"  corpus compile {cache['cold_serial_seconds']:.2f}s cold, "
         f"{cache['warm_seconds']:.2f}s from cache "
         f"(hit rate {cache['hit_rate']:.0%})",

@@ -140,7 +140,7 @@ BENCHES = {bench.name: bench for bench in (
            extensions_table),
     _table("jitspeed", "E9: consumer-side code generation (interpreter "
            "vs JIT)", jit_speeds, jitspeed_table),
-    Bench("codec", "Codec: word-at-a-time vs seed bit codec, the module "
+    Bench("codec", "Codec: the word-at-a-time bit codec, the module "
           "path and the compilation cache", codec_report, {}, _SMOKE_ARGS,
           codec_table),
     Bench("analysis", "Analysis: verify and lint cost per corpus "

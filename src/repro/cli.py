@@ -443,6 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from repro.encode.deserializer import DecodeError
     from repro.frontend.errors import CompileError
+    from repro.interp.interpreter import InterpreterError
     from repro.tsa.verifier import VerifyError
     try:
         return args.fn(args)
@@ -455,6 +456,10 @@ def main(argv=None) -> int:
     except (DecodeError, VerifyError) as error:
         # so is a wire file the loader rejects
         print(f"REJECTED: {error}", file=sys.stderr)
+        return 1
+    except InterpreterError as error:
+        # and a run that a bound stopped (steps, stack depth)
+        print(f"{type(error).__name__}: {error}", file=sys.stderr)
         return 1
 
 

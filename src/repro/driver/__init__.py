@@ -18,20 +18,17 @@ shares:
 runs a :class:`~repro.driver.manager.PassManager` directly.
 """
 
-from repro.analysis.manager import ANALYSES, AnalysisManager, \
-    register_analysis
+from repro.analysis.manager import ANALYSES, AnalysisManager
 from repro.driver.manager import PassManager
 from repro.driver.passes import (
     ALL_PASSES,
     CANONICAL_SPEC,
     DEFAULT_PASSES,
-    PASS_REGISTRY,
+    PASSES,
     Pass,
     PassCheckError,
-    STEP_FUNCTIONS,
     effective_passes,
     parse_pass_spec,
-    register_pass,
     spec_string,
 )
 from repro.driver.report import PassReport, merge_stats
@@ -44,16 +41,13 @@ __all__ = [
     "CANONICAL_SPEC",
     "CompilationSession",
     "DEFAULT_PASSES",
-    "PASS_REGISTRY",
+    "PASSES",
     "Pass",
     "PassCheckError",
     "PassManager",
     "PassReport",
-    "STEP_FUNCTIONS",
     "effective_passes",
     "merge_stats",
     "parse_pass_spec",
-    "register_analysis",
-    "register_pass",
     "spec_string",
 ]

@@ -6,17 +6,18 @@ passes over functions in canonical slot order, producing one
 :class:`~repro.driver.report.PassReport` per function with per-pass
 wall-clock timing and statistics.
 
-When an :class:`~repro.analysis.manager.AnalysisManager` is supplied,
-passes consume cached analyses through it and the manager invalidates
-each function's results after every pass according to the pass's
+Passes consume analyses through an :class:`~repro.analysis.manager.
+AnalysisManager` -- the caller's, or one made for the call -- which
+drops each function's results after every pass according to the pass's
 ``preserves`` declaration (a pass that changed nothing preserves
 everything -- see :meth:`repro.driver.passes.Pass.preserved_after`).
 
-``check_after_each_pass`` keeps the PR-2 invariant machinery: the
-function is verified before the first pass and re-verified after every
-pass, and the first violation is attributed -- as a
-:class:`~repro.driver.passes.PassCheckError` carrying the collected
-diagnostics -- to the pass that introduced it.
+``check_after_each_pass`` verifies the function before the first pass
+and re-verifies it after every pass, and attributes the first violation
+-- as a :class:`~repro.driver.passes.PassCheckError` carrying the
+collected diagnostics -- to the pass that introduced it.  Each check
+computes a fresh dominator tree instead of reading the cache it is
+checking.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from typing import Optional
 from repro.analysis.diagnostics import Severity
 from repro.analysis.manager import AnalysisManager
 from repro.driver.passes import (
-    PASS_REGISTRY,
+    PASSES,
     PassCheckError,
     PassSpec,
     parse_pass_spec,
-    run_step,
     spec_string,
 )
 from repro.driver.report import PassReport
@@ -61,20 +61,22 @@ class PassManager:
         """Run the pipeline on one function; returns its report."""
         if self.check_after_each_pass and module is None:
             raise ValueError("check_after_each_pass requires module=")
+        if analyses is None:
+            analyses = AnalysisManager()
         report = PassReport(function.name)
         if self.check_after_each_pass:
-            self._check(module, function, "input", analyses)
+            self._check(module, function, "input")
         for name in self.names:
+            pass_ = PASSES[name]
             start = perf_counter()
-            stats = run_step(name, function, analyses)
+            stats = pass_.step(function, analyses)
             seconds = perf_counter() - start
             report.record(name, stats, seconds)
-            if analyses is not None:
-                preserved = PASS_REGISTRY[name].preserved_after(stats)
-                if preserved is not None:
-                    analyses.invalidate(function, preserved=preserved)
+            preserved = pass_.preserved_after(stats)
+            if preserved is not None:
+                analyses.invalidate(function, preserved=preserved)
             if self.check_after_each_pass:
-                self._check(module, function, name, analyses)
+                self._check(module, function, name)
         return report
 
     def run_module(self, module,
@@ -87,11 +89,9 @@ class PassManager:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _check(module, function, pass_name: str,
-               analyses: Optional[AnalysisManager]) -> None:
+    def _check(module, function, pass_name: str) -> None:
         from repro.tsa.verifier import collect_diagnostics
-        errors = [d for d in collect_diagnostics(module, function,
-                                                 analyses=analyses)
+        errors = [d for d in collect_diagnostics(module, function)
                   if d.severity == Severity.ERROR]
         if errors:
             raise PassCheckError(pass_name, function.name, errors)

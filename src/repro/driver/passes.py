@@ -1,20 +1,20 @@
-"""Pass objects, the pass registry, and the pipeline-spec grammar.
+"""The pass table and the pipeline-spec grammar.
 
-Every optimisation pass is a registered :class:`Pass` with metadata the
-pass manager uses to schedule work and keep the shared analysis cache
-sound:
+Every optimisation pass is one entry of :data:`PASSES`, keyed by its
+spec name (``constprop``, ``safephi``, ``hoist_checks``, ``cse``,
+``cse_fields``, ``licm``, ``dce``, ``cleanup``).  Its :class:`Pass`
+holds what the pass manager needs to schedule the work and keep the
+shared analysis cache sound:
 
-``name``
-    The spec name (``constprop``, ``safephi``, ``hoist_checks``,
-    ``cse``, ``cse_fields``, ``licm``, ``dce``, ``cleanup``).
 ``slot``
     The canonical-order slot the pass occupies.  ``cse`` and
     ``cse_fields`` share the ``cse`` slot: they are variants, and at
     most one runs per pipeline (``cse_fields`` wins when both are
-    selected, matching the historical behaviour).
-``requires``
-    Analyses the pass consumes through the :class:`~repro.analysis.
-    manager.AnalysisManager` (advisory; passes also run stand-alone).
+    selected).
+``step``
+    ``step(function, analyses)`` runs the pass on one function, reading
+    analyses through the :class:`~repro.analysis.manager.
+    AnalysisManager`, and returns its statistics.
 ``preserves``
     Analyses still valid after the pass *even when it changed the
     function*.  A pass whose statistics are all falsy changed nothing
@@ -29,18 +29,16 @@ no-op pipeline.  Iterables of names are accepted anywhere a spec string
 is.  Passes always execute in canonical slot order regardless of the
 order written, so two spellings of the same pass set hash to the same
 compilation-cache key.
-
-Execution is routed through :data:`STEP_FUNCTIONS` so tests can
-monkeypatch a step (e.g. to inject a deliberately invariant-breaking
-pass and assert blame attribution).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Union
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.manager import AnalysisManager
+from repro.ssa.ir import Function
 
 #: Canonical execution order (one name per slot).  ``hoist_checks``
 #: runs before ``cse`` so a check hoisted to a preheader dominates --
@@ -86,18 +84,11 @@ class PassCheckError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# step functions (the callables that actually mutate a function)
+# step functions: step(function, analyses) mutates the function and
+# returns its statistics
 # ---------------------------------------------------------------------------
 
-def _uses_analyses(fn):
-    """Mark a step as accepting the ``analyses`` keyword.  Steps without
-    the mark -- including test monkeypatches -- are called as plain
-    ``step(function)``, the historical contract."""
-    fn.uses_analyses = True
-    return fn
-
-
-def _step_constprop(function) -> dict:
+def _step_constprop(function, analyses) -> dict:
     from repro.opt.cleanup import remove_stale_exception_edges
     from repro.opt.constprop import run_constprop
     folded = run_constprop(function)
@@ -107,97 +98,61 @@ def _step_constprop(function) -> dict:
             "stale_exc_edges": remove_stale_exception_edges(function)}
 
 
-def _step_safephi(function) -> dict:
+def _step_safephi(function, analyses) -> dict:
     from repro.opt.safephi import run_safe_phi_propagation
     return {"safephi_promoted": run_safe_phi_propagation(function)}
 
 
-@_uses_analyses
-def _step_licm(function, analyses=None) -> dict:
+def _step_licm(function, analyses) -> dict:
     from repro.opt.licm import run_licm
-    forest = analyses.get("loops", function) \
-        if analyses is not None else None
-    return run_licm(function, forest=forest)
+    return run_licm(function, forest=analyses.get("loops", function))
 
 
-@_uses_analyses
-def _step_hoist_checks(function, analyses=None) -> dict:
+def _step_hoist_checks(function, analyses) -> dict:
     from repro.opt.hoist_checks import run_hoist_checks
-    forest = analyses.get("loops", function) \
-        if analyses is not None else None
-    return run_hoist_checks(function, forest=forest)
+    return run_hoist_checks(function,
+                            forest=analyses.get("loops", function))
 
 
-@_uses_analyses
-def _step_cse(function, analyses=None, partition_memory=False) -> dict:
+def _step_cse(function, analyses, partition_memory=False) -> dict:
     from repro.opt.cleanup import remove_stale_exception_edges
     from repro.opt.cse import run_cse
-    domtree = analyses.get("domtree", function) \
-        if analyses is not None else None
     cse_stats = run_cse(function, partition_memory=partition_memory,
-                        domtree=domtree)
+                        domtree=analyses.get("domtree", function))
     stats = {f"cse_{k}": v for k, v in cse_stats.as_dict().items()}
     # check elimination removes trapping instructions; see above
     stats["stale_exc_edges"] = remove_stale_exception_edges(function)
     return stats
 
 
-@_uses_analyses
-def _step_cse_fields(function, analyses=None) -> dict:
+def _step_cse_fields(function, analyses) -> dict:
     return _step_cse(function, analyses, partition_memory=True)
 
 
-@_uses_analyses
-def _step_dce(function, analyses=None) -> dict:
+def _step_dce(function, analyses) -> dict:
     from repro.opt.dce import run_dce
-    observable = analyses.get("observable", function) \
-        if analyses is not None else None
-    return {"dce_removed": run_dce(function, observable=observable)}
+    return {"dce_removed": run_dce(
+        function, observable=analyses.get("observable", function))}
 
 
-def _step_cleanup(function) -> dict:
+def _step_cleanup(function, analyses) -> dict:
     from repro.opt.cleanup import remove_dead_handlers, \
         remove_stale_exception_edges
     return {"stale_exc_edges": remove_stale_exception_edges(function),
             "dead_handlers": remove_dead_handlers(function)}
 
 
-#: pass name -> step callable; monkeypatchable so tests can inject a
-#: deliberately invariant-breaking pass and assert blame attribution.
-STEP_FUNCTIONS = {
-    "constprop": _step_constprop,
-    "safephi": _step_safephi,
-    "licm": _step_licm,
-    "hoist_checks": _step_hoist_checks,
-    "cse": _step_cse,
-    "cse_fields": _step_cse_fields,
-    "dce": _step_dce,
-    "cleanup": _step_cleanup,
-}
-
-
-def run_step(name: str, function, analyses=None) -> dict:
-    """Execute one registered step, honouring monkeypatched entries."""
-    step = STEP_FUNCTIONS[name]
-    if analyses is not None and getattr(step, "uses_analyses", False):
-        return step(function, analyses)
-    return step(function)
-
-
 # ---------------------------------------------------------------------------
-# pass metadata
+# the pass table
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Pass:
-    """Registered pass metadata (execution goes through
-    :data:`STEP_FUNCTIONS`, which this class deliberately does not
-    capture, so monkeypatching a step keeps working)."""
+    """One pass: its canonical slot, its step and what it preserves."""
 
-    name: str
     slot: str
-    requires: frozenset = field(default_factory=frozenset)
-    preserves: frozenset = field(default_factory=frozenset)
+    step: Callable[[Function, AnalysisManager], dict]
+    preserves: frozenset = frozenset()
 
     def preserved_after(self, stats: dict) -> Optional[frozenset]:
         """Analyses still valid after this pass produced ``stats``.
@@ -212,42 +167,24 @@ class Pass:
         return frozenset(preserved)
 
 
-#: name -> Pass, populated below; open for extension via register_pass.
-PASS_REGISTRY: dict[str, Pass] = {}
+_DOMTREE = frozenset({"domtree"})
 
-
-def register_pass(pass_: Pass) -> Pass:
-    if pass_.slot not in ALL_PASSES:
-        raise ValueError(f"unknown canonical slot {pass_.slot!r}")
-    PASS_REGISTRY[pass_.name] = pass_
-    return pass_
-
-
-register_pass(Pass("constprop", "constprop",
-                   preserves=frozenset({"domtree"})))
-register_pass(Pass("safephi", "safephi",
-                   preserves=frozenset({"domtree"})))
-# the loop tier preserves the dominator tree only when it did not have
-# to materialise a preheader; ``preheaders`` is in CFG_CHANGE_STATS, so
-# preserved_after() withdraws "domtree" exactly in that case.
-register_pass(Pass("licm", "licm",
-                   requires=frozenset({"loops"}),
-                   preserves=frozenset({"domtree"})))
-register_pass(Pass("hoist_checks", "hoist_checks",
-                   requires=frozenset({"loops", "nullness", "range"}),
-                   preserves=frozenset({"domtree"})))
-register_pass(Pass("cse", "cse",
-                   requires=frozenset({"domtree"}),
-                   preserves=frozenset({"domtree"})))
-register_pass(Pass("cse_fields", "cse",
-                   requires=frozenset({"domtree"}),
-                   preserves=frozenset({"domtree"})))
-# DCE removes only values outside the observability closure: the
-# closure itself and the CFG are untouched, so both results stay valid.
-register_pass(Pass("dce", "dce",
-                   requires=frozenset({"observable"}),
-                   preserves=frozenset({"domtree", "observable"})))
-register_pass(Pass("cleanup", "cleanup"))
+#: pass name -> Pass.  The loop tier preserves the dominator tree only
+#: when it did not have to materialise a preheader; ``preheaders`` is in
+#: CFG_CHANGE_STATS, so preserved_after() withdraws "domtree" exactly in
+#: that case.  DCE removes only values outside the observability
+#: closure: the closure itself and the CFG are untouched, so both
+#: results stay valid.
+PASSES: dict[str, Pass] = {
+    "constprop": Pass("constprop", _step_constprop, _DOMTREE),
+    "safephi": Pass("safephi", _step_safephi, _DOMTREE),
+    "licm": Pass("licm", _step_licm, _DOMTREE),
+    "hoist_checks": Pass("hoist_checks", _step_hoist_checks, _DOMTREE),
+    "cse": Pass("cse", _step_cse, _DOMTREE),
+    "cse_fields": Pass("cse", _step_cse_fields, _DOMTREE),
+    "dce": Pass("dce", _step_dce, frozenset({"domtree", "observable"})),
+    "cleanup": Pass("cleanup", _step_cleanup),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +210,14 @@ def parse_pass_spec(spec: PassSpec) -> tuple[str, ...]:
         names = [part for part in names if part]
     else:
         names = list(spec)
-    unknown = sorted(set(names) - set(PASS_REGISTRY))
+    unknown = sorted(set(names) - set(PASSES))
     if unknown:
         raise ValueError(
             f"unknown pass name(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(PASS_REGISTRY))}")
+            f"known: {', '.join(sorted(PASSES))}")
     by_slot: dict[str, str] = {}
     for name in names:
-        slot = PASS_REGISTRY[name].slot
+        slot = PASSES[name].slot
         current = by_slot.get(slot)
         if current is None or name == "cse_fields":
             by_slot[slot] = name

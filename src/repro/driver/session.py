@@ -12,9 +12,9 @@ source.  A :class:`CompilationSession` owns:
 * the **pass manager** -- the pipeline spec (``passes=``/``optimize=``)
   resolved once, run per function with structured
   :class:`~repro.driver.report.PassReport` timing;
-* the **analysis manager** -- nullness/range/liveness/dominator results
-  computed once per function and shared by the optimizer, the verifier,
-  the lint driver, and the encoder's register layout;
+* the **analysis manager** -- dominator/observability/nullness/range/
+  loop results computed once per function and shared by the optimizer,
+  the verifier, the lint driver, and the encoder's register layout;
 * the **compilation cache** -- the key covers the *pass spec* and the
   phi-pruning flag, so differently optimised artifacts can never
   alias;

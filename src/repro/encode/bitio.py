@@ -17,9 +17,9 @@ format's average field, one avoided Python call is worth more than any
 bit trick.
 
 The wire format is bit-for-bit identical to the seed bit-at-a-time
-codec, which is kept as :mod:`repro.encode._bitio_reference` and
-compared against by the golden fixtures in ``tests/golden/wire`` and
-the differential tests.
+codec: the golden fixtures in ``tests/golden/wire`` pin the bytes, and
+the differential tests compare against the seed codec, which is kept
+as the test oracle ``tests/bitio_reference.py``.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ reach code that assumed well-formedness.
 
 Execution of accepted mutants is resource-bounded: a small step budget
 (`StepLimitExceeded` counts as a clean run), an array-allocation cap
-(`AllocationLimitExceeded` likewise), and a recursion guard
-(`RecursionError` *during execution* maps to Java's
-``StackOverflowError`` semantics, not to a finding).
+(`AllocationLimitExceeded` likewise), and the runners' stack-depth
+bound (`StackDepthExceeded` maps to Java's ``StackOverflowError``
+semantics, not to a finding).
 """
 
 from __future__ import annotations
@@ -252,10 +252,11 @@ def _observe(runner, entry: tuple) -> tuple:
     """Run ``entry`` on ``runner`` under the array cap; returns ``(end,
     stdout, exception name, steps, check counts)``.  ``end`` is
     ``"ran"``, ``"steps"`` or ``"allocation"`` when a bound stopped the
-    run, or ``"stackoverflow"``: ``RecursionError`` maps to Java's
+    run, or ``"stackoverflow"``: ``StackDepthExceeded`` maps to Java's
     ``StackOverflowError`` semantics, not to a finding."""
     from repro.interp.interpreter import (
         AllocationLimitExceeded,
+        StackDepthExceeded,
         StepLimitExceeded,
     )
     runner.max_array_length = EXEC_MAX_ARRAY
@@ -266,7 +267,7 @@ def _observe(runner, entry: tuple) -> tuple:
         end = "steps"
     except AllocationLimitExceeded:
         end = "allocation"
-    except RecursionError:
+    except StackDepthExceeded:
         end = "stackoverflow"
     return (end, "".join(runner.runtime.stdout), exception, runner.steps,
             getattr(runner, "check_counts", None))
@@ -289,9 +290,8 @@ def _tier_divergence(module, expected: tuple,
     JIT; describe the first way either differs from the interpreter, or
     None.
 
-    The trace tier must match on stdout, exception, steps and check
-    counts, except that a cap that fires inside a trace leaves the
-    trace's uncommitted trips uncounted (stdout still matches).  Python
+    The trace tier must match on how the run ended, stdout, exception,
+    steps and check counts, also when a bound stopped it.  Python
     frames per Java call differ between tiers, so a run that overflows
     the stack is not compared.  The JIT counts no steps, so it can bound
     no run and runs only the mutants that finished."""
@@ -305,8 +305,7 @@ def _tier_divergence(module, expected: tuple,
     traced = _observe(TracingInterpreter(
         module, max_steps=max_steps, threshold=EXEC_TRACE_THRESHOLD,
         trace_cache=TraceCache()), entry)
-    compared = 3 if end == "allocation" else 5
-    if traced[:compared] != expected[:compared]:
+    if traced != expected:
         return f"trace: {traced!r} != interp {expected!r}"
     if end != "ran":
         return None
@@ -316,6 +315,36 @@ def _tier_divergence(module, expected: tuple,
     return None
 
 
+def _loader_divergence(data: bytes, store,
+                       rejected: Optional[StreamOutcome]) \
+        -> Optional[StreamOutcome]:
+    """Load ``data`` through :func:`repro.loader.load_module` with the
+    same ``store``; a finding when it accepts what decode + verify
+    ``rejected`` (None: accepted) or the other way round, or rejects
+    under a code that is not the same defect modulo
+    :data:`~repro.analysis.diagnostics.CODE_ALIASES`."""
+    from repro.analysis.diagnostics import codes_equivalent
+    from repro.encode.deserializer import DecodeError
+    from repro.loader import load_module
+    from repro.tsa.verifier import VerifyError
+    try:
+        load_module(data, store=store)
+        loaded = None
+    except (DecodeError, VerifyError) as error:
+        loaded = getattr(error, "code", "DEC-MALFORMED")
+    except Exception as error:
+        return StreamOutcome("finding", type(error).__name__,
+                             f"load: {error!r}"[:300])
+    expected = rejected.code if rejected is not None else None
+    if (loaded is None) == (expected is None) and \
+            (loaded is None or codes_equivalent(expected, loaded)):
+        return None
+    return StreamOutcome(
+        "finding", "LoaderDivergence",
+        f"decode+verify {expected or 'accepts'}, "
+        f"load_module {loaded or 'accepts'}")
+
+
 def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
                  store=None) -> StreamOutcome:
     """Classify one stream against the reject-or-equivalent invariant.
@@ -323,33 +352,44 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
     ``store`` resolves v2 envelopes (the v2 mutation lane passes the
     campaign's dictionary store so honest envelopes decode and mutated
     ones must reject); the default ``None`` uses the environment store,
-    under which digest references simply reject as missing.  An
-    accepted module runs under the interpreter, the trace tier and the
-    JIT (:func:`_tier_divergence`), and again under the interpreter
-    after a further encode/decode round trip.
+    under which digest references simply reject as missing.  The
+    stream is judged by decode + verify and again by the fused loader
+    that ``repro-cc`` and :mod:`repro.serve` use
+    (:func:`_loader_divergence`).  An accepted module runs under the
+    interpreter, the trace tier and the JIT (:func:`_tier_divergence`),
+    and again under the interpreter after a further encode/decode
+    round trip.
     """
     from repro.encode.deserializer import DecodeError, decode_module
     from repro.encode.serializer import encode_module
     from repro.interp.interpreter import Interpreter
     from repro.tsa.verifier import VerifyError, verify_module
 
+    rejected: Optional[StreamOutcome] = None
     try:
         module = decode_module(data, store=store)
     except DecodeError as error:
-        return StreamOutcome("rejected",
-                             getattr(error, "code", "DEC-MALFORMED"),
-                             str(error)[:200])
+        rejected = StreamOutcome("rejected",
+                                 getattr(error, "code", "DEC-MALFORMED"),
+                                 str(error)[:200])
     except Exception as error:  # the whole point of the fuzzer
         return StreamOutcome("finding", type(error).__name__,
                              f"decode: {error!r}"[:300])
+    else:
+        try:
+            verify_module(module)
+        except VerifyError as error:
+            rejected = StreamOutcome("rejected", error.code,
+                                     str(error)[:200])
+        except Exception as error:
+            return StreamOutcome("finding", type(error).__name__,
+                                 f"verify: {error!r}"[:300])
 
-    try:
-        verify_module(module)
-    except VerifyError as error:
-        return StreamOutcome("rejected", error.code, str(error)[:200])
-    except Exception as error:
-        return StreamOutcome("finding", type(error).__name__,
-                             f"verify: {error!r}"[:300])
+    divergence = _loader_divergence(data, store, rejected)
+    if divergence is not None:
+        return divergence
+    if rejected is not None:
+        return rejected
 
     def run(target_module) -> Optional[tuple]:
         entry = _entry(target_module)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 #: pass specs compared against the plain module by default; each one is
-#: a legal ``--passes`` spec (see repro.driver.passes.PASS_REGISTRY).
+#: a legal ``--passes`` spec (see repro.driver.passes.PASSES).
 #: The last lane is the full pipeline with the loop tier (preheader
 #: insertion, LICM, check hoisting) enabled.
 DEFAULT_PASS_SPECS = (

@@ -82,6 +82,12 @@ class AllocationLimitExceeded(InterpreterError):
     """An array allocation exceeded the configured cap (fuzzing guard)."""
 
 
+class StackDepthExceeded(InterpreterError):
+    """The Java call stack outgrew the host's recursion limit.  Each
+    tier spends a different number of Python frames per Java call, so
+    the depth at which this fires differs between tiers."""
+
+
 class ExecutionResult:
     """Observable outcome of running an entry point."""
 
@@ -224,13 +230,18 @@ class Runner:
         return self.run_function(function, args)
 
     def run_function(self, function: Function, args: list) -> ExecutionResult:
-        self._ensure_initialized()
         exception: Optional[ObjectRef] = None
         value = None
         try:
-            value = self.call(function, args)
-        except JavaError as error:
-            exception = error.value
+            self._ensure_initialized()
+            try:
+                value = self.call(function, args)
+            except JavaError as error:
+                exception = error.value
+        except RecursionError:
+            # the host stack ran out, in <clinit> or in the run
+            raise StackDepthExceeded(
+                f"call stack too deep running {function.name}") from None
         return ExecutionResult(value, exception,
                                "".join(self.runtime.stdout), self.steps)
 

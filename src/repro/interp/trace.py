@@ -24,7 +24,10 @@ Lifecycle per ``(function, loop header)``:
    materialises the register frame (``_MISSING``-guarded write-back)
    and resumes the interpreter at the exact equivalent point, so
    results, heap effects, ``steps`` and ``check_counts`` are identical
-   to the untraced interpreter.
+   to the untraced interpreter.  A bound that stops the run inside a
+   trace (the step limit, the allocation cap, or one raised in a callee)
+   leaves through the same exit: the trips and the partial trip's
+   prefix are counted before the error is raised again.
 4. **blacklist** -- a trace that keeps exiting with zero committed
    trips is dropped and its header is never considered again.
 
@@ -41,9 +44,8 @@ generated function ``fn(rt, frame)`` and exit sites, keyed on its block
 indices.  Each :class:`TracingInterpreter` runs those plans and those
 functions with itself as ``rt``, as the interpreter's ops and the
 JIT's code do: the runtime helpers, the allocation cap, the step
-budget (a call-flavour trace words its step-limit message from
-``rt.max_steps``) and the call sites (the interpreter's shared ones)
-all reach a trace through ``rt``, so a runner compiles and links
+budget and the call sites (the interpreter's shared ones) all reach a
+trace through ``rt``, so a runner compiles and links
 nothing for a path another runner built.  The runner keeps its own
 header states and trace counters: a shared plan records only whether
 its block is a loop header, and the runner's :class:`_FunctionState`
@@ -105,7 +107,7 @@ class _Site:
     def __init__(self, kind: str, block: Optional[Block], resume,
                  exc_target, steps_prefix: int,
                  checks_prefix: tuple[int, int, int]):
-        self.kind = kind  # "budget" | "guard" | "trap"
+        self.kind = kind  # "budget" | "guard" | "trap" | "limit"
         self.block = block
         self.block_id = block.id if block is not None else -1
         self.resume = resume          # guard: the untaken successor
@@ -219,12 +221,6 @@ class _TraceOps(_FunctionTranslator):
 _CHECK_KIND = {ir.NullCheck: 0, ir.IdxCheck: 1, ir.Upcast: 2}
 
 
-def _step_limit(rt: Interpreter, name: str) -> StepLimitExceeded:
-    """The untraced interpreter's step-limit error, worded from the
-    running interpreter's own budget."""
-    return StepLimitExceeded(f"exceeded {rt.max_steps} steps in {name}")
-
-
 class _TraceCompiler:
     """Compiles one recorded block path into a looping fast path.
 
@@ -246,7 +242,7 @@ class _TraceCompiler:
                     _trips += 1
             except _X as _x:
                 _site = _x.site; _err = None
-            except _JavaError as _e:
+            except (_JavaError, _IE) as _e:   # a trap, or a bound
                 _site = _pc; _err = _e
             _ls = locals()
             for _i, _n in _W:               # frame materialisation
@@ -256,10 +252,15 @@ class _TraceCompiler:
 
     Traces containing calls cannot precompute a trip budget (nested
     frames consume steps too); they commit ``rt.steps`` per block top
-    and raise the step limit inline instead, which keeps ``steps``
-    exact in both flavours.  Nothing in the code depends on the
-    interpreter that records the path: the running interpreter is the
-    argument ``rt``, and everything else is a constant of the code.
+    and leave through a ``limit`` site of that block when the budget
+    runs out, which keeps ``steps`` exact in both flavours.  An
+    :class:`~repro.interp.interpreter.InterpreterError` -- the
+    allocation cap, or a bound raised in a callee -- leaves like a
+    trap, through the site of the instruction that raised it, so the
+    runner can count the partial trip before raising it again.
+    Nothing in the code depends on the interpreter that records the
+    path: the running interpreter is the argument ``rt``, and
+    everything else is a constant of the code.
     """
 
     def __init__(self, function: Function, path: list[Block]):
@@ -268,7 +269,7 @@ class _TraceCompiler:
         self.out = _Emitter()
         self.ops = _TraceOps(function, self.out)
         self.env = self.ops.env
-        self.env.update(_X=_TraceExit, _M=_MISSING, _SLE=_step_limit)
+        self.env.update(_X=_TraceExit, _M=_MISSING)
         self.sites: list[_Site] = []
         self.checks = [0, 0, 0]  # nullcheck, idxcheck, upcast per trip
 
@@ -359,7 +360,9 @@ class _TraceCompiler:
             if has_calls:
                 out.emit("rt.steps += 1")
                 out.emit(f"if rt.steps > rt.max_steps: "
-                         f"raise _SLE(rt, {function.name!r})")
+                         f"raise _X({len(self.sites)})")
+                self.sites.append(_Site("limit", block, None, None, 0,
+                                        tuple(self.checks)))
             self._emit_block(k, block)
         out.emit("_trips += 1")
         out.indent -= 2
@@ -368,7 +371,7 @@ class _TraceCompiler:
         out.emit("_site = _x.site")
         out.emit("_err = None")
         out.indent -= 1
-        out.emit("except _JavaError as _e:")
+        out.emit("except (_JavaError, _IE) as _e:")
         out.indent += 1
         out.emit("_site = _pc")
         out.emit("_err = _e")
@@ -700,6 +703,13 @@ class TracingInterpreter(Interpreter):
                             if not code.has_calls:
                                 self.steps += trips * code.path_len \
                                     + site.steps_prefix
+                            if site.kind == "limit":
+                                raise StepLimitExceeded(
+                                    f"exceeded {max_steps} steps in "
+                                    f"{function.name}")
+                            if err is not None and \
+                                    not isinstance(err, JavaError):
+                                raise err  # a bound, counted above
                             if trips == 0 and site.kind != "budget":
                                 trace.aborts += 1
                                 if trace.aborts >= BLACKLIST_AFTER_ABORTS:

@@ -26,6 +26,34 @@ def _is_root(instr: Instr) -> bool:
     return False
 
 
+def observable_values(function: Function) -> set[int]:
+    """Ids of values transitively reachable from an observable root
+    (side effect, trap, or terminator operand) -- the DCE mark set.
+
+    A phi outside this set is dead even when a cycle of dead phis keeps
+    referencing it, which is also what the ``STSA-PHI-101`` lint rule
+    reports."""
+    live: set[int] = set()
+    worklist: list[Instr] = []
+
+    def mark(instr: Instr) -> None:
+        if instr.id not in live:
+            live.add(instr.id)
+            worklist.append(instr)
+
+    for block in function.reachable_blocks():
+        for instr in block.all_instrs():
+            if _is_root(instr):
+                mark(instr)
+        if block.term is not None and block.term.value is not None:
+            mark(block.term.value)
+    while worklist:
+        instr = worklist.pop()
+        for operand in instr.operands:
+            mark(operand)
+    return live
+
+
 def run_dce(function: Function, observable: set | None = None) -> dict:
     """Remove dead instructions; returns per-kind removal counts.
 
@@ -34,30 +62,9 @@ def run_dce(function: Function, observable: set | None = None) -> dict:
     omitted the mark phase computes it here.  Sweeping keeps exactly the
     closure, so a caller-supplied result must be current.
     """
-    reachable = function.reachable_blocks()
-    reachable_ids = {block.id for block in reachable}
-    if observable is not None:
-        live = observable
-    else:
-        live = set()
-        worklist: list[Instr] = []
-
-        def mark(instr: Instr) -> None:
-            if instr.id not in live:
-                live.add(instr.id)
-                worklist.append(instr)
-
-        for block in reachable:
-            for instr in block.all_instrs():
-                if _is_root(instr):
-                    mark(instr)
-            if block.term is not None and block.term.value is not None:
-                mark(block.term.value)
-        while worklist:
-            instr = worklist.pop()
-            for operand in instr.operands:
-                mark(operand)
-
+    live = observable if observable is not None \
+        else observable_values(function)
+    reachable_ids = {block.id for block in function.reachable_blocks()}
     removed: dict[str, int] = {}
     for block in function.blocks:
         if block.id not in reachable_ids:

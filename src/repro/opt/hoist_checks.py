@@ -42,8 +42,7 @@ The affine case -- an ``idxcheck`` whose index is an induction variable
 with provable bounds -- is deliberately *not* hoisted: the safe-index
 plane is produced per-iteration and every iteration needs its own
 ``idxcheck`` result value, so SafeTSA cannot represent "check the whole
-range once".  See ``docs/LOOPS.md`` for the full discussion; induction
-variables still feed the first-trip proofs above.
+range once".  See ``docs/LOOPS.md`` for the full discussion.
 
 The pass iterates a few outer rounds with freshly recomputed facts so
 cascades resolve (hoisting a ``nullcheck`` makes the ``idxcheck`` using

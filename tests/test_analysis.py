@@ -1,19 +1,15 @@
-"""Tests for the analysis layer: the dataflow solver, the nullness /
-range / liveness analyses, the lint driver with its structured
+"""Tests for the analysis layer: the dataflow solver, the nullness and
+range analyses, the observability closure, the lint driver with its structured
 diagnostics, and the per-pass invariant checking in the pipeline."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.dataflow import (
-    BACKWARD,
-    FORWARD,
-    SetLattice,
-    solve,
-)
+from repro.analysis.dataflow import solve
 from repro.analysis.diagnostics import (
     DIAGNOSTIC_CODES,
     Diagnostic,
@@ -28,17 +24,18 @@ from repro.analysis.lint import (
     lint_module,
     lint_report,
 )
-from repro.analysis.liveness import analyze_liveness, observable_values
 from repro.analysis.nullness import analyze_nullness, is_intrinsically_nonnull
 from repro.analysis.range import INT_MAX, INT_MIN, analyze_ranges
 from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.driver import (
     ALL_PASSES,
-    STEP_FUNCTIONS,
+    PASSES,
+    AnalysisManager,
     PassCheckError,
     PassManager,
 )
+from repro.opt.dce import observable_values
 from repro.ssa import ir
 from repro.ssa.cst import RBasic, RSeq, derive_cfg
 from repro.ssa.ir import Const, Function, Module, Prim, Term
@@ -194,8 +191,6 @@ class D {
 class _DefsSeen:
     """Toy forward may-analysis: ids of instructions seen on some path."""
 
-    direction = FORWARD
-
     def boundary(self, function):
         return frozenset()
 
@@ -214,27 +209,9 @@ class TestDataflowSolver:
         exit_block = blocks[-1]
         # everything defined anywhere reaches the join's exit
         all_ids = {i.id for b in blocks for i in b.instrs}
-        assert all_ids <= result.out_fact(exit_block)
+        assert all_ids <= result.exit[exit_block.id]
         # the entry's in-fact is the boundary
-        assert result.in_fact(fn.entry) == frozenset()
-
-    def test_set_lattice_union_and_intersect(self):
-        union = SetLattice(mode="union")
-        inter = SetLattice(mode="intersect")
-        a, b = frozenset({1, 2}), frozenset({2, 3})
-        assert union.join(a, b) == {1, 2, 3}
-        assert inter.join(a, b) == {2}
-
-    def test_backward_liveness_on_straightline(self):
-        module, fn = fn_of(
-            "class S { static int go(int x) { int y = x + 1;"
-            " return y; } }", "S", "go")
-        live = analyze_liveness(fn)
-        (add,) = instrs_of(fn, ir.Prim)
-        # a single-block function defines everything locally: nothing is
-        # live across its entry, and nothing survives the return
-        assert live.live_in(fn.entry) == frozenset()
-        assert not live.is_live_out(add, fn.entry)
+        assert result.entry[fn.entry.id] == frozenset()
 
     def test_loop_terminates_with_widening(self):
         # an unbounded counter forces interval widening to INT_MAX
@@ -402,7 +379,7 @@ class TestRange:
 
 
 # ---------------------------------------------------------------------------
-# liveness + dead-phi rule
+# observability + dead-phi rule
 # ---------------------------------------------------------------------------
 
 DEAD_PHI = """
@@ -655,14 +632,16 @@ class TestPassCheckError:
     def test_breaking_pass_is_blamed_by_name(self, monkeypatch):
         module, fn = fn_of(DIAMOND, "D", "go")
 
-        def sabotage(function):
+        def sabotage(function, analyses):
             for block in function.reachable_blocks():
                 if block is not function.entry:
                     block.append(Const(INT, 99))  # STR-001 violation
                     return {"sabotaged": 1}
             return {}
 
-        monkeypatch.setitem(STEP_FUNCTIONS, "dce", sabotage)
+        monkeypatch.setitem(PASSES, "dce",
+                            dataclasses.replace(PASSES["dce"],
+                                                step=sabotage))
         with pytest.raises(PassCheckError) as excinfo:
             PassManager(["constprop", "dce"],
                         check_after_each_pass=True).run_function(
@@ -670,6 +649,21 @@ class TestPassCheckError:
         assert excinfo.value.pass_name == "dce"
         assert excinfo.value.diagnostics[0].code == "STSA-STR-001"
         assert "dce" in str(excinfo.value)
+
+    def test_checks_never_read_the_shared_cache(self):
+        # each check verifies from a fresh dominator tree: a session's
+        # manager sees only what the passes themselves ask for
+        module, fn = fn_of(DIAMOND, "D", "go")
+        asked = []
+
+        class Recording(AnalysisManager):
+            def get(self, name, function):
+                asked.append(name)
+                return super().get(name, function)
+
+        PassManager(["dce"], check_after_each_pass=True).run_function(
+            fn, module, analyses=Recording())
+        assert asked == ["observable"]
 
     def test_check_requires_module(self):
         module, fn = fn_of(DIAMOND, "D", "go")

@@ -107,6 +107,28 @@ def test_source_error_is_one_line_not_a_traceback(tmp_path, capsys,
     assert err.startswith(f"{path}{where}")
 
 
+@pytest.mark.parametrize("trace", [[], ["--trace=1"]], ids=["interp",
+                                                          "trace"])
+@pytest.mark.parametrize("source, flags, line", [
+    ("class Main { static void main() { int i = 0;"
+     " while (true) { i = i + 1; } } }", ["--max-steps", "1000"],
+     "StepLimitExceeded: exceeded 1000 steps in Main.main()"),
+    ("class Main { static int down(int n) { if (n == 0) return 0;"
+     " return 1 + down(n - 1); }"
+     " static void main() { System.out.println(down(5000)); } }", [],
+     "StackDepthExceeded: call stack too deep running Main.main()"),
+], ids=["steps", "stack"])
+def test_a_bounded_run_is_one_line_not_a_traceback(tmp_path, capsys,
+                                                   source, flags, line,
+                                                   trace):
+    path = tmp_path / "Main.java"
+    path.write_text(source)
+    assert main(["run", str(path), *flags, *trace]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [line]
+
+
 ATTACKS_DIR = Path(__file__).parent / "golden" / "attacks"
 
 

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
+from bitio_reference import ReferenceBitReader, ReferenceBitWriter
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.codec import (
@@ -17,10 +18,6 @@ from repro.bench.codec import (
 )
 from repro.bench.corpus import corpus_source
 from repro.cache import CompilationCache
-from repro.encode._bitio_reference import (
-    ReferenceBitReader,
-    ReferenceBitWriter,
-)
 from repro.encode.bitio import BitIOError, BitReader, BitWriter
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
@@ -115,8 +112,8 @@ class TestDifferential:
         replay_read(ReferenceBitReader, ops, stream)  # seed reader too
 
     def test_corpus_trace_agrees(self):
-        # capture_corpus_trace asserts new == reference internally
         ops, stream = capture_corpus_trace(["BitSieve", "MiniVM"])
+        assert replay_write(ReferenceBitWriter, ops) == stream
         check_read_values(ops, stream)
 
     def test_bit_length_matches_reference(self):

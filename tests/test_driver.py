@@ -18,14 +18,14 @@ from repro.driver import (
     CANONICAL_SPEC,
     DEFAULT_PASSES,
     CompilationSession,
-    PASS_REGISTRY,
+    PASSES,
     PassManager,
     PassReport,
     merge_stats,
     parse_pass_spec,
     spec_string,
 )
-from repro.driver.passes import STEP_FUNCTIONS, effective_passes
+from repro.driver.passes import effective_passes
 from repro.fuzz.gen import program_strategy
 
 
@@ -82,11 +82,11 @@ class TestPassSpecGrammar:
         assert effective_passes(True, "") == ()
 
     def test_registry_metadata(self):
-        assert set(PASS_REGISTRY) \
+        assert set(PASSES) \
             == {"constprop", "safephi", "hoist_checks", "licm", "cse",
                 "cse_fields", "dce", "cleanup"}
-        assert "domtree" in PASS_REGISTRY["cse"].requires
-        assert "observable" in PASS_REGISTRY["dce"].preserves
+        assert all(pass_.slot in ALL_PASSES for pass_ in PASSES.values())
+        assert "observable" in PASSES["dce"].preserves
 
 
 class TestMergeStats:
@@ -214,11 +214,11 @@ class TestAnalysisManager:
 
     def test_zero_change_pass_preserves_everything(self):
         # a pass whose stats are all falsy reports "nothing happened"
-        assert PASS_REGISTRY["cleanup"].preserved_after(
+        assert PASSES["cleanup"].preserved_after(
             {"stale_exc_edges": 0, "dead_handlers": 0}) is None
 
     def test_cfg_change_drops_domtree(self):
-        preserved = PASS_REGISTRY["cse"].preserved_after(
+        preserved = PASSES["cse"].preserved_after(
             {"cse_eliminated": 1, "stale_exc_edges": 2})
         assert preserved is not None and "domtree" not in preserved
 
@@ -376,24 +376,3 @@ class TestRebuildDeterminism:
                 gc.collect()
             assert build() == reference, \
                 f"rebuild diverged at trial {trial}"
-
-
-class TestStepMonkeypatch:
-    def test_monkeypatched_step_called_without_analyses(self, monkeypatch):
-        # the sabotage contract: a patched step that only accepts
-        # (function,) is called without the shared analysis cache
-        calls = []
-
-        def patched(function):
-            calls.append(function.name)
-            return {"patched": 1}
-
-        monkeypatch.setitem(STEP_FUNCTIONS, "dce", patched)
-        session = CompilationSession(optimize=True, cache=False)
-        module = session.build_module(SOURCE)
-        session.optimize(module)
-        assert len(calls) == len(module.functions)
-        merged = {}
-        for report in session.reports:
-            merged.update(report.stats)
-        assert merged.get("patched") == 1

@@ -212,6 +212,44 @@ class TestMutation:
         assert (outcome.kind, outcome.code) == ("finding", "TierDivergence")
         assert outcome.detail.startswith("trace: ")
 
+    def test_the_shipped_loader_judges_every_mutant(self, monkeypatch):
+        import repro.loader
+        from repro.analysis.diagnostics import Diagnostic
+        from repro.tsa.verifier import VerifyError
+        wire = stream_bases()[0][1]
+        load = repro.loader.load_module
+
+        def reject_everything(data, store=None):
+            raise VerifyError(Diagnostic("STSA-REF-001", "stubbed"))
+
+        # a loader that rejects an accepted stream is a finding ...
+        monkeypatch.setattr(repro.loader, "load_module", reject_everything)
+        outcome = check_stream(wire)
+        assert (outcome.kind, outcome.code) == ("finding",
+                                                "LoaderDivergence")
+        assert outcome.detail == \
+            "decode+verify accepts, load_module STSA-REF-001"
+        # ... as is one that rejects under another defect's code
+        # (decode + verify reject b"" as DEC-IO) ...
+        assert check_stream(b"").code == "LoaderDivergence"
+
+        def truncated_stream(data, store=None):
+            raise DecodeError("stubbed", "DEC-STREAM")
+
+        # ... but not one that names the same defect by an alias
+        monkeypatch.setattr(repro.loader, "load_module", truncated_stream)
+        outcome = check_stream(b"")
+        assert (outcome.kind, outcome.code) == ("rejected", "DEC-IO")
+
+        def accept_everything(data, store=None):
+            return None
+
+        # a loader that accepts what decode + verify reject is a finding
+        monkeypatch.setattr(repro.loader, "load_module", accept_everything)
+        assert check_stream(b"").code == "LoaderDivergence"
+        monkeypatch.setattr(repro.loader, "load_module", load)
+        assert check_stream(wire) == StreamOutcome("accepted", "ran")
+
     @pytest.mark.slow
     def test_stream_smoke_campaign_holds_invariant(self):
         result = run_campaign(seed=11, budget=300, mode="streams",

@@ -18,6 +18,7 @@ from repro.interp.interpreter import (
     AllocationLimitExceeded,
     Interpreter,
     InterpreterError,
+    StackDepthExceeded,
 )
 from repro.interp import jit as jit_module
 from repro.interp.jit import JitCompiler
@@ -263,6 +264,25 @@ class TestEveryTierAlike:
             assert str(caught.value) == \
                 "reached unreachable terminator in T.main(java.lang.String[])"
 
+    @pytest.mark.parametrize("where", ["main", "clinit"])
+    def test_every_tier_bounds_the_stack_depth(self, where):
+        # deep enough to outgrow the host stack under every tier
+        call = "down(5000)"
+        module = compile_source(
+            "class Main { static int depth = "
+            f"{call if where == 'clinit' else '0'};"
+            " static int down(int n) { if (n == 0) return 0;"
+            " return 1 + down(n - 1); }"
+            f" static void main() {{ System.out.println({call}); }} }}")
+        for runner in every_tier(module):
+            with pytest.raises(StackDepthExceeded) as caught:
+                runner.run_main()
+            assert str(caught.value) == \
+                "call stack too deep running Main.main()"
+            # a tier whose stack unwound cleanly runs the next call
+            assert runner.run_function(
+                module.function_named("Main", "down"), [3]).value == 3
+
     # ``(i / 5) << 20`` reaches 1 << 20 once a trace runs the loop
     @pytest.mark.parametrize("length, in_trace",
                              [("1 << 20", False), ("(i / 5) << 20", True)],
@@ -276,6 +296,7 @@ class TestEveryTierAlike:
             }}
             System.out.println(total);
         """))
+        accounting = []
         for runner in every_tier(module):
             runner.max_array_length = 1 << 16
             with pytest.raises(AllocationLimitExceeded) as caught:
@@ -284,3 +305,8 @@ class TestEveryTierAlike:
             if in_trace and isinstance(runner, TracingInterpreter):
                 frames = traceback.extract_tb(caught.value.__traceback__)
                 assert frames[-2].filename.startswith("<trace:")
+            if not isinstance(runner, JitCompiler):
+                accounting.append((runner.steps, runner.check_counts))
+        # the tracer counts the trips it ran before the cap fired
+        interpreted, traced = accounting
+        assert traced == interpreted

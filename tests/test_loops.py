@@ -99,13 +99,6 @@ class TestLoopDetection:
         assert inner.blocks < outer.blocks
         assert forest.innermost_first()[0] is inner
 
-    def test_loop_of_returns_innermost(self):
-        _, fn = compiled(NESTED_FOR, "T", "f")
-        forest = find_loops(fn)
-        outer, inner = forest.loops
-        assert forest.loop_of(inner.header) is inner
-        assert forest.loop_of(outer.header) is outer
-
     def test_do_while_detected(self):
         _, fn = compiled(
             "class T { static int f(int n) { int s = 0; int i = 0;"
@@ -123,26 +116,6 @@ class TestLoopDetection:
             "T", "f")
         forest = find_loops(fn)
         assert len(forest.loops) == 1
-
-
-class TestInductionVariables:
-    def test_for_index_recognised(self):
-        _, fn = compiled(WHILE_SUM, "T", "f")
-        forest = find_loops(fn)
-        loop = forest.loops[0]
-        ivs = forest.induction_variables(loop)
-        assert any(iv.op == "add" and getattr(iv.step, "value", None) == 1
-                   for iv in ivs)
-
-    def test_stride_two(self):
-        _, fn = compiled(
-            "class T { static int f(int n) { int s = 0; int i = 0;"
-            " while (i < n) { s = s + i; i = i + 2; } return s; } }",
-            "T", "f")
-        forest = find_loops(fn)
-        ivs = forest.induction_variables(forest.loops[0])
-        assert any(iv.op == "add" and getattr(iv.step, "value", None) == 2
-                   for iv in ivs)
 
 
 class TestPreheader:

@@ -452,6 +452,23 @@ class TestEndpoints:
         # raw Python exception
         assert f"'{next(iter(argument))}'" in caught.value.message
 
+    @pytest.mark.parametrize("source, argument", [
+        ("class Main { static void main() { int i = 0;"
+         " while (true) { i = i + 1; } } }", {"max_steps": 1000}),
+        ("class Main { static int down(int n) { if (n == 0) return 0;"
+         " return 1 + down(n - 1); }"
+         " static void main() { System.out.println(down(5000)); } }",
+         {}),
+    ], ids=["steps", "stack"])
+    def test_a_bounded_run_is_a_bad_request(self, serve_client, source,
+                                            argument):
+        digest = serve_client.publish("bounded", source=source)["digest"]
+        with pytest.raises(ServeError) as caught:
+            serve_client.request("POST", "/v1/run",
+                                 {"digest": digest, **argument})
+        assert caught.value.code == "SERVE-BAD-REQUEST"
+        assert caught.value.message.startswith("execution failed: ")
+
     @pytest.mark.parametrize("route, field, value, where", [
         ("compile", "passes", 5, "request"),
         ("compile", "passes", [5], "request"),

@@ -160,6 +160,72 @@ class TestGuardExits:
 
 
 # ======================================================================
+# a bound that stops the run inside a trace counts the trace's trips
+
+ALLOCATION_IN_TRACE = """
+class Main { static void main() {
+  int total = 0;
+  for (int i = 0; i < 8; i++) {
+    int[] a = new int[(i / 5) << 20];
+    total = total + a.length;
+  }
+  System.out.println(total);
+} }
+"""
+
+#: a non-native call inside the loop makes a call-flavour trace
+CALL_IN_TRACE = """
+class Main {
+  static int[] arr = new int[4];
+  static int get(int[] a, int i) { return a[i]; }
+  static void main() {
+    int total = 0;
+    for (int i = 0; i < 100000; i++) {
+      int[] a = arr;
+      total = total + get(a, i % 4) + a.length;
+    }
+    System.out.println(total);
+  }
+}
+"""
+
+
+def bounded_observation(runner, error):
+    with pytest.raises(error):
+        runner.run_main()
+    return runner.steps, dict(runner.check_counts)
+
+
+class TestBoundsInsideTraces:
+    def test_allocation_cap_inside_a_trace(self):
+        from repro.interp.interpreter import AllocationLimitExceeded
+        module = compile_source(ALLOCATION_IN_TRACE)
+        runners = (Interpreter(module),
+                   TracingInterpreter(module, threshold=1,
+                                      trace_cache=TraceCache()))
+        for runner in runners:
+            runner.max_array_length = 1 << 16
+        plain, traced = (bounded_observation(runner,
+                                             AllocationLimitExceeded)
+                         for runner in runners)
+        assert runners[1].trace_stats()["entries"] > 0
+        assert traced == plain == (13, {"nullcheck": 5, "idxcheck": 0,
+                                        "upcast": 0})
+
+    @pytest.mark.parametrize("max_steps", [50, 97, 200, 1001])
+    def test_step_limit_inside_a_call_flavour_trace(self, max_steps):
+        module = compile_source(CALL_IN_TRACE)
+        plain = bounded_observation(
+            Interpreter(module, max_steps=max_steps), StepLimitExceeded)
+        tracer = TracingInterpreter(module, max_steps=max_steps,
+                                    threshold=1, trace_cache=TraceCache())
+        traced = bounded_observation(tracer, StepLimitExceeded)
+        assert tracer.trace_stats()["entries"] > 0
+        assert traced == plain
+        assert plain[0] == max_steps + 1
+
+
+# ======================================================================
 # abort + blacklist protocol
 
 class TestBlacklist:
