@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from repro.bench.analysis import analysis_report, analysis_table
 from repro.bench.codec import codec_report, codec_table
-from repro.bench.fuzz import fuzz_report, fuzz_table
+from repro.bench.fuzz import fuzz_report
 from repro.bench.load import load_report, load_table
 from repro.bench.loops import loops_report, loops_table
 from repro.bench.metrics import (
@@ -64,6 +64,7 @@ from repro.bench.tables import (
 from repro.bench.trace import trace_report, trace_table
 from repro.bench.wire import wire_report, wire_table
 from repro.cache import CompilationCache, default_cache
+from repro.fuzz.campaign import render_report
 
 #: Shared across the entries of one runner invocation, so ``all`` does
 #: not recompile the corpus for every table that needs it.  When the
@@ -196,7 +197,7 @@ BENCHES = {bench.name: bench for bench in (
     # splices
     Bench("fuzz", "Fuzz: differential, wire-mutation and source-splice "
           "campaign", fuzz_report, {"budget": 10_000}, {"budget": 1500},
-          fuzz_table, (
+          render_report, (
               Guard("no reject-or-equivalent violation",
                     lambda report, smoke: report["ok"]),
           )),

@@ -12,8 +12,7 @@ Subcommands::
     repro-cc stats   FILE.java
     repro-cc bench   NAME|all   (a full run of one bench runner entry;
                      ``python -m repro.bench.runner`` lists them)
-    repro-cc fuzz    [--seed S] [--budget N]
-                     [--mode programs|streams|streams-v2|sources|all]
+    repro-cc fuzz    [--seed S] [--budget N] [--mode LANE|all]
                      [--fixtures DIR] [--json PATH] [--no-minimize] [-q]
     repro-cc serve   [--host H] [--port P] [--store DIR] [--key HEX]
     repro-cc publish FILE.java|FILE.stsa --name N --url URL [--optimize]
@@ -213,14 +212,14 @@ def cmd_bench(args) -> int:
 def cmd_fuzz(args) -> int:
     import json
 
-    from repro.fuzz import run_campaign
+    from repro.fuzz.campaign import render_report, run_campaign
     progress = None if args.quiet else \
         (lambda message: print(f"  .. {message}", flush=True))
     result = run_campaign(
         seed=args.seed, budget=args.budget, mode=args.mode,
         minimize=not args.no_minimize, fixtures_dir=args.fixtures,
         on_progress=progress)
-    print(result.summary())
+    print(render_report(result.report()))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(result.report(), handle, indent=2)
@@ -375,19 +374,17 @@ def main(argv=None) -> int:
                    "unknown name prints the list")
     p.set_defaults(fn=cmd_bench)
 
+    from repro.fuzz.campaign import LANES
     p = sub.add_parser(
         "fuzz", help="differential + wire-mutation fuzzing campaign")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed (same seed => same campaign)")
     p.add_argument("--budget", type=int, default=1000,
-                   help="iterations: programs generated / mutants tried")
-    p.add_argument("--mode", default="all",
-                   choices=["programs", "streams", "streams-v2", "sources",
-                            "all"],
-                   help="differential oracle over generated programs, "
-                        "wire-stream mutation (v1 or v2 envelope lane), "
-                        "compile-or-diagnose over spliced sources, "
-                        "or everything")
+                   help="cases to draw: a lane's whole budget, or the "
+                        "budget each lane takes its share of")
+    p.add_argument("--mode", default="all", choices=[*LANES, "all"],
+                   help="one lane of the campaign, or every lane at its "
+                        "share of the budget")
     p.add_argument("--fixtures", default=None, metavar="DIR",
                    help="persist shrunken findings as regression "
                         "fixtures under DIR")

@@ -40,11 +40,9 @@ bodies while later bytes are still arriving.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
-from repro.encode.common import (MAGIC, MAGIC_V2, WIRE_VERSIONS,
-                                 wire_format_version)
+from repro.encode.common import MAGIC_V2, wire_format_version
 from repro.encode.deserializer import DecodeError
 
 DIGEST_BYTES = 32
@@ -99,23 +97,7 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     raise DecodeError("oversized varint in v2 envelope", "DEC-LIMIT")
 
 
-# -- the per-version registry ------------------------------------------
-
-@dataclass(frozen=True)
-class WireFormat:
-    """One wire-format version: magic, and how a distribution unit in
-    this format resolves to the verified v1 payload."""
-
-    version: str
-    magic: bytes
-    description: str
-    #: (data, store, depth) -> v1 payload bytes
-    resolve: Callable[[bytes, object, int], bytes]
-
-
-def _resolve_v1(data: bytes, store, depth: int) -> bytes:
-    return bytes(data)
-
+# -- v2 resolution ------------------------------------------------------
 
 def _resolve_v2(data: bytes, store, depth: int) -> bytes:
     if depth >= MAX_DELTA_DEPTH:
@@ -198,25 +180,6 @@ def _resolve_delta(data: bytes, pos: int, store) -> tuple[bytes, int]:
     return target, pos
 
 
-WIRE_FORMATS = (
-    WireFormat("stsa1", MAGIC,
-               "bit-packed verified stream (the paper's format)",
-               _resolve_v1),
-    WireFormat("stsa2", MAGIC_V2,
-               "distribution envelope: shared dictionaries and deltas "
-               "around a v1 payload", _resolve_v2),
-)
-FORMAT_BY_VERSION = {fmt.version: fmt for fmt in WIRE_FORMATS}
-
-
-def detect_format(data: bytes) -> Optional[WireFormat]:
-    """The :class:`WireFormat` whose magic prefixes ``data``, if any."""
-    for fmt in WIRE_FORMATS:
-        if data[:len(fmt.magic)] == fmt.magic:
-            return fmt
-    return None
-
-
 def _default_store(store):
     if store is not None:
         return store
@@ -235,11 +198,10 @@ def resolve_stream(data: bytes, store=None, depth: int = 0) -> bytes:
     a :class:`DecodeError` with a stable registered code -- an envelope
     never "partially" resolves.
     """
-    fmt = detect_format(data)
-    if fmt is None or fmt.version == "stsa1":
+    if wire_format_version(data) != "stsa2":
         return bytes(data)
     try:
-        return fmt.resolve(data, _default_store(store), depth)
+        return _resolve_v2(data, _default_store(store), depth)
     except _Incomplete:
         raise DecodeError("truncated v2 envelope", "DEC-STREAM") from None
 
@@ -255,11 +217,10 @@ def resolve_stream_prefix(data: bytes, store=None) -> bytes:
     """
     if len(data) < len(MAGIC_V2):
         return b""
-    fmt = detect_format(data)
-    if fmt is None or fmt.version == "stsa1":
+    if wire_format_version(data) != "stsa2":
         return bytes(data)
     try:
-        return fmt.resolve(data, _default_store(store), 0)
+        return _resolve_v2(data, _default_store(store), 0)
     except _Incomplete:
         return b""
 

@@ -17,6 +17,7 @@ from repro.encode.common import (
     PRIMITIVE_BASES,
     REGION_INDEX,
     TERM_INDEX,
+    WIRE_VERSIONS,
 )
 from repro.ssa.cst import (
     RBasic,
@@ -496,17 +497,17 @@ def encode_module(module: Module,
     optionally shares an :class:`repro.analysis.manager.AnalysisManager`
     so the per-function register layout reuses cached dominator trees.
 
-    ``format_version`` selects the distribution layout through the
-    :mod:`repro.encode.format` registry: the default ``"stsa1"`` is the
-    bit-identical historical stream; ``"stsa2"`` wraps that stream in a
-    self-contained v2 envelope (dictionary factoring and deltas are
-    publisher batch operations -- see :func:`repro.encode.format.
-    encode_modules_v2` / ``encode_delta``).
+    ``format_version`` selects the distribution layout, one of
+    :data:`~repro.encode.common.WIRE_VERSIONS`: the default ``"stsa1"``
+    is the bit-identical historical stream; ``"stsa2"`` wraps that
+    stream in a self-contained v2 envelope (dictionary factoring and
+    deltas are publisher batch operations -- see
+    :func:`repro.encode.format.encode_modules_v2` / ``encode_delta``).
     """
     wire = _ModuleEncoder(module, size_report, analyses=analyses).encode()
     if format_version == "stsa1":
         return wire
-    from repro.encode.format import FORMAT_BY_VERSION, encode_v2
-    if format_version not in FORMAT_BY_VERSION:
+    if format_version not in WIRE_VERSIONS.values():
         raise ValueError(f"unknown wire format version {format_version!r}")
+    from repro.encode.format import encode_v2
     return encode_v2(wire, store=store)

@@ -20,23 +20,25 @@ here mechanically and at scale:
   :class:`~repro.frontend.errors.CompileError`, nothing else;
 * :mod:`repro.fuzz.minimize` -- delta-debugging shrinkers persisting
   findings as regression fixtures under ``tests/golden/attacks/``;
-* :mod:`repro.fuzz.campaign` -- the budgeted driver behind
-  ``repro-cc fuzz`` and ``python -m repro.bench.runner fuzz``.
+* :mod:`repro.fuzz.campaign` -- the lane table (:data:`LANES`) and the
+  one budgeted driver behind ``repro-cc fuzz`` and ``python -m
+  repro.bench.runner fuzz``.
 """
 
-from repro.fuzz.campaign import CampaignResult, run_campaign
+from repro.fuzz.campaign import LANES, CampaignResult, Finding, run_campaign
 from repro.fuzz.gen import GeneratedProgram, generate_seeded, program_strategy
-from repro.fuzz.mutate import StreamOutcome, check_stream, mutate_stream
+from repro.fuzz.mutate import Outcome, check_stream, mutate_stream
 from repro.fuzz.oracle import Divergence, OracleResult, check_program
-from repro.fuzz.sources import SourceOutcome, check_source, splice_source
+from repro.fuzz.sources import check_source, splice_source
 
 __all__ = [
+    "LANES",
     "CampaignResult",
     "Divergence",
+    "Finding",
     "GeneratedProgram",
     "OracleResult",
-    "SourceOutcome",
-    "StreamOutcome",
+    "Outcome",
     "check_program",
     "check_source",
     "check_stream",

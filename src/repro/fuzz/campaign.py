@@ -1,31 +1,30 @@
 """Budgeted fuzzing campaigns (the engine behind ``repro-cc fuzz``).
 
-Four campaign modes, all deterministic under a fixed seed:
+Every lane is one row of :data:`LANES`, and one driver runs them all:
+it draws a case, judges it, counts its outcome, and shrinks any finding
+with :mod:`repro.fuzz.minimize`.
 
-* **programs** -- generate seeded programs and run each through the
-  differential oracle (:mod:`repro.fuzz.oracle`); a divergence is
-  shrunk with :func:`repro.fuzz.minimize.minimize_lines`;
-* **streams** -- mutate known-good wire streams and classify each
-  mutant against the reject-or-equivalent invariant
-  (:mod:`repro.fuzz.mutate`); a finding is shrunk with
-  :func:`repro.fuzz.minimize.minimize_bytes` and can be persisted as a
-  regression fixture;
-* **streams-v2** -- the same invariant over wire-format v2
-  distribution units (shared-dictionary envelopes and deltas), with
-  envelope-targeted mutators and the campaign's own dictionary store;
-* **sources** -- compile seeded splices of corpus and generated
-  sources (:mod:`repro.fuzz.sources`); each must compile or raise
-  ``CompileError``, and any other exception is a finding, shrunk with
-  :func:`repro.fuzz.minimize.minimize_lines`.
+* **programs** -- generated programs through the differential oracle
+  (:mod:`repro.fuzz.oracle`); a finding is a divergence, coded by its
+  pipeline;
+* **streams** -- mutated known-good wire streams against the
+  reject-or-equivalent invariant (:mod:`repro.fuzz.mutate`), judged
+  with the environment's dictionary store;
+* **streams-v2** -- the same invariant over wire-format v2 distribution
+  units (shared-dictionary envelopes and deltas), with envelope-targeted
+  operators and the lane's own dictionary store;
+* **sources** -- seeded splices of corpus and generated sources
+  (:mod:`repro.fuzz.sources`), each of which must compile or raise
+  ``CompileError``.
 
-``mode="all"`` runs a program campaign at a tenth of the budget plus a
-v1 stream campaign at the full budget plus a v2 stream campaign at
-half budget plus a sources campaign at a tenth of the budget.
+A finding shrinks while it stays a finding with the same code; a wire
+stream finding can be persisted as a regression fixture.
+``mode="all"`` runs every lane at its share of the budget.
 
-Determinism contract: iteration ``i`` of a program campaign uses
-generator seed ``seed * 1_000_003 + i``; a stream or sources campaign
-draws every decision from its own ``random.Random`` derived from the
-seed, so adding a lane changes no other lane's draws.  Two runs
+Determinism contract: iteration ``i`` of the program lane uses
+generator seed ``seed * 1_000_003 + i``; every other lane draws each
+decision from its own ``random.Random`` derived from the seed and the
+lane's salt, so adding a lane changes no other lane's draws.  Two runs
 with the same seed and budget therefore see the same programs, the
 same mutants, the same findings, and byte-identical fixtures.
 """
@@ -35,11 +34,18 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from repro.fuzz.gen import RandomSource, generate_seeded
 from repro.fuzz.minimize import minimize_bytes, minimize_lines, save_fixture
-from repro.fuzz.mutate import check_stream, mutate_stream, mutate_stream_v2
+from repro.fuzz.mutate import (
+    MUTATORS,
+    V2_MUTATORS,
+    Outcome,
+    check_stream,
+    mutate_stream,
+)
 from repro.fuzz.oracle import check_program
 from repro.fuzz.sources import check_source, source_bases, splice_source
 
@@ -94,171 +100,97 @@ class T {
 
 
 @dataclass(frozen=True)
-class ProgramFinding:
-    """One oracle divergence, with its shrunken reproducer."""
+class Finding:
+    """One case that broke its lane's invariant, with its shrunken form:
+    ``data`` and ``minimized`` are wire bytes or a source text."""
 
-    seed: int
-    pipeline: str
-    detail: str
-    source: str
-    minimized: str
-
-
-@dataclass(frozen=True)
-class StreamFinding:
-    """One reject-or-equivalent violation, with its shrunken stream."""
-
+    lane: str
     base: str
-    mutator: str
+    operator: str
     code: str
     detail: str
-    data: bytes
-    minimized: bytes
+    data: bytes | str
+    minimized: bytes | str
 
 
-@dataclass(frozen=True)
-class SourceFinding:
-    """One source that raised something other than ``CompileError``."""
+@dataclass
+class LaneResult:
+    """What one lane saw: its cases counted by outcome kind, by code
+    and by applied operator, its findings, and its wall time."""
 
-    base: str
-    operators: str
-    code: str
-    detail: str
-    source: str
-    minimized: str
+    cases: int = 0
+    kinds: Counter = field(default_factory=Counter)
+    taxonomy: Counter = field(default_factory=Counter)
+    operators: Counter = field(default_factory=Counter)
+    findings: list = field(default_factory=list)
+    seconds: float = 0.0
+
+    def report(self) -> dict:
+        return {
+            "cases": self.cases,
+            "kinds": dict(sorted(self.kinds.items())),
+            "taxonomy": dict(sorted(self.taxonomy.items())),
+            "operators": dict(sorted(self.operators.items())),
+            "seconds": round(self.seconds, 3),
+            "per_second": round(self.cases / self.seconds, 1)
+            if self.seconds else None,
+        }
 
 
 @dataclass
 class CampaignResult:
+    """One campaign: its arguments and the result of each lane it ran."""
+
     mode: str
     seed: int
     budget: int
-    #: program campaign
-    programs: int = 0
-    pipelines_compared: int = 0
-    program_findings: list = field(default_factory=list)
-    #: stream campaign
-    mutations: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    taxonomy: dict = field(default_factory=dict)
-    mutator_counts: dict = field(default_factory=dict)
-    stream_findings: list = field(default_factory=list)
-    #: sources campaign
-    sources: int = 0
-    compiled: int = 0
-    diagnosed: int = 0
-    source_findings: list = field(default_factory=list)
-    seconds: dict = field(default_factory=dict)
+    #: lane name -> its result, in :data:`LANES` order
+    lanes: dict = field(default_factory=dict)
 
     @property
     def findings(self) -> list:
-        return (list(self.program_findings) + list(self.stream_findings)
-                + list(self.source_findings))
+        return [finding for lane in self.lanes.values()
+                for finding in lane.findings]
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
-    def summary(self) -> str:
-        lines = [f"fuzz campaign: mode={self.mode} seed={self.seed} "
-                 f"budget={self.budget}"]
-        if self.programs:
-            seconds = self.seconds.get("programs", 0.0)
-            rate = self.programs / seconds if seconds else 0.0
-            lines.append(
-                f"  programs  {self.programs} generated, "
-                f"{self.pipelines_compared} pipeline runs agreed, "
-                f"{len(self.program_findings)} divergence(s)  "
-                f"[{seconds:.1f}s, {rate:.1f}/s]")
-        if self.mutations:
-            seconds = self.seconds.get("streams", 0.0)
-            rate = self.mutations / seconds if seconds else 0.0
-            lines.append(
-                f"  streams   {self.mutations} mutants: "
-                f"{self.rejected} rejected, {self.accepted} accepted, "
-                f"{len(self.stream_findings)} finding(s)  "
-                f"[{seconds:.1f}s, {rate:.0f}/s]")
-            top = sorted(self.taxonomy.items(),
-                         key=lambda item: (-item[1], item[0]))[:8]
-            for code, count in top:
-                lines.append(f"    {code:<24} {count}")
-        if self.sources:
-            seconds = self.seconds.get("sources", 0.0)
-            rate = self.sources / seconds if seconds else 0.0
-            lines.append(
-                f"  sources   {self.sources} splices: "
-                f"{self.compiled} compiled, {self.diagnosed} diagnosed, "
-                f"{len(self.source_findings)} violation(s)  "
-                f"[{seconds:.1f}s, {rate:.0f}/s]")
-        for finding in self.program_findings:
-            lines.append(f"  DIVERGENCE [{finding.pipeline}] "
-                         f"seed={finding.seed}: {finding.detail}")
-        for finding in self.stream_findings:
-            lines.append(f"  FINDING [{finding.code}] via {finding.mutator} "
-                         f"on {finding.base} "
-                         f"({len(finding.minimized)} bytes minimized): "
-                         f"{finding.detail}")
-        for finding in self.source_findings:
-            lines.append(f"  VIOLATION [{finding.code}] via "
-                         f"{finding.operators} on {finding.base}: "
-                         f"{finding.detail}")
-        return "\n".join(lines)
-
     def report(self) -> dict:
         """JSON-able campaign report (consumed by ``BENCH_fuzz.json``)."""
-        program_seconds = self.seconds.get("programs", 0.0)
-        stream_seconds = self.seconds.get("streams", 0.0)
-        source_seconds = self.seconds.get("sources", 0.0)
         return {
             "mode": self.mode,
             "seed": self.seed,
             "budget": self.budget,
-            "programs": {
-                "count": self.programs,
-                "pipelines_compared": self.pipelines_compared,
-                "divergences": len(self.program_findings),
-                "seconds": round(program_seconds, 3),
-                "per_second": round(self.programs / program_seconds, 2)
-                if program_seconds else None,
-            },
-            "streams": {
-                "mutations": self.mutations,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "findings": len(self.stream_findings),
-                "seconds": round(stream_seconds, 3),
-                "per_second": round(self.mutations / stream_seconds, 1)
-                if stream_seconds else None,
-                "taxonomy": dict(sorted(self.taxonomy.items())),
-                "mutators": dict(sorted(self.mutator_counts.items())),
-            },
-            "sources": {
-                "count": self.sources,
-                "compiled": self.compiled,
-                "diagnosed": self.diagnosed,
-                "violations": len(self.source_findings),
-                "violation_types": dict(sorted(Counter(
-                    f.code for f in self.source_findings).items())),
-                "seconds": round(source_seconds, 3),
-                "per_second": round(self.sources / source_seconds, 1)
-                if source_seconds else None,
-            },
+            "lanes": {name: lane.report()
+                      for name, lane in self.lanes.items()},
             "findings": [
-                {"kind": "program", "pipeline": f.pipeline, "seed": f.seed,
-                 "detail": f.detail}
-                for f in self.program_findings
-            ] + [
-                {"kind": "stream", "code": f.code, "mutator": f.mutator,
-                 "base": f.base, "bytes": f.minimized.hex(),
-                 "detail": f.detail}
-                for f in self.stream_findings
-            ] + [
-                {"kind": "source", "code": f.code, "operators": f.operators,
-                 "base": f.base, "source": f.minimized, "detail": f.detail}
-                for f in self.source_findings
+                {"lane": f.lane, "base": f.base, "operator": f.operator,
+                 "code": f.code, "detail": f.detail,
+                 "minimized": f.minimized.hex()
+                 if isinstance(f.minimized, bytes) else f.minimized}
+                for f in self.findings
             ],
         }
+
+
+def render_report(report: dict) -> str:
+    """The text form of a campaign report: one line per lane with its
+    outcome kinds, its eight most frequent codes, then every finding."""
+    lines = [f"  fuzz campaign: mode={report['mode']} "
+             f"seed={report['seed']} budget={report['budget']}"]
+    for name, lane in report["lanes"].items():
+        kinds = ", ".join(f"{count} {kind}"
+                          for kind, count in lane["kinds"].items())
+        lines.append(f"  {name:<11} {lane['cases']} cases: {kinds}  "
+                     f"[{lane['seconds']:.1f}s, {lane['per_second']}/s]")
+        top = sorted(lane["taxonomy"].items(),
+                     key=lambda item: (-item[1], item[0]))[:8]
+        lines.extend(f"    {code:<24} {count}" for code, count in top)
+    lines.extend(f"  FINDING {f['lane']} [{f['code']}] via {f['operator']} "
+                 f"on {f['base']}: {f['detail']}"
+                 for f in report["findings"])
+    return "\n".join(lines)
 
 
 def program_seed(campaign_seed: int, index: int) -> int:
@@ -300,205 +232,149 @@ def stream_bases_v2(store) -> list[tuple[str, bytes]]:
 
 
 # ======================================================================
-# the campaign bodies
+# the lanes
 
-def _run_programs(result: CampaignResult, seed: int, budget: int,
-                  minimize: bool,
-                  on_progress: Optional[Callable]) -> None:
-    start = time.perf_counter()
-    for index in range(budget):
-        generated = generate_seeded(program_seed(seed, index))
-        oracle = check_program(generated.source, generated.main_class)
-        result.programs += 1
-        result.pipelines_compared += oracle.pipelines
-        if oracle.divergence is not None:
-            divergence = oracle.divergence
-            minimized = generated.source
-            if minimize:
-                pipeline = divergence.pipeline
-
-                def still_diverges(candidate: str) -> bool:
-                    shrunk = check_program(candidate, None)
-                    return (shrunk.divergence is not None
-                            and shrunk.divergence.pipeline == pipeline)
-
-                try:
-                    minimized = minimize_lines(generated.source,
-                                               still_diverges)
-                except ValueError:
-                    # divergence needs the named main class; keep as-is
-                    minimized = generated.source
-            result.program_findings.append(ProgramFinding(
-                seed=generated.seed, pipeline=divergence.pipeline,
-                detail=str(divergence), source=generated.source,
-                minimized=minimized))
-        if on_progress and (index + 1) % 100 == 0:
-            on_progress(f"programs {index + 1}/{budget}, "
-                        f"{len(result.program_findings)} divergence(s)")
-    result.seconds["programs"] = time.perf_counter() - start
+def _draw_program(seed: int, _rng, index: int) -> tuple[str, str, str]:
+    generated = generate_seeded(program_seed(seed, index))
+    return f"seed={generated.seed}", "generate", generated.source
 
 
-def _run_streams(result: CampaignResult, seed: int, budget: int,
-                 minimize: bool, fixtures_dir,
-                 on_progress: Optional[Callable]) -> None:
-    bases = stream_bases()
-    rng = RandomSource(seed * 2_147_483_659 + 17)
-    start = time.perf_counter()
-    for index in range(budget):
-        base_name, base = bases[rng.integer(0, len(bases) - 1)]
-        mutator, mutant = mutate_stream(base, rng)
-        outcome = check_stream(mutant)
-        result.mutations += 1
-        result.mutator_counts[mutator] = \
-            result.mutator_counts.get(mutator, 0) + 1
-        result.taxonomy[outcome.code] = \
-            result.taxonomy.get(outcome.code, 0) + 1
-        if outcome.kind == "rejected":
-            result.rejected += 1
-        elif outcome.kind == "accepted":
-            result.accepted += 1
-        else:
-            minimized = mutant
-            if minimize:
-                code = outcome.code
-
-                def same_finding(candidate: bytes) -> bool:
-                    shrunk = check_stream(candidate)
-                    return shrunk.is_finding and shrunk.code == code
-
-                minimized = minimize_bytes(mutant, same_finding)
-            finding = StreamFinding(
-                base=base_name, mutator=mutator, code=outcome.code,
-                detail=outcome.detail, data=mutant, minimized=minimized)
-            result.stream_findings.append(finding)
-            if fixtures_dir is not None:
-                save_fixture(fixtures_dir, minimized, {
-                    "code": outcome.code,
-                    "detail": outcome.detail,
-                    "mutator": mutator,
-                    "base": base_name,
-                    "campaign_seed": seed,
-                })
-        if on_progress and (index + 1) % 1000 == 0:
-            on_progress(f"streams {index + 1}/{budget}, "
-                        f"{len(result.stream_findings)} finding(s)")
-    result.seconds["streams"] = time.perf_counter() - start
+def _check_program(source: str, _store) -> Outcome:
+    """The differential oracle's verdict as an outcome: a divergence is
+    a finding coded by its pipeline.  A generated program's only
+    static ``main`` is ``Main.main``, which the oracle finds unnamed."""
+    oracle = check_program(source)
+    if oracle.divergence is not None:
+        return Outcome("finding", oracle.divergence.pipeline,
+                       str(oracle.divergence))
+    if oracle.invalid:
+        return Outcome("rejected", "CompileError")
+    return Outcome("agreed", "agreed")
 
 
-def _run_streams_v2(result: CampaignResult, seed: int, budget: int,
-                    minimize: bool, fixtures_dir,
-                    on_progress: Optional[Callable]) -> None:
-    """The v2 lane: mutate envelope/delta units and classify against
-    the campaign's own dictionary store, so honest units decode and
-    every mutation must reject-or-stay-equivalent.  Draws from its own
-    stream (seed offset differs from the v1 lane) to keep both lanes
-    individually reproducible."""
+def _draw_mutant(operators, bases, rng, _index) -> tuple[str, str, bytes]:
+    base_name, base = bases[rng.integer(0, len(bases) - 1)]
+    operator, mutant = mutate_stream(base, rng, operators)
+    return base_name, operator, mutant
+
+
+class Lane(NamedTuple):
+    """One fuzz lane: what it draws from, how it draws, judges and
+    shrinks one case, and its share of the budget."""
+
+    #: ``mode="all"`` runs ``max(1, budget // share)`` cases
+    share: int
+    #: the lane draws from ``RandomSource(seed * 2_147_483_659 + salt)``;
+    #: None for the program lane, whose draws are :func:`program_seed`
+    salt: Optional[int]
+    #: ``bases(seed, store) -> bases``, built when the lane runs
+    bases: Callable
+    #: ``draw(bases, rng, index) -> (base, operator, case)``
+    draw: Callable
+    #: ``check(case, store) -> Outcome``
+    check: Callable
+    #: ``shrink(case, failing) -> minimized``: the smallest part of the
+    #: case for which ``failing`` still holds
+    shrink: Callable
+
+
+#: every lane, in the order ``mode="all"`` runs them; ``store`` is the
+#: lane's own :class:`~repro.cache.DictionaryStore`, which only the v2
+#: lane uses (the v1 lane judges with the environment's store)
+LANES: dict[str, Lane] = {
+    "programs": Lane(
+        share=10, salt=None,
+        # no bases: every draw derives from the campaign seed itself
+        bases=lambda seed, store: seed,
+        draw=_draw_program, check=_check_program, shrink=minimize_lines),
+    "streams": Lane(
+        share=1, salt=17,
+        bases=lambda seed, store: stream_bases(),
+        draw=partial(_draw_mutant, MUTATORS),
+        check=lambda mutant, store: check_stream(mutant),
+        shrink=minimize_bytes),
+    "streams-v2": Lane(
+        share=2, salt=29,
+        bases=lambda seed, store: stream_bases_v2(store),
+        draw=partial(_draw_mutant, V2_MUTATORS),
+        check=lambda mutant, store: check_stream(mutant, store=store),
+        shrink=minimize_bytes),
+    "sources": Lane(
+        share=10, salt=41,
+        bases=lambda seed, store: source_bases(seed),
+        draw=lambda bases, rng, index: splice_source(bases, rng),
+        check=lambda source, store: check_source(source),
+        shrink=minimize_lines),
+}
+
+
+def _shrink(lane: Lane, case, code: str, store):
+    """The smallest part of ``case`` that is still a finding with
+    ``code``, or ``case`` itself when the finding does not reproduce."""
+    def same_finding(candidate) -> bool:
+        shrunk = lane.check(candidate, store)
+        return shrunk.is_finding and shrunk.code == code
+
+    try:
+        return lane.shrink(case, same_finding)
+    except ValueError:
+        return case
+
+
+def _run_lane(name: str, lane: Lane, seed: int, budget: int, *,
+              minimize: bool, fixtures_dir,
+              on_progress: Optional[Callable]) -> LaneResult:
+    """Run ``budget`` cases of one lane; a wire finding is saved under
+    ``fixtures_dir``."""
     from repro.cache import DictionaryStore
     store = DictionaryStore()
-    bases = stream_bases_v2(store)
-    rng = RandomSource(seed * 2_147_483_659 + 29)
+    bases = lane.bases(seed, store)
+    rng = None if lane.salt is None else \
+        RandomSource(seed * 2_147_483_659 + lane.salt)
+    result = LaneResult()
     start = time.perf_counter()
     for index in range(budget):
-        base_name, base = bases[rng.integer(0, len(bases) - 1)]
-        mutator, mutant = mutate_stream_v2(base, rng)
-        outcome = check_stream(mutant, store=store)
-        result.mutations += 1
-        result.mutator_counts[mutator] = \
-            result.mutator_counts.get(mutator, 0) + 1
-        result.taxonomy[outcome.code] = \
-            result.taxonomy.get(outcome.code, 0) + 1
-        if outcome.kind == "rejected":
-            result.rejected += 1
-        elif outcome.kind == "accepted":
-            result.accepted += 1
-        else:
-            minimized = mutant
-            if minimize:
-                code = outcome.code
-
-                def same_finding(candidate: bytes) -> bool:
-                    shrunk = check_stream(candidate, store=store)
-                    return shrunk.is_finding and shrunk.code == code
-
-                minimized = minimize_bytes(mutant, same_finding)
-            finding = StreamFinding(
-                base=base_name, mutator=mutator, code=outcome.code,
-                detail=outcome.detail, data=mutant, minimized=minimized)
-            result.stream_findings.append(finding)
-            if fixtures_dir is not None:
+        base, operator, case = lane.draw(bases, rng, index)
+        outcome = lane.check(case, store)
+        result.cases += 1
+        result.kinds[outcome.kind] += 1
+        result.taxonomy[outcome.code] += 1
+        result.operators.update(operator.split("+"))
+        if outcome.is_finding:
+            minimized = _shrink(lane, case, outcome.code, store) \
+                if minimize else case
+            result.findings.append(Finding(
+                name, base, operator, outcome.code, outcome.detail, case,
+                minimized))
+            if fixtures_dir is not None and isinstance(minimized, bytes):
                 save_fixture(fixtures_dir, minimized, {
                     "code": outcome.code,
                     "detail": outcome.detail,
-                    "mutator": mutator,
-                    "base": base_name,
+                    "mutator": operator,
+                    "base": base,
                     "campaign_seed": seed,
-                    "lane": "v2",
+                    "lane": name,
                 })
-        if on_progress and (index + 1) % 1000 == 0:
-            on_progress(f"streams-v2 {index + 1}/{budget}, "
-                        f"{len(result.stream_findings)} finding(s)")
-    result.seconds["streams"] = \
-        result.seconds.get("streams", 0.0) + time.perf_counter() - start
-
-
-def _run_sources(result: CampaignResult, seed: int, budget: int,
-                 minimize: bool, on_progress: Optional[Callable]) -> None:
-    """The sources lane: every seeded splice must compile or raise
-    ``CompileError``.  Its own draw stream leaves the other lanes'
-    draws unchanged."""
-    bases = source_bases(seed)
-    rng = RandomSource(seed * 2_147_483_659 + 41)
-    start = time.perf_counter()
-    for index in range(budget):
-        base_name, operators, source = splice_source(bases, rng)
-        outcome = check_source(source)
-        result.sources += 1
-        if outcome.kind == "compiled":
-            result.compiled += 1
-        elif outcome.kind == "rejected":
-            result.diagnosed += 1
-        else:
-            minimized = source
-            if minimize:
-                code = outcome.code
-
-                def same_violation(candidate: str) -> bool:
-                    return check_source(candidate).code == code
-
-                minimized = minimize_lines(source, same_violation)
-            result.source_findings.append(SourceFinding(
-                base=base_name, operators=operators, code=outcome.code,
-                detail=outcome.detail, source=source, minimized=minimized))
-        if on_progress and (index + 1) % 100 == 0:
-            on_progress(f"sources {index + 1}/{budget}, "
-                        f"{len(result.source_findings)} violation(s)")
-    result.seconds["sources"] = time.perf_counter() - start
+        if on_progress and (index + 1) % max(1, budget // 10) == 0:
+            on_progress(f"{name} {index + 1}/{budget}, "
+                        f"{len(result.findings)} finding(s)")
+    result.seconds = time.perf_counter() - start
+    return result
 
 
 def run_campaign(seed: int = 0, budget: int = 1000, mode: str = "all", *,
                  minimize: bool = True, fixtures_dir=None,
                  on_progress: Optional[Callable] = None) -> CampaignResult:
-    """Run one deterministic campaign; see the module docstring for the
-    budget/seed semantics.  ``mode="all"`` adds the v2 envelope lane at
-    half budget and the sources lane at a tenth of the budget on top of
-    the program and v1 stream lanes."""
-    if mode not in ("programs", "streams", "streams-v2", "sources", "all"):
+    """Run one deterministic campaign: the lane named by ``mode`` at
+    the full budget, or with ``mode="all"`` every lane at its share."""
+    if mode != "all" and mode not in LANES:
         raise ValueError(f"unknown fuzz mode {mode!r}")
     result = CampaignResult(mode=mode, seed=seed, budget=budget)
-    if mode in ("programs", "all"):
-        program_budget = budget if mode == "programs" \
-            else max(1, budget // 10)
-        _run_programs(result, seed, program_budget, minimize, on_progress)
-    if mode in ("streams", "all"):
-        _run_streams(result, seed, budget, minimize, fixtures_dir,
-                     on_progress)
-    if mode in ("streams-v2", "all"):
-        v2_budget = budget if mode == "streams-v2" \
-            else max(1, budget // 2)
-        _run_streams_v2(result, seed, v2_budget, minimize, fixtures_dir,
-                        on_progress)
-    if mode in ("sources", "all"):
-        sources_budget = budget if mode == "sources" \
-            else max(1, budget // 10)
-        _run_sources(result, seed, sources_budget, minimize, on_progress)
+    for name, lane in LANES.items():
+        if mode in (name, "all"):
+            result.lanes[name] = _run_lane(
+                name, lane, seed,
+                budget if mode == name else max(1, budget // lane.share),
+                minimize=minimize, fixtures_dir=fixtures_dir,
+                on_progress=on_progress)
     return result

@@ -25,7 +25,7 @@ semantics, not to a finding).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.fuzz.gen import DrawSource
 
@@ -41,11 +41,15 @@ EXEC_TRACE_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
-class StreamOutcome:
-    """Classification of one (possibly mutated) wire stream."""
+class Outcome:
+    """How a fuzz lane judged one case: its ``kind`` (``"finding"``
+    for a broken invariant; a stream is ``"rejected"`` or
+    ``"accepted"``, a source ``"rejected"`` or ``"compiled"``) and its
+    ``code`` (a ``DEC-*`` / ``STSA-*`` code, a run class, or the name of
+    the exception or divergence that made it a finding)."""
 
-    kind: str      # "rejected" | "accepted" | "finding"
-    code: str      # DEC-* / STSA-* code, run class, or exception name
+    kind: str
+    code: str
     detail: str = ""
 
     @property
@@ -153,12 +157,15 @@ MUTATORS: tuple[tuple[str, Callable], ...] = (
 )
 
 
-def mutate_stream(data: bytes, src: DrawSource) -> tuple[str, bytes]:
-    """Apply one randomly chosen mutation operator; returns its name
+def mutate_stream(data: bytes, src: DrawSource,
+                  operators: Sequence[tuple[str, Callable]] = MUTATORS) \
+        -> tuple[str, bytes]:
+    """Apply one operator drawn from ``operators`` (the v1 table by
+    default; the v2 lane passes :data:`V2_MUTATORS`); returns its name
     and the mutated bytes."""
     if not data:
         return "extend", bytes(_extend(bytearray(), src))
-    name, operator = src.choice(MUTATORS)
+    name, operator = src.choice(operators)
     return name, bytes(operator(bytearray(data), src))
 
 
@@ -212,14 +219,6 @@ V2_MUTATORS: tuple[tuple[str, Callable], ...] = (
     ("v2digest", _v2_digest),
     ("v2digest", _v2_digest),   # weighted: digests are the new surface
 ) + MUTATORS
-
-
-def mutate_stream_v2(data: bytes, src: DrawSource) -> tuple[str, bytes]:
-    """One mutation from the v2 lane (envelope-aware operator mix)."""
-    if not data:
-        return "extend", bytes(_extend(bytearray(), src))
-    name, operator = src.choice(V2_MUTATORS)
-    return name, bytes(operator(bytearray(data), src))
 
 
 # ======================================================================
@@ -316,8 +315,8 @@ def _tier_divergence(module, expected: tuple,
 
 
 def _loader_divergence(data: bytes, store,
-                       rejected: Optional[StreamOutcome]) \
-        -> Optional[StreamOutcome]:
+                       rejected: Optional[Outcome]) \
+        -> Optional[Outcome]:
     """Load ``data`` through :func:`repro.loader.load_module` with the
     same ``store``; a finding when it accepts what decode + verify
     ``rejected`` (None: accepted) or the other way round, or rejects
@@ -333,20 +332,20 @@ def _loader_divergence(data: bytes, store,
     except (DecodeError, VerifyError) as error:
         loaded = getattr(error, "code", "DEC-MALFORMED")
     except Exception as error:
-        return StreamOutcome("finding", type(error).__name__,
-                             f"load: {error!r}"[:300])
+        return Outcome("finding", type(error).__name__,
+                       f"load: {error!r}"[:300])
     expected = rejected.code if rejected is not None else None
     if (loaded is None) == (expected is None) and \
             (loaded is None or codes_equivalent(expected, loaded)):
         return None
-    return StreamOutcome(
+    return Outcome(
         "finding", "LoaderDivergence",
         f"decode+verify {expected or 'accepts'}, "
         f"load_module {loaded or 'accepts'}")
 
 
 def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
-                 store=None) -> StreamOutcome:
+                 store=None) -> Outcome:
     """Classify one stream against the reject-or-equivalent invariant.
 
     ``store`` resolves v2 envelopes (the v2 mutation lane passes the
@@ -365,25 +364,24 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
     from repro.interp.interpreter import Interpreter
     from repro.tsa.verifier import VerifyError, verify_module
 
-    rejected: Optional[StreamOutcome] = None
+    rejected: Optional[Outcome] = None
     try:
         module = decode_module(data, store=store)
     except DecodeError as error:
-        rejected = StreamOutcome("rejected",
-                                 getattr(error, "code", "DEC-MALFORMED"),
-                                 str(error)[:200])
+        rejected = Outcome("rejected",
+                           getattr(error, "code", "DEC-MALFORMED"),
+                           str(error)[:200])
     except Exception as error:  # the whole point of the fuzzer
-        return StreamOutcome("finding", type(error).__name__,
-                             f"decode: {error!r}"[:300])
+        return Outcome("finding", type(error).__name__,
+                       f"decode: {error!r}"[:300])
     else:
         try:
             verify_module(module)
         except VerifyError as error:
-            rejected = StreamOutcome("rejected", error.code,
-                                     str(error)[:200])
+            rejected = Outcome("rejected", error.code, str(error)[:200])
         except Exception as error:
-            return StreamOutcome("finding", type(error).__name__,
-                                 f"verify: {error!r}"[:300])
+            return Outcome("finding", type(error).__name__,
+                           f"verify: {error!r}"[:300])
 
     divergence = _loader_divergence(data, store, rejected)
     if divergence is not None:
@@ -401,19 +399,18 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
     try:
         observed = run(module)
     except Exception as error:
-        return StreamOutcome("finding", type(error).__name__,
-                             f"execute: {error!r}"[:300])
+        return Outcome("finding", type(error).__name__,
+                       f"execute: {error!r}"[:300])
     first = _behaviour(observed)
 
     if observed is not None:
         try:
             divergence = _tier_divergence(module, observed, max_steps)
         except Exception as error:
-            return StreamOutcome("finding", type(error).__name__,
-                                 f"tiers: {error!r}"[:300])
+            return Outcome("finding", type(error).__name__,
+                           f"tiers: {error!r}"[:300])
         if divergence is not None:
-            return StreamOutcome("finding", "TierDivergence",
-                                 divergence[:300])
+            return Outcome("finding", "TierDivergence", divergence[:300])
 
     # equivalence across a further round trip: re-encode, decode,
     # re-run -- behaviour must be identical
@@ -423,11 +420,11 @@ def check_stream(data: bytes, *, max_steps: int = EXEC_MAX_STEPS,
         verify_module(second_module)
         second = _behaviour(run(second_module))
     except Exception as error:
-        return StreamOutcome("finding", type(error).__name__,
-                             f"reencode: {error!r}"[:300])
+        return Outcome("finding", type(error).__name__,
+                       f"reencode: {error!r}"[:300])
     if second != first:
-        return StreamOutcome(
+        return Outcome(
             "finding", "ReencodeDivergence",
             f"first run {first!r} != round-tripped run {second!r}"[:300])
-    return StreamOutcome("accepted", "ran" if first[0] != "no-entry"
-                         else "no-entry")
+    return Outcome("accepted", "ran" if first[0] != "no-entry"
+                   else "no-entry")

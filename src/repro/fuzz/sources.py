@@ -15,10 +15,10 @@ and comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.fuzz.gen import DrawSource, generate_seeded
+from repro.fuzz.mutate import Outcome
 
 #: fragments a splice may insert at a random offset
 FRAGMENTS: tuple[str, ...] = (
@@ -95,25 +95,17 @@ def splice_source(bases: Sequence[tuple[str, str]],
     return name, "+".join(applied), text
 
 
-@dataclass(frozen=True)
-class SourceOutcome:
-    """Classification of one source: ``compiled``, ``rejected`` (a
-    ``CompileError``) or ``finding`` (any other exception)."""
-
-    kind: str
-    code: str       # "compiled", "CompileError" or the exception type
-    detail: str = ""
-
-
-def check_source(source: str) -> SourceOutcome:
-    """Compile ``source`` through one fresh optimising session."""
+def check_source(source: str) -> Outcome:
+    """Compile ``source`` through one fresh optimising session: the
+    outcome is ``compiled``, ``rejected`` (a ``CompileError``) or a
+    ``finding`` coded by the type of any other exception."""
     from repro.driver import CompilationSession
     from repro.frontend.errors import CompileError
     try:
         CompilationSession(optimize=True, cache=False).compile(source)
     except CompileError as error:
-        return SourceOutcome("rejected", "CompileError", str(error))
+        return Outcome("rejected", "CompileError", str(error))
     except Exception as error:  # noqa: BLE001 -- the finding itself
-        return SourceOutcome("finding", type(error).__name__,
-                             f"{type(error).__name__}: {error}")
-    return SourceOutcome("compiled", "compiled")
+        return Outcome("finding", type(error).__name__,
+                       f"{type(error).__name__}: {error}")
+    return Outcome("compiled", "compiled")

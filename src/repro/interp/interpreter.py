@@ -230,11 +230,14 @@ class Runner:
         return self.run_function(function, args)
 
     def run_function(self, function: Function, args: list) -> ExecutionResult:
+        """Run ``function`` after every ``<clinit>``; a Java exception
+        thrown by either ends the run as its ``exception`` (one thrown
+        by a ``<clinit>`` means ``function`` never runs)."""
         exception: Optional[ObjectRef] = None
         value = None
         try:
-            self._ensure_initialized()
             try:
+                self._ensure_initialized()
                 value = self.call(function, args)
             except JavaError as error:
                 exception = error.value

@@ -63,11 +63,11 @@ class BytecodeInterpreter:
             break
         if target is None:
             raise BytecodeError(f"no static {method_name} found")
-        self._ensure_initialized()
         args = [None] if target.method.param_types else []
         exception = None
         value = None
         try:
+            self._ensure_initialized()
             value = self.invoke(target, args)
         except JavaError as error:
             exception = error.value

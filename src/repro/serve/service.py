@@ -611,7 +611,13 @@ class ServeServer:
                     name, _sep, value = \
                         line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    await self._respond(writer, 400, {"error": {
+                        "code": "SERVE-BAD-REQUEST",
+                        "message": f"bad Content-Length {declared!r}"}})
+                    return
+                length = int(declared)
                 if length > _MAX_BODY:
                     await self._respond(writer, 413, {"error": {
                         "code": "SERVE-QUOTA-BYTES",

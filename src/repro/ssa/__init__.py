@@ -8,11 +8,7 @@ numbering and verification, and :mod:`repro.encode` externalises it.
 
 from repro.ssa import ir
 from repro.ssa.cst import derive_cfg
-from repro.ssa.dominators import (
-    DominatorTree,
-    compute_dominators,
-    compute_dominators_lt,
-)
+from repro.ssa.dominators import DominatorTree, compute_dominators
 from repro.ssa.construction import SsaBuilder, build_function
 from repro.ssa.phi_pruning import prune_dead_phis
 
@@ -21,7 +17,6 @@ __all__ = [
     "derive_cfg",
     "DominatorTree",
     "compute_dominators",
-    "compute_dominators_lt",
     "SsaBuilder",
     "build_function",
     "prune_dead_phis",

@@ -129,6 +129,20 @@ def test_a_bounded_run_is_one_line_not_a_traceback(tmp_path, capsys,
     assert err.splitlines() == [line]
 
 
+@pytest.mark.parametrize("trace", [[], ["--trace=1"]], ids=["interp",
+                                                          "trace"])
+def test_a_clinit_exception_is_a_java_exception(tmp_path, capsys, trace):
+    path = tmp_path / "Main.java"
+    path.write_text("class Main { static int[] a = new int[2];"
+                    " static int x = a[5];"
+                    " static void main() { System.out.println(x); } }")
+    assert main(["run", str(path), *trace]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        'Exception in thread "main" java.lang.ArrayIndexOutOfBoundsException']
+
+
 ATTACKS_DIR = Path(__file__).parent / "golden" / "attacks"
 
 

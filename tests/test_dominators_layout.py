@@ -1,6 +1,7 @@
 """Dominator computation and (l, r) layout on hand-built CFGs."""
 
 import pytest
+from dominators_reference import compute_dominators_lt
 
 from repro.ssa.cst import (
     CstError,
@@ -14,7 +15,7 @@ from repro.ssa.cst import (
     RWhile,
     derive_cfg,
 )
-from repro.ssa.dominators import compute_dominators, compute_dominators_lt
+from repro.ssa.dominators import compute_dominators
 from repro.ssa.ir import Const, Function, Phi, Plane, Prim, Term
 from repro.tsa.layout import FunctionLayout, LayoutError
 from repro.typesys.ops import lookup_op

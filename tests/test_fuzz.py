@@ -24,7 +24,9 @@ from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
 from repro.fuzz.campaign import (
     BASE_PROGRAMS,
+    LANES,
     program_seed,
+    render_report,
     run_campaign,
     stream_bases,
 )
@@ -37,7 +39,7 @@ from repro.fuzz.minimize import (
     minimize_sequence,
     save_fixture,
 )
-from repro.fuzz.mutate import StreamOutcome, check_stream, mutate_stream
+from repro.fuzz.mutate import Outcome, check_stream, mutate_stream
 from repro.fuzz.oracle import check_program
 from repro.ssa import ir
 from repro.tsa.verifier import VerifyError, verify_module
@@ -191,8 +193,7 @@ class TestMutation:
         from repro.interp.trace import TracingInterpreter
         from tests.test_jit import NUL_NAME_MUTANT
         # the JIT raised ValueError on this accepted mutant
-        assert check_stream(NUL_NAME_MUTANT) == StreamOutcome("accepted",
-                                                              "ran")
+        assert check_stream(NUL_NAME_MUTANT) == Outcome("accepted", "ran")
         # a tier that prints nothing, or counts one block too many, is
         # a finding
         monkeypatch.setattr(JitCompiler, "call",
@@ -248,31 +249,31 @@ class TestMutation:
         monkeypatch.setattr(repro.loader, "load_module", accept_everything)
         assert check_stream(b"").code == "LoaderDivergence"
         monkeypatch.setattr(repro.loader, "load_module", load)
-        assert check_stream(wire) == StreamOutcome("accepted", "ran")
+        assert check_stream(wire) == Outcome("accepted", "ran")
 
     @pytest.mark.slow
     def test_stream_smoke_campaign_holds_invariant(self):
         result = run_campaign(seed=11, budget=300, mode="streams",
                               minimize=False)
-        assert result.mutations == 300
-        assert result.rejected + result.accepted == 300
-        assert result.ok, result.summary()
+        streams = result.lanes["streams"]
+        assert streams.cases == 300
+        assert streams.kinds["rejected"] + streams.kinds["accepted"] == 300
+        assert result.ok, result.findings
         # the taxonomy attributes every rejection to a stable code
-        assert sum(result.taxonomy.values()) == 300
+        assert sum(streams.taxonomy.values()) == 300
         assert all(code.startswith(("DEC-", "STSA-", "ran", "no-entry",
                                     "bounded", "stackoverflow"))
-                   for code in result.taxonomy)
+                   for code in streams.taxonomy)
 
     @pytest.mark.slow
     def test_campaigns_are_deterministic(self):
         first = run_campaign(seed=5, budget=250, mode="streams",
-                             minimize=False)
+                             minimize=False).lanes["streams"]
         second = run_campaign(seed=5, budget=250, mode="streams",
-                              minimize=False)
+                              minimize=False).lanes["streams"]
         assert first.taxonomy == second.taxonomy
-        assert first.mutator_counts == second.mutator_counts
-        assert (first.rejected, first.accepted) == \
-            (second.rejected, second.accepted)
+        assert first.operators == second.operators
+        assert first.kinds == second.kinds
 
 
 # ======================================================================
@@ -433,9 +434,11 @@ class TestCliAndReport:
                      "--json", str(report_path)])
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["streams"]["mutations"] == 50
-        assert report["streams"]["findings"] == 0
-        assert sum(report["streams"]["taxonomy"].values()) == 50
+        assert list(report["lanes"]) == ["streams"]
+        streams = report["lanes"]["streams"]
+        assert streams["cases"] == 50
+        assert "finding" not in streams["kinds"]
+        assert sum(streams["taxonomy"].values()) == 50
         out = capsys.readouterr().out
         assert "fuzz campaign" in out
 
@@ -444,15 +447,45 @@ class TestCliAndReport:
                               minimize=False)
         report = result.report()
         assert report["mode"] == "all"
-        assert report["programs"]["count"] >= 1
-        assert report["programs"]["divergences"] == 0
-        # mode="all" runs the v1 stream lane at full budget plus the
-        # v2 envelope lane at half budget
-        assert report["streams"]["mutations"] == 5 + max(1, 5 // 2)
+        lanes = report["lanes"]
+        assert lanes["programs"]["cases"] >= 1
+        assert lanes["programs"]["kinds"] == {
+            "agreed": lanes["programs"]["cases"]}
+        # mode="all" runs the v1 stream lane at full budget and the v2
+        # envelope lane at half budget, each in its own block
+        assert lanes["streams"]["cases"] == 5
+        assert lanes["streams-v2"]["cases"] == max(1, 5 // 2)
         # ...and the sources lane at a tenth of the budget
-        assert report["sources"]["count"] == 1
-        assert report["sources"]["violations"] == 0
+        assert lanes["sources"]["cases"] == 1
+        assert "finding" not in lanes["sources"]["kinds"]
         json.dumps(report)  # must be JSON-able as-is
+
+    def test_every_lane_runs_alone_and_at_its_share(self):
+        shares = {"programs": 2, "streams": 20, "streams-v2": 10,
+                  "sources": 2}
+        everything = run_campaign(seed=3, budget=20, mode="all",
+                                  minimize=False)
+        assert {name: lane.cases
+                for name, lane in everything.lanes.items()} == shares
+        assert list(LANES) == list(shares)
+        for name, budget in shares.items():
+            alone = run_campaign(seed=3, budget=budget, mode=name,
+                                 minimize=False)
+            assert list(alone.lanes) == [name]
+            # each lane draws from its own stream: alone it sees the
+            # very cases it saw beside the others
+            for counts in ("kinds", "taxonomy", "operators"):
+                assert getattr(alone.lanes[name], counts) == \
+                    getattr(everything.lanes[name], counts), (name, counts)
+        with pytest.raises(ValueError):
+            run_campaign(budget=1, mode="no-such-lane")
+
+    def test_cli_modes_are_the_lanes(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit):
+            main(["fuzz", "--help"])
+        assert "{" + ",".join([*LANES, "all"]) + "}" in \
+            capsys.readouterr().out
 
 
 # ======================================================================
@@ -486,10 +519,11 @@ class TestSourcesLane:
 
     def test_campaign_holds_the_invariant(self):
         result = run_campaign(seed=0, budget=80, mode="sources")
-        assert result.sources == 80
-        assert result.compiled + result.diagnosed == 80
-        assert result.compiled, "some splices must still compile"
-        assert result.ok, result.summary()
+        sources = result.lanes["sources"]
+        assert sources.cases == 80
+        assert sources.kinds["compiled"] + sources.kinds["rejected"] == 80
+        assert sources.kinds["compiled"], "some splices must still compile"
+        assert result.ok, result.findings
 
     def test_violation_is_recorded_with_its_type(self, monkeypatch):
         from repro.driver import CompilationSession
@@ -502,7 +536,7 @@ class TestSourcesLane:
                               minimize=False)
         assert not result.ok
         report = result.report()
-        assert report["sources"]["violations"] == 3
-        assert report["sources"]["violation_types"] == {"KeyError": 3}
-        assert {f["kind"] for f in report["findings"]} == {"source"}
-        assert "VIOLATION [KeyError]" in result.summary()
+        assert report["lanes"]["sources"]["kinds"] == {"finding": 3}
+        assert report["lanes"]["sources"]["taxonomy"] == {"KeyError": 3}
+        assert {f["lane"] for f in report["findings"]} == {"sources"}
+        assert "FINDING sources [KeyError]" in render_report(report)

@@ -264,6 +264,19 @@ class TestEveryTierAlike:
             assert str(caught.value) == \
                 "reached unreachable terminator in T.main(java.lang.String[])"
 
+    def test_a_clinit_exception_ends_the_run_in_every_tier(self):
+        from tests.test_jvm import run_bc
+        source = ("class Main { static int[] a = new int[2];"
+                  " static int x = a[5];"
+                  " static void main() { System.out.println(x); } }")
+        results = [runner.run_main()
+                   for runner in every_tier(compile_source(source))]
+        # the bytecode baseline the fuzz oracle compares them with
+        results.append(run_bc(source))
+        assert [(result.stdout, result.exception_name())
+                for result in results] == \
+            [("", "java.lang.ArrayIndexOutOfBoundsException")] * 4
+
     @pytest.mark.parametrize("where", ["main", "clinit"])
     def test_every_tier_bounds_the_stack_depth(self, where):
         # deep enough to outgrow the host stack under every tier

@@ -31,6 +31,7 @@ import errno
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -64,6 +65,10 @@ ATTACKS_DIR = REPO / "tests" / "golden" / "attacks"
 SOURCE = "class Main { static int main() { return 6 * 7; } }"
 SOURCE_PRINT = ('class Main { static int main() '
                 '{ System.out.println("hi"); return 1; } }')
+#: a static initializer that throws before ``main`` can run
+SOURCE_CLINIT_THROWS = ("class Main { static int[] a = new int[2];"
+                        " static int x = a[5];"
+                        " static void main() { System.out.println(x); } }")
 
 
 def _wire(source: str = SOURCE, optimize: bool = False) -> bytes:
@@ -452,6 +457,16 @@ class TestEndpoints:
         # raw Python exception
         assert f"'{next(iter(argument))}'" in caught.value.message
 
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_a_clinit_exception_is_the_runs_exception(self, serve_client,
+                                                      trace):
+        digest = serve_client.publish(
+            "clinit", source=SOURCE_CLINIT_THROWS)["digest"]
+        result = serve_client.request("POST", "/v1/run",
+                                      {"digest": digest, "trace": trace})
+        assert (result["stdout"], result["exception"]) == \
+            ("", "java.lang.ArrayIndexOutOfBoundsException")
+
     @pytest.mark.parametrize("source, argument", [
         ("class Main { static void main() { int i = 0;"
          " while (true) { i = i + 1; } } }", {"max_steps": 1000}),
@@ -532,6 +547,35 @@ class TestEndpoints:
         assert stats["counters"]["verifies"] == 1
         assert stats["log"]["entries"] == 1
         assert stats["store"]["entries"] == 1
+
+
+def _raw_exchange(port: int, request: bytes) -> tuple[int, dict]:
+    """Send ``request`` over a fresh socket; the status and JSON body
+    of what the server answers before it closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _sep, body = response.partition(b"\r\n\r\n")
+    assert head, "the server closed the connection without an answer"
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHostileTransport:
+    @pytest.mark.parametrize("length", ["abc", "-5", "\u00b2"])
+    def test_a_bad_content_length_is_a_bad_request(self, serve_stack,
+                                                   serve_client, length):
+        _service, server, _clock = serve_stack
+        status, body = _raw_exchange(
+            server.port, f"POST /v1/verify HTTP/1.1\r\n"
+                         f"Content-Length: {length}\r\n\r\n{{}}"
+            .encode("utf-8"))
+        assert status == 400
+        assert body["error"]["code"] == "SERVE-BAD-REQUEST"
+        assert body["error"]["code"] in STABLE_CODES
+        # the server is still live
+        assert serve_client.healthz()["ok"]
 
 
 class TestCoalescing:

@@ -6,11 +6,12 @@ corpus.
 """
 
 import pytest
+from dominators_reference import compute_dominators_lt
 
 from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.ssa.cst import cst_blocks, derive_cfg
-from repro.ssa.dominators import compute_dominators, compute_dominators_lt
+from repro.ssa.dominators import compute_dominators
 from repro.ssa.ir import Phi
 from repro.tsa.verifier import verify_module
 

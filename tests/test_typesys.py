@@ -277,7 +277,7 @@ class TestHostLibrary:
             assert check_stream(data).kind == "rejected"
         result = run_campaign(seed=7, budget=150, mode="streams",
                               minimize=False)
-        assert result.ok and result.accepted
+        assert result.ok and result.lanes["streams"].kinds["accepted"]
         assert host_fingerprint() == before
 
     def test_threads_with_colliding_class_names(self):
