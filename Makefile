@@ -111,9 +111,10 @@ lint-corpus:
 	done
 
 # Every runner entry in its full configuration: the paper tables and
-# every committed BENCH_*.json (RESULTS.txt is this run's output).
+# every committed BENCH_*.json.  RESULTS.txt is this one run's stdout;
+# a failed guard is named on stderr and fails the target.
 tables:
-	$(PYTHON) -m repro.bench.runner all
+	$(PYTHON) -m repro.bench.runner all > RESULTS.txt
 
 # Run every example script (the public API's usage); the first failing
 # example fails the target.

@@ -9,9 +9,9 @@ exactly like Java-sourced code.
 Run with:  python examples/custom_frontend.py
 """
 
-from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
 from repro.interp.interpreter import Interpreter
+from repro.loader import load_module
 from repro.tsa.builder import ModuleBuilder
 from repro.typesys.types import ArrayType, INT
 
@@ -51,7 +51,7 @@ def main() -> None:
     wire = encode_module(module)
     print(f"calculator program {program!r} compiled to {len(wire)} "
           "bytes of SafeTSA")
-    received = decode_module(wire)
+    received = load_module(wire)
     from repro.interp.heap import ArrayRef
     stack = ArrayRef(ArrayType(INT), 16)
     function = received.function_named("Calc", "run")

@@ -43,7 +43,7 @@ def consumer(wire: bytes) -> str:
     module = decode_module(wire)
     print(f"[consumer] decoded {len(module.classes)} classes; every "
           "reference was alphabet-checked during decoding")
-    verify_module(module)  # belt and braces; decode already enforced this
+    verify_module(module)  # the residual rules decoding does not cover
     print("[consumer] structural verification: OK")
     interp = Interpreter(module, max_steps=50_000_000)
     interp.run_main("Parser")

@@ -3,7 +3,7 @@
 Run with:  python examples/quickstart.py
 """
 
-from repro import compile_source, decode_module, encode_module
+from repro import compile_source, encode_module, load_module
 from repro.interp.interpreter import Interpreter
 from repro.ssa.printer import format_function
 
@@ -58,8 +58,9 @@ def main() -> None:
     wire = encode_module(module)
     print(f"\nwire format: {len(wire)} bytes")
 
-    # 4. consumer: decoding *is* the safety check
-    received = decode_module(wire)
+    # 4. consumer: the verifying loader decodes and checks in one pass;
+    #    a stream it rejects never reaches the interpreter
+    received = load_module(wire)
 
     # 5. execute
     result = Interpreter(received).run_main("Greeter")

@@ -56,12 +56,20 @@ def encode_module(module, *, format_version: str = "stsa1",
 
 
 def decode_module(data: bytes, *, store=None):
-    """Decode wire bytes into a verified SafeTSA module.
+    """Decode wire bytes into a SafeTSA module: the first half of the
+    two-pass reference, ``decode_module`` then ``verify_module``.
 
-    Raises :class:`repro.encode.deserializer.DecodeError` on any stream in
-    which a well-formed module is unrepresentable.  v2 envelopes are
-    resolved against ``store`` (a :class:`repro.cache.DictionaryStore`;
-    ``None`` for the environment default) before verification.
+    The decoder checks what the encoding itself guarantees: every
+    ``(l, r)`` reference names a dominating definition on its plane,
+    every symbol lies inside its alphabet, and the stream ends where
+    the module does.  It raises
+    :class:`repro.encode.deserializer.DecodeError` on any stream in
+    which such a module is unrepresentable.  It does not run the
+    verifier's residual rules; a consumer that runs what it receives
+    loads with :func:`load_module`, which does both in one pass.  v2
+    envelopes are resolved against ``store`` (a
+    :class:`repro.cache.DictionaryStore`; ``None`` for the environment
+    default) before decoding.
     """
     from repro.encode.deserializer import decode_module as _decode
     return _decode(data, store=store)

@@ -1,6 +1,6 @@
 """Benchmark corpus and measurement harness (Figures 5 and 6)."""
 
-from repro.bench.corpus import CORPUS_PROGRAMS, corpus_names, corpus_source
+from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.bench.metrics import (
     ClassMetrics,
     measure_corpus,
@@ -9,7 +9,6 @@ from repro.bench.metrics import (
 
 __all__ = [
     "CORPUS_PROGRAMS",
-    "corpus_names",
     "corpus_source",
     "ClassMetrics",
     "measure_corpus",

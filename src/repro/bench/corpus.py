@@ -46,10 +46,6 @@ CORPUS_PROGRAMS = (
 )
 
 
-def corpus_names() -> tuple[str, ...]:
-    return CORPUS_PROGRAMS
-
-
 def corpus_source(name: str) -> str:
     """The MiniJava++ source text of a corpus program."""
     path = _CORPUS_DIR / f"{name}.java"

@@ -9,10 +9,10 @@ unoptimised and optimised) this benchmark times:
 * **fused cold**  one ``load_module``: decode-with-checks plus the
   residual rule sweep (every load is cold)
 
-Each row keeps both times as best-of (``two_pass_ms``,
-``fused_cold_ms``; the totals and the guard read these) and, under
-``spread``, perfbench's ``{n, median, min, iqr}`` record of each one's
-samples.
+The two run in alternating pairs (:func:`repro.bench.metrics.paired`);
+each row keeps perfbench's ``{n, median, min, iqr}`` record of both
+times in ms and of the per-pair two-pass/fused ratio, and the totals
+and the guard read the medians.
 
 Every timed load also re-encodes once (outside the timer) and must be
 bit-identical to the input -- a benchmark that loads the wrong module
@@ -23,7 +23,7 @@ guard in CI fails if the fused cold path stops beating two-pass.
 from __future__ import annotations
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.bench.metrics import bench_repeats, samples, spread
+from repro.bench.metrics import clocked, paired
 from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
@@ -48,46 +48,37 @@ def _check_identical(wire: bytes, module, label: str) -> None:
                              "differently -- benchmark invalid")
 
 
-def load_report(programs=None, repeats=None) -> dict:
+def load_report(programs=None, *, pairs: int) -> dict:
     """All the numbers behind ``BENCH_load.json``."""
-    repeats = bench_repeats(repeats)
     programs = list(programs or CORPUS_PROGRAMS)
     artifacts = _artifacts(programs)
 
     rows = []
     totals = {"two_pass": 0.0, "fused_cold": 0.0}
     for name, optimize, wire in artifacts:
-        label = f"{name}{'+opt' if optimize else ''}"
-
-        def two_pass():
-            verify_module(decode_module(wire))
-
-        def fused_cold():
-            load_module(wire)
-
         module = load_module(wire)
-        _check_identical(wire, module, label)
-
-        spreads = {"two_pass_ms": spread(samples(two_pass, repeats), 1000),
-                   "fused_cold_ms": spread(samples(fused_cold, repeats),
-                                           1000)}
+        _check_identical(wire, module,
+                         f"{name}{'+opt' if optimize else ''}")
+        timed = paired(clocked(lambda: verify_module(decode_module(wire))),
+                       clocked(lambda: load_module(wire)), pairs)
         row = {
             "program": name,
             "optimized": optimize,
             "wire_bytes": len(wire),
             "functions": len(module.functions),
-            **{key: record["min"] for key, record in spreads.items()},
+            "two_pass_ms": timed["first"],
+            "fused_cold_ms": timed["second"],
+            "ratio": timed["ratio"],
         }
-        for key in totals:
-            totals[key] += row[f"{key}_ms"]
-        rows.append({**_rounded(row), "spread": {
-            key: _rounded(record) for key, record in spreads.items()}})
+        totals["two_pass"] += timed["first"]["median"]
+        totals["fused_cold"] += timed["second"]["median"]
+        rows.append(row)
 
     fused = totals["fused_cold"]
-    report = {
+    return {
         "programs": programs,
         "artifacts": len(artifacts),
-        "repeats": repeats,
+        "pairs": pairs,
         "rows": rows,
         "totals_ms": {key: round(value, 3)
                       for key, value in totals.items()},
@@ -101,38 +92,34 @@ def load_report(programs=None, repeats=None) -> dict:
             "fused_cold_le_two_pass": fused <= totals["two_pass"],
         },
     }
-    return report
-
-
-def _rounded(record: dict) -> dict:
-    return {key: round(value, 4) if isinstance(value, float) else value
-            for key, value in record.items()}
 
 
 def load_table(report: dict) -> str:
     """Fixed-width rendering of a :func:`load_report` (RESULTS.txt):
-    each time's best-of (min), median and IQR in ms."""
-    width = 20 + 8 + 2 * 25
+    each time's median and IQR in ms, and the per-pair ratio."""
+    width = 20 + 8 + 2 * 17 + 14
     lines = [
-        f"{'':28}" + "".join(f" {label:-^24}" for label in
+        f"{'':28}" + "".join(f" {label:-^16}" for label in
                              (" two-pass ", " fused ")),
         f"{'Artifact':20} {'bytes':>7}"
-        + " {:>8}{:>8}{:>8}".format("min", "median", "iqr") * 2,
+        + " {:>8}{:>8}".format("median", "iqr") * 2
+        + f" {'ratio':>7}{'iqr':>6}",
         "-" * width,
     ]
     for row in report["rows"]:
         label = row["program"] + ("+opt" if row["optimized"] else "")
-        cells = "".join(f" {record['min']:8.2f}{record['median']:8.2f}"
-                        f"{record['iqr']:8.2f}" for record in
-                        (row["spread"]["two_pass_ms"],
-                         row["spread"]["fused_cold_ms"]))
-        lines.append(f"{label:20} {row['wire_bytes']:>7}{cells}")
+        cells = "".join(f" {record['median']:8.2f}{record['iqr']:8.2f}"
+                        for record in (row["two_pass_ms"],
+                                       row["fused_cold_ms"]))
+        lines.append(f"{label:20} {row['wire_bytes']:>7}{cells} "
+                     f"{row['ratio']['median']:7.3f}"
+                     f"{row['ratio']['iqr']:6.3f}")
     totals = report["totals_ms"]
     lines.append("-" * width)
     lines.append(
-        f"{'TOTAL (ms)':20} {'':>7} {totals['two_pass']:>8.2f}{'':16} "
-        f"{totals['fused_cold']:>8.2f}")
-    lines.append("")
-    lines.append(f"fused vs two-pass: "
-                 f"{report['speedups']['fused_cold_vs_two_pass']}x")
+        f"{'TOTAL (ms)':20} {'':>7} {totals['two_pass']:>8.2f}{'':8} "
+        f"{totals['fused_cold']:>8.2f}{'':8} "
+        f"{report['speedups']['fused_cold_vs_two_pass']:7.3f}")
+    lines.append(f"medians and iqr of {report['pairs']} alternating pairs "
+                 "per artifact; TOTAL sums the medians")
     return "\n".join(lines)

@@ -32,7 +32,6 @@ loop tier's measurable contribution is what it removes on its own.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.bench.corpus import corpus_source
@@ -68,7 +67,6 @@ _BLAME_KEYS = ("licm_hoisted", "checks_hoisted_null",
 def _measure(source: str, name: str, spec: Optional[str]) -> dict:
     module = compile_source(source)
     stats: dict = {}
-    started = time.perf_counter()
     if spec is not None:
         manager = PassManager(spec, check_after_each_pass=True)
         for report in manager.run_module(module):
@@ -76,7 +74,6 @@ def _measure(source: str, name: str, spec: Optional[str]) -> dict:
                 if isinstance(value, (int, float)) \
                         and not isinstance(value, bool):
                     stats[key] = stats.get(key, 0) + value
-    opt_seconds = time.perf_counter() - started
     interpreter = Interpreter(module, max_steps=_MAX_STEPS)
     result = interpreter.run_main(name)
     assert result.completed, f"{name}: {result.exception_name()}"
@@ -93,7 +90,6 @@ def _measure(source: str, name: str, spec: Optional[str]) -> dict:
         },
         "blame": {key: stats[key] for key in _BLAME_KEYS
                   if stats.get(key)},
-        "opt_seconds": round(opt_seconds, 4),
     }
 
 

@@ -13,11 +13,16 @@ The other paper tables measure here too -- phi pruning (E3), the
 per-pass ablation (E4), verification cost (E5), the wire bit breakdown
 (E7), the extension ablation (E8) and consumer code generation (E9) --
 so the runner renders them and the tests assert over the same numbers.
+
+Every timed number of the harness comes from :func:`paired`, which
+times two sides in alternating pairs and returns perfbench's
+``{n, median, min, iqr}`` record (:func:`spread`) of each side and of
+the per-pair ratio; :func:`clocked` makes a side of a function.
 """
 
 from __future__ import annotations
 
-import os
+import gc
 import statistics
 import time
 import zlib
@@ -29,10 +34,6 @@ from repro.encode.serializer import encode_module
 from repro.jvm.classfile import class_file_bytes
 from repro.ssa.ir import Module
 from repro.tsa.verifier import verify_module
-
-#: The two transmitted forms every corpus program is compiled to.
-TRANSMITTED_FLAGS = ({"prune_phis": False}, {"optimize": True})
-
 
 class ClassMetrics:
     """One row of the Figure 5 / Figure 6 tables."""
@@ -159,48 +160,53 @@ def measure_corpus(programs=None, *, cache=None) -> list[ClassMetrics]:
     return rows
 
 
-def bench_repeats(repeats: Optional[int] = None) -> int:
-    """``repeats``, or else ``REPRO_BENCH_REPEATS`` (default 3): the
-    timed runs behind every best-of figure."""
-    if repeats is None:
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
-    return max(repeats, 1)
-
-
-def samples(fn, repeats: Optional[int] = None, warmup: int = 1,
-            setup=None) -> list[float]:
-    """Wall-clock seconds of ``fn()`` in each of ``repeats`` runs, after
-    ``warmup`` untimed runs.  With ``setup``, every run is
-    ``fn(setup())`` and ``setup`` runs off the clock.  ``fn``'s return
-    value is discarded; capture it via a closure if it is needed."""
-    timed = []
-    for run in range(warmup + bench_repeats(repeats)):
+def clocked(fn, setup=None):
+    """A side for :func:`paired`: each call runs ``setup()`` off the
+    clock, collects the heap (so garbage the other side left is not
+    collected on this side's clock), then times ``fn(setup())`` --
+    ``fn()`` without ``setup`` -- and returns its seconds.  ``fn``'s
+    return value is discarded; capture it via a closure if it is
+    needed."""
+    def side() -> float:
         args = () if setup is None else (setup(),)
+        gc.collect()
         start = time.perf_counter()
         fn(*args)
-        elapsed = time.perf_counter() - start
-        if run >= warmup:
-            timed.append(elapsed)
-    return timed
+        return time.perf_counter() - start
+    return side
 
 
-def best_of(fn, repeats: Optional[int] = None, warmup: int = 1,
-            setup=None) -> float:
-    """The minimum of :func:`samples`: the estimator for "time the code
-    would take undisturbed", where one sample is at the mercy of
-    whatever else the machine was doing."""
-    return min(samples(fn, repeats, warmup, setup))
+def paired(first, second, pairs: int) -> dict:
+    """Time two sides -- zero-argument callables returning seconds --
+    in ``pairs`` alternating pairs.  Each side runs once untimed; then
+    pair k runs first then second when k is even and second then first
+    when k is odd, so a change of host speed within a pair favours each
+    side equally often.  Returns the :func:`spread` records of the
+    ``first`` and ``second`` seconds in ms and of the per-pair
+    ``ratio`` first_k / second_k; the caller names the sides."""
+    first()
+    second()
+    times: tuple[list, list] = ([], [])
+    for pair in range(pairs):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            times[side].append((first, second)[side]())
+    return {"first": spread(times[0], 1000),
+            "second": spread(times[1], 1000),
+            "ratio": spread([a / b for a, b in zip(*times)])}
 
 
 def spread(values, scale: float = 1.0) -> dict:
     """perfbench's per-metric record of ``values`` (each times
     ``scale``): ``n``, ``median``, ``min`` and ``iqr``, the distance
-    between the quartiles interpolated between closest ranks."""
+    between the quartiles interpolated between closest ranks, each
+    rounded to four decimals."""
     values = sorted(value * scale for value in values)
     quartiles = statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
-    return {"n": len(values), "median": statistics.median(values),
-            "min": values[0], "iqr": quartiles[2] - quartiles[0]}
+    return {"n": len(values),
+            "median": round(statistics.median(values), 4),
+            "min": round(values[0], 4),
+            "iqr": round(quartiles[2] - quartiles[0], 4)}
 
 
 def _bytecode(source: str):
@@ -247,11 +253,10 @@ def ablation_counts(programs=None, *, cache=None) -> list:
     return results
 
 
-def verify_costs(programs=None, *, cache=None, repeats=None) -> list:
-    """E5: ``(program, SafeTSA verify ms, JVM verify ms, JVM dataflow
-    steps, spread)`` per program.  The two times are best-of; ``spread``
-    holds each one's :func:`spread` in ms under ``"tsa_ms"`` and
-    ``"jvm_ms"``."""
+def verify_costs(programs=None, *, cache=None, pairs: int) -> list:
+    """E5: per program, the JVM dataflow verifier against the SafeTSA
+    verifier in :func:`paired` pairs: ``{program, jvm_ms, tsa_ms,
+    ratio (jvm/tsa), jvm_steps}``."""
     from repro.jvm.verifier import verify_class
     rows = []
     for name in programs or CORPUS_PROGRAMS:
@@ -259,12 +264,13 @@ def verify_costs(programs=None, *, cache=None, repeats=None) -> list:
         module = CompilationSession(cache=cache).compile(source)
         world, classes = _bytecode(source)
         steps: list = []
-        tsa = spread(samples(lambda: verify_module(module), repeats), 1000)
-        jvm = spread(samples(lambda: steps.append(
-            sum(verify_class(world, cls) for cls in classes)),
-            repeats), 1000)
-        rows.append((name, tsa["min"], jvm["min"], steps[-1],
-                     {"tsa_ms": tsa, "jvm_ms": jvm}))
+        timed = paired(
+            clocked(lambda: steps.append(
+                sum(verify_class(world, cls) for cls in classes))),
+            clocked(lambda: verify_module(module)), pairs)
+        rows.append({"program": name, "jvm_ms": timed["first"],
+                     "tsa_ms": timed["second"], "ratio": timed["ratio"],
+                     "jvm_steps": steps[-1]})
     return rows
 
 
@@ -333,13 +339,14 @@ def extension_ablation(programs=None, *, cache=None) -> dict:
 JIT_PROGRAMS = ("BitSieve", "Linpack", "BigInt", "MiniVM")
 
 
-def jit_speeds(programs=JIT_PROGRAMS, *, cache=None,
-               repeats=None) -> list:
-    """E9: ``(program, interpreter cold s, interpreter warm s, JIT cold
-    s, JIT warm s)``.  A cold run is the first run on a freshly loaded
-    module: the interpreter's block plans or the JIT's translation are
-    built, loading is not timed.  A warm run is a fresh runner on a
-    module whose functions already carry their plans or code."""
+def jit_speeds(programs=JIT_PROGRAMS, *, cache=None, pairs: int) -> list:
+    """E9: per program, the interpreter against the JIT in one cold and
+    one warm :func:`paired` record: ``{program, cold, warm}``, each with
+    ``interp_ms``, ``jit_ms`` and the ``ratio`` interp/jit.  A cold run
+    is the first run on a freshly loaded module: the interpreter's
+    block plans or the JIT's translation are built, loading is not
+    timed.  A warm run is a fresh runner on a module whose functions
+    already carry their plans or code."""
     from repro.interp.interpreter import Interpreter
     from repro.interp.jit import JitCompiler
     from repro.loader import load_module
@@ -355,10 +362,13 @@ def jit_speeds(programs=JIT_PROGRAMS, *, cache=None,
         def jit(loaded, name=name):
             JitCompiler(loaded).run_main(name)
 
-        row = [name]
-        for run in (interpret, jit):
-            row.append(best_of(run, repeats, warmup=0,
-                               setup=lambda: load_module(wire)))
-            row.append(best_of(run, repeats, setup=lambda: module))
-        rows.append(tuple(row))
+        row = {"program": name}
+        for label, setup in (("cold", lambda: load_module(wire)),
+                             ("warm", lambda: module)):
+            timed = paired(clocked(interpret, setup),
+                           clocked(jit, setup), pairs)
+            row[label] = {"interp_ms": timed["first"],
+                          "jit_ms": timed["second"],
+                          "ratio": timed["ratio"]}
+        rows.append(row)
     return rows

@@ -18,11 +18,12 @@ name for the list.
 Without ``--output`` a full run writes ``BENCH_<name>.json`` in the
 working directory and a smoke run writes
 ``bench-smoke/BENCH_<name>.json``, so a smoke run never replaces a
-committed full run.  Timed sections run N times after a warmup
-(:func:`repro.bench.metrics.samples`; ``REPRO_BENCH_REPEATS`` sets N,
-default 3) and report the best of them; E5 and E10 also report
-perfbench's ``{n, median, min, iqr}`` record of the N
-(:func:`repro.bench.metrics.spread`).
+committed full run.  Every timed number comes from
+:func:`repro.bench.metrics.paired`: the two sides of a comparison run
+in alternating pairs, and the report keeps perfbench's ``{n, median,
+min, iqr}`` record of each side and of the per-pair ratio.  The pair
+count is an argument of each entry (at least 5 in a full run); totals,
+ratios and guards read medians.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from repro.bench.analysis import analysis_report, analysis_table
-from repro.bench.codec import codec_report, codec_table
 from repro.bench.fuzz import fuzz_report
 from repro.bench.load import load_report, load_table
 from repro.bench.loops import loops_report, loops_table
@@ -50,7 +49,6 @@ from repro.bench.metrics import (
     phi_pruning_counts,
     verify_costs,
 )
-from repro.bench.pipeline import pipeline_report, pipeline_table
 from repro.bench.tables import (
     ablation_table,
     bits_table,
@@ -104,10 +102,11 @@ class Bench(NamedTuple):
 _TABLE_ARGS = {"cache": _RUN_CACHE}
 
 
-def _table(name: str, title: str, report, render) -> Bench:
-    """A paper table: one configuration in both modes, printed only."""
-    return Bench(name, title, report, _TABLE_ARGS, _TABLE_ARGS, render,
-                 writes_json=False)
+def _table(name: str, title: str, report, render,
+           args=(_TABLE_ARGS, _TABLE_ARGS)) -> Bench:
+    """A paper table, printed only; ``args`` are its full and smoke
+    arguments, which differ only in a timed table's pair count."""
+    return Bench(name, title, report, *args, render, writes_json=False)
 
 
 def _flag(description: str, key: str) -> Guard:
@@ -115,8 +114,12 @@ def _flag(description: str, key: str) -> Guard:
     return Guard(description, lambda report, smoke: report["guard"][key])
 
 
+#: a full run times every comparison in this many alternating pairs
+_FULL_ARGS = {"pairs": 5}
+#: the timed paper tables' full and smoke arguments
+_TIMED_TABLE = ({**_TABLE_ARGS, **_FULL_ARGS}, {**_TABLE_ARGS, "pairs": 3})
 _SMOKE_ARGS = {"programs": ("BitSieve", "BinaryCode", "Scanner"),
-               "repeats": 2}
+               "pairs": 2}
 #: smoke drops Linpack (the slow interpretation) but keeps one array
 #: kernel and the dispatch loop
 _LOOP_SMOKE = ("BitSieve", "MiniVM")
@@ -133,25 +136,16 @@ BENCHES = {bench.name: bench for bench in (
            "configuration", ablation_counts, ablation_table),
     _table("verifycost", "E5: consumer-side verification cost (SafeTSA "
            "counter check vs JVM dataflow)", verify_costs,
-           verifycost_table),
+           verifycost_table, _TIMED_TABLE),
     _table("bits", "E7: where the optimised wire bits go, and both "
            "formats under zlib", bit_breakdown, bits_table),
     _table("extensions", "E8: extension ablation (safe-phi transport, "
            "field-partitioned memory)", extension_ablation,
            extensions_table),
     _table("jitspeed", "E9: consumer-side code generation (interpreter "
-           "vs JIT)", jit_speeds, jitspeed_table),
-    Bench("codec", "Codec: the word-at-a-time bit codec, the module "
-          "path and the compilation cache", codec_report, {}, _SMOKE_ARGS,
-          codec_table),
-    Bench("analysis", "Analysis: verify and lint cost per corpus "
-          "artifact", analysis_report, _TABLE_ARGS,
-          {**_SMOKE_ARGS, **_TABLE_ARGS}, analysis_table),
-    Bench("pipeline", "Pipeline: shared analyses vs per-consumer "
-          "analyses, per-pass seconds", pipeline_report, {}, _SMOKE_ARGS,
-          pipeline_table),
+           "vs JIT)", jit_speeds, jitspeed_table, _TIMED_TABLE),
     Bench("load", "E10: consumer-side load cost (two-pass vs fused "
-          "loader)", load_report, {}, _SMOKE_ARGS, load_table, (
+          "loader)", load_report, _FULL_ARGS, _SMOKE_ARGS, load_table, (
               _flag("the fused cold load is no slower than the two-pass "
                     "decode+verify baseline", "fused_cold_le_two_pass"),
           )),
@@ -166,7 +160,7 @@ BENCHES = {bench.name: bench for bench in (
                     "full_pipeline_not_worse"),
           )),
     Bench("wire", "E12: wire-format v2 distribution cost (shared "
-          "dictionaries, deltas, streaming TTFE)", wire_report, {},
+          "dictionaries, deltas, streaming TTFE)", wire_report, _FULL_ARGS,
           _SMOKE_ARGS, wire_table, (
               _flag("shared-dictionary v2 ships fewer corpus bytes than "
                     "raw v1", "v2_smaller_than_v1"),
@@ -177,9 +171,9 @@ BENCHES = {bench.name: bench for bench in (
                     "streaming_ttfe_le_eager"),
           )),
     Bench("trace", "E14: speculative trace tier vs untraced interpreter "
-          "(warm trace cache)", trace_report, {},
+          "(warm trace cache)", trace_report, _FULL_ARGS,
           {"programs": _LOOP_SMOKE, "reps": {"BitSieve": 1, "MiniVM": 8},
-           "abort_reps": 1}, trace_table, (
+           "abort_reps": 1, "pairs": 5}, trace_table, (
               Guard("the traced geomean speedup is above 1.25x "
                     "(1.0x in a smoke run)", lambda report, smoke:
                     report["guard"]["geomean_speedup"]

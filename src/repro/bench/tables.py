@@ -136,28 +136,25 @@ def ablation_table(results: list[tuple[str, dict[str, int]]]) -> str:
 
 def verifycost_table(rows: list) -> str:
     """E5: SafeTSA verification vs JVM dataflow verification: each
-    time's min (the best-of the ratio uses), median and IQR in ms."""
-    width = 16 + 2 * 25 + 11 + 7
-    lines = [f"{'':16}" + "".join(f" {label:-^24}" for label in
+    time's median and IQR in ms, and the per-pair jvm/tsa ratio."""
+    width = 16 + 2 * 17 + 11 + 15
+    lines = [f"{'':16}" + "".join(f" {label:-^16}" for label in
                                   (" tsa (ms) ", " jvm (ms) ")),
-             f"{'Program':16}" + " {:>8}{:>8}{:>8}".format(
-                 "min", "median", "iqr") * 2
-             + f" {'jvm steps':>10} {'ratio':>6}", "-" * width]
-    for name, tsa_ms, jvm_ms, steps, spreads in rows:
-        cells = "".join(f" {spreads[key]['min']:8.2f}"
-                        f"{spreads[key]['median']:8.2f}"
-                        f"{spreads[key]['iqr']:8.2f}"
+             f"{'Program':16}" + " {:>8}{:>8}".format("median", "iqr") * 2
+             + f" {'jvm steps':>10} {'ratio':>6}{'iqr':>6}", "-" * width]
+    for row in rows:
+        cells = "".join(f" {row[key]['median']:8.2f}{row[key]['iqr']:8.2f}"
                         for key in ("tsa_ms", "jvm_ms"))
-        lines.append(f"{name:16}{cells} {steps:10} "
-                     f"{jvm_ms / tsa_ms:6.2f}")
-    total_tsa = sum(row[1] for row in rows)
-    total_jvm = sum(row[2] for row in rows)
-    medians = [sum(row[4][key]["median"] for row in rows)
-               for key in ("tsa_ms", "jvm_ms")]
+        lines.append(f"{row['program']:16}{cells} {row['jvm_steps']:10} "
+                     f"{row['ratio']['median']:6.2f}"
+                     f"{row['ratio']['iqr']:6.2f}")
+    total_tsa, total_jvm = (sum(row[key]["median"] for row in rows)
+                            for key in ("tsa_ms", "jvm_ms"))
     lines.append("-" * width)
-    lines.append(f"{'TOTAL':16} {total_tsa:8.2f}{medians[0]:8.2f}{'':8} "
-                 f"{total_jvm:8.2f}{medians[1]:8.2f}{'':8} {'':10} "
-                 f"{total_jvm / total_tsa:6.2f}")
+    lines.append(f"{'TOTAL':16} {total_tsa:8.2f}{'':8} {total_jvm:8.2f}"
+                 f"{'':8} {'':10} {total_jvm / total_tsa:6.2f}")
+    lines.append(f"median and iqr of {rows[0]['ratio']['n']} alternating "
+                 "pairs per program; TOTAL sums the medians")
     return "\n".join(lines)
 
 
@@ -200,12 +197,17 @@ def extensions_table(totals: dict) -> str:
 
 
 def jitspeed_table(rows: list) -> str:
-    """E9: the interpreter's and the JIT's first and warm runs."""
-    def row(name, interp_cold, interp_warm, cold_s, warm_s) -> str:
-        return (f"{name:12} {interp_cold * 1000:9.1f}ms "
-                f"{interp_warm * 1000:9.1f}ms {cold_s * 1000:8.1f}ms "
-                f"{warm_s * 1000:8.1f}ms {interp_cold / cold_s:6.1f}x "
-                f"{interp_warm / warm_s:6.1f}x")
+    """E9: the interpreter's and the JIT's first and warm runs, and the
+    per-pair interp/JIT ratio of each."""
+    def row(name, cold, warm) -> str:
+        return "".join(
+            [f"{name:12}"] + [f" {record['interp_ms']:8.1f}ms "
+                              f"{record['jit_ms']:7.1f}ms"
+                              f" {record['ratio']:5.1f}x"
+                              for record in (cold, warm)])
+
+    def medians(record: dict) -> dict:
+        return {key: value["median"] for key, value in record.items()}
 
     lines = [
         "cold: the first run on a freshly decoded module, the",
@@ -213,12 +215,21 @@ def jitspeed_table(rows: list) -> str:
         "warm: a fresh runner on a module whose functions already carry",
         "their plans and generated code (nothing is built or linked)",
         "",
-        f"{'Program':12} {'interp cold':>11} {'interp warm':>11} "
-        f"{'jit cold':>10} {'jit warm':>10} {'cold':>7} {'warm':>7}",
-        "-" * 75,
+        f"{'':12}" + "".join(f" {label:-^27}" for label in
+                             (" cold ", " warm ")),
+        f"{'Program':12}" + " {:>10} {:>9} {:>6}".format(
+            "interp", "jit", "ratio") * 2,
+        "-" * 72,
     ]
-    lines.extend(row(*timings) for timings in rows)
-    lines.append("-" * 75)
-    lines.append(row("TOTAL", *(sum(timings[i] for timings in rows)
-                                for i in (1, 2, 3, 4))))
+    lines.extend(row(timings["program"], medians(timings["cold"]),
+                     medians(timings["warm"])) for timings in rows)
+    totals = [{key: sum(timings[label][key]["median"] for timings in rows)
+               for key in ("interp_ms", "jit_ms")}
+              for label in ("cold", "warm")]
+    for total in totals:
+        total["ratio"] = total["interp_ms"] / total["jit_ms"]
+    lines.append("-" * 72)
+    lines.append(row("TOTAL", *totals))
+    lines.append(f"medians of {rows[0]['cold']['ratio']['n']} alternating "
+                 "pairs per program; TOTAL sums the medians")
     return "\n".join(lines)

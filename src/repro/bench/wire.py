@@ -22,7 +22,10 @@ over every corpus program compiled plain and optimised:
   eager baseline must wait for the full transfer and then decode
   everything.  The gap is exactly the decode work streaming overlaps
   with the transfer -- the paper's "verify while the code arrives"
-  claim, measured.
+  claim, measured.  Each reader returns its simulated seconds, so the
+  two are the sides of one :func:`repro.bench.metrics.paired` record
+  per program (both artifacts summed per call); the totals, the ratio
+  and the guard read its medians.
 
 Every sized unit is also resolved and decoded back (outside the
 timers) and must reproduce the original stream -- a benchmark that
@@ -36,7 +39,7 @@ from __future__ import annotations
 import time
 
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.bench.metrics import bench_repeats
+from repro.bench.metrics import paired
 from repro.cache import DictionaryStore
 from repro.driver import CompilationSession
 from repro.encode.deserializer import decode_module
@@ -63,27 +66,18 @@ STREAM_CHUNK = 256
 STREAM_BANDWIDTH = 32 * 1024
 
 
-def _best_sim(fn, repeats: int, warmup: int = 1) -> float:
-    """Minimum simulated TTFE over ``repeats`` runs of ``fn`` (which
-    returns a simulated-clock reading, already including its own
-    measured CPU cost)."""
-    for _ in range(warmup):
-        fn()
-    return min(fn() for _ in range(max(repeats, 1)))
-
-
-def _pairs(programs) -> list[tuple[str, bytes, bytes]]:
+def _wires(programs) -> list[tuple[str, bytes, bytes]]:
     """(name, plain wire, optimised wire) per corpus program."""
-    pairs = []
+    wires = []
     plain_session = CompilationSession(cache=False)
     optimizing = CompilationSession(optimize=True, cache=False)
     for name in programs:
         source = corpus_source(name)
         plain = plain_session.compile(source)
         optimized = optimizing.compile(source)
-        pairs.append((name, encode_module(plain),
+        wires.append((name, encode_module(plain),
                       encode_module(optimized)))
-    return pairs
+    return wires
 
 
 def _main_method(module):
@@ -131,16 +125,15 @@ def _ttfe_eager(wire: bytes) -> float:
     return len(wire) / STREAM_BANDWIDTH + cpu
 
 
-def wire_report(programs=None, repeats=None) -> dict:
+def wire_report(programs=None, *, pairs: int) -> dict:
     """All the numbers behind ``BENCH_wire.json``."""
-    repeats = bench_repeats(repeats)
     programs = list(programs or CORPUS_PROGRAMS)
     store = DictionaryStore()  # memory-only: no disk I/O in timings
 
     rows = []
     totals = {"v1": 0, "v2_shipped": 0, "dict": 0, "v1_opt": 0,
               "delta": 0, "ttfe_stream_ms": 0.0, "ttfe_eager_ms": 0.0}
-    for name, plain, optimized in _pairs(programs):
+    for name, plain, optimized in _wires(programs):
         dictionary = build_shared_dictionary([plain, optimized])
         shared = (dictionary,) \
             if len(dictionary) >= MIN_DICTIONARY_BYTES else ()
@@ -158,12 +151,9 @@ def wire_report(programs=None, repeats=None) -> dict:
         verify_module(decode_module(envelopes[0], store=store))
 
         dict_bytes = len(dictionary) if shared else 0
-        ttfe_stream = sum(
-            _best_sim(lambda w=wire: _ttfe_stream(w), repeats) * 1000
-            for wire in (plain, optimized))
-        ttfe_eager = sum(
-            _best_sim(lambda w=wire: _ttfe_eager(w), repeats) * 1000
-            for wire in (plain, optimized))
+        ttfe = paired(
+            lambda: _ttfe_stream(plain) + _ttfe_stream(optimized),
+            lambda: _ttfe_eager(plain) + _ttfe_eager(optimized), pairs)
 
         row = {
             "program": name,
@@ -173,16 +163,17 @@ def wire_report(programs=None, repeats=None) -> dict:
             "v2_shipped_bytes": sum(map(len, envelopes)) + dict_bytes,
             "v1_opt_bytes": len(optimized),
             "delta_bytes": len(delta),
-            "ttfe_stream_ms": round(ttfe_stream, 4),
-            "ttfe_eager_ms": round(ttfe_eager, 4),
+            "ttfe_stream_ms": ttfe["first"],
+            "ttfe_eager_ms": ttfe["second"],
+            "ttfe_ratio": ttfe["ratio"],
         }
         totals["v1"] += row["v1_bytes"]
         totals["v2_shipped"] += row["v2_shipped_bytes"]
         totals["dict"] += dict_bytes
         totals["v1_opt"] += row["v1_opt_bytes"]
         totals["delta"] += row["delta_bytes"]
-        totals["ttfe_stream_ms"] += ttfe_stream
-        totals["ttfe_eager_ms"] += ttfe_eager
+        totals["ttfe_stream_ms"] += ttfe["first"]["median"]
+        totals["ttfe_eager_ms"] += ttfe["second"]["median"]
         rows.append(row)
 
     def ratio(numerator: float, denominator: float):
@@ -193,7 +184,7 @@ def wire_report(programs=None, repeats=None) -> dict:
     ttfe_ratio = ratio(totals["ttfe_stream_ms"], totals["ttfe_eager_ms"])
     report = {
         "programs": programs,
-        "repeats": repeats,
+        "pairs": pairs,
         "stream_chunk": STREAM_CHUNK,
         "stream_bandwidth": STREAM_BANDWIDTH,
         "rows": rows,
@@ -222,16 +213,19 @@ def wire_table(report: dict) -> str:
     """Fixed-width rendering of a :func:`wire_report` (RESULTS.txt)."""
     lines = [
         f"{'Program':16} {'v1':>7} {'v2+dict':>8} {'delta':>7} "
-        f"{'ttfe-s':>8} {'ttfe-e':>8}",
-        "-" * 58,
+        f"{'ttfe-s':>8} {'ttfe-e':>8} {'s/e':>6} {'iqr':>6}",
+        "-" * 72,
     ]
     for row in report["rows"]:
         lines.append(
             f"{row['program']:16} {row['v1_bytes']:>7} "
             f"{row['v2_shipped_bytes']:>8} {row['delta_bytes']:>7} "
-            f"{row['ttfe_stream_ms']:>8.2f} {row['ttfe_eager_ms']:>8.2f}")
+            f"{row['ttfe_stream_ms']['median']:>8.2f} "
+            f"{row['ttfe_eager_ms']['median']:>8.2f} "
+            f"{row['ttfe_ratio']['median']:>6.3f} "
+            f"{row['ttfe_ratio']['iqr']:>6.3f}")
     totals = report["totals"]
-    lines.append("-" * 58)
+    lines.append("-" * 72)
     lines.append(
         f"{'TOTAL':16} {totals['v1']:>7} {totals['v2_shipped']:>8} "
         f"{totals['delta']:>7} {totals['ttfe_stream_ms']:>8.2f} "
@@ -242,4 +236,7 @@ def wire_table(report: dict) -> str:
         f"v2 shipped vs v1: {ratios['v2_vs_v1']}x; delta vs full "
         f"optimised: {ratios['delta_vs_v1_opt']}x; streaming vs eager "
         f"time-to-first-execute: {ratios['ttfe_stream_vs_eager']}x")
+    lines.append(f"ttfe: simulated ms, medians of {report['pairs']} "
+                 "alternating pairs per program; s/e is the per-pair "
+                 "ratio")
     return "\n".join(lines)

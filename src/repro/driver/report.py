@@ -65,10 +65,6 @@ class PassReport:
                 + entry["seconds"]
         return out
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(entry["seconds"] for entry in self.passes)
-
     def as_dict(self, *, seconds: bool = True) -> dict:
         """JSON-shaped view; ``seconds=False`` gives the deterministic
         part only (what rebuild comparisons use)."""

@@ -13,14 +13,13 @@ source.  A :class:`CompilationSession` owns:
   resolved once, run per function with structured
   :class:`~repro.driver.report.PassReport` timing;
 * the **analysis manager** -- dominator/observability/nullness/range/
-  loop results computed once per function and shared by the optimizer,
-  the verifier, the lint driver, and the encoder's register layout;
+  loop results computed once per function and shared by the optimizer
+  and the encoder's register layout;
 * the **compilation cache** -- the key covers the *pass spec* and the
   phi-pruning flag, so differently optimised artifacts can never
   alias;
 * **stage timing** (``parse`` / ``ssa`` / ``opt``, ``load`` on a
-  cache hit -- the fused-loader consumer path) and collected
-  diagnostics.
+  cache hit -- the fused-loader consumer path).
 
 Per-function optimisation runs serially, in module order; two fresh
 sessions produce identical bytes and identical reports, also in fresh
@@ -55,8 +54,6 @@ class CompilationSession:
         self.stage_seconds: dict[str, float] = {}
         #: PassReports from every optimisation this session ran
         self.reports: list[PassReport] = []
-        #: diagnostics collected by :meth:`lint`
-        self.diagnostics: list = []
         if cache is None:
             from repro.cache import default_cache
             cache = default_cache()
@@ -194,20 +191,7 @@ class CompilationSession:
                      for decl in unit.classes}
         return compile_unit(world, per_class)
 
-    # -- consumers sharing the analysis cache ---------------------------
-
-    def verify(self, module) -> None:
-        """Fail-fast verification reusing cached dominator trees."""
-        from repro.tsa.verifier import verify_module
-        verify_module(module, analyses=self.analyses)
-
-    def lint(self, module, rules=None) -> list:
-        """Lint with the shared analysis cache; diagnostics accumulate
-        on :attr:`diagnostics` and are returned."""
-        from repro.analysis.lint import lint_module
-        found = lint_module(module, rules=rules, analyses=self.analyses)
-        self.diagnostics.extend(found)
-        return found
+    # -- the encoder shares the analysis cache --------------------------
 
     def encode(self, module) -> bytes:
         """Wire encoding reusing cached dominator trees for layout."""

@@ -146,9 +146,11 @@ class StreamingLoader:
     header has decoded (and the same module thereafter), ``None`` while
     the header is still incomplete.  Call :meth:`finish` when the
     transport reports end-of-input -- it completes and returns the
-    fully verified module or raises the same stable rejection the
-    one-shot loader would (modulo the documented ``DEC-IO`` /
-    ``DEC-STREAM`` alias for truncation).
+    fully verified module, or raises a stable rejection exactly when
+    the one-shot loader rejects.  The first reported code may differ
+    from the one-shot loader's: the stream residual-checks each body as
+    it lands, before later bodies decode, and a truncation reads
+    ``DEC-STREAM`` where the one-shot loader reads ``DEC-IO``.
 
     Any rejection poisons the stream: the error is re-raised on every
     later call.
@@ -168,11 +170,6 @@ class StreamingLoader:
         self._next_body = 0
         self._finished = False
         self._error: Optional[BaseException] = None
-
-    @property
-    def bodies_ready(self) -> int:
-        """Bodies decoded and residual-verified so far."""
-        return self._next_body
 
     @property
     def complete(self) -> bool:

@@ -54,11 +54,6 @@ class ConstPool:
         return cached
 
 
-def normalize_entry(function: Function) -> None:
-    """Hoist constants and parameters to an entry-block prefix."""
-    ConstPool(function)
-
-
 def _fold(instr: Instr) -> Optional[tuple]:
     """Return ``(type, value)`` when ``instr`` folds to a constant."""
     if isinstance(instr, ir.Prim):

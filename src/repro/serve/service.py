@@ -565,6 +565,35 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 _MAX_BODY = 64 * 1024 * 1024
 _MAX_HEADER_LINES = 64
+#: seconds a declared request body may take to arrive in full; a body
+#: that stops short would otherwise hold its connection open for good
+_BODY_DEADLINE = 30.0
+
+
+async def _read_body(reader: asyncio.StreamReader,
+                     length: int) -> Optional[bytes]:
+    """The ``length``-byte request body, or ``None`` when it has not
+    arrived in full within :data:`_BODY_DEADLINE`.  A timer cancels
+    the read: ``asyncio.wait_for`` would run it as a second task, and
+    the extra loop turns would cost every POST, whose body is almost
+    always buffered already."""
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(_BODY_DEADLINE, expire)
+    try:
+        return await reader.readexactly(length)
+    except asyncio.CancelledError:
+        if not expired:
+            raise  # the server is shutting down
+        return None
+    finally:
+        timer.cancel()
 
 
 class ServeServer:
@@ -624,8 +653,14 @@ class ServeServer:
                         "message": f"{length}-byte body exceeds the "
                                    f"{_MAX_BODY}-byte request limit"}})
                     return
-                body = await reader.readexactly(length) if length \
+                body = await _read_body(reader, length) if length \
                     else b""
+                if body is None:
+                    await self._respond(writer, 400, {"error": {
+                        "code": "SERVE-BAD-REQUEST",
+                        "message": f"{length}-byte body did not arrive "
+                                   f"within {_BODY_DEADLINE} s"}})
+                    return
                 status, response = await self._dispatch_body(
                     method, target, body)
                 keep_alive = headers.get(

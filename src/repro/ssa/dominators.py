@@ -58,15 +58,6 @@ class DominatorTree:
             b = self.idom.get(b)
         return False
 
-    def walk_up(self, block: Block, levels: int) -> Optional[Block]:
-        """The ``levels``-th dominator above ``block`` (0 = itself)."""
-        current: Optional[Block] = block
-        for _ in range(levels):
-            if current is None:
-                return None
-            current = self.idom.get(current)
-        return current
-
     def level_of(self, use_block: Block, def_block: Block) -> int:
         """Dominator-tree distance from ``use_block`` up to ``def_block``.
 
@@ -83,15 +74,6 @@ class DominatorTree:
             level += 1
         raise ValueError(
             f"B{def_block.id} does not dominate B{use_block.id}")
-
-    def dom_chain(self, block: Block) -> list[Block]:
-        """``[block, idom(block), ..., entry]``."""
-        chain = []
-        current: Optional[Block] = block
-        while current is not None:
-            chain.append(current)
-            current = self.idom.get(current)
-        return chain
 
 
 def _reverse_postorder(entry: Block) -> list[Block]:

@@ -67,9 +67,6 @@ class Plane:
     def type(self) -> Optional[Type]:
         return self.key if self.kind != "safeidx" else INT
 
-    def is_safe_ref(self) -> bool:
-        return self.kind == "safe"
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Plane) and other.kind == self.kind
                 and (other.key is self.key or other.key == self.key))

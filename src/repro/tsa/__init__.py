@@ -14,12 +14,11 @@ must satisfy; it exists mainly for hand-constructed attack modules and for
 the verification-cost comparison against JVM bytecode dataflow analysis.
 """
 
-from repro.tsa.layout import FunctionLayout, layout_function
+from repro.tsa.layout import FunctionLayout
 from repro.tsa.verifier import VerifyError, verify_function, verify_module
 
 __all__ = [
     "FunctionLayout",
-    "layout_function",
     "VerifyError",
     "verify_function",
     "verify_module",

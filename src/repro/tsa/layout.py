@@ -121,7 +121,3 @@ class FunctionLayout:
             current = self.domtree.idom.get(current)
             first = False
         raise LayoutError(f"flat register index out of range on {plane}")
-
-
-def layout_function(function: Function) -> FunctionLayout:
-    return FunctionLayout(function)

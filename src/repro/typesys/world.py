@@ -316,9 +316,6 @@ class World:
             return ClassType("java.lang.Object")
         raise WorldError(f"no common supertype of {a} and {b}")
 
-    def user_classes(self) -> list[ClassInfo]:
-        return [c for c in self.classes.values() if not c.is_builtin]
-
 
 # ----------------------------------------------------------------------
 # Built-in ("imported") host library

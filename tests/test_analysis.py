@@ -775,29 +775,3 @@ class TestLintCli:
         capsys.readouterr()
         assert main(["verify", str(wire)]) == 0
         assert "OK:" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# the analysis benchmark report
-# ---------------------------------------------------------------------------
-
-class TestAnalysisBench:
-    def test_report_shape_and_totals(self):
-        from repro.bench.analysis import analysis_report
-        report = analysis_report(programs=["BitSieve"], repeats=1)
-        assert report["schema"] == "repro-analysis/1"
-        assert [a["variant"] for a in report["artifacts"]] \
-            == ["plain", "optimized"]
-        for artifact in report["artifacts"]:
-            assert artifact["program"] == "BitSieve"
-            assert artifact["verify_ms"] >= 0
-            assert artifact["lint_ms"] >= 0
-            assert artifact["diagnostics"] \
-                == sum(artifact["counts"].values())
-            assert sum(artifact["codes"].values()) \
-                == artifact["diagnostics"]
-        totals = report["totals"]
-        assert totals["artifacts"] == 2
-        assert totals["errors"] == 0
-        assert totals["diagnostics"] \
-            == sum(a["diagnostics"] for a in report["artifacts"])

@@ -6,13 +6,23 @@ import os
 import pytest
 
 from repro.bench import runner
-from repro.bench.metrics import ClassMetrics, measure_corpus, measure_program
+from repro.bench.metrics import (
+    ClassMetrics,
+    bit_breakdown,
+    extension_ablation,
+    measure_corpus,
+    measure_program,
+    verify_costs,
+)
 from repro.bench.tables import (
     _fmt_delta,
     ablation_table,
+    bits_table,
+    extensions_table,
     figure5_table,
     figure6_table,
     phi_pruning_table,
+    verifycost_table,
 )
 
 
@@ -118,75 +128,136 @@ class TestRunnerCommands:
         assert "all" not in runner.BENCHES
         for name, bench in runner.BENCHES.items():
             assert bench.name == name and bench.title
-        # the paper tables print first, in one configuration
+        # the paper tables print first, in one configuration but for
+        # the pair count of a timed table
         tables = [name for name in runner.BENCHES if name not in WRITERS]
         assert list(runner.BENCHES) == tables + WRITERS
-        assert all(runner.BENCHES[name].full is runner.BENCHES[name].smoke
-                   for name in tables)
+        for name in tables:
+            bench = runner.BENCHES[name]
+            assert {**bench.full, "pairs": 0} == {**bench.smoke, "pairs": 0}
+        # a full run times every comparison in at least five pairs
+        assert all(bench.full.get("pairs", 5) >= 5
+                   for bench in runner.BENCHES.values())
 
     def test_unknown_command_prints_usage(self, capsys):
         assert runner.main(["nope"]) == 2
         out = capsys.readouterr().out
         assert all(name in out for name in runner.BENCHES)
 
-    def test_best_of_takes_minimum_and_warms_up(self, monkeypatch):
+    def test_paired_alternates_and_keeps_setup_off_the_clock(
+            self, monkeypatch):
         from repro.bench import metrics
-        calls = []
-        ticks = iter(range(100))
-        monkeypatch.setattr(metrics.time, "perf_counter",
-                            lambda: next(ticks))
-        seconds = metrics.best_of(lambda: calls.append(1), repeats=3,
-                                  warmup=2)
-        assert len(calls) == 5  # 2 warmup + 3 timed
-        assert seconds == 1  # consecutive fake ticks
-        monkeypatch.setenv("REPRO_BENCH_REPEATS", "1")
-        calls.clear()
-        metrics.best_of(lambda: calls.append(1))
-        assert len(calls) == 2  # 1 warmup + 1 timed via the env default
-        calls.clear()
-        metrics.best_of(calls.append, warmup=0,
-                        setup=lambda: len(calls) + 10)
-        assert calls == [10]  # setup's result is fn's argument
+        clock, log = [0.0], []
+        monkeypatch.setattr(metrics.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(metrics.gc, "collect", lambda: log.append("gc"))
 
-    def test_spread_is_perfbenchs_record_of_the_samples(self,
-                                                       monkeypatch):
+        def side(name, seconds):
+            def setup():
+                log.append(f"setup {name}")
+                clock[0] += 100  # off the clock
+                return seconds
+
+            def run(cost):
+                log.append(name)
+                clock[0] += cost
+            return metrics.clocked(run, setup)
+
+        record = metrics.paired(side("a", 2.0), side("b", 0.5), pairs=3)
+        # one untimed call of each side, then pair k runs a->b when k is
+        # even and b->a when k is odd
+        assert [entry for entry in log if entry in "ab"] \
+            == ["a", "b", "a", "b", "b", "a", "a", "b"]
+        # each call: setup, then a collected heap, then the timed run
+        assert log[:6] == ["setup a", "gc", "a", "setup b", "gc", "b"]
+        assert record == {
+            "first": {"n": 3, "median": 2000.0, "min": 2000.0, "iqr": 0.0},
+            "second": {"n": 3, "median": 500.0, "min": 500.0, "iqr": 0.0},
+            "ratio": {"n": 3, "median": 4.0, "min": 4.0, "iqr": 0.0}}
+        # a side is any callable returning seconds; clocked() without
+        # setup times fn()
+        readings = iter([9.0, 4.0])  # the untimed call reads 9.0
+        assert metrics.paired(lambda: next(readings), lambda: 1.0,
+                              pairs=1)["ratio"]["median"] == 4.0
+        calls = []
+        metrics.clocked(lambda: calls.append(1))()
+        assert calls == [1]
+
+    def test_spread_is_perfbenchs_record_of_the_samples(self):
         from repro.bench import metrics
         assert metrics.spread([0.004, 0.001, 0.002, 0.003, 0.005],
                               1000) == pytest.approx(
             {"n": 5, "median": 3.0, "min": 1.0, "iqr": 2.0})
         assert metrics.spread([0.5]) == {"n": 1, "median": 0.5,
                                          "min": 0.5, "iqr": 0.0}
-        # best_of is the minimum of the samples it keeps
-        ticks = iter([0, 3, 3, 4, 4, 6])
-        monkeypatch.setattr(metrics.time, "perf_counter",
-                            lambda: next(ticks))
-        assert metrics.samples(lambda: None, repeats=3, warmup=0) \
-            == [3, 1, 2]
 
-    def test_codec_command_writes_report(self, tmp_path, capsys,
-                                         monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REPEATS", "1")
-        output = tmp_path / "BENCH_codec.json"
-        assert runner.main(["codec", "--smoke", "--output",
-                            str(output)]) == 0
-        assert "smoke run -> " in capsys.readouterr().out
+
+#: the smallest configuration of every entry that writes a report: one
+#: short program, two pairs, a tiny fuzz budget
+TINY = {
+    "load": {"programs": ("BitSieve",), "pairs": 2},
+    "loops": {"programs": ("MiniVM",)},
+    "wire": {"programs": ("BitSieve",), "pairs": 2},
+    "trace": {"programs": ("MiniVM",), "reps": {"MiniVM": 1},
+              "abort_reps": 1, "pairs": 2},
+    "fuzz": {"budget": 20},
+}
+
+
+def _records(node):
+    """Every dict in ``node`` that carries a ``median``."""
+    if isinstance(node, dict):
+        if "median" in node:
+            yield node
+        for value in node.values():
+            yield from _records(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _records(value)
+
+
+class TestRealRuns:
+    """Every report function, writer, renderer and guard runs for real,
+    at its smallest size; guard verdicts are not asserted at that size."""
+
+    def test_every_writer_has_a_tiny_configuration(self):
+        assert sorted(TINY) == sorted(WRITERS)
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_entry_runs_for_real(self, name, tmp_path, monkeypatch,
+                                 capsys):
+        bench = runner.BENCHES[name]
+        monkeypatch.setitem(runner.BENCHES, name,
+                            bench._replace(smoke=TINY[name]))
+        output = tmp_path / f"BENCH_{name}.json"
+        # every guard evaluates inside the run; at this size any verdict
+        assert runner.main([name, "--smoke", "--output",
+                            str(output)]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.startswith(bench.title) and "smoke run -> " in out
+        assert len(out.splitlines()) > 4  # the renderer printed
         report = json.loads(output.read_text())
-        codec = report["codec"]
-        assert codec["trace_ops"] > 0
-        assert codec["encode_mbps"] > 0 and codec["decode_mbps"] > 0
-        stages = report["module_path"]["stage_seconds"]
-        assert {"parse", "ssa", "opt", "encode", "decode",
-                "verify"} <= set(stages)
-        cache = report["cache"]
-        assert cache["corpus_compiles"] == 6
-        assert 0 < cache["hit_rate"] <= 1
-        assert cache["warm_seconds"] >= 0
         provenance = report["provenance"]
         assert provenance["mode"] == "smoke"
         assert set(provenance) == {"mode", "python", "implementation",
                                    "platform", "nproc", "git_sha",
                                    "source_sha256"}
         assert len(provenance["source_sha256"]) == 64
+        records = list(_records(report))
+        assert bool(records) == ("pairs" in TINY[name])
+        for record in records:
+            assert set(record) == {"n", "median", "min", "iqr"}
+            assert record["n"] == 2
+
+    def test_paper_tables_render_from_their_rows(self):
+        programs = ["BitSieve"]
+        verify = verifycost_table(verify_costs(programs, pairs=2))
+        bits = bits_table(bit_breakdown(programs))
+        assert "BitSieve" in verify and "TOTAL" in verify
+        assert "2 alternating pairs" in verify
+        assert "BitSieve" in bits and "TOTAL" in bits
+        extensions = extensions_table(extension_ablation(programs))
+        assert all(config in extensions
+                   for config in ("base", "safephi", "fields"))
 
 
 class TestGuards:

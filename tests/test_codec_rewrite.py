@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 from bitio_reference import ReferenceBitReader, ReferenceBitWriter
-from hypothesis import given, settings, strategies as st
-
-from repro.bench.codec import (
+from codec_trace import (
     capture_corpus_trace,
     check_read_values,
     replay_read,
     replay_write,
 )
+from hypothesis import given, settings, strategies as st
+
 from repro.bench.corpus import corpus_source
 from repro.cache import CompilationCache
 from repro.encode.bitio import BitIOError, BitReader, BitWriter

@@ -283,11 +283,10 @@ def _session_artifacts(source):
 _CORPUS_DIGEST = """
 import hashlib
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.bench.metrics import TRANSMITTED_FLAGS
 from repro.driver import CompilationSession
 digest = hashlib.sha256()
 for name in CORPUS_PROGRAMS:
-    for flags in TRANSMITTED_FLAGS:
+    for flags in ({"prune_phis": False}, {"optimize": True}):
         session = CompilationSession(cache=False, **flags)
         digest.update(session.encode(session.compile(corpus_source(name))))
 digest = digest.hexdigest()

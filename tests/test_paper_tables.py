@@ -176,8 +176,9 @@ class TestAblation:
 @pytest.mark.slow
 def test_tsa_verification_cheaper_than_jvm_dataflow():
     """E5: the SafeTSA check beats JVM dataflow verification."""
-    rows = metrics.verify_costs(repeats=1)
-    assert sum(row[1] for row in rows) < sum(row[2] for row in rows)
+    rows = metrics.verify_costs(pairs=1)
+    assert sum(row["tsa_ms"]["median"] for row in rows) \
+        < sum(row["jvm_ms"]["median"] for row in rows)
 
 
 def test_magic_prefixed_garbage_rejected():
@@ -239,13 +240,16 @@ class TestExtensions:
 @pytest.mark.slow
 def test_jit_beats_the_interpreter():
     """E9: SafeTSA arrives ready for code generation."""
-    rows = metrics.jit_speeds(repeats=1)
-    assert [row[0] for row in rows] == list(metrics.JIT_PROGRAMS)
-    # interpreter cold and warm, JIT cold and warm
-    assert all(len(row) == 5 and min(row[1:]) > 0 for row in rows)
-    assert "interp warm" in tables.jitspeed_table(rows)
+    rows = metrics.jit_speeds(pairs=1)
+    assert [row["program"] for row in rows] == list(metrics.JIT_PROGRAMS)
+    # interpreter and JIT, cold and warm
+    assert all(row[label][key]["median"] > 0 for row in rows
+               for label in ("cold", "warm")
+               for key in ("interp_ms", "jit_ms"))
+    assert "warm" in tables.jitspeed_table(rows)
     # warm against warm: fresh runners on a module that has run
-    assert sum(row[4] for row in rows) < sum(row[2] for row in rows)
+    assert sum(row["warm"]["jit_ms"]["median"] for row in rows) \
+        < sum(row["warm"]["interp_ms"]["median"] for row in rows)
 
 
 @pytest.mark.slow
@@ -253,9 +257,10 @@ def test_check_elimination_speeds_jit_execution():
     """Producer-side check elimination "eventually leads to faster
     execution": the removed checks are absent from the JIT's code."""
     source = corpus_source("Linpack")
-    plain_s, optimized_s = (
-        metrics.best_of(lambda module=module:
-                        JitCompiler(module).run_main("Linpack"), 5)
+    plain, optimized = (
+        metrics.clocked(lambda module=module:
+                        JitCompiler(module).run_main("Linpack"))
         for module in (compile_source(source),
                        compile_source(source, optimize=True)))
-    assert optimized_s < plain_s * 1.15
+    timed = metrics.paired(plain, optimized, 5)
+    assert timed["second"]["median"] < timed["first"]["median"] * 1.15

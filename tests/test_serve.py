@@ -549,10 +549,12 @@ class TestEndpoints:
         assert stats["store"]["entries"] == 1
 
 
-def _raw_exchange(port: int, request: bytes) -> tuple[int, dict]:
+def _raw_exchange(port: int, request: bytes,
+                  timeout: float = 10) -> tuple[int, dict]:
     """Send ``request`` over a fresh socket; the status and JSON body
     of what the server answers before it closes the connection."""
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
         sock.sendall(request)
         response = b""
         while chunk := sock.recv(65536):
@@ -575,6 +577,19 @@ class TestHostileTransport:
         assert body["error"]["code"] == "SERVE-BAD-REQUEST"
         assert body["error"]["code"] in STABLE_CODES
         # the server is still live
+        assert serve_client.healthz()["ok"]
+
+    def test_a_body_that_stops_short_is_a_bad_request(
+            self, serve_stack, serve_client, monkeypatch):
+        from repro.serve import service
+        monkeypatch.setattr(service, "_BODY_DEADLINE", 0.2)
+        _service, server, _clock = serve_stack
+        status, body = _raw_exchange(
+            server.port, b"POST /v1/verify HTTP/1.1\r\n"
+                         b"Content-Length: 5\r\n\r\n{}", timeout=5)
+        assert status == 400
+        assert body["error"]["code"] == "SERVE-BAD-REQUEST"
+        assert "0.2 s" in body["error"]["message"]
         assert serve_client.healthz()["ok"]
 
 
